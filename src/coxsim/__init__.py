@@ -12,19 +12,18 @@ from .geometry import (Annulus, Disk, LatitudeBand, LineParams, Rect,
                        SphericalCap, chord_interval, chord_length, line_point,
                        orbit_point, rotation_to, support_radius)
 from .pointprocess import (Configuration, ModelParams, RngStream,
-                           config_tv_distance, sample_bpp, sample_ppp_interval,
-                           sample_ppp_window, sample_uniform_sphere, superpose,
-                           thin)
+                           config_tv_distance, sample_ppp_window,
+                           sample_uniform_sphere, superpose, thin)
 from .coxmodels import (CoxLineSample, SatelliteSample, effective_intensity,
                         resample_marks, sample_cox_line, sample_satellites,
                         sample_satellites_with_twin)
 from .glauber import (Functional, GlauberSpec, contraction_estimate,
-                      generator_apply, glauber_simulate, semigroup_estimate,
+                      generator_apply, glauber_simulate,
                       semigroup_trajectory_consistency)
 from .steinbound import (BoundReport, QuadratureError, QuadratureSpec,
                          chord_square_integral, coarea_check, cox_bound,
                          satellite_bound)
-from .diagnostics import (CountHistogram, DistanceEstimate, RateFit,
+from .diagnostics import (DistanceEstimate, RateFit,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
                           invariance_check, mecke_check_bpp, mecke_check_ppp,
                           rate_regression, wasserstein_lower_bound)

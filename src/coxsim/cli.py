@@ -89,10 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _model_params(args) -> ModelParams:
+    """Model parameters from the flags; bad values are config errors."""
+    try:
+        if args.model == "cox-line":
+            return ModelParams.planar(args.c, args.lam)
+        return ModelParams.spherical(args.c, args.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_simulate(args) -> int:
     rng = RngStream(args.seed, 0).generator()
+    params = _model_params(args)
     if args.model == "cox-line":
-        params = ModelParams.planar(args.c, args.lam)
         window = parse_window(args.window)
         sample = sample_cox_line(params, window, rng)
         summary = {"model": "cox-line", "c": args.c, "lambda_n": args.lam,
@@ -100,7 +110,6 @@ def _cmd_simulate(args) -> int:
                    "n_lines": int(sample.lines.shape[0]),
                    "n_points": len(sample.points), "seed": args.seed}
     else:
-        params = ModelParams.spherical(args.c, args.n)
         sample = sample_satellites(params, rng)
         summary = {"model": "satellites", "c": args.c, "n": args.n,
                    "mu_n": params.mu_n, "n_points": len(sample.points),
@@ -121,23 +130,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    params = _model_params(args)
     if args.model == "cox-line":
-        params = ModelParams.planar(args.c, args.lam)
-        window = parse_window(args.window)
-        rep = cox_bound(params, window)
+        rep = cox_bound(params, parse_window(args.window))
         param_desc = f"lambda_n={args.lam:g}"
     else:
-        params = ModelParams.spherical(args.c, args.n)
         rep = satellite_bound(params)
         param_desc = f"n={args.n}"
     header = "model,c,param,window,bound,quadrature_error,closed_form"
     row = (f"{rep.model},{params.c:.17g},"
            f"{params.lambda_n if rep.model == 'cox-line' else params.n:.17g},"
            f"{rep.window_desc},{rep.bound_value:.17g},{rep.quadrature_error:.17g},"
-           f"{'' if rep.closed_form is None else format(rep.closed_form, '.17g')}")
+           f"{rep.closed_form:.17g}")
     print(f"{rep.model} bound with c={params.c:g}, {param_desc}: "
-          f"{rep.bound_value:.8g}"
-          + (f" (closed form {rep.closed_form:.8g})" if rep.closed_form is not None else ""))
+          f"{rep.bound_value:.8g} (closed form {rep.closed_form:.8g})")
     print(header)
     print(row)
     if args.out:
@@ -157,35 +163,19 @@ def _cmd_experiment(args) -> int:
         if cfg.model != model:
             raise ConfigError(f"config file is for model {cfg.model!r}, "
                               f"but the subcommand expects {model!r}")
-        # CLI flags override config file values
-        updates = {}
-        if args.c is not None:
-            updates["c"] = args.c
-        if args.sweep is not None:
-            updates["sweep"] = args.sweep
-        if args.reps is not None:
-            updates["reps"] = args.reps
-        if args.seed is not None:
-            updates["seed"] = args.seed
-        if model == "cox-line" and args.window is not None:
-            updates["window"] = parse_window(args.window)
-        if model == "cox-line" and args.target is not None:
-            updates["target_intensity"] = args.target
-        if updates:
-            cfg = replace(cfg, **updates)
     else:
         defaults = {"cox-line": (1.0, (5.0, 10.0, 20.0, 40.0, 80.0)),
                     "satellites": (2.0, (10.0, 20.0, 40.0, 80.0, 160.0))}
         c0, sweep0 = defaults[model]
-        cfg = ExperimentConfig(
-            model=model,
-            c=args.c if args.c is not None else c0,
-            sweep=args.sweep if args.sweep is not None else sweep0,
-            reps=args.reps if args.reps is not None else 10_000,
-            seed=args.seed if args.seed is not None else 0,
-            window=parse_window(args.window) if model == "cox-line" and args.window else None,
-            target_intensity=args.target if model == "cox-line" and args.target else "auto",
-        )
+        cfg = ExperimentConfig(model=model, c=c0, sweep=sweep0, reps=10_000, seed=0)
+    # CLI flags override config file values and the defaults
+    flags = {"c": args.c, "sweep": args.sweep, "reps": args.reps, "seed": args.seed}
+    if model == "cox-line":
+        flags["window"] = None if args.window is None else parse_window(args.window)
+        flags["target_intensity"] = args.target
+    updates = {k: v for k, v in flags.items() if v is not None}
+    if updates:
+        cfg = replace(cfg, **updates)
     out_dir = args.out or extras.get("out")
     plots = args.plots or extras.get("plots", False)
     result = run_experiment(cfg, out_dir=out_dir, plots=plots)

@@ -9,6 +9,9 @@ Satellites: n i.i.d. uniform base points on the sphere, each carrying a
 Poisson(mu_n) number of satellites at i.i.d. uniform angles on its orbit
 (the great circle orthogonal to the base point).
 
+sample_cox_line and resample_marks share one chord-point placement, and
+sample_satellites and sample_satellites_with_twin share one model draw.
+
 Note on the planar limit: for fixed theta the lines D(r, theta) with r >= 0
 sweep only a half-plane, so the construction has mean measure (c/2) Leb2,
 not c Leb2.  effective_intensity measures this; the experiment harness
@@ -31,8 +34,8 @@ class CoxLineSample:
     """One realization of the line-based Cox process clipped to a window.
 
     lines has shape (m, 2) with columns (r, theta); intervals has shape (m, 2)
-    with the chord [s_lo, s_hi] per line (rows of zeros for missing chords,
-    flagged in hits).
+    with the chord [s_lo, s_hi] per line (zero-length rows for missing
+    chords, flagged in hits).
     """
 
     lines: np.ndarray
@@ -52,6 +55,21 @@ class SatelliteSample:
     params: ModelParams
 
 
+def _place_marks(r: np.ndarray, theta: np.ndarray, s_lo: np.ndarray,
+                 lengths: np.ndarray, mu: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Poisson(mu * length) uniform points on each chord, as plane points."""
+    m = r.size
+    marks = rng.poisson(mu * lengths) if m else np.zeros(0, dtype=np.int64)
+    total = int(marks.sum())
+    if total == 0:
+        return np.empty((0, 2))
+    idx = np.repeat(np.arange(m), marks)
+    s = s_lo[idx] + rng.random(total) * lengths[idx]
+    ct, st = np.cos(theta[idx]), np.sin(theta[idx])
+    return np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
+
+
 def sample_cox_line(params: ModelParams, window: Window,
                     rng: np.random.Generator, r_max: float | None = None) -> CoxLineSample:
     """Sample the line-based Cox process restricted to the window.
@@ -66,19 +84,7 @@ def sample_cox_line(params: ModelParams, window: Window,
     r = rng.uniform(0.0, r_max, m)
     theta = rng.uniform(0.0, 2.0 * np.pi, m)
     s_lo, s_hi, hits = chord_intervals(window, r, theta)
-    lengths = np.where(hits, s_hi - s_lo, 0.0)
-    marks = np.zeros(m, dtype=np.int64)
-    if m:
-        marks = rng.poisson(params.mu_n * lengths)
-    total = int(marks.sum())
-    if total:
-        line_idx = np.repeat(np.arange(m), marks)
-        s = s_lo[line_idx] + rng.random(total) * lengths[line_idx]
-        ct, st = np.cos(theta[line_idx]), np.sin(theta[line_idx])
-        rr = r[line_idx]
-        pts = np.column_stack([rr * ct - s * st, rr * st + s * ct])
-    else:
-        pts = np.empty((0, 2))
+    pts = _place_marks(r, theta, s_lo, s_hi - s_lo, params.mu_n, rng)
     return CoxLineSample(lines=np.column_stack([r, theta]),
                          intervals=np.column_stack([s_lo, s_hi]), hits=hits,
                          points=Configuration(pts, PLANE),
@@ -91,43 +97,35 @@ def resample_marks(sample: CoxLineSample, rng: np.random.Generator) -> CoxLineSa
     This realizes the Cox defining property: given the lines, chord counts
     are independent Poissons with mean mu_n * chord_length.
     """
-    r, theta = sample.lines[:, 0], sample.lines[:, 1]
     s_lo, s_hi = sample.intervals[:, 0], sample.intervals[:, 1]
-    lengths = np.where(sample.hits, s_hi - s_lo, 0.0)
-    m = r.size
-    marks = rng.poisson(sample.params.mu_n * lengths) if m else np.zeros(0, dtype=np.int64)
-    total = int(marks.sum())
-    if total:
-        idx = np.repeat(np.arange(m), marks)
-        s = s_lo[idx] + rng.random(total) * lengths[idx]
-        ct, st = np.cos(theta[idx]), np.sin(theta[idx])
-        pts = np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
-    else:
-        pts = np.empty((0, 2))
+    pts = _place_marks(sample.lines[:, 0], sample.lines[:, 1], s_lo, s_hi - s_lo,
+                       sample.params.mu_n, rng)
     return CoxLineSample(lines=sample.lines, intervals=sample.intervals,
                          hits=sample.hits, points=Configuration(pts, PLANE),
                          params=sample.params, window=sample.window)
 
 
-def _satellite_points(orbits: np.ndarray, marks: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
+def _draw_satellites(params: ModelParams, rng: np.random.Generator):
+    """One satellite-model draw; returns (sample, per-orbit point counts)."""
+    params.check_spherical()
+    orbits = sample_uniform_sphere(rng, params.n)
+    marks = rng.poisson(params.mu_n, params.n)
     total = int(marks.sum())
     if total == 0:
-        return np.empty((0, 3))
-    u, w = orbit_frame(orbits)
-    idx = np.repeat(np.arange(orbits.shape[0]), marks)
-    phi = rng.uniform(0.0, 2.0 * np.pi, total)
-    return np.cos(phi)[:, None] * u[idx] + np.sin(phi)[:, None] * w[idx]
+        pts = np.empty((0, 3))
+    else:
+        u, w = orbit_frame(orbits)
+        idx = np.repeat(np.arange(params.n), marks)
+        phi = rng.uniform(0.0, 2.0 * np.pi, total)
+        pts = np.cos(phi)[:, None] * u[idx] + np.sin(phi)[:, None] * w[idx]
+    sample = SatelliteSample(orbits=orbits, points=Configuration(pts, SPHERE),
+                             params=params)
+    return sample, marks
 
 
 def sample_satellites(params: ModelParams, rng: np.random.Generator) -> SatelliteSample:
     """Sample the satellite model: n uniform orbits, Poisson(mu_n) points each."""
-    params.check_spherical()
-    orbits = sample_uniform_sphere(rng, params.n)
-    marks = rng.poisson(params.mu_n, params.n)
-    pts = _satellite_points(orbits, marks, rng)
-    return SatelliteSample(orbits=orbits, points=Configuration(pts, SPHERE),
-                           params=params)
+    return _draw_satellites(params, rng)[0]
 
 
 def sample_satellites_with_twin(params: ModelParams, rng: np.random.Generator):
@@ -140,23 +138,16 @@ def sample_satellites_with_twin(params: ModelParams, rng: np.random.Generator):
     c * nu, while sharing all randomness except the multi-orbit positions.
     Mean differences of functionals over such pairs are unbiased for the
     model-vs-PPP gap with far smaller variance than two independent samples.
+    The model draw uses the same stream as sample_satellites.
     """
-    params.check_spherical()
-    orbits = sample_uniform_sphere(rng, params.n)
-    marks = rng.poisson(params.mu_n, params.n)
-    pts = _satellite_points(orbits, marks, rng)
-    sample = SatelliteSample(orbits=orbits, points=Configuration(pts, SPHERE),
-                             params=params)
+    sample, marks = _draw_satellites(params, rng)
     multi = marks >= 2
     n_replace = int(marks[multi].sum())
     if n_replace == 0:
-        twin = sample.points
-    else:
-        orbit_of_point = np.repeat(np.arange(params.n), marks)
-        keep = ~multi[orbit_of_point]
-        fresh = sample_uniform_sphere(rng, n_replace)
-        twin = Configuration(np.vstack([pts[keep], fresh]), SPHERE)
-    return sample, twin
+        return sample, sample.points
+    keep = ~multi[np.repeat(np.arange(params.n), marks)]
+    fresh = sample_uniform_sphere(rng, n_replace)
+    return sample, Configuration(np.vstack([sample.points.points[keep], fresh]), SPHERE)
 
 
 def effective_intensity(model: str, params: ModelParams, window: Window | None,

@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Annulus, Disk, LatitudeBand, Rect, SphericalCap, Window
+from .geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap, Window,
+                       halves)
 from .glauber import (Functional, close_pair_indicator, count_at_least,
                       count_indicator, product_indicator, truncated_count)
 from .pointprocess import Configuration, ppp_batch, region_counts, uniform_in_window
@@ -31,26 +32,6 @@ BOOTSTRAP_RESAMPLES = 200
 # ---------------------------------------------------------------------------
 # Count histograms and TV distances
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CountHistogram:
-    """Empirical distribution of region counts over replicates."""
-
-    region: str
-    freqs: np.ndarray          # freqs[k] = number of replicates with count k
-    reps: int
-
-    @classmethod
-    def from_counts(cls, region: str, counts: np.ndarray) -> "CountHistogram":
-        counts = np.asarray(counts, dtype=np.int64)
-        return cls(region, np.bincount(counts), counts.size)
-
-    def pmf(self, length: int | None = None) -> np.ndarray:
-        p = self.freqs / self.reps
-        if length is not None and length > p.size:
-            p = np.pad(p, (0, length - p.size))
-        return p
-
 
 def poisson_pmf(mean: float, tail_tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """Poisson pmf vector truncated where the remaining tail mass is below
@@ -85,23 +66,24 @@ def empirical_count_tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def tv_vs_poisson(counts: np.ndarray, mean: float) -> float:
-    """TV between the empirical count pmf and the Poisson(mean) pmf."""
+def _count_pmfs(counts: np.ndarray, mean: float):
+    """Empirical and Poisson(mean) pmfs padded to a common length, plus the
+    Poisson tail mass beyond the truncation."""
     counts = np.asarray(counts, dtype=np.int64)
     q, tail = poisson_pmf(mean)
     n = max(int(counts.max(initial=0)) + 1, q.size)
-    p_hat = _pad_to(np.bincount(counts), n) / counts.size
-    q = _pad_to(q, n)
+    return _pad_to(np.bincount(counts), n) / counts.size, _pad_to(q, n), tail
+
+
+def tv_vs_poisson(counts: np.ndarray, mean: float) -> float:
+    """TV between the empirical count pmf and the Poisson(mean) pmf."""
+    p_hat, q, tail = _count_pmfs(counts, mean)
     return 0.5 * (float(np.abs(p_hat - q).sum()) + tail)
 
 
 def _bootstrap_tv_stderr(counts: np.ndarray, mean: float,
                          rng: np.random.Generator) -> float:
-    counts = np.asarray(counts, dtype=np.int64)
-    q, tail = poisson_pmf(mean)
-    n = max(int(counts.max(initial=0)) + 1, q.size)
-    p_hat = _pad_to(np.bincount(counts), n) / counts.size
-    q = _pad_to(q, n)
+    p_hat, q, tail = _count_pmfs(counts, mean)
     draws = rng.multinomial(counts.size, p_hat, size=BOOTSTRAP_RESAMPLES) / counts.size
     tvs = 0.5 * (np.abs(draws - q).sum(axis=1) + tail)
     return float(tvs.std(ddof=1))
@@ -164,6 +146,20 @@ def _eval_matrix(samples: Sequence[Configuration],
     return out
 
 
+def _require_lipschitz(functionals: Sequence[Functional]):
+    bad = [F.name for F in functionals if not F.lipschitz]
+    if bad:
+        raise ValueError(f"family must be 1-Lipschitz; offending: {bad}")
+
+
+def _max_gap(gaps: np.ndarray, ses: np.ndarray, names: Sequence[str]) -> DistanceEstimate:
+    """Largest |gap| minus the stderr of its functional, floored at 0."""
+    j = int(np.argmax(np.abs(gaps)))
+    value = max(0.0, abs(float(gaps[j])) - float(ses[j]))
+    return DistanceEstimate(value=value, stderr=float(ses[j]),
+                            kind="wasserstein-lower", regions=names[j])
+
+
 def wasserstein_lower_bound(samples: Sequence[Configuration], reference_sampler,
                             functionals: Sequence[Functional],
                             rng: np.random.Generator,
@@ -174,20 +170,14 @@ def wasserstein_lower_bound(samples: Sequence[Configuration], reference_sampler,
     from reference_sampler(rng).  Reported value is the max gap minus the
     stderr of the maximizing functional, floored at 0.
     """
-    bad = [F.name for F in functionals if not F.lipschitz]
-    if bad:
-        raise ValueError(f"family must be 1-Lipschitz; offending: {bad}")
+    _require_lipschitz(functionals)
     n_ref = ref_factor * len(samples)
     refs = [reference_sampler(rng) for _ in range(n_ref)]
     ms = _eval_matrix(samples, functionals)
     mr = _eval_matrix(refs, functionals)
     gaps = ms.mean(axis=0) - mr.mean(axis=0)
     ses = np.sqrt(ms.var(axis=0, ddof=1) / ms.shape[0] + mr.var(axis=0, ddof=1) / mr.shape[0])
-    j = int(np.argmax(np.abs(gaps)))
-    value = max(0.0, abs(float(gaps[j])) - float(ses[j]))
-    return DistanceEstimate(value=value, stderr=float(ses[j]),
-                            kind="wasserstein-lower",
-                            regions=functionals[j].name)
+    return _max_gap(gaps, ses, [F.name for F in functionals])
 
 
 def coupled_wasserstein_lower_bound(pairs, functionals: Sequence[Functional]) -> DistanceEstimate:
@@ -197,9 +187,7 @@ def coupled_wasserstein_lower_bound(pairs, functionals: Sequence[Functional]) ->
     mean gap with variance concentrated on the event that the two members of
     the pair actually differ, which is what makes small gaps resolvable.
     """
-    bad = [F.name for F in functionals if not F.lipschitz]
-    if bad:
-        raise ValueError(f"family must be 1-Lipschitz; offending: {bad}")
+    _require_lipschitz(functionals)
     n = len(pairs)
     diffs = np.empty((n, len(functionals)))
     for i, (a, b) in enumerate(pairs):
@@ -207,11 +195,7 @@ def coupled_wasserstein_lower_bound(pairs, functionals: Sequence[Functional]) ->
             diffs[i, j] = F(a) - F(b)
     gaps = diffs.mean(axis=0)
     ses = diffs.std(axis=0, ddof=1) / math.sqrt(n)
-    j = int(np.argmax(np.abs(gaps)))
-    value = max(0.0, abs(float(gaps[j])) - float(ses[j]))
-    return DistanceEstimate(value=value, stderr=float(ses[j]),
-                            kind="wasserstein-lower",
-                            regions=f"coupled:{functionals[j].name}")
+    return _max_gap(gaps, ses, [f"coupled:{F.name}" for F in functionals])
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +218,10 @@ class MeckeFunctional:
     oracle_bpp: Callable[[int, Window], float] | None = None
 
 
-def _halves(window: Window) -> tuple[Rect, Rect]:
-    if isinstance(window, Rect):
-        mx = 0.5 * (window.x0 + window.x1)
-        return (Rect(window.x0, window.y0, mx, window.y1),
-                Rect(mx, window.y0, window.x1, window.y1))
-    cx, cy = window.center
-    r = window.radius / math.sqrt(2.0)
-    return (Rect(cx - r, cy - r, cx, cy + r), Rect(cx, cy - r, cx + r, cy + r))
-
-
 def mecke_functionals(window: Window) -> list[MeckeFunctional]:
     """Registry for the Campbell-Mecke checks on a window; regions are the
     two halves of the window (inscribed-square halves for a disk)."""
-    A, B = _halves(window)
+    A, B = halves(window)
     ones = lambda c: np.ones_like(c, dtype=float)
     ident = lambda c: c.astype(float)
     at_least_1 = lambda c: (c >= 1).astype(float)
@@ -288,8 +262,11 @@ class MeckeResult:
         return abs(self.lhs - self.rhs) <= 3.0 * self.stderr
 
 
-def _batch_counts(points, rep_ids, reps, *regions):
-    return [region_counts(points, rep_ids, reg, reps) for reg in regions]
+def _mecke_result(mf: MeckeFunctional, lhs_vals: np.ndarray, rhs_vals: np.ndarray,
+                  oracle: float | None) -> MeckeResult:
+    reps = lhs_vals.size
+    se = math.sqrt(lhs_vals.var(ddof=1) / reps + rhs_vals.var(ddof=1) / reps)
+    return MeckeResult(mf.name, float(lhs_vals.mean()), float(rhs_vals.mean()), se, oracle)
 
 
 def mecke_check_ppp(mf: MeckeFunctional, lam: float, window: Window,
@@ -314,10 +291,8 @@ def mecke_check_ppp(mf: MeckeFunctional, lam: float, window: Window,
     x = uniform_in_window(window, reps, rng)
     g_x = np.ones(reps) if mf.region_g is None else mf.region_g.contains(x).astype(float)
     rhs_vals = lam * window.area * g_x * mf.h(c_h2)
-    lhs, rhs = float(lhs_vals.mean()), float(rhs_vals.mean())
-    se = math.sqrt(lhs_vals.var(ddof=1) / reps + rhs_vals.var(ddof=1) / reps)
-    oracle = mf.oracle_ppp(lam, window) if mf.oracle_ppp else None
-    return MeckeResult(mf.name, lhs, rhs, se, oracle)
+    return _mecke_result(mf, lhs_vals, rhs_vals,
+                         mf.oracle_ppp(lam, window) if mf.oracle_ppp else None)
 
 
 def mecke_check_bpp(mf: MeckeFunctional, n_points: int, window: Window,
@@ -345,10 +320,8 @@ def mecke_check_bpp(mf: MeckeFunctional, n_points: int, window: Window,
     x_in_h = mf.region_h.contains(x).astype(np.int64)
     g_x = np.ones(reps) if mf.region_g is None else mf.region_g.contains(x).astype(float)
     rhs_vals = n_points * g_x * mf.h(c_h2 + x_in_h)
-    lhs, rhs = float(lhs_vals.mean()), float(rhs_vals.mean())
-    se = math.sqrt(lhs_vals.var(ddof=1) / reps + rhs_vals.var(ddof=1) / reps)
-    oracle = mf.oracle_bpp(n_points, window) if mf.oracle_bpp else None
-    return MeckeResult(mf.name, lhs, rhs, se, oracle)
+    return _mecke_result(mf, lhs_vals, rhs_vals,
+                         mf.oracle_bpp(n_points, window) if mf.oracle_bpp else None)
 
 
 # ---------------------------------------------------------------------------

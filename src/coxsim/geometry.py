@@ -152,8 +152,9 @@ def support_radius(window: Window) -> float:
 def chord_interval(window: Window, line: LineParams):
     """Arc-length interval [s_lo, s_hi] of the window's chord on the line.
 
-    Returns None when the line misses the window or touches it in a single
-    point (degenerate chords count as empty).
+    Scalar reference for chord_intervals.  Returns None when the line misses
+    the window or touches it in a single point (degenerate chords count as
+    empty).
     """
     ct, st = math.cos(line.theta), math.sin(line.theta)
     if isinstance(window, Disk):
@@ -187,41 +188,12 @@ def chord_length(window: Window, line: LineParams) -> float:
     return 0.0 if iv is None else iv[1] - iv[0]
 
 
-def chord_lengths(window: Window, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Vectorized chord lengths for arrays of (r, theta); used by quadrature
-    and by the line-process sampler."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    ct, st = np.cos(theta), np.sin(theta)
-    if isinstance(window, Disk):
-        cx, cy = window.center
-        h = r - (cx * ct + cy * st)
-        inside = np.abs(h) < window.radius
-        out = np.zeros(np.broadcast(r, theta).shape)
-        out[inside] = 2.0 * np.sqrt(window.radius ** 2 - h[inside] ** 2)
-        return out
-    base_x, base_y = r * ct, r * st
-    lo = np.full(np.broadcast(r, theta).shape, -np.inf)
-    hi = np.full(np.broadcast(r, theta).shape, np.inf)
-    for coef, base, b0, b1 in ((-st, base_x, window.x0, window.x1),
-                               (ct, base_y, window.y0, window.y1)):
-        coef = np.broadcast_to(coef, lo.shape)
-        base = np.broadcast_to(base, lo.shape)
-        deg = np.abs(coef) < 1e-300
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t0 = np.where(deg, -np.inf, (b0 - base) / np.where(deg, 1.0, coef))
-            t1 = np.where(deg, np.inf, (b1 - base) / np.where(deg, 1.0, coef))
-        swap = t0 > t1
-        t0, t1 = np.where(swap, t1, t0), np.where(swap, t0, t1)
-        lo, hi = np.maximum(lo, t0), np.minimum(hi, t1)
-        # degenerate direction: the fixed coordinate must be inside the slab
-        miss = deg & ((base < b0) | (base > b1))
-        hi = np.where(miss, lo, hi)
-    return np.maximum(hi - lo, 0.0)
+def chord_intervals(window: Window, r, theta):
+    """Vectorized chord intervals for broadcastable arrays of (r, theta).
 
-
-def chord_intervals(window: Window, r: np.ndarray, theta: np.ndarray):
-    """Vectorized chord intervals: returns (s_lo, s_hi, nonempty mask)."""
+    Returns (s_lo, s_hi, nonempty mask); s_hi - s_lo is 0 where the line
+    misses the window.  The quadrature passes an (n, 1) x (1, m) grid.
+    """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     ct, st = np.cos(theta), np.sin(theta)
@@ -233,10 +205,11 @@ def chord_intervals(window: Window, r: np.ndarray, theta: np.ndarray):
         half[ok] = np.sqrt(window.radius ** 2 - h[ok] ** 2)
         s_c = cy * ct - cx * st
         return s_c - half, s_c + half, ok
+    shape = np.broadcast(r, theta).shape
     base_x, base_y = r * ct, r * st
-    lo = np.full(r.shape, -np.inf)
-    hi = np.full(r.shape, np.inf)
-    ok = np.ones(r.shape, dtype=bool)
+    lo = np.full(shape, -np.inf)
+    hi = np.full(shape, np.inf)
+    ok = np.ones(shape, dtype=bool)
     for coef, base, b0, b1 in ((-st, base_x, window.x0, window.x1),
                                (ct, base_y, window.y0, window.y1)):
         deg = np.abs(coef) < 1e-300
@@ -246,9 +219,31 @@ def chord_intervals(window: Window, r: np.ndarray, theta: np.ndarray):
         swap = t0 > t1
         t0, t1 = np.where(swap, t1, t0), np.where(swap, t0, t1)
         lo, hi = np.maximum(lo, t0), np.minimum(hi, t1)
+        # degenerate direction: the fixed coordinate must be inside the slab
         ok &= ~(deg & ((base < b0) | (base > b1)))
     ok &= (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
     return np.where(ok, lo, 0.0), np.where(ok, hi, 0.0), ok
+
+
+def chord_lengths(window: Window, r, theta) -> np.ndarray:
+    """Vectorized chord lengths (0 where the line misses the window)."""
+    s_lo, s_hi, _ = chord_intervals(window, r, theta)
+    return s_hi - s_lo
+
+
+def halves(window: Window) -> tuple[Rect, Rect]:
+    """Left and right halves of the window, split at the center's x.
+
+    A disk is halved through its inscribed square, so both halves lie inside
+    the disk and region areas stay exact for the Mecke oracles.
+    """
+    if isinstance(window, Rect):
+        mx = 0.5 * (window.x0 + window.x1)
+        return (Rect(window.x0, window.y0, mx, window.y1),
+                Rect(mx, window.y0, window.x1, window.y1))
+    cx, cy = window.center
+    r = window.radius / math.sqrt(2.0)
+    return (Rect(cx - r, cy - r, cx, cy + r), Rect(cx, cy - r, cx + r, cy + r))
 
 
 # ---------------------------------------------------------------------------

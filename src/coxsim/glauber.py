@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Disk, Rect, Window
+from .geometry import Disk, Window, halves
 from .pointprocess import (Configuration, sample_ppp_window, superpose, thin,
                            uniform_in_window)
 
@@ -118,16 +118,9 @@ def close_pair_indicator(threshold: float, name: str | None = None) -> Functiona
 
 
 def default_functionals(window: Window) -> list[Functional]:
-    """Small registry used by the Glauber property checks."""
-    if isinstance(window, Rect):
-        mx = 0.5 * (window.x0 + window.x1)
-        left = Rect(window.x0, window.y0, mx, window.y1)
-        right = Rect(mx, window.y0, window.x1, window.y1)
-    else:
-        cx, cy = window.center
-        r = window.radius
-        left = Rect(cx - r, cy - r, cx, cy + r)
-        right = Rect(cx, cy - r, cx + r, cy + r)
+    """Small registry used by the Glauber property checks; left and right
+    are the window halves (inscribed-square halves for a disk)."""
+    left, right = halves(window)
     return [
         truncated_count(window, 3),
         raw_count(window),
@@ -184,20 +177,6 @@ def semigroup_sample(omega: Configuration, t: float, spec: GlauberSpec,
     p = math.exp(-t)
     return superpose(thin(omega, p, rng),
                      sample_ppp_window(spec.window, (1.0 - p) * spec.lam, rng))
-
-
-def semigroup_estimate(F: Functional, omega: Configuration, t: float,
-                       spec: GlauberSpec, reps: int, rng: np.random.Generator):
-    """Monte Carlo estimate of P_t F(omega) with its standard error."""
-    if reps < 1:
-        raise ValueError("need at least one replicate")
-    if t == 0.0:
-        return float(F(omega)), 0.0
-    vals = np.empty(reps)
-    for i in range(reps):
-        vals[i] = F(semigroup_sample(omega, t, spec, rng))
-    se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
-    return float(vals.mean()), se
 
 
 def semigroup_trajectory_consistency(omega0: Configuration, spec: GlauberSpec,
@@ -284,9 +263,7 @@ def contraction_estimate(F: Functional, omega: Configuration, z, t: float,
     p = math.exp(-t)
     diffs = np.empty(reps)
     for i in range(reps):
-        kept = thin(omega, p, rng)
-        fresh = sample_ppp_window(spec.window, (1.0 - p) * spec.lam, rng)
-        base = superpose(kept, fresh)
+        base = semigroup_sample(omega, t, spec, rng)
         with_z = base.add(z) if rng.random() < p else base
         diffs[i] = abs(F(with_z) - F(base))
     se = float(diffs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf

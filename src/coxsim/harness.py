@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coxmodels import (effective_intensity, sample_cox_line, sample_satellites,
-                        sample_satellites_with_twin)
+from .coxmodels import effective_intensity, sample_cox_line, sample_satellites_with_twin
 from .diagnostics import (DistanceEstimate, RateFit,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
                           invariance_check, mecke_check_bpp, mecke_check_ppp,
                           mecke_functionals, planar_functional_family,
                           planar_region_set, rate_regression, sphere_functional_family,
                           sphere_region_set, wasserstein_lower_bound)
-from .geometry import Disk, Rect, Window
+from .geometry import Disk, Rect, Window, halves
 from .glauber import (GlauberSpec, contraction_estimate, default_functionals,
                       generator_apply, semigroup_sample,
                       semigroup_trajectory_consistency)
@@ -395,30 +394,23 @@ def check_mecke(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     window = Rect(0.0, 0.0, 1.0, 1.0)
     lam, n_bpp = 3.0, 6
     rows = []
+    checks = (("ppp", mecke_check_ppp, lam), ("bpp", mecke_check_bpp, n_bpp))
     for k, mf in enumerate(mecke_functionals(window)):
-        rng = _stream(seed, LANE_CHECKS, point=k, replicate=1)
-        res = mecke_check_ppp(mf, lam, window, settings.mecke_reps, rng)
-        rows.append(_two_sided(f"mecke_ppp[{res.name}]", res.lhs, res.rhs,
-                               res.stderr, seed))
-        if res.oracle is not None:
-            rows.append(_two_sided(f"mecke_ppp[{res.name}]_oracle", res.lhs,
-                                   res.oracle, res.stderr, seed))
-        rng = _stream(seed, LANE_CHECKS, point=k, replicate=2)
-        res = mecke_check_bpp(mf, n_bpp, window, settings.mecke_reps, rng)
-        rows.append(_two_sided(f"mecke_bpp[{res.name}]", res.lhs, res.rhs,
-                               res.stderr, seed))
-        if res.oracle is not None:
-            rows.append(_two_sided(f"mecke_bpp[{res.name}]_oracle", res.lhs,
-                                   res.oracle, res.stderr, seed))
+        for replicate, (kind, check, arg) in enumerate(checks, start=1):
+            rng = _stream(seed, LANE_CHECKS, point=k, replicate=replicate)
+            res = check(mf, arg, window, settings.mecke_reps, rng)
+            name = f"mecke_{kind}[{res.name}]"
+            rows.append(_two_sided(name, res.lhs, res.rhs, res.stderr, seed))
+            if res.oracle is not None:
+                rows.append(_two_sided(f"{name}_oracle", res.lhs, res.oracle,
+                                       res.stderr, seed))
     return rows
 
 
 def _check_regions(window: Rect):
-    mx = 0.5 * (window.x0 + window.x1)
-    my = 0.5 * (window.y0 + window.y1)
-    return [("window", window),
-            ("left", Rect(window.x0, window.y0, mx, window.y1)),
-            ("cell", Rect(window.x0, window.y0, mx, my))]
+    left = halves(window)[0]
+    return [("window", window), ("left", left),
+            ("cell", Rect(left.x0, left.y0, left.x1, 0.5 * (window.y0 + window.y1)))]
 
 
 def check_invariance(seed: int, settings: ValidationSettings) -> list[CheckRow]:
@@ -508,13 +500,16 @@ def check_coarea(seed: int) -> list[CheckRow]:
 
 def check_bounds(seed: int) -> list[CheckRow]:
     quad = QuadratureSpec()
-    val, err = chord_square_integral(Disk((0.0, 0.0), 1.0), quad)
+    disk = Disk((0.0, 0.0), 1.0)
+    val, err = chord_square_integral(disk, quad)
     rows = [_two_sided("bound[chord_sq_unit_disk]", val, 16.0 / 3.0,
                        1e-8 / 3.0, seed)]
-    rep = cox_bound(ModelParams.planar(1.0, 10.0), Disk((0.0, 0.0), 1.0), quad)
-    rows.append(_two_sided("bound[cox_closed_form]", rep.bound_value,
-                           rep.closed_form, max(rep.quadrature_error, 1e-12) / 3.0,
-                           seed))
+    # quadrature-based bound against the closed form cox_bound reports
+    params = ModelParams.planar(1.0, 10.0)
+    scale = params.c ** 2 / params.lambda_n
+    rows.append(_two_sided("bound[cox_closed_form]", scale * val,
+                           cox_bound(params, disk).bound_value,
+                           max(scale * err, 1e-12) / 3.0, seed))
     sat = satellite_bound(ModelParams.spherical(2.0, 100))
     rows.append(_two_sided("bound[satellite_c2_n100]", sat.bound_value, 0.08,
                            1e-15, seed))

@@ -151,10 +151,6 @@ def config_tv_distance(a: Configuration, b: Configuration) -> int:
     return d
 
 
-def count_in(cfg: Configuration, region) -> int:
-    return cfg.count_in(region)
-
-
 # ---------------------------------------------------------------------------
 # Model parameters
 # ---------------------------------------------------------------------------
@@ -206,7 +202,8 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 def uniform_in_window(window: Window, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. uniform points in the window, by inverse transform."""
+    """n i.i.d. uniform points in the window (a binomial point process), by
+    inverse transform."""
     if isinstance(window, Disk):
         rho = window.radius * np.sqrt(rng.random(n))
         ang = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -225,32 +222,12 @@ def sample_ppp_window(window: Window, lam: float, rng: np.random.Generator) -> C
     return Configuration(uniform_in_window(window, n, rng), PLANE)
 
 
-def sample_ppp_interval(s_lo: float, s_hi: float, mu: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """1-D PPP of per-length intensity mu on [s_lo, s_hi], as a sorted-free array."""
-    if s_hi <= s_lo or mu <= 0:
-        return np.empty(0)
-    n = rng.poisson(mu * (s_hi - s_lo))
-    return rng.uniform(s_lo, s_hi, n)
-
-
 def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Uniform point(s) on the unit sphere via normalized Gaussians."""
     m = 1 if n is None else n
     v = rng.standard_normal((m, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v[0] if n is None else v
-
-
-def sample_bpp(n: int, point_sampler, rng: np.random.Generator,
-               space: str = PLANE) -> Configuration:
-    """Binomial point process: exactly n i.i.d. draws from point_sampler.
-
-    point_sampler(rng, size) must return an array of shape (size, dim).
-    """
-    if n < 1:
-        raise ValueError("a BPP needs at least one point")
-    return Configuration(point_sampler(rng, n), space)
 
 
 def thin(cfg: Configuration, p: float, rng: np.random.Generator) -> Configuration:

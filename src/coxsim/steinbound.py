@@ -2,10 +2,16 @@
 
 The planar bound is (c^2 / lambda_n) * G(K) with geometric constant
 
-    G(K) = int_0^{2pi} int_0^{r_max} chord_length(K, (r, theta))^2 dr dtheta / pi,
+    G(K) = int_0^{2pi} int_0^{r_max} chord_length(K, (r, theta))^2 dr dtheta / pi.
 
-for the origin-centered disk G = 16 R^3 / 3 in closed form.  The spherical
-bound is 2 c^2 / n with no quadrature at all.
+The bound uses the closed forms G = 16 R^3 / 3 for every disk and, for an
+a x b rectangle,
+
+    G = [(2/3)(a^3 + b^3 - (a^2 + b^2)^(3/2))
+         + 2ab (a asinh(b/a) + b asinh(a/b))] / pi;
+
+the quadrature chord_square_integral is their independent cross-check.  The
+spherical bound is 2 c^2 / n with no quadrature at all.
 
 The coarea check evaluates both sides of the identity
 
@@ -89,7 +95,7 @@ class BoundReport:
     window_desc: str
     bound_value: float
     quadrature_error: float
-    closed_form: float | None = None
+    closed_form: float
 
 
 def chord_square_integral(window: Window, quad: QuadratureSpec = QuadratureSpec()):
@@ -107,23 +113,24 @@ def chord_square_integral(window: Window, quad: QuadratureSpec = QuadratureSpec(
     return _refine(evaluate, quad)
 
 
-def _disk_closed_form(window: Window) -> float | None:
-    if isinstance(window, Disk) and math.hypot(*window.center) < 1e-15:
+def _closed_form_g(window: Window) -> float:
+    """G(K) in closed form.  G is motion-invariant and, by Crofton's
+    chord-power formula, equals (1/pi) int int_{K x K} |x - y|^-1 dx dy
+    (Santalo, Integral Geometry and Geometric Probability, 1976)."""
+    if isinstance(window, Disk):
         return 16.0 * window.radius ** 3 / 3.0
-    return None
+    a, b = window.x1 - window.x0, window.y1 - window.y0
+    return ((2.0 / 3.0) * (a ** 3 + b ** 3 - (a * a + b * b) ** 1.5)
+            + 2.0 * a * b * (a * math.asinh(b / a) + b * math.asinh(a / b))) / math.pi
 
 
-def cox_bound(params: ModelParams, window: Window,
-              quad: QuadratureSpec = QuadratureSpec()) -> BoundReport:
-    """Planar bound (c^2 / lambda_n) * G(K)."""
+def cox_bound(params: ModelParams, window: Window) -> BoundReport:
+    """Planar bound (c^2 / lambda_n) * G(K), from the closed form of G."""
     params.check_planar()
-    geom, err = chord_square_integral(window, quad)
-    scale = params.c ** 2 / params.lambda_n
-    closed = _disk_closed_form(window)
+    value = params.c ** 2 / params.lambda_n * _closed_form_g(window)
     return BoundReport(model="cox-line", params=params,
-                       window_desc=window.describe(),
-                       bound_value=scale * geom, quadrature_error=scale * err,
-                       closed_form=None if closed is None else scale * closed)
+                       window_desc=window.describe(), bound_value=value,
+                       quadrature_error=0.0, closed_form=value)
 
 
 def satellite_bound(params: ModelParams) -> BoundReport:

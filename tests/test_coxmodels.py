@@ -194,6 +194,15 @@ class TestSatellites:
 
 
 class TestSatelliteTwin:
+    def test_model_draw_matches_sample_satellites(self):
+        # the twin sampler's model member is the sample_satellites draw
+        for c, n, idx in ((2.0, 10, 80), (30.0, 4, 81), (0.5, 40, 82)):
+            params = ModelParams.spherical(c, n)
+            a = sample_satellites(params, rng_for(idx))
+            b, _ = sample_satellites_with_twin(params, rng_for(idx))
+            assert np.array_equal(a.orbits, b.orbits)
+            assert np.array_equal(a.points.points, b.points.points)
+
     def test_twin_equals_sample_without_multi_orbits(self):
         # with tiny mu the twin should usually coincide with the sample
         params = ModelParams.spherical(0.05, 50)

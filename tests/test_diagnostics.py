@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coxsim.coxmodels import sample_satellites
-from coxsim.diagnostics import (CountHistogram, DistanceEstimate,
+from coxsim.diagnostics import (DistanceEstimate,
                                 count_tv_lower_bound,
                                 coupled_wasserstein_lower_bound,
                                 empirical_count_tv, invariance_check,
@@ -13,8 +13,8 @@ from coxsim.diagnostics import (CountHistogram, DistanceEstimate,
                                 planar_region_set, poisson_pmf, rate_regression,
                                 sphere_functional_family, sphere_region_set,
                                 tv_vs_poisson, wasserstein_lower_bound)
-from coxsim.geometry import Disk, LatitudeBand, Rect
-from coxsim.glauber import Functional, count_indicator
+from coxsim.geometry import Disk, LatitudeBand, Rect, halves
+from coxsim.glauber import Functional, count_indicator, default_functionals
 from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ModelParams,
                                  RngStream, sample_ppp_window,
                                  sample_uniform_sphere)
@@ -231,6 +231,18 @@ class TestMecke:
             if mf.name in expected:
                 assert mf.oracle_bpp(N, WINDOW) == pytest.approx(expected[mf.name])
 
+    def test_registries_share_halves(self):
+        # Mecke regions A, B and the Glauber left/right regions are the same
+        # window halves, for a rect and (inscribed-square halves) a disk
+        for window in (WINDOW, Disk((0.3, -0.2), 0.8)):
+            A, B = halves(window)
+            regions = {(mf.region_g, mf.region_h) for mf in mecke_functionals(window)}
+            assert regions == {(None, A), (A, A), (A, B)}
+            names = [F.name for F in default_functionals(window)]
+            assert f"min(count[{A.describe()}],2)" in names
+            assert (f"1{{count[{A.describe()}]>=1}}*1{{count[{B.describe()}]>=1}}"
+                    in names)
+
     def test_disk_window_halves(self):
         rng = rng_for(18)
         disk = Disk((0.0, 0.0), 1.0)
@@ -355,12 +367,3 @@ class TestDistanceEstimate:
         assert est.conservative() == pytest.approx(0.03)
         est2 = DistanceEstimate(0.01, 0.02, "tv-counts", "w")
         assert est2.conservative() == 0.0
-
-
-class TestCountHistogram:
-    def test_from_counts(self):
-        h = CountHistogram.from_counts("w", np.array([0, 1, 1, 3]))
-        assert h.freqs.tolist() == [1, 2, 0, 1]
-        assert h.reps == 4
-        assert h.pmf().tolist() == [0.25, 0.5, 0.0, 0.25]
-        assert h.pmf(6).tolist() == [0.25, 0.5, 0.0, 0.25, 0.0, 0.0]

@@ -5,8 +5,8 @@ import pytest
 
 from coxsim.geometry import (Annulus, Disk, LatitudeBand, LineParams, Rect,
                              SphericalCap, chord_interval, chord_length,
-                             chord_lengths, line_point, orbit_point,
-                             rotation_to, support_radius)
+                             chord_intervals, chord_lengths, halves, line_point,
+                             orbit_point, rotation_to, support_radius)
 
 RNG = np.random.default_rng(1234)
 
@@ -115,6 +115,36 @@ class TestChords:
             for k in range(50):
                 assert vec[k] == pytest.approx(
                     chord_length(window, LineParams(r[k], theta[k])), abs=1e-12)
+
+    def test_grid_broadcast_matches_flat(self):
+        # the quadrature passes an (n, 1) x (1, m) grid; entries must match
+        # the flat call on the same (r, theta) pairs, bit for bit
+        r = np.linspace(0.0, 1.6, 7)
+        theta = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
+        rr, tt = np.broadcast_arrays(r[:, None], theta[None, :])
+        for window in (Disk((0.3, 0.1), 0.9), Rect(-1, 0, 1, 2)):
+            grid = chord_intervals(window, r[:, None], theta[None, :])
+            flat = chord_intervals(window, rr.ravel(), tt.ravel())
+            for g, f in zip(grid, flat):
+                assert g.shape == (7, 9)
+                assert np.array_equal(g.ravel(), f)
+
+
+class TestHalves:
+    def test_rect_halves_tile(self):
+        left, right = halves(Rect(-1.0, 0.5, 3.0, 2.0))
+        assert left == Rect(-1.0, 0.5, 1.0, 2.0)
+        assert right == Rect(1.0, 0.5, 3.0, 2.0)
+
+    def test_disk_halves_inside(self):
+        disk = Disk((0.4, -0.3), 1.5)
+        for half in halves(disk):
+            corners = np.array([(x, y) for x in (half.x0, half.x1)
+                                for y in (half.y0, half.y1)])
+            # the outer corners lie on the circle, up to rounding
+            dist = np.hypot(*(corners - np.array(disk.center)).T)
+            assert dist.max() <= disk.radius * (1.0 + 1e-12)
+            assert half.area == pytest.approx(disk.radius ** 2)
 
 
 class TestSupportRadius:

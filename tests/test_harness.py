@@ -201,6 +201,29 @@ class TestCli:
         assert main(["bound", "cox-line", "--c", "1", "--lam", "10"]) == 0
         assert "0.5333" in capsys.readouterr().out
 
+    def test_bound_cox_rect(self, capsys):
+        # closed-form G for the unit square: 0.946402009 / lambda
+        assert main(["bound", "cox-line", "--lambda", "10",
+                     "--window", "rect:0,0,1,1"]) == 0
+        assert "0.094640201" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "cox-line", "--c", "0", "--lam", "5"],
+        ["simulate", "cox-line", "--c", "1", "--lam", "-2"],
+        ["simulate", "satellites", "--c", "-1", "--n", "5"],
+        ["simulate", "satellites", "--c", "1", "--n", "0"],
+        ["bound", "cox-line", "--c", "1", "--lam", "0"],
+        ["bound", "cox-line", "--c", "-3", "--lam", "10"],
+        ["bound", "satellites", "--c", "0", "--n", "10"],
+        ["bound", "satellites", "--c", "2", "--n", "0"],
+    ])
+    def test_bad_model_params_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+
     def test_simulate_to_dir(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "cox-line", "--c", "2", "--lam", "10",

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from coxsim.diagnostics import mecke_check_bpp, mecke_functionals
 from coxsim.geometry import Disk, Rect
 from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ModelParams,
                                  RngStream, composite_index, config_from_csv,
                                  config_to_csv, config_tv_distance, ppp_batch,
-                                 region_counts, sample_bpp, sample_ppp_interval,
-                                 sample_ppp_window, sample_uniform_sphere,
+                                 region_counts, sample_ppp_window, sample_uniform_sphere,
                                  superpose, thin, uniform_in_window)
 
 # chi-square 0.999 quantile at 15 degrees of freedom (fixed table value)
@@ -163,26 +163,6 @@ class TestPppWindow:
         assert window.contains(cfg.points).all()
 
 
-class TestPppInterval:
-    def test_empty_interval(self):
-        assert sample_ppp_interval(1.0, 1.0, 5.0, rng_for(8)).size == 0
-
-    def test_zero_intensity(self):
-        assert sample_ppp_interval(0.0, 1.0, 0.0, rng_for(8)).size == 0
-
-    def test_mean_count(self):
-        mu, lo, hi = 2.0, -0.5, 1.7
-        rng = rng_for(9)
-        ns = np.array([sample_ppp_interval(lo, hi, mu, rng).size
-                       for i in range(5000)])
-        se = ns.std(ddof=1) / math.sqrt(ns.size)
-        assert abs(ns.mean() - mu * (hi - lo)) < 3 * se
-
-    def test_positions_in_range(self):
-        s = sample_ppp_interval(-2.0, 3.0, 4.0, rng_for(11))
-        assert ((s >= -2.0) & (s <= 3.0)).all()
-
-
 class TestUniformSphere:
     def test_unit_norm(self):
         pts = sample_uniform_sphere(rng_for(12), 1000)
@@ -205,27 +185,25 @@ class TestUniformSphere:
 
 
 class TestBpp:
-    def test_single_draw(self):
-        sampler = lambda rng, n: uniform_in_window(Rect(0, 0, 1, 1), n, rng)
-        assert len(sample_bpp(1, sampler, rng_for(15))) == 1
+    # the binomial point process of n points is uniform_in_window(window, n)
 
     def test_exact_size(self):
-        sampler = lambda rng, n: uniform_in_window(Rect(0, 0, 1, 1), n, rng)
-        for n in (1, 5, 64):
-            assert len(sample_bpp(n, sampler, rng_for(16))) == n
+        for window in (Rect(0, 0, 1, 1), Disk((0.5, -1.0), 2.0)):
+            for n in (1, 5, 64):
+                pts = uniform_in_window(window, n, rng_for(16))
+                assert pts.shape == (n, 2)
+                assert window.contains(pts).all()
 
     def test_requires_positive(self):
-        sampler = lambda rng, n: uniform_in_window(Rect(0, 0, 1, 1), n, rng)
+        window = Rect(0, 0, 1, 1)
         with pytest.raises(ValueError):
-            sample_bpp(0, sampler, rng_for(17))
+            mecke_check_bpp(mecke_functionals(window)[0], 0, window, 100, rng_for(17))
 
     def test_marginal_chi_square(self):
         # goodness of fit of the uniform marginal on a 4x4 cell grid
-        window = Rect(0, 0, 1, 1)
-        sampler = lambda rng, n: uniform_in_window(window, n, rng)
-        cfg = sample_bpp(16_000, sampler, rng_for(18))
-        ix = np.minimum((cfg.points[:, 0] * 4).astype(int), 3)
-        iy = np.minimum((cfg.points[:, 1] * 4).astype(int), 3)
+        pts = uniform_in_window(Rect(0, 0, 1, 1), 16_000, rng_for(18))
+        ix = np.minimum((pts[:, 0] * 4).astype(int), 3)
+        iy = np.minimum((pts[:, 1] * 4).astype(int), 3)
         observed = np.bincount(ix * 4 + iy, minlength=16)
         expected = 1000.0
         stat = ((observed - expected) ** 2 / expected).sum()

@@ -111,16 +111,43 @@ class TestCoxBound:
         assert r2.bound_value == pytest.approx(4.0 * r1.bound_value, rel=1e-10)
 
     def test_closed_form_agreement_invariant(self):
-        rep = cox_bound(ModelParams.planar(1.5, 7.0), Disk((0, 0), 1.2))
-        assert rep.closed_form is not None
-        assert abs(rep.bound_value - rep.closed_form) <= max(rep.quadrature_error, 1e-10)
+        # the reported bound matches the quadrature-based (c^2/lambda) G(K)
+        params = ModelParams.planar(1.5, 7.0)
+        rep = cox_bound(params, Disk((0, 0), 1.2))
+        assert rep.closed_form == rep.bound_value
+        assert rep.quadrature_error == 0.0
+        val, err = chord_square_integral(Disk((0, 0), 1.2))
+        scale = params.c ** 2 / params.lambda_n
+        assert abs(rep.bound_value - scale * val) <= max(3 * scale * err, 1e-10)
 
-    def test_offset_disk_no_closed_form(self):
-        q = QuadratureSpec(radial_nodes=64, angular_nodes=64, rule="midpoint",
-                           tol=1e-3, max_levels=6)
-        rep = cox_bound(ModelParams.planar(1.0, 10.0), Disk((0.5, 0.0), 1.0), q)
-        assert rep.closed_form is None
-        assert rep.bound_value > 0
+    @pytest.mark.parametrize("window, quad", [
+        (Disk((0.5, 0.0), 1.0),
+         QuadratureSpec(radial_nodes=64, angular_nodes=64, rule="midpoint",
+                        tol=1e-3, max_levels=6)),
+        (Disk((0.4, 0.0), 0.6),
+         QuadratureSpec(radial_nodes=96, angular_nodes=96, rule="midpoint",
+                        tol=1e-4, max_levels=6)),
+        (Rect(-0.5, -0.5, 0.5, 0.5),
+         QuadratureSpec(radial_nodes=128, angular_nodes=128, rule="midpoint",
+                        tol=5e-4, max_levels=6)),
+        (Rect(-0.4, -0.3, 0.5, 0.6),
+         QuadratureSpec(radial_nodes=64, angular_nodes=64, rule="midpoint",
+                        tol=1e-3, max_levels=6)),
+    ], ids=["offset_disk", "small_offset_disk", "centered_square", "offset_rect"])
+    def test_closed_form_matches_quadrature(self, window, quad):
+        # closed form for off-centre disks and rects, against the
+        # independent chord-square quadrature (c = lambda = 1 gives G)
+        rep = cox_bound(ModelParams.planar(1.0, 1.0), window)
+        val, err = chord_square_integral(window, quad)
+        assert abs(rep.bound_value - val) <= 3 * err
+
+    def test_unit_square_closed_form(self):
+        # [(2/3)(2 - 2^1.5) + 4 asinh(1)] / pi
+        rep = cox_bound(ModelParams.planar(1.0, 10.0), Rect(0, 0, 1, 1))
+        assert rep.bound_value == pytest.approx(0.0946402009, abs=1e-10)
+        # motion invariance: translating the window leaves G unchanged
+        moved = cox_bound(ModelParams.planar(1.0, 10.0), Rect(3, -2, 4, -1))
+        assert moved.bound_value == pytest.approx(rep.bound_value, rel=1e-14)
 
     def test_requires_planar(self):
         with pytest.raises(ValueError):
