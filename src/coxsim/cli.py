@@ -190,11 +190,11 @@ def _cmd_experiment(args) -> int:
     else:
         print(f"rate fit unavailable: {result.fit_error}")
     if model == "cox-line" and result.rows:
-        eff = result.rows[-1]["eff_intensity"]
-        print(f"note: measured intensity {eff:.4f} per unit area vs c={cfg.c:g}; "
-              f"the r >= 0 line construction yields c/2 in the limit, and "
-              f"distances are compared against the calibrated target "
-              f"({cfg.target_intensity}).")
+        row = result.rows[-1]
+        print(f"note: measured intensity {row['eff_intensity']:.4f} per unit area "
+              f"vs c={cfg.c:g}; the r >= 0 line construction has mean measure "
+              f"(c/2) Leb2, and distances are compared against the target "
+              f"{row['target_intensity']:g} ({cfg.target_intensity}).")
     print(f"wall time {result.wall_seconds:.1f}s"
           + (f"; outputs in {out_dir}" if out_dir else ""))
     return EXIT_OK

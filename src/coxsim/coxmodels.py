@@ -12,10 +12,10 @@ Poisson(mu_n) number of satellites at i.i.d. uniform angles on its orbit
 sample_cox_line and resample_marks share one chord-point placement, and
 sample_satellites and sample_satellites_with_twin share one model draw.
 
-Note on the planar limit: for fixed theta the lines D(r, theta) with r >= 0
-sweep only a half-plane, so the construction has mean measure (c/2) Leb2,
-not c Leb2.  effective_intensity measures this; the experiment harness
-calibrates against it by default rather than assuming either convention.
+Mean measures: the lines D(r, theta), r >= 0, sweep a half-plane that holds
+any given point for half of the directions, so the cox-line model has mean
+measure (c/2) Leb2 on every window; the satellite model's expected total
+count is n * mu_n = c.  effective_intensity measures sampled counts.
 """
 
 from __future__ import annotations
@@ -150,26 +150,13 @@ def sample_satellites_with_twin(params: ModelParams, rng: np.random.Generator):
     return sample, Configuration(np.vstack([sample.points.points[keep], fresh]), SPHERE)
 
 
-def effective_intensity(model: str, params: ModelParams, window: Window | None,
-                        reps: int, rng: np.random.Generator):
-    """Monte Carlo intensity of a model: mean count per unit area (cox-line)
-    or mean total count per unit nu-measure (satellites), with standard error.
-    """
-    if reps < 1000:
-        raise ValueError("intensity calibration needs at least 1000 replicates")
-    counts = np.empty(reps)
-    if model == "cox-line":
-        if window is None:
-            raise ValueError("cox-line calibration needs a window")
-        for i in range(reps):
-            counts[i] = len(sample_cox_line(params, window, rng).points)
-        denom = window.area
-    elif model == "satellites":
-        draws = rng.poisson(params.mu_n, (reps, params.n))
-        counts[:] = draws.sum(axis=1)
-        denom = 1.0
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    value = counts.mean() / denom
-    stderr = counts.std(ddof=1) / np.sqrt(reps) / denom
+def effective_intensity(counts, measure: float):
+    """Empirical intensity: mean count per unit measure (area, or nu-measure
+    on the sphere) of the region counted in, with its standard error."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.size < 2 or not measure > 0:
+        raise ValueError("effective intensity needs at least 2 counts and a "
+                         "region of positive measure")
+    value = counts.mean() / measure
+    stderr = counts.std(ddof=1) / np.sqrt(counts.size) / measure
     return float(value), float(stderr)

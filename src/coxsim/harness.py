@@ -4,8 +4,11 @@ management, the validation suite, and CSV/SVG emission.
 Determinism contract: every random draw comes from a counter-based stream
 keyed by (master seed, composite_index(lane, sweep point, replicate)), so a
 (config, seed) pair maps to byte-identical CSV output.  Lanes: 0 model
-samples, 1 calibration, 2 reference samples, 3 validation checks,
-4 bootstrap.  Wall-clock metadata is kept out of all CSV files on purpose.
+samples, 2 reference samples, 3 validation checks, 4 bootstrap; lane 1 (the
+retired intensity calibration) stays unused so the others keep their streams.
+Intensity targets are the closed-form mean measures (see coxmodels), and
+eff_intensity is measured from the sweep's own samples.  Wall-clock metadata
+is kept out of all CSV files on purpose.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .steinbound import (QuadratureSpec, chord_square_integral, coarea_check,
 SCHEMA_VERSION = 1
 
 LANE_SAMPLES = 0
-LANE_CALIBRATION = 1
 LANE_REFERENCE = 2
 LANE_CHECKS = 3
 LANE_BOOTSTRAP = 4
@@ -64,7 +66,6 @@ class ExperimentConfig:
     window: Window | None = None     # planar only
     regions: str = "default"
     target_intensity: str = "auto"
-    calibration_reps: int = 50_000
 
     def __post_init__(self):
         if self.model not in ("cox-line", "satellites"):
@@ -75,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("sweep needs at least 4 values")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError("sweep values must be strictly increasing")
+        if not all(v > 0 for v in self.sweep):
+            raise ConfigError("sweep values must be positive")
         if self.reps < 1000:
             raise ConfigError("reps per sweep point must be at least 1000")
         if self.target_intensity not in TARGET_MODES:
@@ -104,6 +107,8 @@ def parse_window(text: str) -> Window:
     raise ConfigError(f"cannot parse window {text!r}; use disk:cx,cy,R or rect:x0,y0,x1,y1")
 
 
+# calibration_reps is accepted and ignored: older config files carry it from
+# when the intensity target was calibrated by Monte Carlo.
 _CONFIG_KEYS = {"model", "c", "sweep", "reps", "seed", "window", "regions",
                 "target_intensity", "calibration_reps", "out", "plots"}
 
@@ -138,7 +143,6 @@ def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
             window=parse_window(section["window"]) if "window" in section else None,
             regions=section.get("regions", fallback="default"),
             target_intensity=section.get("target_intensity", fallback="auto"),
-            calibration_reps=section.getint("calibration_reps", fallback=50_000),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -203,25 +207,16 @@ def _bound_respected(estimates: list[DistanceEstimate], bound: float) -> bool:
 
 
 def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict:
-    """Run one sweep point: calibrate, sample, estimate distances, evaluate
-    the bound.  Deterministic given (config, master seed, point index)."""
+    """Run one sweep point: sample, estimate distances, evaluate the bound.
+    Deterministic given (config, master seed, point index)."""
     seed = cfg.seed
     if cfg.model == "cox-line":
         params = ModelParams.planar(cfg.c, value)
         window = cfg.window
         regions = planar_region_set(window)
         family = planar_functional_family(window)
-        # target intensity
-        if cfg.target_intensity == "auto":
-            eff, eff_se = effective_intensity(
-                "cox-line", params, window, cfg.calibration_reps,
-                _stream(seed, LANE_CALIBRATION, point_idx))
-            target = eff
-        else:
-            target = cfg.c if cfg.target_intensity == "c" else cfg.c / 2.0
-            eff, eff_se = effective_intensity(
-                "cox-line", params, window, max(1000, cfg.calibration_reps // 10),
-                _stream(seed, LANE_CALIBRATION, point_idx))
+        # the mean measure is (c/2) Leb2 on every window; "auto" uses it
+        target = cfg.c if cfg.target_intensity == "c" else cfg.c / 2.0
         samples = []
         for j in range(cfg.reps):
             rng_j = _stream(seed, LANE_SAMPLES, point_idx, j)
@@ -230,16 +225,12 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
         w_est = wasserstein_lower_bound(samples, ref, family,
                                         _stream(seed, LANE_REFERENCE, point_idx))
         w_secondary = None
-        tv_base = target
         bound = cox_bound(params, window)
     else:
         params = ModelParams.spherical(cfg.c, int(value))
         regions = sphere_region_set()
         family = sphere_functional_family()
-        eff, eff_se = effective_intensity(
-            "satellites", params, None, cfg.calibration_reps,
-            _stream(seed, LANE_CALIBRATION, point_idx))
-        target = cfg.c   # mean total count is exactly c
+        target = cfg.c   # mean total count is exactly n * mu_n = c
         pairs = []
         for j in range(cfg.reps):
             rng_j = _stream(seed, LANE_SAMPLES, point_idx, j)
@@ -250,14 +241,15 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
         w_secondary = wasserstein_lower_bound(
             samples, _satellite_ppp_sampler(cfg.c), family,
             _stream(seed, LANE_REFERENCE, point_idx))
-        tv_base = cfg.c
         bound = satellite_bound(params)
 
     rng_boot = _stream(seed, LANE_BOOTSTRAP, point_idx)
     tv_estimates = []
-    for name, region in regions:
+    for k, (name, region) in enumerate(regions):
         counts = np.array([s.count_in(region) for s in samples], dtype=np.int64)
-        est = count_tv_lower_bound(counts, region, tv_base * region.measure,
+        if k == 0:   # the whole window or sphere
+            eff, eff_se = effective_intensity(counts, region.measure)
+        est = count_tv_lower_bound(counts, region, target * region.measure,
                                    rng=rng_boot, region_name=name)
         tv_estimates.append(est)
     tv_best = max(tv_estimates, key=lambda e: e.value)

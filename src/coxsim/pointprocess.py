@@ -42,7 +42,8 @@ def composite_index(lane: int, point: int, replicate: int) -> int:
 
     Layout: lane in the top 8 bits, sweep-point index in the next 16,
     replicate in the low 40.  Harness lanes: 0 = model samples,
-    1 = calibration, 2 = reference samples, 3 = validation checks.
+    2 = reference samples, 3 = validation checks, 4 = bootstrap; lane 1
+    (the retired intensity calibration) is not reused.
     """
     if not (0 <= lane < 2 ** LANE_BITS):
         raise ValueError(f"lane out of range: {lane}")

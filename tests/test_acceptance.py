@@ -108,7 +108,8 @@ def test_criterion_4_cox_bound_and_rate(cox_result):
     ok &= fit is not None and -1.3 <= fit.slope <= -0.7
     ok &= cox_result.wall_seconds < 600.0
     # the c-vs-c/2 intensity convention is reported, not hidden: the rows
-    # carry both the nominal c and the calibrated effective intensity
+    # carry the nominal c, the closed-form target c/2 and the intensity
+    # measured from the sweep's own samples
     effs = [row["eff_intensity"] for row in cox_result.rows]
     ok &= all(abs(e - 0.5) < 0.05 for e in effs)
     slope_txt = "none" if fit is None else f"{fit.slope:.3f}"

@@ -238,28 +238,47 @@ class TestSatelliteTwin:
         assert abs(z2.mean() - 1.0 / 3.0) < 4 * z2.std(ddof=1) / math.sqrt(zs.size)
 
 
+class TestClosedFormMeanMeasure:
+    @pytest.mark.parametrize("window", [Rect(3.0, -0.5, 4.0, 0.5),
+                                        Disk((2.0, 1.0), 0.5),
+                                        Rect(-1.0, -1.0, 2.0, 0.5)])
+    def test_off_origin_windows(self, window):
+        # every point lies in the half-plane swept by D(r, theta), r >= 0,
+        # for half of the directions, so E N(A) = (c/2)|A| on any window
+        params = ModelParams.planar(1.0, 10.0)
+        rng = rng_for(90)
+        ns = np.array([len(sample_cox_line(params, window, rng).points)
+                       for _ in range(4000)])
+        se = ns.std(ddof=1) / math.sqrt(ns.size)
+        assert abs(ns.mean() - 0.5 * window.area) < 4 * se
+
+
 class TestEffectiveIntensity:
     def test_satellites_exact_mean(self):
         params = ModelParams.spherical(3.0, 4)
-        val, se = effective_intensity("satellites", params, None, 5000, rng_for(80))
+        rng = rng_for(80)
+        counts = [len(sample_satellites(params, rng).points) for _ in range(5000)]
+        val, se = effective_intensity(counts, 1.0)
         assert abs(val - 3.0) < 3 * se
 
     def test_cox_line_half_c(self):
         params = ModelParams.planar(1.0, 20.0)
-        val, se = effective_intensity("cox-line", params, UNIT_DISK, 5000, rng_for(81))
+        rng = rng_for(81)
+        counts = [len(sample_cox_line(params, UNIT_DISK, rng).points)
+                  for _ in range(5000)]
+        val, se = effective_intensity(counts, UNIT_DISK.area)
         assert abs(val - 0.5) < 3 * se
 
     def test_zero_marks(self):
-        params = ModelParams(lambda_n=5.0, mu_n=0.0, c=0.0, n=1)
-        val, se = effective_intensity("cox-line", params, UNIT_DISK, 1000, rng_for(82))
-        assert val == 0.0
+        assert effective_intensity(np.zeros(1000, dtype=np.int64), math.pi) == (0.0, 0.0)
+
+    def test_per_unit_measure(self):
+        # mean 2, sample sd sqrt(2), stderr 1; both divided by the measure
+        val, se = effective_intensity([1, 3], 2.0)
+        assert val == 1.0 and se == pytest.approx(0.5)
 
     def test_validation(self):
-        params = ModelParams.spherical(1.0, 4)
         with pytest.raises(ValueError):
-            effective_intensity("satellites", params, None, 10, rng_for(83))
+            effective_intensity([3], 1.0)
         with pytest.raises(ValueError):
-            effective_intensity("bogus", params, None, 2000, rng_for(84))
-        with pytest.raises(ValueError):
-            effective_intensity("cox-line", ModelParams.planar(1.0, 5.0),
-                                None, 2000, rng_for(85))
+            effective_intensity([1, 2], 0.0)

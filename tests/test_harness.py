@@ -2,12 +2,13 @@ import pytest
 
 import coxsim.harness as harness
 from coxsim.cli import main
+from coxsim.coxmodels import sample_cox_line
 from coxsim.geometry import Disk, Rect
 from coxsim.harness import (ConfigError, ExperimentConfig, ValidationSettings,
                             config_from_ini, format_check_table, parse_window,
                             run_experiment, run_validation_suite,
                             write_validation_csv)
-from coxsim.pointprocess import config_from_csv
+from coxsim.pointprocess import ModelParams, config_from_csv
 
 SMALL = ValidationSettings.scaled(2000)
 
@@ -89,6 +90,20 @@ class TestIniConfig:
         with pytest.raises(ConfigError):
             config_from_ini("/nonexistent/exp.ini")
 
+    def test_calibration_reps_ignored(self, tmp_path):
+        # older config files carry calibration_reps; it is accepted and has
+        # no effect on the output
+        body = ("[experiment]\nmodel = satellites\nc = 2.0\n"
+                "sweep = 4 6 9 14\nreps = 1000\nseed = 5\n")
+        outs = []
+        for name, extra in (("old", "calibration_reps = 5000\n"), ("new", "")):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(body + extra)
+            cfg, _ = config_from_ini(str(path))
+            run_experiment(cfg, out_dir=str(tmp_path / name))
+            outs.append((tmp_path / name / "results.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_window_key(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[experiment]\nmodel = cox-line\nc = 1\n"
@@ -99,8 +114,7 @@ class TestIniConfig:
 
 class TestRunExperiment:
     def test_satellite_smoke(self, tmp_path):
-        cfg = ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 3,
-                               calibration_reps=2000)
+        cfg = ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 3)
         res = run_experiment(cfg, out_dir=str(tmp_path), plots=True)
         assert len(res.rows) == 4
         assert res.fit is not None
@@ -116,16 +130,29 @@ class TestRunExperiment:
 
     def test_cox_smoke_fixed_target(self, tmp_path):
         cfg = ExperimentConfig("cox-line", 1.0, (4, 6, 9, 14), 1000, 3,
-                               target_intensity="half-c", calibration_reps=1000)
+                               target_intensity="half-c")
         res = run_experiment(cfg, out_dir=str(tmp_path))
         assert len(res.rows) == 4
         for row in res.rows:
             assert row["target_intensity"] == pytest.approx(0.5)
             assert row["eff_intensity"] == pytest.approx(0.5, abs=0.1)
 
+    def test_cox_auto_target_off_origin(self):
+        # "auto" is the closed form c/2 on any window; eff_intensity is the
+        # mean window count of the sweep's own samples per unit area
+        window = Rect(3.0, -0.5, 4.0, 0.5)
+        cfg = ExperimentConfig("cox-line", 1.0, (4, 6, 9, 14), 1000, 3,
+                               window=window)
+        row = harness.run_sweep_point(cfg, 1, 6.0)
+        assert row["target_intensity"] == 0.5
+        params = ModelParams.planar(1.0, 6.0)
+        total = sum(len(sample_cox_line(params, window,
+                                        harness._stream(3, harness.LANE_SAMPLES, 1, j)).points)
+                    for j in range(cfg.reps))
+        assert round(row["eff_intensity"] * window.area * cfg.reps) == total
+
     def test_determinism_byte_identical(self, tmp_path):
-        cfg = ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 11,
-                               calibration_reps=2000)
+        cfg = ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 11)
         run_experiment(cfg, out_dir=str(tmp_path / "a"))
         run_experiment(cfg, out_dir=str(tmp_path / "b"))
         assert ((tmp_path / "a" / "results.csv").read_bytes()
@@ -133,8 +160,7 @@ class TestRunExperiment:
 
     def test_stderr_shrinks_with_reps(self):
         # quadrupling the replicate count shrinks stderr by ~2x (within 20%)
-        base = dict(model="satellites", c=2.0, sweep=(4, 6, 9, 14), seed=21,
-                    calibration_reps=2000)
+        base = dict(model="satellites", c=2.0, sweep=(4, 6, 9, 14), seed=21)
         row_small = harness.run_sweep_point(
             ExperimentConfig(reps=1500, **base), 0, 6.0)
         row_big = harness.run_sweep_point(
@@ -148,8 +174,7 @@ class TestRunExperiment:
                              regions="exotic")
 
     def test_partial_flush(self, tmp_path, monkeypatch):
-        cfg = ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 3,
-                               calibration_reps=2000)
+        cfg = ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 3)
         original = harness.run_sweep_point
 
         def failing(cfg_, idx, value):
@@ -216,6 +241,9 @@ class TestCli:
         ["bound", "cox-line", "--c", "-3", "--lam", "10"],
         ["bound", "satellites", "--c", "0", "--n", "10"],
         ["bound", "satellites", "--c", "2", "--n", "0"],
+        ["experiment", "converge-cox", "--sweep", "0,5,10,20", "--reps", "1000"],
+        ["experiment", "converge-cox", "--sweep=-5,5,10,20", "--reps", "1000"],
+        ["experiment", "converge-sat", "--sweep", "0,10,20,40", "--reps", "1000"],
     ])
     def test_bad_model_params_exit_2(self, argv, capsys):
         assert main(argv) == 2
