@@ -11,19 +11,18 @@ O(1/lambda_n) and O(1/n) rates by Monte Carlo.
 from .geometry import (Annulus, Disk, LatitudeBand, LineParams, Rect,
                        SphericalCap, chord_interval, chord_length, line_point,
                        orbit_point, rotation_to, support_radius)
-from .pointprocess import (Configuration, ModelParams, RngStream,
-                           config_tv_distance, sample_ppp_window,
+from .pointprocess import (Configuration, CoupledBatch, ModelParams, ReplicateBatch,
+                           RngStream, config_tv_distance, sample_ppp_window,
                            sample_uniform_sphere, superpose, thin)
 from .coxmodels import (CoxLineSample, SatelliteSample, effective_intensity,
                         resample_marks, sample_cox_line, sample_satellites,
                         sample_satellites_with_twin)
-from .glauber import (Functional, GlauberSpec, contraction_estimate,
-                      generator_apply, glauber_simulate,
-                      semigroup_trajectory_consistency)
+from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
+                      glauber_simulate, semigroup_trajectory_consistency)
 from .steinbound import (BoundReport, QuadratureError, QuadratureSpec,
                          chord_square_integral, coarea_check, cox_bound,
                          satellite_bound)
-from .diagnostics import (DistanceEstimate, RateFit,
+from .diagnostics import (DistanceEstimate, Functional, RateFit,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
                           invariance_check, mecke_check_bpp, mecke_check_ppp,
                           rate_regression, wasserstein_lower_bound)

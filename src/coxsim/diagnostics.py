@@ -1,30 +1,33 @@
-"""Statistical machinery: Campbell-Mecke identity checks, thinning-invariance
-checks, count-histogram total-variation distances, certified Wasserstein
-lower bounds, and the log-log rate regression.
+"""Statistical machinery: test functionals, Campbell-Mecke and thinning-
+invariance checks, count-histogram TV distances, certified Wasserstein lower
+bounds, and the log-log rate regression.
+
+One Functional type serves the experiments, the Glauber checks and the
+Mecke checks: F(w) = h(counts of w in its regions), with h vectorized over a
+ReplicateBatch; the close-pair indicator is the one non-count exception.
 
 Every distance reported here is a LOWER bound on the Wasserstein distance
 between the model law and the target PPP, in the metric induced by the
-configuration total-variation distance: any {0,1}-valued functional of the
-configuration is 1-Lipschitz (distinct configurations are at distance >= 1),
-so both count-law TV distances and max mean-gaps over the registry are
-certified lower bounds.  The true supremum over all 1-Lipschitz functionals
-may be larger; reporting is conservative (stderr subtracted, floored at 0)
-so lower-bound claims hold with the stated confidence.
+configuration total-variation distance: any {0,1}-valued functional (and any
+count truncated at a cap) is 1-Lipschitz, so count-law TV distances and max
+mean-gaps over a family are certified lower bounds.  Reporting is
+conservative (stderr subtracted, floored at 0) so lower-bound claims hold
+with the stated confidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap, Window,
                        halves)
-from .glauber import (Functional, close_pair_indicator, count_at_least,
-                      count_indicator, product_indicator, truncated_count)
-from .pointprocess import Configuration, ppp_batch, region_counts, uniform_in_window
+from .pointprocess import (PLANE, CoupledBatch, ReplicateBatch, ppp_batch,
+                           uniform_in_window)
 
 BOOTSTRAP_RESAMPLES = 200
 
@@ -66,6 +69,14 @@ def empirical_count_tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
+def tv_rows(a: ReplicateBatch, b: ReplicateBatch, regions) -> list:
+    """Per-region (name, empirical count TV, threshold) rows for two batches
+    of the same law; threshold 2/sqrt(reps) is the Monte Carlo noise floor."""
+    threshold = 2.0 / math.sqrt(len(a))
+    return [(name, empirical_count_tv(a.counts(region), b.counts(region)), threshold)
+            for name, region in regions]
+
+
 def _count_pmfs(counts: np.ndarray, mean: float):
     """Empirical and Poisson(mean) pmfs padded to a common length, plus the
     Poisson tail mass beyond the truncation."""
@@ -87,6 +98,105 @@ def _bootstrap_tv_stderr(counts: np.ndarray, mean: float,
     draws = rng.multinomial(counts.size, p_hat, size=BOOTSTRAP_RESAMPLES) / counts.size
     tvs = 0.5 * (np.abs(draws - q).sum(axis=1) + tail)
     return float(tvs.std(ddof=1))
+
+
+# ---------------------------------------------------------------------------
+# Functionals
+# ---------------------------------------------------------------------------
+
+def _columns(cols, rows: int) -> np.ndarray:
+    return np.array(cols, dtype=np.int64).reshape(len(cols), rows).T
+
+
+@dataclass(frozen=True)
+class Functional:
+    """F(w) = h(counts of w in regions), h mapping a (reps x len(regions))
+    count matrix to reps float values.  Raw counts are 1-Lipschitz but flagged
+    unbounded.  The close-pair indicator sets pair_threshold instead of h."""
+
+    name: str
+    regions: tuple
+    h: Callable[[np.ndarray], np.ndarray] | None
+    lipschitz: bool = True
+    bounded: bool = True
+    pair_threshold: float | None = None
+
+    def counts(self, batch: ReplicateBatch) -> np.ndarray:
+        return _columns([batch.counts(r) for r in self.regions], len(batch))
+
+    def membership(self, points: np.ndarray) -> np.ndarray:
+        """(n x len(regions)) 0/1 matrix: which regions hold each point."""
+        if self.h is None:
+            raise ValueError(f"{self.name} is not a count functional")
+        return _columns([r.contains(points) for r in self.regions], points.shape[0])
+
+    def __call__(self, batch: ReplicateBatch) -> np.ndarray:
+        if self.pair_threshold is not None:
+            return _close_pairs(batch, self.pair_threshold)
+        return self.h(self.counts(batch))
+
+
+def _capped(counts, cap):
+    return np.minimum(counts[:, 0], cap).astype(float)
+
+
+def _in_set(counts, values):
+    return np.isin(counts[:, 0], values).astype(float)
+
+
+def _at_least(counts, ks):
+    return np.all(counts >= np.asarray(ks), axis=1).astype(float)
+
+
+def truncated_count(region, cap: int, name: str | None = None) -> Functional:
+    label = name or f"min(count[{region.describe()}],{cap})"
+    return Functional(label, (region,), partial(_capped, cap=cap))
+
+
+def raw_count(region, name: str | None = None) -> Functional:
+    label = name or f"count[{region.describe()}]"
+    return Functional(label, (region,), partial(_capped, cap=math.inf), bounded=False)
+
+
+def count_indicator(region, values, name: str | None = None) -> Functional:
+    vals = sorted(set(values))
+    label = name or f"1{{count[{region.describe()}] in {vals}}}"
+    return Functional(label, (region,), partial(_in_set, values=vals))
+
+
+def count_at_least(*levels, name: str | None = None) -> Functional:
+    """Product of the indicators 1{count[region] >= k} over (region, k) levels
+    (the empty product is the constant 1)."""
+    label = name or "*".join(f"1{{count[{r.describe()}]>={k}}}" for r, k in levels)
+    return Functional(label, tuple(r for r, _ in levels),
+                      partial(_at_least, ks=tuple(k for _, k in levels)))
+
+
+def close_pair_indicator(threshold: float, name: str | None = None) -> Functional:
+    """1 iff some pair of sphere points has |dot| >= threshold, i.e. the
+    configuration contains a nearly coincident or nearly antipodal pair.
+    Points sharing an orbit have arcsine-distributed mutual angles, so such
+    pairs are strongly enriched relative to independent uniform points."""
+    return Functional(name or f"1{{close-pair|dot|>={threshold:g}}}", (), None,
+                      pair_threshold=threshold)
+
+
+def _close_pairs(batch: ReplicateBatch, threshold: float) -> np.ndarray:
+    """Close-pair indicator per replicate.  Replicates of equal size n are
+    stacked as (m, n, d) and multiplied slice by slice with the same P @ P.T
+    product a single replicate uses, so dot products match it bit for bit."""
+    order = np.argsort(batch.rep_ids, kind="stable")
+    points = batch.points[order]
+    sizes = np.bincount(batch.rep_ids, minlength=len(batch))
+    starts = np.cumsum(sizes) - sizes
+    out = np.zeros(len(batch))
+    for n in np.unique(sizes[sizes >= 2]):
+        reps = np.flatnonzero(sizes == n)
+        pts = points[starts[reps, None] + np.arange(n)]
+        dots = pts @ pts.transpose(0, 2, 1)
+        iu = np.triu_indices(n, k=1)
+        out[reps] = np.any(np.abs(dots[:, iu[0], iu[1]]) >= threshold, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -117,33 +227,24 @@ class DistanceEstimate:
 def count_tv_lower_bound(samples, region, target_mean: float,
                          rng: np.random.Generator | None = None,
                          region_name: str | None = None) -> DistanceEstimate:
-    """TV between the empirical law of count_in(., region) and Poisson(target_mean).
+    """TV between the empirical law of the region count and Poisson(target_mean).
 
     A lower bound on the configuration Wasserstein distance: indicators of
-    count level sets are {0,1}-valued and hence 1-Lipschitz.  samples may be
-    a list of Configurations or a precomputed integer count array.
+    count level sets are {0,1}-valued and hence 1-Lipschitz.  samples is a
+    ReplicateBatch (counted in region) or a precomputed integer count array.
     """
-    if isinstance(samples, np.ndarray):
-        counts = samples.astype(np.int64)
+    if isinstance(samples, ReplicateBatch):
+        counts = samples.counts(region)
     else:
-        if len(samples) < 1000:
-            raise ValueError("TV lower bound needs at least 1000 samples")
-        counts = np.array([s.count_in(region) for s in samples], dtype=np.int64)
+        counts = np.asarray(samples, dtype=np.int64)
+    if counts.size < 1000:
+        raise ValueError("TV lower bound needs at least 1000 samples")
     if rng is None:
         rng = np.random.default_rng(0)   # bootstrap-only randomness
     value = tv_vs_poisson(counts, target_mean)
     stderr = _bootstrap_tv_stderr(counts, target_mean, rng)
     name = region_name or (region.describe() if region is not None else "counts")
     return DistanceEstimate(value=value, stderr=stderr, kind="tv-counts", regions=name)
-
-
-def _eval_matrix(samples: Sequence[Configuration],
-                 functionals: Sequence[Functional]) -> np.ndarray:
-    out = np.empty((len(samples), len(functionals)))
-    for i, cfg in enumerate(samples):
-        for j, F in enumerate(functionals):
-            out[i, j] = F(cfg)
-    return out
 
 
 def _require_lipschitz(functionals: Sequence[Functional]):
@@ -160,7 +261,7 @@ def _max_gap(gaps: np.ndarray, ses: np.ndarray, names: Sequence[str]) -> Distanc
                             kind="wasserstein-lower", regions=names[j])
 
 
-def wasserstein_lower_bound(samples: Sequence[Configuration], reference_sampler,
+def wasserstein_lower_bound(samples: ReplicateBatch, reference_sampler,
                             functionals: Sequence[Functional],
                             rng: np.random.Generator,
                             ref_factor: int = 4) -> DistanceEstimate:
@@ -171,16 +272,18 @@ def wasserstein_lower_bound(samples: Sequence[Configuration], reference_sampler,
     stderr of the maximizing functional, floored at 0.
     """
     _require_lipschitz(functionals)
-    n_ref = ref_factor * len(samples)
-    refs = [reference_sampler(rng) for _ in range(n_ref)]
-    ms = _eval_matrix(samples, functionals)
-    mr = _eval_matrix(refs, functionals)
+    refs = ReplicateBatch.stack(
+        [reference_sampler(rng).points for _ in range(ref_factor * len(samples))],
+        samples.space)
+    # (reps x functionals) matrices of F(replicate)
+    ms, mr = (np.column_stack([F(b) for F in functionals]) for b in (samples, refs))
     gaps = ms.mean(axis=0) - mr.mean(axis=0)
     ses = np.sqrt(ms.var(axis=0, ddof=1) / ms.shape[0] + mr.var(axis=0, ddof=1) / mr.shape[0])
     return _max_gap(gaps, ses, [F.name for F in functionals])
 
 
-def coupled_wasserstein_lower_bound(pairs, functionals: Sequence[Functional]) -> DistanceEstimate:
+def coupled_wasserstein_lower_bound(pairs: CoupledBatch,
+                                    functionals: Sequence[Functional]) -> DistanceEstimate:
     """Same certified lower bound from coupled (model, exact-PPP twin) pairs.
 
     The per-pair difference F(model) - F(twin) is an unbiased estimate of the
@@ -188,13 +291,9 @@ def coupled_wasserstein_lower_bound(pairs, functionals: Sequence[Functional]) ->
     the pair actually differ, which is what makes small gaps resolvable.
     """
     _require_lipschitz(functionals)
-    n = len(pairs)
-    diffs = np.empty((n, len(functionals)))
-    for i, (a, b) in enumerate(pairs):
-        for j, F in enumerate(functionals):
-            diffs[i, j] = F(a) - F(b)
+    diffs = np.column_stack([F(pairs.model) - F(pairs.twin) for F in functionals])
     gaps = diffs.mean(axis=0)
-    ses = diffs.std(axis=0, ddof=1) / math.sqrt(n)
+    ses = diffs.std(axis=0, ddof=1) / math.sqrt(len(pairs))
     return _max_gap(gaps, ses, [f"coupled:{F.name}" for F in functionals])
 
 
@@ -204,49 +303,15 @@ def coupled_wasserstein_lower_bound(pairs, functionals: Sequence[Functional]) ->
 
 @dataclass(frozen=True)
 class MeckeFunctional:
-    """Two-argument test functional F(x, w) = g(x) * h(|w ∩ B|).
-
-    region_g None means g = 1.  h must be vectorized over integer arrays.
-    Oracles, when present, give the closed-form common value of both sides.
-    """
+    """Two-argument test functional F(x, w) = g({x}) * h(w), g and h count
+    Functionals.  Oracles, when present, give the closed-form common value of
+    both sides."""
 
     name: str
-    region_g: object | None
-    region_h: object
-    h: Callable[[np.ndarray], np.ndarray]
+    g: Functional
+    h: Functional
     oracle_ppp: Callable[[float, Window], float] | None = None
     oracle_bpp: Callable[[int, Window], float] | None = None
-
-
-def mecke_functionals(window: Window) -> list[MeckeFunctional]:
-    """Registry for the Campbell-Mecke checks on a window; regions are the
-    two halves of the window (inscribed-square halves for a disk)."""
-    A, B = halves(window)
-    ones = lambda c: np.ones_like(c, dtype=float)
-    ident = lambda c: c.astype(float)
-    at_least_1 = lambda c: (c >= 1).astype(float)
-    cap2 = lambda c: np.minimum(c, 2).astype(float)
-    aA, aB = A.area, B.area
-    return [
-        MeckeFunctional(
-            "F=1", None, A, ones,
-            oracle_ppp=lambda lam, K: lam * K.area,
-            oracle_bpp=lambda N, K: float(N)),
-        MeckeFunctional(
-            "F=1{x in A}", A, A, ones,
-            oracle_ppp=lambda lam, K: lam * aA,
-            oracle_bpp=lambda N, K: N * aA / K.area),
-        MeckeFunctional(
-            "F=1{x in A}|w∩A|", A, A, ident,
-            oracle_ppp=lambda lam, K: (lam * aA) ** 2,
-            oracle_bpp=lambda N, K: N * (aA / K.area) * (1.0 + (N - 1) * aA / K.area)),
-        MeckeFunctional(
-            "F=1{x in A}1{|w∩B|>=1}", A, B, at_least_1,
-            oracle_ppp=lambda lam, K: lam * aA * (1.0 - math.exp(-lam * aB)),
-            oracle_bpp=lambda N, K: N * (aA / K.area)
-            * (1.0 - (1.0 - aB / K.area) ** (N - 1))),
-        MeckeFunctional("F=1{x in A}min(|w∩A|,2)", A, A, cap2),
-    ]
 
 
 @dataclass(frozen=True)
@@ -262,6 +327,16 @@ class MeckeResult:
         return abs(self.lhs - self.rhs) <= 3.0 * self.stderr
 
 
+def _ppp(window: Window, lam: float, reps: int, rng: np.random.Generator) -> ReplicateBatch:
+    _, points, rep_ids = ppp_batch(window, lam, reps, rng)
+    return ReplicateBatch(points, rep_ids, reps, PLANE)
+
+
+def _bpp(window: Window, n: int, reps: int, rng: np.random.Generator) -> ReplicateBatch:
+    return ReplicateBatch(uniform_in_window(window, reps * n, rng),
+                          np.repeat(np.arange(reps), n), reps, PLANE)
+
+
 def _mecke_result(mf: MeckeFunctional, lhs_vals: np.ndarray, rhs_vals: np.ndarray,
                   oracle: float | None) -> MeckeResult:
     reps = lhs_vals.size
@@ -272,25 +347,15 @@ def _mecke_result(mf: MeckeFunctional, lhs_vals: np.ndarray, rhs_vals: np.ndarra
 def mecke_check_ppp(mf: MeckeFunctional, lam: float, window: Window,
                     reps: int, rng: np.random.Generator) -> MeckeResult:
     """Check E[sum_{x in Phi} F(x, Phi - x)] = lam * int E[F(x, Phi)] dx."""
-    counts, pts, ids = ppp_batch(window, lam, reps, rng)
-    c_h = region_counts(pts, ids, mf.region_h, reps)
-    if mf.region_g is None:
-        c_g, c_gh = counts, c_h
-    else:
-        c_g = region_counts(pts, ids, mf.region_g, reps)
-        if pts.shape[0]:
-            both = mf.region_g.contains(pts) & mf.region_h.contains(pts)
-            c_gh = np.bincount(ids[both], minlength=reps)
-        else:
-            c_gh = np.zeros(reps, dtype=np.int64)
-    # points in region_h see the reduced count C_h - 1, others see C_h
-    lhs_vals = c_gh * mf.h(np.maximum(c_h - 1, 0)) + (c_g - c_gh) * mf.h(c_h)
+    g, h = mf.g, mf.h
+    phi = _ppp(window, lam, reps, rng)
+    # each point x sees the counts of Phi - x
+    seen = h.counts(phi)[phi.rep_ids] - h.membership(phi.points)
+    lhs_vals = np.bincount(phi.rep_ids, g.h(g.membership(phi.points)) * h.h(seen), reps)
     # independent pair (x, Phi) for the right-hand side
-    counts2, pts2, ids2 = ppp_batch(window, lam, reps, rng)
-    c_h2 = region_counts(pts2, ids2, mf.region_h, reps)
+    phi2 = _ppp(window, lam, reps, rng)
     x = uniform_in_window(window, reps, rng)
-    g_x = np.ones(reps) if mf.region_g is None else mf.region_g.contains(x).astype(float)
-    rhs_vals = lam * window.area * g_x * mf.h(c_h2)
+    rhs_vals = lam * window.area * g.h(g.membership(x)) * h.h(h.counts(phi2))
     return _mecke_result(mf, lhs_vals, rhs_vals,
                          mf.oracle_ppp(lam, window) if mf.oracle_ppp else None)
 
@@ -301,25 +366,14 @@ def mecke_check_bpp(mf: MeckeFunctional, n_points: int, window: Window,
     for the BPP supported by the uniform law on the window."""
     if n_points < 1:
         raise ValueError("BPP needs at least one point")
-    pts = uniform_in_window(window, reps * n_points, rng)
-    ids = np.repeat(np.arange(reps), n_points)
-    c_h = region_counts(pts, ids, mf.region_h, reps)
-    if mf.region_g is None:
-        c_g = np.full(reps, n_points, dtype=np.int64)
-    else:
-        c_g = region_counts(pts, ids, mf.region_g, reps)
-    lhs_vals = c_g * mf.h(c_h)
+    g, h = mf.g, mf.h
+    phi = _bpp(window, n_points, reps, rng)
+    g_sum = np.bincount(phi.rep_ids, g.h(g.membership(phi.points)), reps)
+    lhs_vals = g_sum * h.h(h.counts(phi))
     # rhs: x ~ mu and an independent (N-1)-point BPP
     x = uniform_in_window(window, reps, rng)
-    if n_points > 1:
-        pts2 = uniform_in_window(window, reps * (n_points - 1), rng)
-        ids2 = np.repeat(np.arange(reps), n_points - 1)
-        c_h2 = region_counts(pts2, ids2, mf.region_h, reps)
-    else:
-        c_h2 = np.zeros(reps, dtype=np.int64)
-    x_in_h = mf.region_h.contains(x).astype(np.int64)
-    g_x = np.ones(reps) if mf.region_g is None else mf.region_g.contains(x).astype(float)
-    rhs_vals = n_points * g_x * mf.h(c_h2 + x_in_h)
+    phi2 = _bpp(window, n_points - 1, reps, rng)
+    rhs_vals = n_points * g.h(g.membership(x)) * h.h(h.counts(phi2) + h.membership(x))
     return _mecke_result(mf, lhs_vals, rhs_vals,
                          mf.oracle_bpp(n_points, window) if mf.oracle_bpp else None)
 
@@ -335,19 +389,15 @@ def invariance_check(lam: float, window: Window, t: float, regions, reps: int,
     threshold 2/sqrt(reps)."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("thinning level t must lie in [0, 1]")
-    _, pts1, ids1 = ppp_batch(window, lam, reps, rng)
-    _, pts2, ids2 = ppp_batch(window, lam, reps, rng)
-    keep1 = rng.random(pts1.shape[0]) < t
-    keep2 = rng.random(pts2.shape[0]) < (1.0 - t)
-    _, pts3, ids3 = ppp_batch(window, lam, reps, rng)
-    threshold = 2.0 / math.sqrt(reps)
-    rows = []
-    for name, region in regions:
-        ca = (region_counts(pts1[keep1], ids1[keep1], region, reps)
-              + region_counts(pts2[keep2], ids2[keep2], region, reps))
-        cb = region_counts(pts3, ids3, region, reps)
-        rows.append((name, empirical_count_tv(ca, cb), threshold))
-    return rows
+    phi1 = _ppp(window, lam, reps, rng)
+    phi2 = _ppp(window, lam, reps, rng)
+    keep1 = rng.random(phi1.points.shape[0]) < t
+    keep2 = rng.random(phi2.points.shape[0]) < (1.0 - t)
+    fresh = _ppp(window, lam, reps, rng)
+    thinned = ReplicateBatch(np.concatenate([phi1.points[keep1], phi2.points[keep2]]),
+                             np.concatenate([phi1.rep_ids[keep1], phi2.rep_ids[keep2]]),
+                             reps, PLANE)
+    return tv_rows(thinned, fresh, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +445,14 @@ def planar_region_set(window: Window):
     square for a disk), and 3 concentric annuli.  Diverse geometries catch
     anisotropy: line-generated points show up as collinear clusters."""
     regions = [("window", window)]
+    cx, cy = window.center
     if isinstance(window, Disk):
-        cx, cy = window.center
         half = window.radius / math.sqrt(2.0)
         x0, y0, side = cx - half, cy - half, 2.0 * half
         rho = window.radius
     else:
         x0, y0 = window.x0, window.y0
         side = min(window.x1 - window.x0, window.y1 - window.y0)
-        cx, cy = 0.5 * (window.x0 + window.x1), 0.5 * (window.y0 + window.y1)
         rho = side / 2.0
     step = side / 4.0
     for i in range(4):
@@ -412,10 +461,7 @@ def planar_region_set(window: Window):
                             Rect(x0 + i * step, y0 + j * step,
                                  x0 + (i + 1) * step, y0 + (j + 1) * step)))
     for k, (a, b) in enumerate([(0.0, 0.5), (0.5, 0.75), (0.75, 1.0)]):
-        if a == 0.0:
-            regions.append((f"annulus_{k}", Disk((cx, cy), b * rho)))
-        else:
-            regions.append((f"annulus_{k}", Annulus((cx, cy), a * rho, b * rho)))
+        regions.append((f"annulus_{k}", Annulus((cx, cy), a * rho, b * rho)))
     return regions
 
 
@@ -425,10 +471,9 @@ def sphere_region_set():
     cuts = [-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]
     for k in range(6):
         regions.append((f"band_{k}", LatitudeBand(cuts[k], cuts[k + 1])))
-    regions.append(("cap_n05", SphericalCap((0.0, 0.0, 1.0), 0.5)))
-    regions.append(("cap_n08", SphericalCap((0.0, 0.0, 1.0), 0.8)))
-    regions.append(("cap_s05", SphericalCap((0.0, 0.0, -1.0), 0.5)))
-    regions.append(("cap_s08", SphericalCap((0.0, 0.0, -1.0), 0.8)))
+    for name, pole, h in (("cap_n05", 1.0, 0.5), ("cap_n08", 1.0, 0.8),
+                          ("cap_s05", -1.0, 0.5), ("cap_s08", -1.0, 0.8)):
+        regions.append((name, SphericalCap((0.0, 0.0, pole), h)))
     return regions
 
 
@@ -443,12 +488,11 @@ def sphere_functional_family() -> list[Functional]:
     regions = dict(sphere_region_set())
     for k in range(6):
         band = regions[f"band_{k}"]
-        fams.append(count_at_least(band, 2, name=f"1{{band_{k}>=2}}"))
+        fams.append(count_at_least((band, 2), name=f"1{{band_{k}>=2}}"))
         fams.append(truncated_count(band, 2, name=f"min(band_{k},2)"))
-    fams.append(product_indicator(regions["cap_n05"], 1, regions["cap_s05"], 1,
-                                  name="1{cap_n05>=1}1{cap_s05>=1}"))
-    fams.append(product_indicator(regions["cap_n08"], 1, regions["cap_s08"], 1,
-                                  name="1{cap_n08>=1}1{cap_s08>=1}"))
+    for h in ("05", "08"):
+        fams.append(count_at_least((regions[f"cap_n{h}"], 1), (regions[f"cap_s{h}"], 1),
+                                   name=f"1{{cap_n{h}>=1}}1{{cap_s{h}>=1}}"))
     fams.append(close_pair_indicator(0.99))
     fams.append(close_pair_indicator(0.999))
     return fams
@@ -464,16 +508,58 @@ def planar_functional_family(window: Window) -> list[Functional]:
     fams = [
         count_indicator(window, {0}, name="1{total=0}"),
         count_indicator(window, {1}, name="1{total=1}"),
-        count_at_least(window, 3, name="1{total>=3}"),
-        count_at_least(window, 4, name="1{total>=4}"),
+        count_at_least((window, 3), name="1{total>=3}"),
+        count_at_least((window, 4), name="1{total>=4}"),
         truncated_count(window, 3, name="min(total,3)"),
     ]
     for k in range(3):
         ann = regions[f"annulus_{k}"]
-        fams.append(count_at_least(ann, 2, name=f"1{{annulus_{k}>=2}}"))
+        fams.append(count_at_least((ann, 2), name=f"1{{annulus_{k}>=2}}"))
         fams.append(truncated_count(ann, 2, name=f"min(annulus_{k},2)"))
-    fams.append(product_indicator(regions["cell_00"], 1, regions["cell_33"], 1,
-                                  name="1{cell_00>=1}1{cell_33>=1}"))
-    fams.append(product_indicator(regions["cell_03"], 1, regions["cell_30"], 1,
-                                  name="1{cell_03>=1}1{cell_30>=1}"))
+    for a, b in (("00", "33"), ("03", "30")):
+        fams.append(count_at_least((regions[f"cell_{a}"], 1), (regions[f"cell_{b}"], 1),
+                                   name=f"1{{cell_{a}>=1}}1{{cell_{b}>=1}}"))
     return fams
+
+
+def glauber_functionals(window: Window) -> list[Functional]:
+    """Family for the Glauber property checks; left and right are the window
+    halves (inscribed-square halves for a disk)."""
+    left, right = halves(window)
+    return [
+        truncated_count(window, 3),
+        raw_count(window),
+        count_indicator(window, {0}),
+        count_indicator(window, {1, 2}),
+        truncated_count(left, 2),
+        count_at_least((left, 1)),
+        count_at_least((left, 1), (right, 1)),
+    ]
+
+
+def mecke_functionals(window: Window) -> list[MeckeFunctional]:
+    """Family for the Campbell-Mecke checks on a window; A and B are the two
+    halves of the window (inscribed-square halves for a disk)."""
+    A, B = halves(window)
+    aA, aB = A.area, B.area
+    one, in_A = count_at_least(name="1"), count_at_least((A, 1))
+    return [
+        MeckeFunctional(
+            "F=1", one, one,
+            oracle_ppp=lambda lam, K: lam * K.area,
+            oracle_bpp=lambda N, K: float(N)),
+        MeckeFunctional(
+            "F=1{x in A}", in_A, one,
+            oracle_ppp=lambda lam, K: lam * aA,
+            oracle_bpp=lambda N, K: N * aA / K.area),
+        MeckeFunctional(
+            "F=1{x in A}|w∩A|", in_A, raw_count(A),
+            oracle_ppp=lambda lam, K: (lam * aA) ** 2,
+            oracle_bpp=lambda N, K: N * (aA / K.area) * (1.0 + (N - 1) * aA / K.area)),
+        MeckeFunctional(
+            "F=1{x in A}1{|w∩B|>=1}", in_A, count_at_least((B, 1)),
+            oracle_ppp=lambda lam, K: lam * aA * (1.0 - math.exp(-lam * aB)),
+            oracle_bpp=lambda N, K: N * (aA / K.area)
+            * (1.0 - (1.0 - aB / K.area) ** (N - 1))),
+        MeckeFunctional("F=1{x in A}min(|w∩A|,2)", in_A, truncated_count(A, 2)),
+    ]

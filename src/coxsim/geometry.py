@@ -64,8 +64,8 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"disk radius must be positive, got {self.radius}")
+        if not (self.radius > 0.0 and all(map(math.isfinite, (*self.center, self.radius)))):
+            raise ValueError(f"disk needs a finite center and a positive radius, got {self}")
 
     @property
     def area(self) -> float:
@@ -92,12 +92,17 @@ class Rect:
     y1: float
 
     def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ValueError("rectangle requires x0 < x1 and y0 < y1")
+        if not (self.x0 < self.x1 and self.y0 < self.y1
+                and all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1)))):
+            raise ValueError("rectangle requires finite x0 < x1 and y0 < y1")
 
     @property
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
+
+    @property
+    def center(self) -> tuple[float, float]:
+        return 0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)
 
     measure = area
 

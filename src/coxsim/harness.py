@@ -24,16 +24,16 @@ import numpy as np
 from .coxmodels import effective_intensity, sample_cox_line, sample_satellites_with_twin
 from .diagnostics import (DistanceEstimate, RateFit,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
-                          invariance_check, mecke_check_bpp, mecke_check_ppp,
-                          mecke_functionals, planar_functional_family,
+                          glauber_functionals, invariance_check, mecke_check_bpp,
+                          mecke_check_ppp, mecke_functionals, planar_functional_family,
                           planar_region_set, rate_regression, sphere_functional_family,
                           sphere_region_set, wasserstein_lower_bound)
 from .geometry import Disk, Rect, Window, halves
-from .glauber import (GlauberSpec, contraction_estimate, default_functionals,
-                      generator_apply, semigroup_sample,
-                      semigroup_trajectory_consistency)
-from .pointprocess import (PLANE, SPHERE, Configuration, ModelParams, RngStream,
-                           composite_index, sample_ppp_window, sample_uniform_sphere)
+from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
+                      semigroup_sample, semigroup_trajectory_consistency)
+from .pointprocess import (PLANE, SPHERE, Configuration, CoupledBatch, ModelParams,
+                           ReplicateBatch, RngStream, composite_index,
+                           sample_ppp_window, sample_uniform_sphere)
 from .steinbound import (QuadratureSpec, chord_square_integral, coarea_check,
                          cox_bound, satellite_bound)
 
@@ -195,13 +195,6 @@ def _stream(seed: int, lane: int, point: int = 0, replicate: int = 0):
     return RngStream(seed, composite_index(lane, point, replicate)).generator()
 
 
-def _satellite_ppp_sampler(c: float):
-    def sampler(rng):
-        k = rng.poisson(c)
-        return Configuration(sample_uniform_sphere(rng, k), SPHERE)
-    return sampler
-
-
 def _bound_respected(estimates: list[DistanceEstimate], bound: float) -> bool:
     return all(e.value <= bound + 3.0 * e.stderr for e in estimates)
 
@@ -217,41 +210,40 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
         family = planar_functional_family(window)
         # the mean measure is (c/2) Leb2 on every window; "auto" uses it
         target = cfg.c if cfg.target_intensity == "c" else cfg.c / 2.0
-        samples = []
-        for j in range(cfg.reps):
-            rng_j = _stream(seed, LANE_SAMPLES, point_idx, j)
-            samples.append(sample_cox_line(params, window, rng_j).points)
+        samples = ReplicateBatch.stack(
+            [sample_cox_line(params, window, _stream(seed, LANE_SAMPLES, point_idx, j))
+             .points.points for j in range(cfg.reps)], PLANE)
         ref = lambda rng: sample_ppp_window(window, target, rng)
-        w_est = wasserstein_lower_bound(samples, ref, family,
-                                        _stream(seed, LANE_REFERENCE, point_idx))
-        w_secondary = None
         bound = cox_bound(params, window)
     else:
         params = ModelParams.spherical(cfg.c, int(value))
         regions = sphere_region_set()
         family = sphere_functional_family()
         target = cfg.c   # mean total count is exactly n * mu_n = c
-        pairs = []
+        model, twins = [], []
         for j in range(cfg.reps):
             rng_j = _stream(seed, LANE_SAMPLES, point_idx, j)
             s, twin = sample_satellites_with_twin(params, rng_j)
-            pairs.append((s.points, twin))
-        samples = [p[0] for p in pairs]
-        w_est = coupled_wasserstein_lower_bound(pairs, family)
-        w_secondary = wasserstein_lower_bound(
-            samples, _satellite_ppp_sampler(cfg.c), family,
-            _stream(seed, LANE_REFERENCE, point_idx))
+            model.append(s.points.points)
+            twins.append(twin.points)
+        samples = ReplicateBatch.stack(model, SPHERE)
+        w_coupled = coupled_wasserstein_lower_bound(
+            CoupledBatch(samples, ReplicateBatch.stack(twins, SPHERE)), family)
+        # a PPP(c nu) draw: Poisson(c) uniform points on the sphere
+        ref = lambda rng: Configuration(sample_uniform_sphere(rng, rng.poisson(cfg.c)),
+                                        SPHERE)
         bound = satellite_bound(params)
+    w_ref = wasserstein_lower_bound(samples, ref, family,
+                                    _stream(seed, LANE_REFERENCE, point_idx))
+    w_est, w_secondary = ((w_ref, None) if cfg.model == "cox-line"
+                          else (w_coupled, w_ref))
 
+    whole = regions[0][1]   # the whole window or sphere
+    eff, eff_se = effective_intensity(samples.counts(whole), whole.measure)
     rng_boot = _stream(seed, LANE_BOOTSTRAP, point_idx)
-    tv_estimates = []
-    for k, (name, region) in enumerate(regions):
-        counts = np.array([s.count_in(region) for s in samples], dtype=np.int64)
-        if k == 0:   # the whole window or sphere
-            eff, eff_se = effective_intensity(counts, region.measure)
-        est = count_tv_lower_bound(counts, region, target * region.measure,
-                                   rng=rng_boot, region_name=name)
-        tv_estimates.append(est)
+    tv_estimates = [count_tv_lower_bound(samples, region, target * region.measure,
+                                         rng=rng_boot, region_name=name)
+                    for name, region in regions]
     tv_best = max(tv_estimates, key=lambda e: e.value)
 
     # headline distance for the rate fit: the statistically strongest
@@ -427,7 +419,7 @@ def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     spec = GlauberSpec(window=window, lam=0.5, horizon=20.0)
     omega0 = Configuration([[0.3, 0.4], [0.7, 0.6]], PLANE)
     regions = _check_regions(window)[:2]
-    functionals = default_functionals(window)
+    functionals = glauber_functionals(window)
     rows = []
     # 1. trajectory vs thinning representation
     for k, t in enumerate((0.5, 2.0, 20.0)):
@@ -440,12 +432,12 @@ def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     rng = _stream(seed, LANE_CHECKS, point=40)
     n = settings.glauber_stat_reps
     for F in functionals:
-        a = np.empty(n)
-        b = np.empty(n)
-        for i in range(n):
+        evolved, fresh = [], []
+        for _ in range(n):
             phi = sample_ppp_window(window, spec.lam, rng)
-            a[i] = F(semigroup_sample(phi, t_stat, spec, rng))
-            b[i] = F(sample_ppp_window(window, spec.lam, rng))
+            evolved.append(semigroup_sample(phi, t_stat, spec, rng).points)
+            fresh.append(sample_ppp_window(window, spec.lam, rng).points)
+        a, b = (F(ReplicateBatch.stack(pts, PLANE)) for pts in (evolved, fresh))
         se = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
         rows.append(_two_sided(f"glauber_stationary[{F.name}]",
                                float(a.mean()), float(b.mean()), se, seed))
@@ -453,10 +445,8 @@ def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     rng = _stream(seed, LANE_CHECKS, point=41)
     n = settings.glauber_generator_reps
     for F in functionals:
-        vals = np.empty(n)
-        for i in range(n):
-            phi = sample_ppp_window(window, spec.lam, rng)
-            vals[i], _ = generator_apply(F, phi, spec, reps=32, rng=rng)
+        vals = np.array([generator_apply(F, sample_ppp_window(window, spec.lam, rng),
+                                         spec, reps=32, rng=rng)[0] for _ in range(n)])
         se = float(vals.std(ddof=1) / math.sqrt(n))
         rows.append(_two_sided(f"glauber_generator_null[{F.name}]",
                                float(vals.mean()), 0.0, se, seed))

@@ -1,9 +1,8 @@
 """Configurations (finite point multisets) and exact point process samplers.
 
 A Configuration is an immutable finite multiset of points, either planar
-(shape (n, 2)) or spherical (shape (n, 3)).  Multiset semantics follow the
-add/remove conventions of point process theory: removing an absent point is
-the identity.
+(shape (n, 2)) or spherical (shape (n, 3)).  Replicates of a sampler are
+stored flat, as one ReplicateBatch, and counted per region by region_counts.
 
 Randomness is organized as counter-based streams: a (master seed, stream
 index) pair keys a Philox generator, so distinct indices give independent
@@ -112,26 +111,7 @@ class Configuration:
             return NotImplemented
         return self.space == other.space and self._multiset() == other._multiset()
 
-    def __hash__(self):
-        return hash((self.space, frozenset(self._multiset().items())))
-
-    def add(self, p) -> "Configuration":
-        p = np.asarray(p, dtype=float).reshape(1, -1)
-        return Configuration(np.vstack([self.points, p]), self.space)
-
-    def remove(self, p) -> "Configuration":
-        """Remove one occurrence of p if present; identity otherwise."""
-        p = np.asarray(p, dtype=float).reshape(-1)
-        hits = np.flatnonzero((self.points == p).all(axis=1))
-        if hits.size == 0:
-            return self
-        keep = np.ones(len(self), dtype=bool)
-        keep[hits[0]] = False
-        return Configuration(self.points[keep], self.space)
-
     def count_in(self, region) -> int:
-        if len(self) == 0:
-            return 0
         return int(region.contains(self.points).sum())
 
 
@@ -244,8 +224,43 @@ def thin(cfg: Configuration, p: float, rng: np.random.Generator) -> Configuratio
 
 
 # ---------------------------------------------------------------------------
-# Batched replicate kernels (hot paths for the diagnostics engine)
+# Replicate batches (hot paths for the diagnostics engine)
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ReplicateBatch:
+    """reps replicates stored flat: the points of all replicates and each
+    point's replicate id."""
+
+    points: np.ndarray
+    rep_ids: np.ndarray
+    reps: int
+    space: str
+
+    def __len__(self) -> int:
+        return self.reps
+
+    @classmethod
+    def stack(cls, point_arrays, space: str) -> "ReplicateBatch":
+        """Batch of per-replicate (n_i, d) point arrays, in the given order."""
+        sizes = [a.shape[0] for a in point_arrays]
+        points = np.concatenate([np.empty((0, _DIM[space]))] + list(point_arrays))
+        return cls(points, np.repeat(np.arange(len(sizes)), sizes), len(sizes), space)
+
+    def counts(self, region) -> np.ndarray:
+        return region_counts(self.points, self.rep_ids, region, self.reps)
+
+
+@dataclass(frozen=True)
+class CoupledBatch:
+    """Replicate-aligned model and twin batches; len() is the replicate count."""
+
+    model: ReplicateBatch
+    twin: ReplicateBatch
+
+    def __len__(self) -> int:
+        return len(self.model)
+
 
 def ppp_batch(window: Window, lam: float, reps: int, rng: np.random.Generator):
     """reps independent PPP(lam) samples on the window, flattened.
@@ -260,10 +275,9 @@ def ppp_batch(window: Window, lam: float, reps: int, rng: np.random.Generator):
     return counts, points, rep_ids
 
 
+
 def region_counts(points: np.ndarray, rep_ids: np.ndarray, region, reps: int) -> np.ndarray:
     """Per-replicate counts of flattened points inside a region."""
-    if points.shape[0] == 0:
-        return np.zeros(reps, dtype=np.int64)
     mask = region.contains(points)
     return np.bincount(rep_ids[mask], minlength=reps)
 

@@ -4,26 +4,34 @@ import numpy as np
 import pytest
 
 from coxsim.coxmodels import sample_satellites
-from coxsim.diagnostics import (DistanceEstimate,
-                                count_tv_lower_bound,
+from coxsim.diagnostics import (DistanceEstimate, Functional,
+                                count_indicator, count_tv_lower_bound,
                                 coupled_wasserstein_lower_bound,
-                                empirical_count_tv, invariance_check,
-                                mecke_check_bpp, mecke_check_ppp,
-                                mecke_functionals, planar_functional_family,
-                                planar_region_set, poisson_pmf, rate_regression,
+                                empirical_count_tv, glauber_functionals,
+                                invariance_check, mecke_check_bpp,
+                                mecke_check_ppp, mecke_functionals,
+                                planar_functional_family, planar_region_set,
+                                poisson_pmf, rate_regression,
                                 sphere_functional_family, sphere_region_set,
                                 tv_vs_poisson, wasserstein_lower_bound)
 from coxsim.geometry import Disk, LatitudeBand, Rect, halves
-from coxsim.glauber import Functional, count_indicator, default_functionals
-from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ModelParams,
-                                 RngStream, sample_ppp_window,
-                                 sample_uniform_sphere)
+from coxsim.pointprocess import (PLANE, SPHERE, Configuration, CoupledBatch,
+                                 ModelParams, ReplicateBatch, RngStream,
+                                 sample_ppp_window, sample_uniform_sphere)
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 
 
 def rng_for(idx, seed=31415):
     return RngStream(seed, idx).generator()
+
+
+def batch(configs, space=PLANE):
+    return ReplicateBatch.stack([c.points for c in configs], space)
+
+
+def ppp_samples(lam, reps, rng):
+    return batch([sample_ppp_window(WINDOW, lam, rng) for _ in range(reps)])
 
 
 class TestPoissonPmf:
@@ -92,7 +100,8 @@ class TestCountTvLowerBound:
         # n=5, c=2: strictly positive distance, below the 2c^2/n = 1.6 bound
         params = ModelParams.spherical(2.0, 5)
         rng = rng_for(3)
-        samples = [sample_satellites(params, rng).points for _ in range(6000)]
+        samples = batch([sample_satellites(params, rng).points for _ in range(6000)],
+                        SPHERE)
         band = LatitudeBand(-1 / 6, 1 / 6)
         est = count_tv_lower_bound(samples, band, 2.0 * band.measure,
                                    rng=rng_for(4))
@@ -102,7 +111,7 @@ class TestCountTvLowerBound:
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
-            count_tv_lower_bound([Configuration.empty(SPHERE)] * 10,
+            count_tv_lower_bound(np.zeros(10, dtype=np.int64),
                                  LatitudeBand(-1, 1), 1.0)
 
     def test_counts_array_input(self):
@@ -117,7 +126,7 @@ class TestCountTvLowerBound:
 class TestWassersteinLowerBound:
     def test_identical_samplers_near_zero(self):
         rng = rng_for(7)
-        samples = [sample_ppp_window(WINDOW, 2.0, rng) for _ in range(4000)]
+        samples = ppp_samples(2.0, 4000, rng)
         ref = lambda r: sample_ppp_window(WINDOW, 2.0, r)
         fam = [count_indicator(WINDOW, {0}), count_indicator(WINDOW, {1}),
                count_indicator(WINDOW, {2})]
@@ -125,16 +134,16 @@ class TestWassersteinLowerBound:
         assert est.value < 0.02
 
     def test_constant_family_zero(self):
-        samples = [Configuration.empty(PLANE)] * 1000
+        samples = batch([Configuration.empty(PLANE)] * 1000)
         ref = lambda r: Configuration.empty(PLANE)
-        fam = [Functional("const", lambda cfg: 1.0)]
+        fam = [Functional("const", (), lambda c: np.full(len(c), 1.0))]
         est = wasserstein_lower_bound(samples, ref, fam, rng_for(9))
         assert est.value == 0.0
 
     def test_rejects_non_lipschitz(self):
-        fam = [Functional("bad", lambda cfg: 2.0 * len(cfg), lipschitz=False)]
+        fam = [Functional("bad", (WINDOW,), lambda c: 2.0 * c[:, 0], lipschitz=False)]
         with pytest.raises(ValueError):
-            wasserstein_lower_bound([Configuration.empty(PLANE)],
+            wasserstein_lower_bound(batch([Configuration.empty(PLANE)]),
                                     lambda r: Configuration.empty(PLANE),
                                     fam, rng_for(10))
 
@@ -142,20 +151,20 @@ class TestWassersteinLowerBound:
         # with all contiguous count-range indicators in the family, the max
         # gap reaches the count-law TV (the optimal set is a range here)
         rng = rng_for(11)
-        samples = [sample_ppp_window(WINDOW, 1.0, rng) for _ in range(5000)]
+        samples = ppp_samples(1.0, 5000, rng)
         fam = [count_indicator(WINDOW, set(range(a, b + 1)),
                                name=f"range[{a},{b}]")
                for a in range(0, 9) for b in range(a, 9)]
         ref = lambda r: sample_ppp_window(WINDOW, 2.0, r)
         est = wasserstein_lower_bound(samples, ref, fam, rng_for(12),
                                       ref_factor=8)
-        counts = np.array([len(s) for s in samples])
+        counts = samples.counts(WINDOW)
         tv = tv_vs_poisson(counts, 2.0)
         assert est.value + 4 * est.stderr >= tv - 0.01
 
     def test_detects_rate_mismatch(self):
         rng = rng_for(13)
-        samples = [sample_ppp_window(WINDOW, 1.0, rng) for _ in range(4000)]
+        samples = ppp_samples(1.0, 4000, rng)
         ref = lambda r: sample_ppp_window(WINDOW, 2.0, r)
         fam = [count_indicator(WINDOW, {0})]
         est = wasserstein_lower_bound(samples, ref, fam, rng_for(14))
@@ -167,19 +176,21 @@ class TestWassersteinLowerBound:
 class TestCoupled:
     def test_identical_pairs_zero(self):
         cfg = Configuration([[0.0, 0.0, 1.0]], SPHERE)
-        pairs = [(cfg, cfg)] * 500
+        side = batch([cfg] * 500, SPHERE)
+        pairs = CoupledBatch(side, side)
         fam = [count_indicator(LatitudeBand(0, 1), {1})]
         est = coupled_wasserstein_lower_bound(pairs, fam)
         assert est.value == 0.0
 
     def test_detects_shift(self):
         rng = rng_for(15)
-        pairs = []
+        models, twins = [], []
         band = LatitudeBand(0.0, 1.0)
         for _ in range(2000):
-            a = Configuration(sample_uniform_sphere(rng, 2), SPHERE)
-            b = Configuration(sample_uniform_sphere(rng, 1), SPHERE)
-            pairs.append((a, b))
+            models.append(sample_uniform_sphere(rng, 2))
+            twins.append(sample_uniform_sphere(rng, 1))
+        pairs = CoupledBatch(ReplicateBatch.stack(models, SPHERE),
+                             ReplicateBatch.stack(twins, SPHERE))
         fam = [count_indicator(band, {0})]
         est = coupled_wasserstein_lower_bound(pairs, fam)
         # |P(Binom(2,1/2)=0) - P(Binom(1,1/2)=0)| = 1/4
@@ -236,9 +247,9 @@ class TestMecke:
         # window halves, for a rect and (inscribed-square halves) a disk
         for window in (WINDOW, Disk((0.3, -0.2), 0.8)):
             A, B = halves(window)
-            regions = {(mf.region_g, mf.region_h) for mf in mecke_functionals(window)}
-            assert regions == {(None, A), (A, A), (A, B)}
-            names = [F.name for F in default_functionals(window)]
+            regions = {(mf.g.regions, mf.h.regions) for mf in mecke_functionals(window)}
+            assert regions == {((), ()), ((A,), ()), ((A,), (A,)), ((A,), (B,))}
+            names = [F.name for F in glauber_functionals(window)]
             assert f"min(count[{A.describe()}],2)" in names
             assert (f"1{{count[{A.describe()}]>=1}}*1{{count[{B.describe()}]>=1}}"
                     in names)

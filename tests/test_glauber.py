@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from coxsim.diagnostics import empirical_count_tv
+from coxsim.diagnostics import (Functional, close_pair_indicator,
+                                count_at_least, count_indicator,
+                                empirical_count_tv, glauber_functionals,
+                                raw_count, truncated_count)
 from coxsim.geometry import Rect
-from coxsim.glauber import (Functional, GlauberSpec, close_pair_indicator,
-                            contraction_estimate, count_at_least,
-                            count_indicator, default_functionals,
-                            generator_apply, glauber_simulate, product_indicator,
-                            raw_count, semigroup_sample,
-                            semigroup_trajectory_consistency, truncated_count)
-from coxsim.pointprocess import (PLANE, SPHERE, Configuration, RngStream,
-                                 sample_ppp_window, sample_uniform_sphere,
+from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
+                            glauber_simulate, semigroup_sample,
+                            semigroup_trajectory_consistency)
+from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ReplicateBatch,
+                                 RngStream, sample_ppp_window,
+                                 sample_uniform_sphere, superpose,
                                  uniform_in_window)
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
@@ -22,6 +23,19 @@ OMEGA0 = Configuration([[0.2, 0.2], [0.8, 0.3], [0.5, 0.7], [0.3, 0.9]], PLANE)
 
 def rng_for(idx, seed=2025):
     return RngStream(seed, idx).generator()
+
+
+def batch(configs):
+    return ReplicateBatch.stack([c.points for c in configs], configs[0].space)
+
+
+def value(F, cfg):
+    """F on a single configuration."""
+    return F(batch([cfg]))[0]
+
+
+def plus(cfg, x):
+    return superpose(cfg, Configuration([x], cfg.space))
 
 
 class TestTrajectory:
@@ -72,24 +86,25 @@ class TestSemigroup:
         # P_t F(w) -> E F(Phi) as t grows, for any start
         F = truncated_count(WINDOW, 3)
         rng = rng_for(6)
-        vals = np.array([F(semigroup_sample(OMEGA0, 15.0, SPEC, rng))
-                         for _ in range(4000)])
-        ref = np.array([F(sample_ppp_window(WINDOW, SPEC.lam, rng))
-                        for _ in range(4000)])
+        vals = F(batch([semigroup_sample(OMEGA0, 15.0, SPEC, rng)
+                        for _ in range(4000)]))
+        ref = F(batch([sample_ppp_window(WINDOW, SPEC.lam, rng)
+                       for _ in range(4000)]))
         se = math.sqrt(vals.var(ddof=1) / vals.size + ref.var(ddof=1) / ref.size)
         assert abs(vals.mean() - ref.mean()) < 3 * se
 
     def test_stationarity(self):
         # E[P_t F(Phi)] = E[F(Phi)] for Phi ~ PPP
-        F = count_at_least(Rect(0, 0, 0.5, 1), 1)
+        F = count_at_least((Rect(0, 0, 0.5, 1), 1))
         rng = rng_for(7)
         n = 4000
-        a = np.empty(n)
-        b = np.empty(n)
+        evolved, fresh = [], []
         for i in range(n):
             phi = sample_ppp_window(WINDOW, SPEC.lam, rng)
-            a[i] = F(semigroup_sample(phi, 0.7, SPEC, rng))
-            b[i] = F(sample_ppp_window(WINDOW, SPEC.lam, rng))
+            evolved.append(semigroup_sample(phi, 0.7, SPEC, rng))
+            fresh.append(sample_ppp_window(WINDOW, SPEC.lam, rng))
+        a = F(batch(evolved))
+        b = F(batch(fresh))
         se = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
         assert abs(a.mean() - b.mean()) < 3 * se
 
@@ -119,7 +134,7 @@ class TestSemigroup:
 
 class TestGenerator:
     def test_constant_functional(self):
-        F = Functional("const", lambda cfg: 2.5)
+        F = Functional("const", (), lambda c: np.full(len(c), 2.5))
         val, se = generator_apply(F, OMEGA0, SPEC, 16, rng_for(11))
         assert val == 0.0
         assert se == 0.0
@@ -136,7 +151,7 @@ class TestGenerator:
         rng = rng_for(13)
         for F in (truncated_count(WINDOW, 3),
                   count_indicator(WINDOW, {0, 1}),
-                  count_at_least(Rect(0, 0, 0.5, 1), 2)):
+                  count_at_least((Rect(0, 0, 0.5, 1), 2))):
             n = 1500
             vals = np.empty(n)
             for i in range(n):
@@ -155,7 +170,7 @@ class TestContraction:
         val, _ = contraction_estimate(F, self.OMEGA, self.Z, 0.0, SPEC, 200,
                                       rng_for(14))
         assert val <= 1.0
-        assert val == abs(F(self.OMEGA.add(self.Z)) - F(self.OMEGA))
+        assert val == abs(value(F, plus(self.OMEGA, self.Z)) - value(F, self.OMEGA))
 
     def test_exponential_decay(self):
         for t in (0.5, 1.0, 2.0):
@@ -166,7 +181,7 @@ class TestContraction:
                 assert est <= math.exp(-t) + 3 * se
 
     def test_constant_is_zero(self):
-        F = Functional("const", lambda cfg: 1.0)
+        F = Functional("const", (), lambda c: np.full(len(c), 1.0))
         est, se = contraction_estimate(F, self.OMEGA, self.Z, 0.5, SPEC, 500,
                                        rng_for(16))
         assert est == 0.0
@@ -178,7 +193,7 @@ class TestContraction:
                                  rng_for(17))
 
     def test_rejects_non_lipschitz(self):
-        F = Functional("bad", lambda cfg: 5.0 * len(cfg), lipschitz=False)
+        F = Functional("bad", (WINDOW,), lambda c: 5.0 * c[:, 0], lipschitz=False)
         with pytest.raises(ValueError):
             contraction_estimate(F, self.OMEGA, self.Z, 0.5, SPEC, 100,
                                  rng_for(18))
@@ -188,14 +203,14 @@ class TestFunctionalRegistry:
     def test_planar_lipschitz_certification(self):
         # |F(w + x) - F(w)| <= 1 for every flagged functional
         rng = rng_for(19)
-        functionals = default_functionals(WINDOW)
+        functionals = glauber_functionals(WINDOW)
         for _ in range(300):
             n = int(rng.integers(0, 6))
             omega = Configuration(uniform_in_window(WINDOW, n, rng), PLANE)
             x = uniform_in_window(WINDOW, 1, rng)[0]
             for F in functionals:
                 if F.lipschitz:
-                    assert abs(F(omega.add(x)) - F(omega)) <= 1.0 + 1e-12
+                    assert abs(value(F, plus(omega, x)) - value(F, omega)) <= 1.0 + 1e-12
 
     def test_sphere_lipschitz_certification(self):
         rng = rng_for(20)
@@ -205,7 +220,7 @@ class TestFunctionalRegistry:
             omega = Configuration(sample_uniform_sphere(rng, n), SPHERE)
             x = sample_uniform_sphere(rng)
             for F in functionals:
-                assert abs(F(omega.add(x)) - F(omega)) <= 1.0
+                assert abs(value(F, plus(omega, x)) - value(F, omega)) <= 1.0
 
     def test_raw_count_flagged_unbounded(self):
         F = raw_count(WINDOW)
@@ -213,15 +228,15 @@ class TestFunctionalRegistry:
 
     def test_indicator_values(self):
         F = count_indicator(WINDOW, {2})
-        assert F(Configuration([[0.1, 0.1], [0.2, 0.2]], PLANE)) == 1.0
-        assert F(Configuration([[0.1, 0.1]], PLANE)) == 0.0
+        assert value(F, Configuration([[0.1, 0.1], [0.2, 0.2]], PLANE)) == 1.0
+        assert value(F, Configuration([[0.1, 0.1]], PLANE)) == 0.0
 
     def test_product_indicator(self):
         left = Rect(0, 0, 0.5, 1)
         right = Rect(0.5, 0, 1, 1)
-        F = product_indicator(left, 1, right, 1)
-        assert F(Configuration([[0.2, 0.5], [0.8, 0.5]], PLANE)) == 1.0
-        assert F(Configuration([[0.2, 0.5]], PLANE)) == 0.0
+        F = count_at_least((left, 1), (right, 1))
+        assert value(F, Configuration([[0.2, 0.5], [0.8, 0.5]], PLANE)) == 1.0
+        assert value(F, Configuration([[0.2, 0.5]], PLANE)) == 0.0
 
     def test_close_pair_detects(self):
         F = close_pair_indicator(0.99)
@@ -229,7 +244,7 @@ class TestFunctionalRegistry:
                              SPHERE)
         anti = Configuration([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], SPHERE)
         far = Configuration([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], SPHERE)
-        assert F(near) == 1.0
-        assert F(anti) == 1.0
-        assert F(far) == 0.0
-        assert F(Configuration.empty(SPHERE)) == 0.0
+        assert value(F, near) == 1.0
+        assert value(F, anti) == 1.0
+        assert value(F, far) == 0.0
+        assert value(F, Configuration.empty(SPHERE)) == 0.0

@@ -244,6 +244,10 @@ class TestCli:
         ["experiment", "converge-cox", "--sweep", "0,5,10,20", "--reps", "1000"],
         ["experiment", "converge-cox", "--sweep=-5,5,10,20", "--reps", "1000"],
         ["experiment", "converge-sat", "--sweep", "0,10,20,40", "--reps", "1000"],
+        ["simulate", "cox-line", "--lam", "1", "--window", "rect:0,0,inf,1"],
+        ["simulate", "cox-line", "--lam", "1", "--window", "disk:inf,0,1"],
+        ["bound", "cox-line", "--lam", "1", "--window", "rect:0,0,inf,1"],
+        ["bound", "cox-line", "--lam", "1", "--window", "disk:0,-inf,1"],
     ])
     def test_bad_model_params_exit_2(self, argv, capsys):
         assert main(argv) == 2

@@ -21,23 +21,6 @@ def rng_for(idx=0, seed=777):
 
 
 class TestConfiguration:
-    def test_add_to_empty(self):
-        cfg = Configuration.empty(PLANE).add([1.0, 2.0])
-        assert len(cfg) == 1
-        assert np.allclose(cfg.points, [[1.0, 2.0]])
-
-    def test_remove_present(self):
-        cfg = Configuration([[1.0, 2.0]], PLANE).remove([1.0, 2.0])
-        assert len(cfg) == 0
-
-    def test_remove_absent_is_identity(self):
-        cfg = Configuration([[1.0, 2.0]], PLANE)
-        assert cfg.remove([3.0, 4.0]) == cfg
-
-    def test_remove_one_occurrence(self):
-        cfg = Configuration([[1.0, 2.0], [1.0, 2.0]], PLANE).remove([1.0, 2.0])
-        assert len(cfg) == 1
-
     def test_multiset_equality_order_insensitive(self):
         a = Configuration([[0.0, 0.0], [1.0, 1.0]], PLANE)
         b = Configuration([[1.0, 1.0], [0.0, 0.0]], PLANE)

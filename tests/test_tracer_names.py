@@ -1,11 +1,20 @@
-"""The benchmark's tracer wraps coxsim functions by (module, name).  A rename
-in the package would otherwise show up only when the benchmark runs."""
+"""The benchmark's tracer wraps coxsim functions by (module, name) and its
+count hooks read their arguments and results.  A rename or a changed
+signature in the package would otherwise show up only when the benchmark
+runs with --trace 1."""
 
 import importlib
 import runpy
 from pathlib import Path
 
 import pytest
+
+from coxsim.diagnostics import sphere_functional_family
+from coxsim.geometry import Disk, Rect
+from coxsim.harness import ValidationSettings
+from coxsim.pointprocess import (SPHERE, Configuration, CoupledBatch, ModelParams,
+                                 ReplicateBatch, RngStream, sample_uniform_sphere)
+from coxsim.steinbound import QuadratureSpec
 
 # run_path compiles the file without importing it as a module, so no
 # bytecode cache is written next to it
@@ -16,3 +25,97 @@ TRACING = runpy.run_path(str(Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("module,func", [(m, f) for m, f, _ in TRACING["LAYERS"]])
 def test_layer_resolves(module, func):
     assert callable(getattr(importlib.import_module(f"coxsim.{module}"), func, None))
+
+
+def _rng(idx=0):
+    return RngStream(99, idx).generator()
+
+
+def _sphere_batch(reps, rng):
+    return ReplicateBatch.stack([sample_uniform_sphere(rng, int(k))
+                                 for k in rng.poisson(2.0, reps)], SPHERE)
+
+
+def _sphere_ppp(rng):
+    return Configuration(sample_uniform_sphere(rng, rng.poisson(2.0)), SPHERE)
+
+
+FAMILY = sphere_functional_family()
+TINY = ValidationSettings(mecke_reps=300, invariance_reps=300, glauber_traj_reps=1000,
+                          glauber_stat_reps=50, glauber_generator_reps=20,
+                          glauber_contraction_reps=50)
+QUAD = QuadratureSpec(tol=1e-6)
+
+
+def _failed(rows):
+    return {"harness.check_rows_failed": float(sum(not r.passed for r in rows))}
+
+
+# (module, function) -> (positional args, expected counters from the result)
+CASES = {
+    ("coxmodels", "sample_cox_line"): (
+        (ModelParams.planar(1.0, 20.0), Disk((0.0, 0.0), 1.0), _rng(1)),
+        lambda s: {"coxmodels.points": float(len(s.points.points)),
+                   "coxmodels.lines": float(s.lines.shape[0])}),
+    ("coxmodels", "sample_satellites_with_twin"): (
+        (ModelParams.spherical(2.0, 7), _rng(2)),
+        lambda r: {"coxmodels.satellite_points": float(r[0].points.points.shape[0]),
+                   "coxmodels.orbits": 7.0}),
+    ("pointprocess", "ppp_batch"): (
+        (Rect(0.0, 0.0, 1.0, 1.0), 2.0, 50, _rng(3)),
+        lambda r: {"pointprocess.batch_points": float(r[0].sum())}),
+    ("diagnostics", "wasserstein_lower_bound"): (
+        (_sphere_batch(40, _rng(4)), _sphere_ppp, FAMILY, _rng(5), 3),
+        lambda r: {"diagnostics.functional_evals": 40.0 * (1 + 3) * len(FAMILY)}),
+    ("diagnostics", "coupled_wasserstein_lower_bound"): (
+        (CoupledBatch(_sphere_batch(30, _rng(6)), _sphere_batch(30, _rng(7))), FAMILY),
+        lambda r: {"diagnostics.functional_evals": 30.0 * 2 * len(FAMILY)}),
+    ("steinbound", "chord_square_integral"): (
+        (Disk((0.0, 0.0), 1.0), QUAD),
+        lambda r: {"steinbound.quad_error_max": r[1]}),
+    ("steinbound", "coarea_check"): (
+        ("one", Rect(0.0, 0.0, 1.0, 1.0), 0.0, QUAD),
+        lambda r: {"steinbound.quad_error_max": r.error_estimate}),
+    ("harness", "check_mecke"): ((0, TINY), _failed),
+    ("harness", "check_invariance"): ((0, TINY), _failed),
+    ("harness", "check_glauber"): ((0, TINY), _failed),
+    ("harness", "check_coarea"): ((0,), _failed),
+    ("harness", "check_bounds"): ((0,), _failed),
+}
+
+HOOKED = [(m, f, hook) for m, f, hook in TRACING["LAYERS"] if hook is not None]
+
+
+def test_every_hook_has_a_case():
+    assert {(m, f) for m, f, _ in HOOKED} == set(CASES)
+
+
+@pytest.mark.parametrize("module,func,hook", HOOKED,
+                         ids=[f"{m}.{f}" for m, f, _ in HOOKED])
+def test_hook_reads_real_call(module, func, hook):
+    args, expected = CASES[(module, func)]
+    result = getattr(importlib.import_module(f"coxsim.{module}"), func)(*args)
+    counters = TRACING["Counters"]()
+    hook(counters, result, *args)
+    assert dict(counters) == expected(result)
+
+
+@pytest.mark.parametrize("ref_factor", [None, 2])
+def test_uncoupled_evals_match_reference_draws(ref_factor):
+    # the hook's count is reps * (1 + ref_factor) * len(family): the real
+    # estimator draws ref_factor * reps reference replicates, and its
+    # default ref_factor is the hook's
+    draws = []
+
+    def sampler(rng):
+        draws.append(1)
+        return _sphere_ppp(rng)
+
+    args = (_sphere_batch(20, _rng(8)), sampler, FAMILY, _rng(9))
+    args += () if ref_factor is None else (ref_factor,)
+    module = importlib.import_module("coxsim.diagnostics")
+    result = module.wasserstein_lower_bound(*args)
+    counters = TRACING["Counters"]()
+    dict((f, h) for _, f, h in HOOKED)["wasserstein_lower_bound"](counters, result, *args)
+    assert counters["diagnostics.functional_evals"] == (20 + len(draws)) * len(FAMILY)
+    assert len(draws) == 20 * (ref_factor or 4)
