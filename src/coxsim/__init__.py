@@ -13,7 +13,7 @@ from .geometry import (Annulus, Disk, LatitudeBand, LineParams, Rect,
                        orbit_point, rotation_to, support_radius)
 from .pointprocess import (Configuration, CoupledBatch, ModelParams, ReplicateBatch,
                            RngStream, config_tv_distance, sample_ppp_window,
-                           sample_uniform_sphere, superpose, thin)
+                           sample_uniform_sphere)
 from .coxmodels import (CoxLineSample, SatelliteSample, effective_intensity,
                         resample_marks, sample_cox_line, sample_satellites,
                         sample_satellites_with_twin)

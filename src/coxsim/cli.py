@@ -201,6 +201,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.reps is not None and args.reps < 1:
+        raise ConfigError(f"--reps must be at least 1, got {args.reps}")
     settings = (ValidationSettings() if args.reps is None
                 else ValidationSettings.scaled(args.reps))
     rows = run_validation_suite(args.seed, settings, which=args.which)

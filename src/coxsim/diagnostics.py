@@ -26,8 +26,7 @@ import numpy as np
 
 from .geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap, Window,
                        halves)
-from .pointprocess import (PLANE, CoupledBatch, ReplicateBatch, ppp_batch,
-                           uniform_in_window)
+from .pointprocess import PLANE, CoupledBatch, ReplicateBatch, uniform_in_window
 
 BOOTSTRAP_RESAMPLES = 200
 
@@ -327,11 +326,6 @@ class MeckeResult:
         return abs(self.lhs - self.rhs) <= 3.0 * self.stderr
 
 
-def _ppp(window: Window, lam: float, reps: int, rng: np.random.Generator) -> ReplicateBatch:
-    _, points, rep_ids = ppp_batch(window, lam, reps, rng)
-    return ReplicateBatch(points, rep_ids, reps, PLANE)
-
-
 def _bpp(window: Window, n: int, reps: int, rng: np.random.Generator) -> ReplicateBatch:
     return ReplicateBatch(uniform_in_window(window, reps * n, rng),
                           np.repeat(np.arange(reps), n), reps, PLANE)
@@ -348,12 +342,12 @@ def mecke_check_ppp(mf: MeckeFunctional, lam: float, window: Window,
                     reps: int, rng: np.random.Generator) -> MeckeResult:
     """Check E[sum_{x in Phi} F(x, Phi - x)] = lam * int E[F(x, Phi)] dx."""
     g, h = mf.g, mf.h
-    phi = _ppp(window, lam, reps, rng)
+    phi = ReplicateBatch.ppp(window, lam, reps, rng)
     # each point x sees the counts of Phi - x
     seen = h.counts(phi)[phi.rep_ids] - h.membership(phi.points)
     lhs_vals = np.bincount(phi.rep_ids, g.h(g.membership(phi.points)) * h.h(seen), reps)
     # independent pair (x, Phi) for the right-hand side
-    phi2 = _ppp(window, lam, reps, rng)
+    phi2 = ReplicateBatch.ppp(window, lam, reps, rng)
     x = uniform_in_window(window, reps, rng)
     rhs_vals = lam * window.area * g.h(g.membership(x)) * h.h(h.counts(phi2))
     return _mecke_result(mf, lhs_vals, rhs_vals,
@@ -389,14 +383,10 @@ def invariance_check(lam: float, window: Window, t: float, regions, reps: int,
     threshold 2/sqrt(reps)."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("thinning level t must lie in [0, 1]")
-    phi1 = _ppp(window, lam, reps, rng)
-    phi2 = _ppp(window, lam, reps, rng)
-    keep1 = rng.random(phi1.points.shape[0]) < t
-    keep2 = rng.random(phi2.points.shape[0]) < (1.0 - t)
-    fresh = _ppp(window, lam, reps, rng)
-    thinned = ReplicateBatch(np.concatenate([phi1.points[keep1], phi2.points[keep2]]),
-                             np.concatenate([phi1.rep_ids[keep1], phi2.rep_ids[keep2]]),
-                             reps, PLANE)
+    phi1 = ReplicateBatch.ppp(window, lam, reps, rng)
+    phi2 = ReplicateBatch.ppp(window, lam, reps, rng)
+    thinned = phi1.thin(t, rng).superpose(phi2.thin(1.0 - t, rng))
+    fresh = ReplicateBatch.ppp(window, lam, reps, rng)
     return tv_rows(thinned, fresh, regions)
 
 

@@ -17,8 +17,9 @@ The module also evaluates the infinitesimal generator
 the semigroup's Lipschitz contraction |P_t F(w + z) - P_t F(w)| <= e^-t with
 a coupled estimator.
 
-F is a count Functional (see diagnostics): adding or removing a point moves
-its counts by the point's region-membership row, h(counts -/+ row).
+The samplers map a ReplicateBatch of starts to one draw per replicate; the
+generator and the contraction estimate share their draws across a list of
+count Functionals, moved by a point's region-membership row, h(c -/+ row).
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import Functional, tv_rows
+from .diagnostics import tv_rows
 from .geometry import Window
-from .pointprocess import (Configuration, ReplicateBatch, sample_ppp_window,
-                           superpose, thin, uniform_in_window)
+from .pointprocess import PLANE, Configuration, ReplicateBatch, uniform_in_window
 
 
 @dataclass(frozen=True)
@@ -57,47 +57,51 @@ class GlauberSpec:
 # Trajectory simulation
 # ---------------------------------------------------------------------------
 
-def glauber_simulate(cfg0: Configuration, spec: GlauberSpec,
-                     rng: np.random.Generator, horizon: float | None = None) -> Configuration:
-    """Exact event-driven simulation of the dynamics up to the horizon."""
+def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.Generator,
+                     horizon: float | None = None) -> ReplicateBatch:
+    """Exact event-driven simulation up to the horizon, one trajectory per
+    replicate.  Each lockstep step advances every live replicate by one event
+    on its own Exp(b + size) clock and freezes those past the horizon; a
+    replicate's points fill a buffer row, and a death swaps in the last one."""
     t_end = spec.horizon if horizon is None else horizon
-    if t_end < 0:
-        raise ValueError("horizon must be nonnegative")
-    if not spec.window.contains(cfg0.points).all():
-        raise ValueError("initial configuration must lie inside the window")
-    pts = [row.copy() for row in cfg0.points]
+    if not 0 <= t_end < math.inf:
+        raise ValueError("horizon must be finite and nonnegative")
+    if omegas.space != PLANE or not spec.window.contains(omegas.points).all():
+        raise ValueError("initial configurations must lie inside the window")
+    reps, order = len(omegas), np.argsort(omegas.rep_ids, kind="stable")
+    ids = omegas.rep_ids[order]
+    size = np.bincount(ids, minlength=reps)
+    buf = np.empty((reps, max(8, 2 * int(size.max(initial=0))), 2))
+    buf[ids, np.arange(ids.size) - (np.cumsum(size) - size)[ids]] = omegas.points[order]
     b = spec.birth_rate
-    t = 0.0
-    # randomness consumed in blocks to keep the event loop cheap
-    block = 256
-    exps = rng.exponential(size=block)
-    unis = rng.random(size=block)
-    k = 0
-    while True:
-        if k >= block:
-            exps = rng.exponential(size=block)
-            unis = rng.random(size=block)
-            k = 0
-        rate = b + len(pts)
-        t += exps[k] / rate
-        if t > t_end:
-            break
-        u = unis[k] * rate
-        if u < b:
-            pts.append(uniform_in_window(spec.window, 1, rng)[0])
-        else:
-            # conditional on the death branch, u - b is uniform on [0, len(pts))
-            pts.pop(int(u - b))
-        k += 1
-    return Configuration(np.array(pts) if pts else np.empty((0, 2)), cfg0.space)
+    clock = np.zeros(reps)
+    live = np.arange(reps)
+    while live.size:
+        rate = b + size[live]
+        clock[live] += rng.exponential(size=live.size) / rate
+        running = clock[live] <= t_end
+        live, rate = live[running], rate[running]
+        u = rng.random(live.size) * rate
+        born = live[u < b]
+        if size[born].max(initial=0) >= buf.shape[1]:
+            buf = np.concatenate([buf, np.empty_like(buf)], axis=1)
+        buf[born, size[born]] = uniform_in_window(spec.window, born.size, rng)
+        size[born] += 1
+        # given a death, u - b is uniform on [0, size); clipped for b + size rounding up
+        dead = live[u >= b]
+        gone = np.minimum((u[u >= b] - b).astype(np.int64), size[dead] - 1)
+        size[dead] -= 1
+        buf[dead, gone] = buf[dead, size[dead]]
+    keep = np.arange(buf.shape[1]) < size[:, None]
+    return ReplicateBatch(buf[keep], np.repeat(np.arange(reps), size), reps, PLANE)
 
 
-def semigroup_sample(omega: Configuration, t: float, spec: GlauberSpec,
-                     rng: np.random.Generator) -> Configuration:
-    """One draw from the thinning representation of the time-t semigroup."""
+def semigroup_sample(omegas: ReplicateBatch, t: float, spec: GlauberSpec,
+                     rng: np.random.Generator) -> ReplicateBatch:
+    """One draw per replicate from the thinning representation of P_t."""
     p = math.exp(-t)
-    return superpose(thin(omega, p, rng),
-                     sample_ppp_window(spec.window, (1.0 - p) * spec.lam, rng))
+    return omegas.thin(p, rng).superpose(
+        ReplicateBatch.ppp(spec.window, (1.0 - p) * spec.lam, len(omegas), rng))
 
 
 def semigroup_trajectory_consistency(omega0: Configuration, spec: GlauberSpec,
@@ -109,64 +113,66 @@ def semigroup_trajectory_consistency(omega0: Configuration, spec: GlauberSpec,
     2/sqrt(reps)."""
     if reps < 1000:
         raise ValueError("TV comparison needs at least 1000 replicates")
-    traj, semi = [], []
-    for _ in range(reps):
-        traj.append(glauber_simulate(omega0, spec, rng, horizon=t).points)
-        semi.append(semigroup_sample(omega0, t, spec, rng).points)
-    return tv_rows(ReplicateBatch.stack(traj, omega0.space),
-                   ReplicateBatch.stack(semi, omega0.space), regions)
+    starts = ReplicateBatch.stack([omega0.points] * reps, omega0.space)
+    traj = glauber_simulate(starts, spec, rng, horizon=t)
+    return tv_rows(traj, semigroup_sample(starts, t, spec, rng), regions)
 
 
 # ---------------------------------------------------------------------------
 # Generator and contraction
 # ---------------------------------------------------------------------------
 
-def generator_apply(F: Functional, omega: Configuration, spec: GlauberSpec,
-                    reps: int, rng: np.random.Generator):
-    """Generator L F(omega): exact death sum plus Monte Carlo birth integral.
-
-    The birth integral uses antithetic pairs (a point and its reflection
-    through the window center), which halves the variance for near-linear
-    integrands at no bias.  reps counts antithetic pairs.
-    """
-    if reps < 1:
+def generator_apply(functionals, omegas: ReplicateBatch, spec: GlauberSpec,
+                    pairs: int, rng: np.random.Generator):
+    """Generator L F(omega_j) for every replicate j and functional F: exact
+    death sum plus a birth integral over `pairs` antithetic pairs per
+    replicate (a point and its reflection through the window center, which
+    halves the variance for near-linear integrands at no bias), shared by all
+    functionals.  Returns (values, birth-integral stderrs), each (reps x F)."""
+    if pairs < 1:
         raise ValueError("need at least one antithetic pair")
-    members = F.membership(omega.points)
-    c0 = members.sum(axis=0)
-    f0 = F.h(c0[None, :])[0]
-    death = float((F.h(c0 - members) - f0).sum())
-    pts = uniform_in_window(spec.window, reps, rng)
+    reps, ids = len(omegas), omegas.rep_ids
+    pts = uniform_in_window(spec.window, reps * pairs, rng)
     mirrored = 2.0 * np.asarray(spec.window.center) - pts
-    ga = F.h(c0 + F.membership(pts)) - f0
-    gb = F.h(c0 + F.membership(mirrored)) - f0
-    pair_means = 0.5 * (ga + gb)
-    birth = spec.birth_rate * pair_means.mean()
-    se = spec.birth_rate * pair_means.std(ddof=1) / math.sqrt(reps) if reps > 1 else math.inf
-    return float(death + birth), float(se)
+    values, stderrs = [], []
+    for F in functionals:
+        c0 = F.counts(omegas)
+        f0 = F.h(c0)
+        death = np.bincount(ids, F.h(c0[ids] - F.membership(omegas.points)) - f0[ids],
+                            minlength=reps)
+        c_pair, f_pair = np.repeat(c0, pairs, axis=0), np.repeat(f0, pairs)
+        pair_means = 0.5 * ((F.h(c_pair + F.membership(pts)) - f_pair)
+                            + (F.h(c_pair + F.membership(mirrored)) - f_pair))
+        pair_means = pair_means.reshape(reps, pairs)
+        values.append(death + spec.birth_rate * pair_means.mean(axis=1))
+        stderrs.append(spec.birth_rate * pair_means.std(ddof=1, axis=1) / math.sqrt(pairs)
+                       if pairs > 1 else np.full(reps, math.inf))
+    return np.column_stack(values), np.column_stack(stderrs)
 
 
-def contraction_estimate(F: Functional, omega: Configuration, z, t: float,
+def contraction_estimate(functionals, omega: Configuration, z, t: float,
                          spec: GlauberSpec, reps: int, rng: np.random.Generator):
-    """Coupled estimate of |P_t F(omega + z) - P_t F(omega)|.
+    """Coupled estimates of |P_t F(omega + z) - P_t F(omega)|, one (estimate,
+    stderr) pair per functional.
 
     Shares the thinning coins on omega and the fresh-PPP sample between the
     two semigroup draws, so each replicate differs only through survival of
     z; for 1-Lipschitz F the replicate difference is at most 1{z survives},
-    whose mean is e^-t.
+    whose mean is e^-t.  One batch of base draws serves every functional.
     """
-    if not F.lipschitz:
-        raise ValueError("contraction estimate requires a 1-Lipschitz functional")
+    bad = [F.name for F in functionals if not F.lipschitz]
+    if bad:
+        raise ValueError(f"contraction estimate requires 1-Lipschitz functionals: {bad}")
     z = np.asarray(z, dtype=float).reshape(1, -1)
     if not spec.window.contains(z)[0]:
         raise ValueError("z must lie inside the window")
-    dz = F.membership(z)
-    p = math.exp(-t)
-    base = []
-    survives = np.empty(reps, dtype=bool)
-    for i in range(reps):
-        base.append(semigroup_sample(omega, t, spec, rng).points)
-        survives[i] = rng.random() < p
-    counts = F.counts(ReplicateBatch.stack(base, omega.space))
-    diffs = np.abs(F.h(counts + survives[:, None] * dz) - F.h(counts))
-    se = float(diffs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
-    return float(diffs.mean()), se
+    base = semigroup_sample(ReplicateBatch.stack([omega.points] * reps, omega.space),
+                            t, spec, rng)
+    survives = rng.random(reps) < math.exp(-t)
+    out = []
+    for F in functionals:
+        counts = F.counts(base)
+        diffs = np.abs(F.h(counts + survives[:, None] * F.membership(z)) - F.h(counts))
+        se = float(diffs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
+        out.append((float(diffs.mean()), se))
+    return out

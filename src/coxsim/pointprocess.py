@@ -115,12 +115,6 @@ class Configuration:
         return int(region.contains(self.points).sum())
 
 
-def superpose(a: Configuration, b: Configuration) -> Configuration:
-    if a.space != b.space:
-        raise ValueError(f"cannot superpose {a.space} and {b.space} configurations")
-    return Configuration(np.vstack([a.points, b.points]), a.space)
-
-
 def config_tv_distance(a: Configuration, b: Configuration) -> int:
     """|a minus b| + |b minus a| as multisets (symmetric difference size)."""
     if a.space != b.space:
@@ -211,18 +205,6 @@ def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.
     return v[0] if n is None else v
 
 
-def thin(cfg: Configuration, p: float, rng: np.random.Generator) -> Configuration:
-    """Independent p-thinning: keep each point with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("retention probability must lie in [0, 1]")
-    if len(cfg) == 0 or p == 1.0:
-        return cfg
-    if p == 0.0:
-        return Configuration.empty(cfg.space)
-    keep = rng.random(len(cfg)) < p
-    return Configuration(cfg.points[keep], cfg.space)
-
-
 # ---------------------------------------------------------------------------
 # Replicate batches (hot paths for the diagnostics engine)
 # ---------------------------------------------------------------------------
@@ -247,8 +229,30 @@ class ReplicateBatch:
         points = np.concatenate([np.empty((0, _DIM[space]))] + list(point_arrays))
         return cls(points, np.repeat(np.arange(len(sizes)), sizes), len(sizes), space)
 
+    @classmethod
+    def ppp(cls, window: Window, lam: float, reps: int,
+            rng: np.random.Generator) -> "ReplicateBatch":
+        """reps independent PPP(lam) samples on the window (see ppp_batch)."""
+        _, points, rep_ids = ppp_batch(window, lam, reps, rng)
+        return cls(points, rep_ids, reps, PLANE)
+
     def counts(self, region) -> np.ndarray:
         return region_counts(self.points, self.rep_ids, region, self.reps)
+
+    def thin(self, p: float, rng: np.random.Generator) -> "ReplicateBatch":
+        """Independent p-thinning; draws one uniform per point, even at p = 0 or 1."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("retention probability must lie in [0, 1]")
+        keep = rng.random(self.points.shape[0]) < p
+        return ReplicateBatch(self.points[keep], self.rep_ids[keep], self.reps, self.space)
+
+    def superpose(self, other: "ReplicateBatch") -> "ReplicateBatch":
+        """Replicate-wise union: replicate j holds both batches' replicate j."""
+        if (self.space, self.reps) != (other.space, other.reps):
+            raise ValueError("can only superpose batches of the same space and size")
+        return ReplicateBatch(np.concatenate([self.points, other.points]),
+                              np.concatenate([self.rep_ids, other.rep_ids]),
+                              self.reps, self.space)
 
 
 @dataclass(frozen=True)

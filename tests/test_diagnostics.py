@@ -276,7 +276,7 @@ class TestInvariance:
         # joint occupancy of two disjoint regions also matches a fresh PPP:
         # E[1{A>=1} 1{B>=1}] agrees within 3 combined stderr, and the PPP
         # independence oracle (1-e^-mA)(1-e^-mB) agrees too
-        from coxsim.pointprocess import ppp_batch, region_counts, thin
+        from coxsim.pointprocess import ppp_batch, region_counts
         lam, t, reps = 0.8, 0.5, 30_000
         A, B = Rect(0, 0, 0.5, 1), Rect(0.5, 0, 1, 1)
         rng = rng_for(24)

@@ -1,5 +1,6 @@
-"""Batch evaluation of the preset functionals against a scalar oracle that
-counts one configuration at a time with Configuration.count_in."""
+"""Batch evaluation of the preset functionals, the Glauber generator and the
+contraction estimate against a scalar oracle that counts one configuration
+at a time with Configuration.count_in."""
 
 import math
 
@@ -12,8 +13,7 @@ from coxsim.geometry import Disk, Rect
 from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
                             semigroup_sample)
 from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ReplicateBatch,
-                                 RngStream, sample_uniform_sphere, superpose,
-                                 uniform_in_window)
+                                 RngStream, sample_uniform_sphere, uniform_in_window)
 
 RECT = Rect(0.0, 0.0, 1.0, 1.0)
 DISK = Disk((0.0, 0.0), 1.0)
@@ -43,7 +43,13 @@ def scalar_value(F, cfg: Configuration) -> float:
 
 
 def plus(cfg, x):
-    return superpose(cfg, Configuration([x], cfg.space))
+    return Configuration(np.vstack([cfg.points, np.reshape(x, (1, -1))]), cfg.space)
+
+
+def split(batch: ReplicateBatch) -> list:
+    """The replicates of a batch as Configurations."""
+    return [Configuration(batch.points[batch.rep_ids == j], batch.space)
+            for j in range(len(batch))]
 
 
 def assert_batch_matches(functionals, configs, space):
@@ -118,39 +124,51 @@ OMEGAS = [Configuration.empty(PLANE),
                         PLANE)]
 
 
+OMEGA_BATCH = ReplicateBatch.stack([omega.points for omega in OMEGAS], PLANE)
+GENERATOR_FAMILY = glauber_functionals(RECT) + planar_functional_family(RECT)
+
+
+@pytest.fixture(scope="module")
+def generator_values():
+    return generator_apply(GENERATOR_FAMILY, OMEGA_BATCH, SPEC, 16, rng_for(10))
+
+
 @pytest.mark.parametrize("k", range(len(OMEGAS)))
-def test_generator_matches_oracle(k):
+def test_generator_matches_oracle(k, generator_values):
+    # replicate k of one batch against the per-configuration formula on the
+    # antithetic pairs it was given: rows 16k to 16k + 15 of the shared draw
     omega = OMEGAS[k]
-    for j, F in enumerate(glauber_functionals(RECT) + planar_functional_family(RECT)):
-        val, se = generator_apply(F, omega, SPEC, 16, rng_for(10 + j))
-        # the per-configuration formula on the same antithetic points
+    pts = uniform_in_window(RECT, 16 * len(OMEGAS), rng_for(10))[16 * k:16 * (k + 1)]
+    mirrored = np.column_stack([1.0 - pts[:, 0], 1.0 - pts[:, 1]])
+    values, stderrs = generator_values
+    for j, F in enumerate(GENERATOR_FAMILY):
         f0 = scalar_value(F, omega)
         death = 0.0
         for i in range(len(omega)):
             less = Configuration(np.delete(omega.points, i, axis=0), PLANE)
             death += scalar_value(F, less) - f0
-        # the antithetic pairs: uniform points and their reflections
-        pts = uniform_in_window(RECT, 16, rng_for(10 + j))
-        mirrored = np.column_stack([1.0 - pts[:, 0], 1.0 - pts[:, 1]])
         pair_means = np.array([0.5 * ((scalar_value(F, plus(omega, a)) - f0)
                                       + (scalar_value(F, plus(omega, b)) - f0))
                                for a, b in zip(pts, mirrored)])
         expect = death + SPEC.birth_rate * pair_means.mean()
         expect_se = SPEC.birth_rate * pair_means.std(ddof=1) / math.sqrt(16)
-        assert (val, se) == (expect, expect_se), F.name
+        assert (values[k, j], stderrs[k, j]) == (expect, expect_se), F.name
 
 
 def test_contraction_matches_oracle():
     omega = OMEGAS[2]
     z = (0.5, 0.5)
-    for j, F in enumerate(glauber_functionals(RECT)):
-        est, se = contraction_estimate(F, omega, z, 0.7, SPEC, 200, rng_for(20 + j))
-        rng = rng_for(20 + j)
-        diffs = []
-        for _ in range(200):
-            base = semigroup_sample(omega, 0.7, SPEC, rng)
-            with_z = plus(base, z) if rng.random() < math.exp(-0.7) else base
-            diffs.append(abs(scalar_value(F, with_z) - scalar_value(F, base)))
-        diffs = np.array(diffs)
+    family = glauber_functionals(RECT)
+    estimates = contraction_estimate(family, omega, z, 0.7, SPEC, 200, rng_for(20))
+    # the shared base draws: one semigroup batch, then one survival coin each
+    rng = rng_for(20)
+    base = split(semigroup_sample(ReplicateBatch.stack([omega.points] * 200, PLANE),
+                                  0.7, SPEC, rng))
+    survives = rng.random(200) < math.exp(-0.7)
+    assert len(estimates) == len(family)
+    for F, (est, se) in zip(family, estimates):
+        diffs = np.array([abs(scalar_value(F, plus(cfg, z) if keep else cfg)
+                              - scalar_value(F, cfg))
+                          for cfg, keep in zip(base, survives)])
         assert est == diffs.mean(), F.name
         assert se == diffs.std(ddof=1) / math.sqrt(200), F.name

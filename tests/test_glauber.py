@@ -6,15 +6,14 @@ import pytest
 from coxsim.diagnostics import (Functional, close_pair_indicator,
                                 count_at_least, count_indicator,
                                 empirical_count_tv, glauber_functionals,
-                                raw_count, truncated_count)
+                                poisson_pmf, raw_count, truncated_count)
 from coxsim.geometry import Rect
 from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
                             glauber_simulate, semigroup_sample,
                             semigroup_trajectory_consistency)
 from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ReplicateBatch,
                                  RngStream, sample_ppp_window,
-                                 sample_uniform_sphere, superpose,
-                                 uniform_in_window)
+                                 sample_uniform_sphere, uniform_in_window)
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 SPEC = GlauberSpec(WINDOW, lam=1.5, horizon=20.0)
@@ -29,28 +28,67 @@ def batch(configs):
     return ReplicateBatch.stack([c.points for c in configs], configs[0].space)
 
 
+def repeat(cfg, reps):
+    return ReplicateBatch.stack([cfg.points] * reps, cfg.space)
+
+
+def sizes(b):
+    return np.bincount(b.rep_ids, minlength=len(b))
+
+
+def replicate(b, j):
+    return Configuration(b.points[b.rep_ids == j], b.space)
+
+
 def value(F, cfg):
     """F on a single configuration."""
     return F(batch([cfg]))[0]
 
 
 def plus(cfg, x):
-    return superpose(cfg, Configuration([x], cfg.space))
+    return Configuration(np.vstack([cfg.points, np.reshape(x, (1, -1))]), cfg.space)
+
+
+def scalar_glauber(cfg0, spec, rng, horizon):
+    """Reference event loop: one trajectory, one event at a time, with the
+    randomness consumed in blocks of 256."""
+    pts = [row.copy() for row in cfg0.points]
+    b = spec.birth_rate
+    t = 0.0
+    block = 256
+    exps = rng.exponential(size=block)
+    unis = rng.random(size=block)
+    k = 0
+    while True:
+        if k >= block:
+            exps = rng.exponential(size=block)
+            unis = rng.random(size=block)
+            k = 0
+        rate = b + len(pts)
+        t += exps[k] / rate
+        if t > horizon:
+            break
+        u = unis[k] * rate
+        if u < b:
+            pts.append(uniform_in_window(spec.window, 1, rng)[0])
+        else:
+            pts.pop(int(u - b))
+        k += 1
+    return Configuration(np.array(pts) if pts else np.empty((0, 2)), cfg0.space)
 
 
 class TestTrajectory:
     def test_time_zero_is_identity(self):
-        out = glauber_simulate(OMEGA0, SPEC, rng_for(0), horizon=0.0)
-        assert out == OMEGA0
+        out = glauber_simulate(batch([OMEGA0]), SPEC, rng_for(0), horizon=0.0)
+        assert replicate(out, 0) == OMEGA0
 
     def test_immigration_death_mean(self):
         # from the empty configuration, E|G_t| solves m' = lam|W| - m, so
         # m(t) = lam |W| (1 - e^-t)
         rng = rng_for(1)
         for t in (0.3, 1.0):
-            ns = np.array([len(glauber_simulate(Configuration.empty(PLANE),
-                                                SPEC, rng, horizon=t))
-                           for _ in range(4000)])
+            ns = sizes(glauber_simulate(repeat(Configuration.empty(PLANE), 4000),
+                                        SPEC, rng, horizon=t))
             expect = SPEC.birth_rate * (1.0 - math.exp(-t))
             se = ns.std(ddof=1) / math.sqrt(ns.size)
             assert abs(ns.mean() - expect) < 3 * se
@@ -59,20 +97,139 @@ class TestTrajectory:
         # at t = 20 the state is indistinguishable from the stationary PPP
         rng = rng_for(2)
         reps = 4000
-        na = np.array([len(glauber_simulate(OMEGA0, SPEC, rng))
-                       for _ in range(reps)])
+        na = sizes(glauber_simulate(repeat(OMEGA0, reps), SPEC, rng))
         nb = np.array([len(sample_ppp_window(WINDOW, SPEC.lam, rng))
                        for _ in range(reps)])
         assert empirical_count_tv(na, nb) < 2.0 / math.sqrt(reps)
 
     def test_points_stay_inside(self):
-        out = glauber_simulate(OMEGA0, SPEC, rng_for(3), horizon=5.0)
-        assert WINDOW.contains(out.points).all() or len(out) == 0
+        out = glauber_simulate(batch([OMEGA0]), SPEC, rng_for(3), horizon=5.0)
+        assert WINDOW.contains(out.points).all() or len(out.points) == 0
+
+    @pytest.mark.parametrize("horizon", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_horizon(self, horizon):
+        # an infinite horizon would never stop the event loop
+        with pytest.raises(ValueError):
+            glauber_simulate(batch([OMEGA0]), SPEC, rng_for(4), horizon=horizon)
 
     def test_rejects_outside_start(self):
         bad = Configuration([[2.0, 2.0]], PLANE)
         with pytest.raises(ValueError):
-            glauber_simulate(bad, SPEC, rng_for(4))
+            glauber_simulate(batch([bad]), SPEC, rng_for(4))
+
+
+LEFT = Rect(0.0, 0.0, 0.5, 1.0)
+Z_999 = 3.090  # standard normal 0.999 quantile
+
+
+def chi2_crit(df):
+    """Wilson-Hilferty approximation of the chi-square 0.999 quantile."""
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + Z_999 * math.sqrt(a)) ** 3
+
+
+def pool_labels(expected):
+    """Group adjacent count bins until each group expects at least 5."""
+    labels = np.empty(expected.size, dtype=int)
+    group, acc = 0, 0.0
+    for k, e in enumerate(expected):
+        labels[k] = group
+        acc += e
+        if acc >= 5.0:
+            group, acc = group + 1, 0.0
+    if labels[-1] == group and group > 0:
+        labels[labels == group] = group - 1
+    return labels
+
+
+def g_test(counts, pmf):
+    """G statistic and degrees of freedom of integer samples against a pmf."""
+    size = max(pmf.size, int(counts.max()) + 1)
+    expected = counts.size * np.pad(pmf, (0, size - pmf.size))
+    labels = pool_labels(expected)
+    obs = np.bincount(labels, np.bincount(counts, minlength=size))
+    exp = np.bincount(labels, expected)
+    nz = obs > 0
+    return 2.0 * float((obs[nz] * np.log(obs[nz] / exp[nz])).sum()), obs.size - 1
+
+
+def homogeneity(a, b):
+    """Chi-square statistic and degrees of freedom for two integer samples
+    having one law."""
+    size = max(int(a.max()), int(b.max())) + 1
+    oa, ob = np.bincount(a, minlength=size), np.bincount(b, minlength=size)
+    pooled = (oa + ob) / (a.size + b.size)
+    labels = pool_labels(min(a.size, b.size) * pooled)
+    stat = 0.0
+    for obs, n in ((oa, a.size), (ob, b.size)):
+        exp = n * np.bincount(labels, pooled)
+        stat += float(((np.bincount(labels, obs) - exp) ** 2 / exp).sum())
+    return stat, labels.max()
+
+
+def law_pmf(omega, region, spec, t):
+    """Exact count law in the region at time t from omega:
+    Binomial(#(omega in region), e^-t) + Poisson(lam |region| (1 - e^-t))."""
+    n_in, p = int(region.contains(omega.points).sum()), math.exp(-t)
+    binom = np.array([math.comb(n_in, k) * p ** k * (1.0 - p) ** (n_in - k)
+                      for k in range(n_in + 1)])
+    return np.convolve(binom, poisson_pmf(spec.lam * region.area * (1.0 - p))[0])
+
+
+class TestLockstepLaw:
+    """The batched simulator against the exact count law and against the
+    one-trajectory event loop, each at a fixed seed and level 0.001."""
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_counts_follow_exact_law(self, t):
+        out = glauber_simulate(repeat(OMEGA0, 20_000), SPEC, rng_for(30), horizon=t)
+        assert WINDOW.contains(out.points).all()
+        for region in (WINDOW, LEFT):
+            g, df = g_test(out.counts(region), law_pmf(OMEGA0, region, SPEC, t))
+            assert g < chi2_crit(df), (region.describe(), g, df)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_matches_scalar_event_loop(self, t):
+        rng = rng_for(31)
+        oracle = batch([scalar_glauber(OMEGA0, SPEC, rng, t) for _ in range(4000)])
+        out = glauber_simulate(repeat(OMEGA0, 20_000), SPEC, rng, horizon=t)
+        for region in (WINDOW, LEFT):
+            stat, df = homogeneity(out.counts(region), oracle.counts(region))
+            assert stat < chi2_crit(df), (region.describe(), stat, df)
+
+    def test_empty_replicates_get_births(self):
+        # empty starts interleaved with OMEGA0, one trailing empty replicate
+        empty = Configuration.empty(PLANE)
+        starts = batch([empty, OMEGA0] * 10_000 + [empty])
+        out = glauber_simulate(starts, SPEC, rng_for(32), horizon=1.0)
+        counts = out.counts(WINDOW)
+        for omega, sub in ((empty, counts[0::2]), (OMEGA0, counts[1::2])):
+            g, df = g_test(sub, law_pmf(omega, WINDOW, SPEC, 1.0))
+            assert g < chi2_crit(df), (len(omega), g, df)
+        assert counts[0::2].max() > 0
+
+    def test_high_intensity_start_grows(self):
+        # 60 starting points at lam = 300: replicates reach more than twice
+        # their starting size
+        omega = Configuration(uniform_in_window(WINDOW, 60, rng_for(33)), PLANE)
+        spec = GlauberSpec(WINDOW, lam=300.0)
+        out = glauber_simulate(repeat(omega, 4000), spec, rng_for(34), horizon=0.5)
+        assert WINDOW.contains(out.points).all()
+        assert sizes(out).max() > 2 * len(omega)
+        for region in (WINDOW, LEFT):
+            g, df = g_test(out.counts(region), law_pmf(omega, region, spec, 0.5))
+            assert g < chi2_crit(df), (region.describe(), g, df)
+
+    def test_horizon_zero_returns_every_start(self):
+        configs = [Configuration.empty(PLANE), OMEGA0,
+                   Configuration([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], PLANE),
+                   Configuration.empty(PLANE)]
+        # a superposition leaves the replicates' points out of replicate order
+        starts = batch(configs).superpose(batch(configs[::-1]))
+        out = glauber_simulate(starts, SPEC, rng_for(35), horizon=0.0)
+        for j, cfg in enumerate(configs):
+            both = np.vstack([cfg.points, configs[len(configs) - 1 - j].points])
+            assert replicate(out, j) == Configuration(both, PLANE)
 
 
 class TestSemigroup:
@@ -80,14 +237,13 @@ class TestSemigroup:
         # at t = 0 every point survives and no fresh point is born
         rng = rng_for(5)
         for _ in range(10):
-            assert semigroup_sample(OMEGA0, 0.0, SPEC, rng) == OMEGA0
+            assert replicate(semigroup_sample(batch([OMEGA0]), 0.0, SPEC, rng), 0) == OMEGA0
 
     def test_large_t_converges_to_stationary_mean(self):
         # P_t F(w) -> E F(Phi) as t grows, for any start
         F = truncated_count(WINDOW, 3)
         rng = rng_for(6)
-        vals = F(batch([semigroup_sample(OMEGA0, 15.0, SPEC, rng)
-                        for _ in range(4000)]))
+        vals = F(semigroup_sample(repeat(OMEGA0, 4000), 15.0, SPEC, rng))
         ref = F(batch([sample_ppp_window(WINDOW, SPEC.lam, rng)
                        for _ in range(4000)]))
         se = math.sqrt(vals.var(ddof=1) / vals.size + ref.var(ddof=1) / ref.size)
@@ -98,13 +254,9 @@ class TestSemigroup:
         F = count_at_least((Rect(0, 0, 0.5, 1), 1))
         rng = rng_for(7)
         n = 4000
-        evolved, fresh = [], []
-        for i in range(n):
-            phi = sample_ppp_window(WINDOW, SPEC.lam, rng)
-            evolved.append(semigroup_sample(phi, 0.7, SPEC, rng))
-            fresh.append(sample_ppp_window(WINDOW, SPEC.lam, rng))
-        a = F(batch(evolved))
-        b = F(batch(fresh))
+        phi = ReplicateBatch.ppp(WINDOW, SPEC.lam, n, rng)
+        a = F(semigroup_sample(phi, 0.7, SPEC, rng))
+        b = F(ReplicateBatch.ppp(WINDOW, SPEC.lam, n, rng))
         se = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
         assert abs(a.mean() - b.mean()) < 3 * se
 
@@ -123,40 +275,35 @@ class TestSemigroup:
         # iterating s then t matches a single step of s + t in law
         rng = rng_for(10)
         reps, s, t = 5000, 0.4, 0.9
-        na = np.empty(reps, dtype=int)
-        nb = np.empty(reps, dtype=int)
-        for i in range(reps):
-            na[i] = len(semigroup_sample(semigroup_sample(OMEGA0, s, SPEC, rng),
-                                         t, SPEC, rng))
-            nb[i] = len(semigroup_sample(OMEGA0, s + t, SPEC, rng))
+        starts = repeat(OMEGA0, reps)
+        na = sizes(semigroup_sample(semigroup_sample(starts, s, SPEC, rng), t, SPEC, rng))
+        nb = sizes(semigroup_sample(starts, s + t, SPEC, rng))
         assert empirical_count_tv(na, nb) < 2.0 / math.sqrt(reps)
 
 
 class TestGenerator:
     def test_constant_functional(self):
         F = Functional("const", (), lambda c: np.full(len(c), 2.5))
-        val, se = generator_apply(F, OMEGA0, SPEC, 16, rng_for(11))
+        [[val]], [[se]] = generator_apply([F], batch([OMEGA0]), SPEC, 16, rng_for(11))
         assert val == 0.0
         assert se == 0.0
 
     def test_count_functional_exact(self):
         # F = |w|: death sum -|w|, birth integral lam|W| (integrand constant 1)
         F = raw_count(WINDOW)
-        val, se = generator_apply(F, OMEGA0, SPEC, 8, rng_for(12))
+        [[val]], [[se]] = generator_apply([F], batch([OMEGA0]), SPEC, 8, rng_for(12))
         assert val == pytest.approx(SPEC.birth_rate - len(OMEGA0), abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_mean_at_stationarity(self):
         # E[L F(Phi)] = 0 for the stationary PPP
         rng = rng_for(13)
-        for F in (truncated_count(WINDOW, 3),
-                  count_indicator(WINDOW, {0, 1}),
-                  count_at_least((Rect(0, 0, 0.5, 1), 2))):
-            n = 1500
-            vals = np.empty(n)
-            for i in range(n):
-                phi = sample_ppp_window(WINDOW, SPEC.lam, rng)
-                vals[i], _ = generator_apply(F, phi, SPEC, 24, rng)
+        functionals = (truncated_count(WINDOW, 3),
+                       count_indicator(WINDOW, {0, 1}),
+                       count_at_least((Rect(0, 0, 0.5, 1), 2)))
+        n = 6000
+        phi = ReplicateBatch.ppp(WINDOW, SPEC.lam, n, rng)
+        for vals in generator_apply(functionals, phi, SPEC, 24, rng)[0].T:
             se = vals.std(ddof=1) / math.sqrt(n)
             assert abs(vals.mean()) < 3 * se
 
@@ -167,8 +314,8 @@ class TestContraction:
 
     def test_t_zero_lipschitz(self):
         F = truncated_count(WINDOW, 3)
-        val, _ = contraction_estimate(F, self.OMEGA, self.Z, 0.0, SPEC, 200,
-                                      rng_for(14))
+        [(val, _)] = contraction_estimate([F], self.OMEGA, self.Z, 0.0, SPEC, 200,
+                                          rng_for(14))
         assert val <= 1.0
         assert val == abs(value(F, plus(self.OMEGA, self.Z)) - value(F, self.OMEGA))
 
@@ -176,27 +323,27 @@ class TestContraction:
         for t in (0.5, 1.0, 2.0):
             for F in (truncated_count(WINDOW, 3),
                       count_indicator(WINDOW, {0, 1, 2})):
-                est, se = contraction_estimate(F, self.OMEGA, self.Z, t, SPEC,
-                                               3000, rng_for(15))
+                [(est, se)] = contraction_estimate([F], self.OMEGA, self.Z, t, SPEC,
+                                                   3000, rng_for(15))
                 assert est <= math.exp(-t) + 3 * se
 
     def test_constant_is_zero(self):
         F = Functional("const", (), lambda c: np.full(len(c), 1.0))
-        est, se = contraction_estimate(F, self.OMEGA, self.Z, 0.5, SPEC, 500,
-                                       rng_for(16))
+        [(est, se)] = contraction_estimate([F], self.OMEGA, self.Z, 0.5, SPEC, 500,
+                                           rng_for(16))
         assert est == 0.0
 
     def test_rejects_outside_z(self):
         F = truncated_count(WINDOW, 3)
         with pytest.raises(ValueError):
-            contraction_estimate(F, self.OMEGA, (2.0, 2.0), 0.5, SPEC, 100,
+            contraction_estimate([F], self.OMEGA, (2.0, 2.0), 0.5, SPEC, 100,
                                  rng_for(17))
 
     def test_rejects_non_lipschitz(self):
         F = Functional("bad", (WINDOW,), lambda c: 5.0 * c[:, 0], lipschitz=False)
         with pytest.raises(ValueError):
-            contraction_estimate(F, self.OMEGA, self.Z, 0.5, SPEC, 100,
-                                 rng_for(18))
+            contraction_estimate([truncated_count(WINDOW, 3), F], self.OMEGA, self.Z,
+                                 0.5, SPEC, 100, rng_for(18))
 
 
 class TestFunctionalRegistry:

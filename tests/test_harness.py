@@ -248,6 +248,8 @@ class TestCli:
         ["simulate", "cox-line", "--lam", "1", "--window", "disk:inf,0,1"],
         ["bound", "cox-line", "--lam", "1", "--window", "rect:0,0,inf,1"],
         ["bound", "cox-line", "--lam", "1", "--window", "disk:0,-inf,1"],
+        ["check", "bounds", "--reps", "0"],
+        ["check", "bounds", "--reps", "-5"],
     ])
     def test_bad_model_params_exit_2(self, argv, capsys):
         assert main(argv) == 2

@@ -7,10 +7,10 @@ import pytest
 from coxsim.diagnostics import mecke_check_bpp, mecke_functionals
 from coxsim.geometry import Disk, Rect
 from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ModelParams,
-                                 RngStream, composite_index, config_from_csv,
-                                 config_to_csv, config_tv_distance, ppp_batch,
-                                 region_counts, sample_ppp_window, sample_uniform_sphere,
-                                 superpose, thin, uniform_in_window)
+                                 ReplicateBatch, RngStream, composite_index,
+                                 config_from_csv, config_to_csv, config_tv_distance,
+                                 ppp_batch, region_counts, sample_ppp_window,
+                                 sample_uniform_sphere, uniform_in_window)
 
 # chi-square 0.999 quantile at 15 degrees of freedom (fixed table value)
 CHI2_999_DF15 = 37.697
@@ -18,6 +18,14 @@ CHI2_999_DF15 = 37.697
 
 def rng_for(idx=0, seed=777):
     return RngStream(seed, idx).generator()
+
+
+def batch(*configs):
+    return ReplicateBatch.stack([c.points for c in configs], configs[0].space)
+
+
+def replicate(b, j):
+    return Configuration(b.points[b.rep_ids == j], b.space)
 
 
 class TestConfiguration:
@@ -80,18 +88,26 @@ class TestTvDistance:
 class TestSuperposeCount:
     def test_superpose_empty(self):
         a = Configuration([[0.5, 0.5]], PLANE)
-        assert superpose(a, Configuration.empty(PLANE)) == a
+        empty = Configuration.empty(PLANE)
+        out = batch(a, empty).superpose(batch(empty, empty))
+        assert replicate(out, 0) == a and len(replicate(out, 1)) == 0
 
     def test_superpose_sizes_and_commutativity(self):
         rng = rng_for(1)
         a = Configuration(rng.random((3, 2)), PLANE)
         b = Configuration(rng.random((5, 2)), PLANE)
-        assert len(superpose(a, b)) == 8
-        assert superpose(a, b) == superpose(b, a)
+        ab = batch(a, b).superpose(batch(b, b))
+        ba = batch(b, b).superpose(batch(a, b))
+        assert np.bincount(ab.rep_ids).tolist() == [8, 10]
+        for j in range(2):
+            assert replicate(ab, j) == replicate(ba, j)
 
     def test_superpose_space_mismatch(self):
+        plane = ReplicateBatch.stack([np.empty((0, 2))], PLANE)
         with pytest.raises(ValueError):
-            superpose(Configuration.empty(PLANE), Configuration.empty(SPHERE))
+            plane.superpose(ReplicateBatch.stack([np.empty((0, 3))], SPHERE))
+        with pytest.raises(ValueError):
+            plane.superpose(ReplicateBatch.stack([np.empty((0, 2))] * 2, PLANE))
 
     def test_count_empty(self):
         assert Configuration.empty(PLANE).count_in(Disk((0, 0), 1.0)) == 0
@@ -196,22 +212,23 @@ class TestBpp:
 class TestThin:
     def test_keep_all(self):
         cfg = Configuration(rng_for(19).random((7, 2)), PLANE)
-        assert thin(cfg, 1.0, rng_for(20)) == cfg
+        assert replicate(batch(cfg).thin(1.0, rng_for(20)), 0) == cfg
 
     def test_drop_all(self):
         cfg = Configuration(rng_for(21).random((7, 2)), PLANE)
-        assert len(thin(cfg, 0.0, rng_for(22))) == 0
+        out = batch(cfg, cfg).thin(0.0, rng_for(22))
+        assert len(out.points) == 0 and len(out) == 2
 
     def test_binomial_mean(self):
         cfg = Configuration(rng_for(23).random((50, 2)), PLANE)
-        rng = rng_for(24)
-        sizes = np.array([len(thin(cfg, 0.3, rng)) for _ in range(20_000)])
+        out = ReplicateBatch.stack([cfg.points] * 20_000, PLANE).thin(0.3, rng_for(24))
+        sizes = np.bincount(out.rep_ids, minlength=20_000)
         se = sizes.std(ddof=1) / math.sqrt(sizes.size)
         assert abs(sizes.mean() - 15.0) < 3 * se
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            thin(Configuration.empty(PLANE), 1.5, rng_for(25))
+            batch(Configuration.empty(PLANE)).thin(1.5, rng_for(25))
 
 
 class TestReproducibility:
