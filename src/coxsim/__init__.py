@@ -12,10 +12,9 @@ from .geometry import (Annulus, Disk, LatitudeBand, LineParams, Rect,
                        SphericalCap, chord_interval, chord_length, line_point,
                        orbit_point, rotation_to, support_radius)
 from .pointprocess import (Configuration, CoupledBatch, ModelParams, ReplicateBatch,
-                           RngStream, config_tv_distance, sample_ppp_window,
-                           sample_uniform_sphere)
+                           RngStream, sample_ppp_window, sample_uniform_sphere)
 from .coxmodels import (CoxLineSample, SatelliteSample, effective_intensity,
-                        resample_marks, sample_cox_line, sample_satellites,
+                        sample_cox_line, sample_cox_line_batch, sample_satellites_batch,
                         sample_satellites_with_twin)
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       glauber_simulate, semigroup_trajectory_consistency)

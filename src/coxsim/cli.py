@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .coxmodels import sample_cox_line, sample_satellites
+from .coxmodels import sample_cox_line, sample_satellites_with_twin
 from .harness import (SCHEMA_VERSION, ConfigError, ExperimentConfig,
                       ValidationSettings, config_from_ini, format_check_table,
                       parse_window, run_experiment, run_validation_suite,
@@ -110,7 +110,7 @@ def _cmd_simulate(args) -> int:
                    "n_lines": int(sample.lines.shape[0]),
                    "n_points": len(sample.points), "seed": args.seed}
     else:
-        sample = sample_satellites(params, rng)
+        sample, _twin = sample_satellites_with_twin(params, rng)
         summary = {"model": "satellites", "c": args.c, "n": args.n,
                    "mu_n": params.mu_n, "n_points": len(sample.points),
                    "seed": args.seed}

@@ -1,4 +1,4 @@
-"""Exact samplers for the two Cox constructions.
+"""Exact batch samplers for the two Cox constructions.
 
 Cox-Poisson on lines: a Poisson number of lines hits the window (truncation
 at r = support_radius is exact, since larger r gives an empty chord), each
@@ -7,10 +7,12 @@ chord, mapped to the plane through the arc-length parametrization.
 
 Satellites: n i.i.d. uniform base points on the sphere, each carrying a
 Poisson(mu_n) number of satellites at i.i.d. uniform angles on its orbit
-(the great circle orthogonal to the base point).
+(the great circle orthogonal to the base point).  By Poisson splitting the
+sampler draws this law in O(c) per replicate, whatever n.
 
-sample_cox_line and resample_marks share one chord-point placement, and
-sample_satellites and sample_satellites_with_twin share one model draw.
+Each sampler draws reps replicates at once into a ReplicateBatch;
+sample_cox_line and sample_satellites_with_twin are their one-replicate
+views.
 
 Mean measures: the lines D(r, theta), r >= 0, sweep a half-plane that holds
 any given point for half of the directions, so the cox-line model has mean
@@ -25,22 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Window, chord_intervals, orbit_frame, support_radius
-from .pointprocess import (PLANE, SPHERE, Configuration, ModelParams,
-                           sample_uniform_sphere)
+from .pointprocess import (PLANE, SPHERE, Configuration, CoupledBatch, ModelParams,
+                           ReplicateBatch, sample_uniform_sphere)
 
 
 @dataclass(frozen=True)
 class CoxLineSample:
-    """One realization of the line-based Cox process clipped to a window.
-
-    lines has shape (m, 2) with columns (r, theta); intervals has shape (m, 2)
-    with the chord [s_lo, s_hi] per line (zero-length rows for missing
-    chords, flagged in hits).
-    """
+    """One realization of the line-based Cox process clipped to a window;
+    lines has shape (m, 2) with columns (r, theta)."""
 
     lines: np.ndarray
-    intervals: np.ndarray
-    hits: np.ndarray
     points: Configuration
     params: ModelParams
     window: Window
@@ -48,106 +44,92 @@ class CoxLineSample:
 
 @dataclass(frozen=True)
 class SatelliteSample:
-    """One realization of the satellite model: base points and satellites."""
+    """One realization of the satellite model: the base points of its
+    occupied orbits and the satellites."""
 
     orbits: np.ndarray
     points: Configuration
     params: ModelParams
 
 
-def _place_marks(r: np.ndarray, theta: np.ndarray, s_lo: np.ndarray,
-                 lengths: np.ndarray, mu: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Poisson(mu * length) uniform points on each chord, as plane points."""
-    m = r.size
-    marks = rng.poisson(mu * lengths) if m else np.zeros(0, dtype=np.int64)
-    total = int(marks.sum())
-    if total == 0:
-        return np.empty((0, 2))
+def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
+                          rng: np.random.Generator):
+    """reps replicates of the line-based Cox process restricted to the window.
+
+    Returns (lines, batch): lines is the (M, 2) array of (r, theta) of every
+    replicate's lines, in replicate order, and each point of batch carries its
+    line's replicate id.  Draw order: line counts, r, theta, the marks of all
+    lines, the positions on the chords; at reps = 1 this is the
+    sample_cox_line draw.
+    """
+    params.check_planar()
+    r_max = support_radius(window)
+    per_rep = rng.poisson(params.lambda_n * r_max, reps)
+    m = int(per_rep.sum())
+    r = rng.uniform(0.0, r_max, m)
+    theta = rng.uniform(0.0, 2.0 * np.pi, m)
+    s_lo, s_hi, _ = chord_intervals(window, r, theta)
+    lengths = s_hi - s_lo
+    marks = rng.poisson(params.mu_n * lengths)
     idx = np.repeat(np.arange(m), marks)
-    s = s_lo[idx] + rng.random(total) * lengths[idx]
+    s = s_lo[idx] + rng.random(idx.size) * lengths[idx]
     ct, st = np.cos(theta[idx]), np.sin(theta[idx])
-    return np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
+    points = np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
+    rep_ids = np.repeat(np.arange(reps), per_rep)[idx]
+    return np.column_stack([r, theta]), ReplicateBatch(points, rep_ids, reps, PLANE)
 
 
 def sample_cox_line(params: ModelParams, window: Window,
-                    rng: np.random.Generator, r_max: float | None = None) -> CoxLineSample:
-    """Sample the line-based Cox process restricted to the window.
-
-    r_max overrides the line truncation radius (default support_radius); any
-    value at least support_radius yields the same law for the clipped points.
-    """
-    params.check_planar()
-    if r_max is None:
-        r_max = support_radius(window)
-    m = rng.poisson(params.lambda_n * r_max)
-    r = rng.uniform(0.0, r_max, m)
-    theta = rng.uniform(0.0, 2.0 * np.pi, m)
-    s_lo, s_hi, hits = chord_intervals(window, r, theta)
-    pts = _place_marks(r, theta, s_lo, s_hi - s_lo, params.mu_n, rng)
-    return CoxLineSample(lines=np.column_stack([r, theta]),
-                         intervals=np.column_stack([s_lo, s_hi]), hits=hits,
-                         points=Configuration(pts, PLANE),
+                    rng: np.random.Generator) -> CoxLineSample:
+    """Sample the line-based Cox process restricted to the window."""
+    lines, batch = sample_cox_line_batch(params, window, 1, rng)
+    return CoxLineSample(lines=lines, points=Configuration(batch.points, PLANE),
                          params=params, window=window)
 
 
-def resample_marks(sample: CoxLineSample, rng: np.random.Generator) -> CoxLineSample:
-    """Redraw the point marks conditionally on the line set of a sample.
+def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Generator):
+    """reps replicates of the satellite model with coupled exact-PPP twins.
 
-    This realizes the Cox defining property: given the lines, chord counts
-    are independent Poissons with mean mu_n * chord_length.
+    n i.i.d. Poisson(c/n) orbit counts have the law of a Poisson(c) total
+    spread over n uniform orbit labels, and unoccupied orbits carry no
+    points, so a replicate draws its total, one label per point, and one base
+    point per occupied (replicate, label) pair: O(c) work and memory per
+    replicate.  The twin keeps the satellites of singly occupied orbits (each
+    exactly uniform on the sphere) and replaces those of multiply occupied
+    orbits, in place, by fresh uniform points.  It is then distributed
+    exactly as the limiting PPP with intensity c * nu while sharing all other
+    randomness with the model, so mean differences of functionals over the
+    pairs are unbiased for the model-vs-PPP gap with far smaller variance
+    than two independent samples.
+
+    Returns (orbits, CoupledBatch): the base points of the occupied orbits,
+    ordered by (replicate, label), and the replicate-aligned model and twin.
     """
-    s_lo, s_hi = sample.intervals[:, 0], sample.intervals[:, 1]
-    pts = _place_marks(sample.lines[:, 0], sample.lines[:, 1], s_lo, s_hi - s_lo,
-                       sample.params.mu_n, rng)
-    return CoxLineSample(lines=sample.lines, intervals=sample.intervals,
-                         hits=sample.hits, points=Configuration(pts, PLANE),
-                         params=sample.params, window=sample.window)
-
-
-def _draw_satellites(params: ModelParams, rng: np.random.Generator):
-    """One satellite-model draw; returns (sample, per-orbit point counts)."""
     params.check_spherical()
-    orbits = sample_uniform_sphere(rng, params.n)
-    marks = rng.poisson(params.mu_n, params.n)
-    total = int(marks.sum())
-    if total == 0:
-        pts = np.empty((0, 3))
-    else:
-        u, w = orbit_frame(orbits)
-        idx = np.repeat(np.arange(params.n), marks)
-        phi = rng.uniform(0.0, 2.0 * np.pi, total)
-        pts = np.cos(phi)[:, None] * u[idx] + np.sin(phi)[:, None] * w[idx]
-    sample = SatelliteSample(orbits=orbits, points=Configuration(pts, SPHERE),
-                             params=params)
-    return sample, marks
-
-
-def sample_satellites(params: ModelParams, rng: np.random.Generator) -> SatelliteSample:
-    """Sample the satellite model: n uniform orbits, Poisson(mu_n) points each."""
-    return _draw_satellites(params, rng)[0]
+    rep_ids = np.repeat(np.arange(reps), rng.poisson(params.c, reps))
+    labels = rng.integers(0, params.n, rep_ids.size)
+    # unique rows rather than a composite key: no overflow for any n
+    _, orbit_of, occupancy = np.unique(np.column_stack([rep_ids, labels]), axis=0,
+                                       return_inverse=True, return_counts=True)
+    orbit_of = orbit_of.ravel()   # 2-D on some numpy 2.0 releases
+    orbits = sample_uniform_sphere(rng, occupancy.size)
+    u, w = orbit_frame(orbits)
+    phi = rng.uniform(0.0, 2.0 * np.pi, rep_ids.size)
+    points = np.cos(phi)[:, None] * u[orbit_of] + np.sin(phi)[:, None] * w[orbit_of]
+    twin = points.copy()
+    multi = occupancy[orbit_of] >= 2
+    twin[multi] = sample_uniform_sphere(rng, int(multi.sum()))
+    return orbits, CoupledBatch(ReplicateBatch(points, rep_ids, reps, SPHERE),
+                                ReplicateBatch(twin, rep_ids, reps, SPHERE))
 
 
 def sample_satellites_with_twin(params: ModelParams, rng: np.random.Generator):
-    """Sample the satellite model together with a coupled exact-PPP twin.
-
-    The twin keeps the satellites of single-occupancy orbits (each is exactly
-    uniform on the sphere) and replaces the points of multi-occupancy orbits
-    by fresh i.i.d. uniform points.  Orbit counts sum to a Poisson(c) total,
-    so the twin is distributed exactly as the limiting PPP with intensity
-    c * nu, while sharing all randomness except the multi-orbit positions.
-    Mean differences of functionals over such pairs are unbiased for the
-    model-vs-PPP gap with far smaller variance than two independent samples.
-    The model draw uses the same stream as sample_satellites.
-    """
-    sample, marks = _draw_satellites(params, rng)
-    multi = marks >= 2
-    n_replace = int(marks[multi].sum())
-    if n_replace == 0:
-        return sample, sample.points
-    keep = ~multi[np.repeat(np.arange(params.n), marks)]
-    fresh = sample_uniform_sphere(rng, n_replace)
-    return sample, Configuration(np.vstack([sample.points.points[keep], fresh]), SPHERE)
+    """One satellite-model sample and its coupled exact-PPP twin
+    (the one-replicate view of sample_satellites_batch)."""
+    orbits, pair = sample_satellites_batch(params, 1, rng)
+    return (SatelliteSample(orbits=orbits, points=Configuration(pair.model.points, SPHERE),
+                            params=params),
+            Configuration(pair.twin.points, SPHERE))
 
 
 def effective_intensity(counts, measure: float):

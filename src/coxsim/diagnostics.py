@@ -266,14 +266,12 @@ def wasserstein_lower_bound(samples: ReplicateBatch, reference_sampler,
                             ref_factor: int = 4) -> DistanceEstimate:
     """Max over a 1-Lipschitz family of |mean F(samples) - mean F(reference)|.
 
-    The reference side draws ref_factor * len(samples) fresh configurations
-    from reference_sampler(rng).  Reported value is the max gap minus the
-    stderr of the maximizing functional, floored at 0.
+    The reference side is one batch of ref_factor * len(samples) fresh
+    replicates, reference_sampler(reps, rng).  Reported value is the max gap
+    minus the stderr of the maximizing functional, floored at 0.
     """
     _require_lipschitz(functionals)
-    refs = ReplicateBatch.stack(
-        [reference_sampler(rng).points for _ in range(ref_factor * len(samples))],
-        samples.space)
+    refs = reference_sampler(ref_factor * len(samples), rng)
     # (reps x functionals) matrices of F(replicate)
     ms, mr = (np.column_stack([F(b) for F in functionals]) for b in (samples, refs))
     gaps = ms.mean(axis=0) - mr.mean(axis=0)

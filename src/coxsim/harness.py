@@ -2,10 +2,13 @@
 management, the validation suite, and CSV/SVG emission.
 
 Determinism contract: every random draw comes from a counter-based stream
-keyed by (master seed, composite_index(lane, sweep point, replicate)), so a
-(config, seed) pair maps to byte-identical CSV output.  Lanes: 0 model
-samples, 2 reference samples, 3 validation checks, 4 bootstrap; lane 1 (the
-retired intensity calibration) stays unused so the others keep their streams.
+keyed by (master seed, composite_index(lane, sweep point, index)), so a
+(config, seed) pair maps to byte-identical CSV output on any machine.
+Lanes: 0 model samples, drawn in blocks of BLOCK_REPS replicates with one
+stream per block (replicate j comes from block j // BLOCK_REPS); 2 reference
+samples, one stream and one batch per sweep point; 3 validation checks;
+4 bootstrap.  Lane 1 (the retired intensity calibration) stays unused so the
+others keep their streams.
 Intensity targets are the closed-form mean measures (see coxmodels), and
 eff_intensity is measured from the sweep's own samples.  Wall-clock metadata
 is kept out of all CSV files on purpose.
@@ -18,8 +21,9 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
-from .coxmodels import effective_intensity, sample_cox_line, sample_satellites_with_twin
+from .coxmodels import effective_intensity, sample_cox_line_batch, sample_satellites_batch
 from .diagnostics import (DistanceEstimate, RateFit,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
                           glauber_functionals, invariance_check, mecke_check_bpp,
@@ -29,9 +33,8 @@ from .diagnostics import (DistanceEstimate, RateFit,
 from .geometry import Disk, Rect, Window, halves
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       semigroup_sample, semigroup_trajectory_consistency)
-from .pointprocess import (PLANE, SPHERE, Configuration, CoupledBatch, ModelParams,
-                           ReplicateBatch, RngStream, composite_index,
-                           sample_ppp_window, sample_uniform_sphere)
+from .pointprocess import (PLANE, Configuration, CoupledBatch, ModelParams,
+                           ReplicateBatch, RngStream, composite_index)
 from .steinbound import (QuadratureSpec, chord_square_integral, coarea_check,
                          cox_bound, satellite_bound)
 
@@ -41,6 +44,10 @@ LANE_SAMPLES = 0
 LANE_REFERENCE = 2
 LANE_CHECKS = 3
 LANE_BOOTSTRAP = 4
+
+# model replicates per stream: a constant, so a (config, seed) pair gives the
+# same output on any machine, and the size of the largest sampler temporaries
+BLOCK_REPS = 256
 
 
 class ConfigError(ValueError):
@@ -87,8 +94,9 @@ class ExperimentConfig:
             object.__setattr__(self, "window", Disk((0.0, 0.0), 1.0))
         if self.model == "satellites":
             for v in self.sweep:
-                if int(v) != v or v < 1:
-                    raise ConfigError("satellite sweep values must be positive integers")
+                if int(v) != v or not 1 <= v < 2 ** 63:
+                    raise ConfigError("satellite sweep values must be integers "
+                                      "in [1, 2^63)")
 
 
 def parse_window(text: str) -> Window:
@@ -197,6 +205,14 @@ def _bound_respected(estimates: list[DistanceEstimate], bound: float) -> bool:
     return all(e.value <= bound + 3.0 * e.stderr for e in estimates)
 
 
+def model_blocks(seed: int, point_idx: int, reps: int, draw) -> list:
+    """draw(size, rng) for each block of BLOCK_REPS model replicates (the
+    last one smaller); block b uses stream (LANE_SAMPLES, point_idx, b)."""
+    return [draw(min(BLOCK_REPS, reps - start),
+                 _stream(seed, LANE_SAMPLES, point_idx, start // BLOCK_REPS))
+            for start in range(0, reps, BLOCK_REPS)]
+
+
 def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict:
     """Run one sweep point: sample, estimate distances, evaluate the bound.
     Deterministic given (config, master seed, point index)."""
@@ -208,28 +224,22 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
         family = planar_functional_family(window)
         # the mean measure is (c/2) Leb2 on every window; "auto" uses it
         target = cfg.c if cfg.target_intensity == "c" else cfg.c / 2.0
-        samples = ReplicateBatch.stack(
-            [sample_cox_line(params, window, _stream(seed, LANE_SAMPLES, point_idx, j))
-             .points.points for j in range(cfg.reps)], PLANE)
-        ref = lambda rng: sample_ppp_window(window, target, rng)
+        samples = ReplicateBatch.concat([batch for _, batch in model_blocks(
+            seed, point_idx, cfg.reps, partial(sample_cox_line_batch, params, window))])
+        ref = partial(ReplicateBatch.ppp, window, target)
         bound = cox_bound(params, window)
     else:
         params = ModelParams.spherical(cfg.c, int(value))
         regions = sphere_region_set()
         family = sphere_functional_family()
         target = cfg.c   # mean total count is exactly n * mu_n = c
-        model, twins = [], []
-        for j in range(cfg.reps):
-            rng_j = _stream(seed, LANE_SAMPLES, point_idx, j)
-            s, twin = sample_satellites_with_twin(params, rng_j)
-            model.append(s.points.points)
-            twins.append(twin.points)
-        samples = ReplicateBatch.stack(model, SPHERE)
+        pairs = [pair for _, pair in model_blocks(
+            seed, point_idx, cfg.reps, partial(sample_satellites_batch, params))]
+        samples = ReplicateBatch.concat([pair.model for pair in pairs])
         w_coupled = coupled_wasserstein_lower_bound(
-            CoupledBatch(samples, ReplicateBatch.stack(twins, SPHERE)), family)
-        # a PPP(c nu) draw: Poisson(c) uniform points on the sphere
-        ref = lambda rng: Configuration(sample_uniform_sphere(rng, rng.poisson(cfg.c)),
-                                        SPHERE)
+            CoupledBatch(samples, ReplicateBatch.concat([pair.twin for pair in pairs])),
+            family)
+        ref = partial(ReplicateBatch.sphere_ppp, cfg.c)   # PPP(c nu) replicates
         bound = satellite_bound(params)
     w_ref = wasserstein_lower_bound(samples, ref, family,
                                     _stream(seed, LANE_REFERENCE, point_idx))

@@ -6,15 +6,14 @@ stored flat, as one ReplicateBatch, and counted per region by region_counts.
 
 Randomness is organized as counter-based streams: a (master seed, stream
 index) pair keys a Philox generator, so distinct indices give independent
-streams and identical pairs reproduce bit-identical output.  Replicate j of
-sweep point i in lane k uses composite_index(k, i, j); see that function for
+streams and identical pairs reproduce bit-identical output.  Stream j of
+sweep point i in lane k is composite_index(k, i, j); see that function for
 the exact layout.
 """
 
 from __future__ import annotations
 
 import io
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +39,10 @@ def composite_index(lane: int, point: int, replicate: int) -> int:
     """Pack (lane, sweep point, replicate) into one 64-bit stream index.
 
     Layout: lane in the top 8 bits, sweep-point index in the next 16,
-    replicate in the low 40.  Harness lanes: 0 = model samples,
-    2 = reference samples, 3 = validation checks, 4 = bootstrap; lane 1
-    (the retired intensity calibration) is not reused.
+    replicate (or block) index in the low 40.  Harness lanes: 0 = model
+    samples, one stream per block of replicates (replicate j in block
+    j // harness.BLOCK_REPS), 2 = reference samples, 3 = validation checks,
+    4 = bootstrap; lane 1 (the retired intensity calibration) is not reused.
     """
     if not (0 <= lane < 2 ** LANE_BITS):
         raise ValueError(f"lane out of range: {lane}")
@@ -103,27 +103,8 @@ class Configuration:
     def __repr__(self) -> str:
         return f"Configuration({len(self)} points, {self.space})"
 
-    def _multiset(self) -> Counter:
-        return Counter(map(tuple, self.points))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self.space == other.space and self._multiset() == other._multiset()
-
     def count_in(self, region) -> int:
         return int(region.contains(self.points).sum())
-
-
-def config_tv_distance(a: Configuration, b: Configuration) -> int:
-    """|a minus b| + |b minus a| as multisets (symmetric difference size)."""
-    if a.space != b.space:
-        raise ValueError("configurations live in different spaces")
-    ma, mb = a._multiset(), b._multiset()
-    d = 0
-    for key in ma.keys() | mb.keys():
-        d += abs(ma.get(key, 0) - mb.get(key, 0))
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +136,8 @@ class ModelParams:
 
     @classmethod
     def spherical(cls, c: float, n: int) -> "ModelParams":
-        if not (c > 0 and n >= 1):
-            raise ValueError("spherical model requires c > 0 and n >= 1")
+        if not (c > 0 and 1 <= n < 2 ** 63):   # orbit labels are int64
+            raise ValueError("spherical model requires c > 0 and 1 <= n < 2^63")
         return cls(lambda_n=float(n), mu_n=c / n, c=c, n=int(n), kind="spherical")
 
     def check_planar(self):
@@ -230,11 +211,27 @@ class ReplicateBatch:
         return cls(points, np.repeat(np.arange(len(sizes)), sizes), len(sizes), space)
 
     @classmethod
+    def concat(cls, batches) -> "ReplicateBatch":
+        """The replicates of the batches, in order, as one batch."""
+        offsets = np.cumsum([0] + [b.reps for b in batches])
+        return cls(np.concatenate([b.points for b in batches]),
+                   np.concatenate([b.rep_ids + o for b, o in zip(batches, offsets)]),
+                   int(offsets[-1]), batches[0].space)
+
+    @classmethod
     def ppp(cls, window: Window, lam: float, reps: int,
             rng: np.random.Generator) -> "ReplicateBatch":
         """reps independent PPP(lam) samples on the window (see ppp_batch)."""
         _, points, rep_ids = ppp_batch(window, lam, reps, rng)
         return cls(points, rep_ids, reps, PLANE)
+
+    @classmethod
+    def sphere_ppp(cls, mean: float, reps: int, rng: np.random.Generator) -> "ReplicateBatch":
+        """reps independent PPPs of intensity mean * nu on the unit sphere:
+        Poisson(mean) counts, then one draw of all the uniform points."""
+        counts = rng.poisson(mean, reps)
+        return cls(sample_uniform_sphere(rng, int(counts.sum())),
+                   np.repeat(np.arange(reps), counts), reps, SPHERE)
 
     def counts(self, region) -> np.ndarray:
         return region_counts(self.points, self.rep_ids, region, self.reps)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coxsim.coxmodels import sample_satellites
+from coxsim.coxmodels import sample_satellites_with_twin
 from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 count_indicator, count_tv_lower_bound,
                                 coupled_wasserstein_lower_bound,
@@ -90,7 +90,7 @@ class TestCountTvLowerBound:
         params = ModelParams.spherical(2.0, 5)
         rng = rng_for(2)
         band = LatitudeBand(-1 / 3, 1 / 3)
-        counts = np.array([sample_satellites(params, rng).points.count_in(band)
+        counts = np.array([sample_satellites_with_twin(params, rng)[0].points.count_in(band)
                            for _ in range(8000)])
         half = counts.size // 2
         tv = empirical_count_tv(counts[:half], counts[half:])
@@ -100,7 +100,7 @@ class TestCountTvLowerBound:
         # n=5, c=2: strictly positive distance, below the 2c^2/n = 1.6 bound
         params = ModelParams.spherical(2.0, 5)
         rng = rng_for(3)
-        samples = batch([sample_satellites(params, rng).points for _ in range(6000)],
+        samples = batch([sample_satellites_with_twin(params, rng)[0].points for _ in range(6000)],
                         SPHERE)
         band = LatitudeBand(-1 / 6, 1 / 6)
         est = count_tv_lower_bound(samples, band, 2.0 * band.measure,
@@ -127,7 +127,7 @@ class TestWassersteinLowerBound:
     def test_identical_samplers_near_zero(self):
         rng = rng_for(7)
         samples = ppp_samples(2.0, 4000, rng)
-        ref = lambda r: sample_ppp_window(WINDOW, 2.0, r)
+        ref = lambda reps, r: ReplicateBatch.ppp(WINDOW, 2.0, reps, r)
         fam = [count_indicator(WINDOW, {0}), count_indicator(WINDOW, {1}),
                count_indicator(WINDOW, {2})]
         est = wasserstein_lower_bound(samples, ref, fam, rng_for(8))
@@ -135,7 +135,7 @@ class TestWassersteinLowerBound:
 
     def test_constant_family_zero(self):
         samples = batch([Configuration.empty(PLANE)] * 1000)
-        ref = lambda r: Configuration.empty(PLANE)
+        ref = lambda reps, r: batch([Configuration.empty(PLANE)] * reps)
         fam = [Functional("const", (), lambda c: np.full(len(c), 1.0))]
         est = wasserstein_lower_bound(samples, ref, fam, rng_for(9))
         assert est.value == 0.0
@@ -144,7 +144,7 @@ class TestWassersteinLowerBound:
         fam = [Functional("bad", (WINDOW,), lambda c: 2.0 * c[:, 0], lipschitz=False)]
         with pytest.raises(ValueError):
             wasserstein_lower_bound(batch([Configuration.empty(PLANE)]),
-                                    lambda r: Configuration.empty(PLANE),
+                                    lambda reps, r: batch([Configuration.empty(PLANE)] * reps),
                                     fam, rng_for(10))
 
     def test_dominates_count_tv_with_level_sets(self):
@@ -155,7 +155,7 @@ class TestWassersteinLowerBound:
         fam = [count_indicator(WINDOW, set(range(a, b + 1)),
                                name=f"range[{a},{b}]")
                for a in range(0, 9) for b in range(a, 9)]
-        ref = lambda r: sample_ppp_window(WINDOW, 2.0, r)
+        ref = lambda reps, r: ReplicateBatch.ppp(WINDOW, 2.0, reps, r)
         est = wasserstein_lower_bound(samples, ref, fam, rng_for(12),
                                       ref_factor=8)
         counts = samples.counts(WINDOW)
@@ -165,7 +165,7 @@ class TestWassersteinLowerBound:
     def test_detects_rate_mismatch(self):
         rng = rng_for(13)
         samples = ppp_samples(1.0, 4000, rng)
-        ref = lambda r: sample_ppp_window(WINDOW, 2.0, r)
+        ref = lambda reps, r: ReplicateBatch.ppp(WINDOW, 2.0, reps, r)
         fam = [count_indicator(WINDOW, {0})]
         est = wasserstein_lower_bound(samples, ref, fam, rng_for(14))
         # |P(N1=0) - P(N2=0)| = e^-1 - e^-2

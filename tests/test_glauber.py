@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def sizes(b):
 
 def replicate(b, j):
     return Configuration(b.points[b.rep_ids == j], b.space)
+
+
+def multiset(cfg):
+    """A configuration's points as a multiset, for order-free comparison."""
+    return Counter(map(tuple, cfg.points))
 
 
 def value(F, cfg):
@@ -80,7 +86,7 @@ def scalar_glauber(cfg0, spec, rng, horizon):
 class TestTrajectory:
     def test_time_zero_is_identity(self):
         out = glauber_simulate(batch([OMEGA0]), SPEC, rng_for(0), horizon=0.0)
-        assert replicate(out, 0) == OMEGA0
+        assert multiset(replicate(out, 0)) == multiset(OMEGA0)
 
     def test_immigration_death_mean(self):
         # from the empty configuration, E|G_t| solves m' = lam|W| - m, so
@@ -229,7 +235,7 @@ class TestLockstepLaw:
         out = glauber_simulate(starts, SPEC, rng_for(35), horizon=0.0)
         for j, cfg in enumerate(configs):
             both = np.vstack([cfg.points, configs[len(configs) - 1 - j].points])
-            assert replicate(out, j) == Configuration(both, PLANE)
+            assert multiset(replicate(out, j)) == multiset(Configuration(both, PLANE))
 
 
 class TestSemigroup:
@@ -237,7 +243,8 @@ class TestSemigroup:
         # at t = 0 every point survives and no fresh point is born
         rng = rng_for(5)
         for _ in range(10):
-            assert replicate(semigroup_sample(batch([OMEGA0]), 0.0, SPEC, rng), 0) == OMEGA0
+            out = semigroup_sample(batch([OMEGA0]), 0.0, SPEC, rng)
+            assert multiset(replicate(out, 0)) == multiset(OMEGA0)
 
     def test_large_t_converges_to_stationary_mean(self):
         # P_t F(w) -> E F(Phi) as t grows, for any start

@@ -2,7 +2,7 @@ import pytest
 
 import coxsim.harness as harness
 from coxsim.cli import main
-from coxsim.coxmodels import sample_cox_line
+from coxsim.coxmodels import sample_cox_line_batch
 from coxsim.geometry import Disk, Rect
 from coxsim.harness import (ConfigError, ExperimentConfig, ValidationSettings,
                             config_from_ini, format_check_table, parse_window,
@@ -146,9 +146,11 @@ class TestRunExperiment:
         row = harness.run_sweep_point(cfg, 1, 6.0)
         assert row["target_intensity"] == 0.5
         params = ModelParams.planar(1.0, 6.0)
-        total = sum(len(sample_cox_line(params, window,
-                                        harness._stream(3, harness.LANE_SAMPLES, 1, j)).points)
-                    for j in range(cfg.reps))
+        block = harness.BLOCK_REPS
+        total = sum(sample_cox_line_batch(params, window, min(block, cfg.reps - start),
+                                          harness._stream(3, harness.LANE_SAMPLES, 1,
+                                                          start // block))[1].points.shape[0]
+                    for start in range(0, cfg.reps, block))
         assert round(row["eff_intensity"] * window.area * cfg.reps) == total
 
     def test_determinism_byte_identical(self, tmp_path):

@@ -12,8 +12,8 @@ import pytest
 from coxsim.diagnostics import sphere_functional_family
 from coxsim.geometry import Disk, Rect
 from coxsim.harness import ValidationSettings
-from coxsim.pointprocess import (SPHERE, Configuration, CoupledBatch, ModelParams,
-                                 ReplicateBatch, RngStream, sample_uniform_sphere)
+from coxsim.pointprocess import (SPHERE, CoupledBatch, ModelParams, ReplicateBatch,
+                                 RngStream, sample_uniform_sphere)
 from coxsim.steinbound import QuadratureSpec
 
 # run_path compiles the file without importing it as a module, so no
@@ -36,8 +36,8 @@ def _sphere_batch(reps, rng):
                                  for k in rng.poisson(2.0, reps)], SPHERE)
 
 
-def _sphere_ppp(rng):
-    return Configuration(sample_uniform_sphere(rng, rng.poisson(2.0)), SPHERE)
+def _sphere_ppp(reps, rng):
+    return ReplicateBatch.sphere_ppp(2.0, reps, rng)
 
 
 FAMILY = sphere_functional_family()
@@ -60,7 +60,7 @@ CASES = {
     ("coxmodels", "sample_satellites_with_twin"): (
         (ModelParams.spherical(2.0, 7), _rng(2)),
         lambda r: {"coxmodels.satellite_points": float(r[0].points.points.shape[0]),
-                   "coxmodels.orbits": 7.0}),
+                   "coxmodels.orbits": float(r[0].orbits.shape[0])}),
     ("pointprocess", "ppp_batch"): (
         (Rect(0.0, 0.0, 1.0, 1.0), 2.0, 50, _rng(3)),
         lambda r: {"pointprocess.batch_points": float(r[0].sum())}),
@@ -103,13 +103,13 @@ def test_hook_reads_real_call(module, func, hook):
 @pytest.mark.parametrize("ref_factor", [None, 2])
 def test_uncoupled_evals_match_reference_draws(ref_factor):
     # the hook's count is reps * (1 + ref_factor) * len(family): the real
-    # estimator draws ref_factor * reps reference replicates, and its
+    # estimator requests ref_factor * reps reference replicates, and its
     # default ref_factor is the hook's
     draws = []
 
-    def sampler(rng):
-        draws.append(1)
-        return _sphere_ppp(rng)
+    def sampler(reps, rng):
+        draws.append(reps)
+        return _sphere_ppp(reps, rng)
 
     args = (_sphere_batch(20, _rng(8)), sampler, FAMILY, _rng(9))
     args += () if ref_factor is None else (ref_factor,)
@@ -117,5 +117,5 @@ def test_uncoupled_evals_match_reference_draws(ref_factor):
     result = module.wasserstein_lower_bound(*args)
     counters = TRACING["Counters"]()
     dict((f, h) for _, f, h in HOOKED)["wasserstein_lower_bound"](counters, result, *args)
-    assert counters["diagnostics.functional_evals"] == (20 + len(draws)) * len(FAMILY)
-    assert len(draws) == 20 * (ref_factor or 4)
+    assert counters["diagnostics.functional_evals"] == (20 + sum(draws)) * len(FAMILY)
+    assert sum(draws) == 20 * (ref_factor or 4)
