@@ -329,45 +329,47 @@ def _bpp(window: Window, n: int, reps: int, rng: np.random.Generator) -> Replica
                           np.repeat(np.arange(reps), n), reps, PLANE)
 
 
-def _mecke_result(mf: MeckeFunctional, lhs_vals: np.ndarray, rhs_vals: np.ndarray,
-                  oracle: float | None) -> MeckeResult:
-    reps = lhs_vals.size
-    se = math.sqrt(lhs_vals.var(ddof=1) / reps + rhs_vals.var(ddof=1) / reps)
-    return MeckeResult(mf.name, float(lhs_vals.mean()), float(rhs_vals.mean()), se, oracle)
+def _mecke_results(mfs, lhs: list, rhs: list, oracles: list, *args) -> list[MeckeResult]:
+    """One result per functional; its oracle, if any, is evaluated at args."""
+    return [MeckeResult(mf.name, float(lv.mean()), float(rv.mean()),
+                        math.sqrt(lv.var(ddof=1) / lv.size + rv.var(ddof=1) / rv.size),
+                        oracle and oracle(*args))
+            for mf, lv, rv, oracle in zip(mfs, lhs, rhs, oracles)]
 
 
-def mecke_check_ppp(mf: MeckeFunctional, lam: float, window: Window,
-                    reps: int, rng: np.random.Generator) -> MeckeResult:
-    """Check E[sum_{x in Phi} F(x, Phi - x)] = lam * int E[F(x, Phi)] dx."""
-    g, h = mf.g, mf.h
+def mecke_check_ppp(mfs: Sequence[MeckeFunctional], lam: float, window: Window,
+                    reps: int, rng: np.random.Generator) -> list[MeckeResult]:
+    """Check E[sum_{x in Phi} F(x, Phi - x)] = lam * int E[F(x, Phi)] dx for each F
+    in mfs, all on one draw: Phi, then Phi2 and x once Phi is dropped."""
     phi = ReplicateBatch.ppp(window, lam, reps, rng)
     # each point x sees the counts of Phi - x
-    seen = h.counts(phi)[phi.rep_ids] - h.membership(phi.points)
-    lhs_vals = np.bincount(phi.rep_ids, g.h(g.membership(phi.points)) * h.h(seen), reps)
-    # independent pair (x, Phi) for the right-hand side
+    lhs = [np.bincount(phi.rep_ids, mf.g.h(mf.g.membership(phi.points))
+                       * mf.h.h(mf.h.counts(phi)[phi.rep_ids] - mf.h.membership(phi.points)),
+                       reps) for mf in mfs]
+    del phi
     phi2 = ReplicateBatch.ppp(window, lam, reps, rng)
-    x = uniform_in_window(window, reps, rng)
-    rhs_vals = lam * window.area * g.h(g.membership(x)) * h.h(h.counts(phi2))
-    return _mecke_result(mf, lhs_vals, rhs_vals,
-                         mf.oracle_ppp(lam, window) if mf.oracle_ppp else None)
+    x = _bpp(window, 1, reps, rng)   # one uniform point per replicate
+    rhs = [lam * window.area * mf.g.h(mf.g.counts(x)) * mf.h.h(mf.h.counts(phi2))
+           for mf in mfs]
+    return _mecke_results(mfs, lhs, rhs, [mf.oracle_ppp for mf in mfs], lam, window)
 
 
-def mecke_check_bpp(mf: MeckeFunctional, n_points: int, window: Window,
-                    reps: int, rng: np.random.Generator) -> MeckeResult:
+def mecke_check_bpp(mfs: Sequence[MeckeFunctional], n_points: int, window: Window,
+                    reps: int, rng: np.random.Generator) -> list[MeckeResult]:
     """Check E[sum_{x in Phi_N} F(x, Phi_N)] = N int E[F(x, Phi_{N-1} + x)] mu(dx)
-    for the BPP supported by the uniform law on the window."""
+    for the BPP supported by the uniform law on the window, for each F in mfs,
+    all on one draw: Phi_N, then x and Phi_{N-1} once Phi_N is dropped."""
     if n_points < 1:
         raise ValueError("BPP needs at least one point")
-    g, h = mf.g, mf.h
     phi = _bpp(window, n_points, reps, rng)
-    g_sum = np.bincount(phi.rep_ids, g.h(g.membership(phi.points)), reps)
-    lhs_vals = g_sum * h.h(h.counts(phi))
-    # rhs: x ~ mu and an independent (N-1)-point BPP
-    x = uniform_in_window(window, reps, rng)
+    lhs = [np.bincount(phi.rep_ids, mf.g.h(mf.g.membership(phi.points)), reps)
+           * mf.h.h(mf.h.counts(phi)) for mf in mfs]
+    del phi
+    x = _bpp(window, 1, reps, rng)   # one uniform point per replicate
     phi2 = _bpp(window, n_points - 1, reps, rng)
-    rhs_vals = n_points * g.h(g.membership(x)) * h.h(h.counts(phi2) + h.membership(x))
-    return _mecke_result(mf, lhs_vals, rhs_vals,
-                         mf.oracle_bpp(n_points, window) if mf.oracle_bpp else None)
+    rhs = [n_points * mf.g.h(mf.g.counts(x)) * mf.h.h(mf.h.counts(phi2) + mf.h.counts(x))
+           for mf in mfs]
+    return _mecke_results(mfs, lhs, rhs, [mf.oracle_bpp for mf in mfs], n_points, window)
 
 
 # ---------------------------------------------------------------------------

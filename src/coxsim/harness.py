@@ -384,13 +384,13 @@ class ValidationSettings:
 
 def check_mecke(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     window = Rect(0.0, 0.0, 1.0, 1.0)
-    lam, n_bpp = 3.0, 6
+    mfs, reps = mecke_functionals(window), settings.mecke_reps
+    # one draw per kind, shared by the whole family
+    ppp = mecke_check_ppp(mfs, 3.0, window, reps, _stream(seed, LANE_CHECKS, 0, 1))
+    bpp = mecke_check_bpp(mfs, 6, window, reps, _stream(seed, LANE_CHECKS, 0, 2))
     rows = []
-    checks = (("ppp", mecke_check_ppp, lam), ("bpp", mecke_check_bpp, n_bpp))
-    for k, mf in enumerate(mecke_functionals(window)):
-        for replicate, (kind, check, arg) in enumerate(checks, start=1):
-            rng = _stream(seed, LANE_CHECKS, point=k, replicate=replicate)
-            res = check(mf, arg, window, settings.mecke_reps, rng)
+    for pair in zip(ppp, bpp):
+        for kind, res in zip(("ppp", "bpp"), pair):
             name = f"mecke_{kind}[{res.name}]"
             rows.append(_two_sided(name, res.lhs, res.rhs, res.stderr, seed))
             if res.oracle is not None:

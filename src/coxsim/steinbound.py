@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,9 +67,17 @@ class QuadratureSpec:
             raise ValueError("need max_levels >= 1 and tol > 0")
 
 
+@lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]; cached, hence read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _nodes_1d(rule: str, n: int, a: float, b: float):
     if rule == GAUSS:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _leggauss(n)
         return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
     h = (b - a) / n
     return a + h * (np.arange(n) + 0.5), np.full(n, h)
@@ -178,7 +187,7 @@ def _area_integral(f, window: Window, quad: QuadratureSpec, level: int) -> float
 
 def _chord_function(f, window: Window, theta: float, inner_nodes: int):
     """Returns g(r) = int over the chord of f ds, vectorized over r."""
-    xg, wg = np.polynomial.legendre.leggauss(inner_nodes)
+    xg, wg = _leggauss(inner_nodes)
 
     def g(r: np.ndarray) -> np.ndarray:
         s_lo, s_hi, ok = chord_intervals(window, r, np.full_like(r, theta))

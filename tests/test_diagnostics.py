@@ -199,20 +199,42 @@ class TestCoupled:
 
 class TestMecke:
     def test_ppp_all_registry(self):
-        rng = rng_for(16)
-        for mf in mecke_functionals(WINDOW):
-            res = mecke_check_ppp(mf, 3.0, WINDOW, 30_000, rng)
+        results = mecke_check_ppp(mecke_functionals(WINDOW), 3.0, WINDOW, 30_000, rng_for(16))
+        assert [r.name for r in results] == [mf.name for mf in mecke_functionals(WINDOW)]
+        for res in results:
             assert res.passed, res
             if res.oracle is not None:
                 assert abs(res.lhs - res.oracle) <= 3 * res.stderr
 
     def test_bpp_all_registry(self):
-        rng = rng_for(17)
-        for mf in mecke_functionals(WINDOW):
-            res = mecke_check_bpp(mf, 6, WINDOW, 30_000, rng)
+        results = mecke_check_bpp(mecke_functionals(WINDOW), 6, WINDOW, 30_000, rng_for(17))
+        assert [r.name for r in results] == [mf.name for mf in mecke_functionals(WINDOW)]
+        for res in results:
             assert res.passed, res
             if res.oracle is not None:
                 assert abs(res.lhs - res.oracle) <= 3 * res.stderr
+
+    @pytest.mark.parametrize("check, arg", [(mecke_check_ppp, 3.0), (mecke_check_bpp, 6)])
+    def test_draw_does_not_depend_on_family(self, check, arg):
+        # the family shares one draw, so functional i gets the same values
+        # whether it is checked with the others or alone on the same stream
+        mfs = mecke_functionals(WINDOW)
+        family = check(mfs, arg, WINDOW, 2_000, rng_for(19))
+        for i, mf in enumerate(mfs):
+            assert check([mf], arg, WINDOW, 2_000, rng_for(19)) == [family[i]]
+
+    def test_bpp_single_point(self):
+        # N = 1: Phi_{N-1} is empty, so F(x, Phi_0 + x) only sees x itself
+        results = mecke_check_bpp(mecke_functionals(WINDOW), 1, WINDOW, 20_000, rng_for(20))
+        for res in results:
+            assert res.passed, res
+            if res.oracle is not None:
+                assert abs(res.lhs - res.oracle) <= 3 * res.stderr, res
+        one = results[0]
+        assert one.name == "F=1" and one.lhs == one.rhs == one.oracle == 1.0
+        # x in A and some point of Phi_1 in B cannot both hold
+        disjoint = results[3]
+        assert disjoint.lhs == disjoint.rhs == disjoint.oracle == 0.0
 
     def test_ppp_oracles_with_independent_formulas(self):
         # freeze the analytic values independently of the registry lambdas
@@ -257,8 +279,7 @@ class TestMecke:
     def test_disk_window_halves(self):
         rng = rng_for(18)
         disk = Disk((0.0, 0.0), 1.0)
-        for mf in mecke_functionals(disk)[:3]:
-            res = mecke_check_ppp(mf, 2.0, disk, 20_000, rng)
+        for res in mecke_check_ppp(mecke_functionals(disk)[:3], 2.0, disk, 20_000, rng):
             assert res.passed, res
 
 

@@ -210,7 +210,7 @@ class TestBpp:
     def test_requires_positive(self):
         window = Rect(0, 0, 1, 1)
         with pytest.raises(ValueError):
-            mecke_check_bpp(mecke_functionals(window)[0], 0, window, 100, rng_for(17))
+            mecke_check_bpp(mecke_functionals(window), 0, window, 100, rng_for(17))
 
     def test_marginal_chi_square(self):
         # goodness of fit of the uniform marginal on a 4x4 cell grid

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from coxsim.geometry import Disk, Rect
@@ -7,9 +8,22 @@ from coxsim.pointprocess import ModelParams
 from coxsim.steinbound import (QuadratureError, QuadratureSpec,
                                chord_square_integral, coarea_check, cox_bound,
                                satellite_bound)
+from coxsim.steinbound import _leggauss
 
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
 TIGHT = QuadratureSpec(radial_nodes=64, angular_nodes=64, tol=1e-9, max_levels=8)
+
+
+class TestGaussNodes:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_cached_nodes_match_leggauss_and_are_read_only(self, n):
+        x, w = _leggauss(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        assert _leggauss(n)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestChordSquareIntegral:
