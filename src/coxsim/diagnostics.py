@@ -5,6 +5,7 @@ bounds, and the log-log rate regression.
 One Functional type serves the experiments, the Glauber checks and the
 Mecke checks: F(w) = h(counts of w in its regions), with h vectorized over a
 ReplicateBatch; the close-pair indicator is the one non-count exception.
+Region counts, memberships and the close-pair scan run once per batch.
 
 Every distance reported here is a LOWER bound on the Wasserstein distance
 between the model law and the target PPP, in the metric induced by the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,12 +92,12 @@ def tv_vs_poisson(counts: np.ndarray, mean: float) -> float:
     return 0.5 * (float(np.abs(p_hat - q).sum()) + tail)
 
 
-def _bootstrap_tv_stderr(counts: np.ndarray, mean: float,
-                         rng: np.random.Generator) -> float:
+def _bootstrap_tv(counts: np.ndarray, mean: float, rng: np.random.Generator) -> tuple:
+    """tv_vs_poisson and its bootstrap stderr, from one pair of pmfs."""
     p_hat, q, tail = _count_pmfs(counts, mean)
     draws = rng.multinomial(counts.size, p_hat, size=BOOTSTRAP_RESAMPLES) / counts.size
     tvs = 0.5 * (np.abs(draws - q).sum(axis=1) + tail)
-    return float(tvs.std(ddof=1))
+    return 0.5 * (float(np.abs(p_hat - q).sum()) + tail), float(tvs.std(ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +124,15 @@ class Functional:
     def counts(self, batch: ReplicateBatch) -> np.ndarray:
         return _columns([batch.counts(r) for r in self.regions], len(batch))
 
-    def membership(self, points: np.ndarray) -> np.ndarray:
-        """(n x len(regions)) 0/1 matrix: which regions hold each point."""
+    def membership(self, batch: ReplicateBatch) -> np.ndarray:
+        """(points x len(regions)) 0/1 matrix of the batch's region masks."""
         if self.h is None:
             raise ValueError(f"{self.name} is not a count functional")
-        return _columns([r.contains(points) for r in self.regions], points.shape[0])
+        return _columns([batch.membership(r) for r in self.regions], batch.points.shape[0])
 
     def __call__(self, batch: ReplicateBatch) -> np.ndarray:
         if self.pair_threshold is not None:
-            return _close_pairs(batch, self.pair_threshold)
+            return (_max_pair_dot(batch) >= self.pair_threshold).astype(float)
         return self.h(self.counts(batch))
 
 
@@ -180,22 +181,30 @@ def close_pair_indicator(threshold: float, name: str | None = None) -> Functiona
                       pair_threshold=threshold)
 
 
-def _close_pairs(batch: ReplicateBatch, threshold: float) -> np.ndarray:
-    """Close-pair indicator per replicate.  Replicates of equal size n are
-    stacked as (m, n, d) and multiplied slice by slice with the same P @ P.T
-    product a single replicate uses, so dot products match it bit for bit."""
-    order = np.argsort(batch.rep_ids, kind="stable")
-    points = batch.points[order]
-    sizes = np.bincount(batch.rep_ids, minlength=len(batch))
-    starts = np.cumsum(sizes) - sizes
-    out = np.zeros(len(batch))
-    for n in np.unique(sizes[sizes >= 2]):
-        reps = np.flatnonzero(sizes == n)
-        pts = points[starts[reps, None] + np.arange(n)]
-        dots = pts @ pts.transpose(0, 2, 1)
-        iu = np.triu_indices(n, k=1)
-        out[reps] = np.any(np.abs(dots[:, iu[0], iu[1]]) >= threshold, axis=1)
-    return out
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> tuple:
+    """Index pairs i < j of an n x n matrix, as read-only (broadcast) views."""
+    return tuple(np.broadcast_to(a, a.shape) for a in np.triu_indices(n, k=1))
+
+
+def _max_pair_dot(batch: ReplicateBatch) -> np.ndarray:
+    """Per-replicate max |p . q| over point pairs (-inf below 2), cached on the
+    batch.  Equal-size replicates are stacked as (m, n, d) and multiplied with
+    the P @ P.T product one replicate uses, so dots match it bit for bit."""
+    def scan():
+        ids, points = batch.rep_ids, batch.points
+        if np.any(ids[1:] < ids[:-1]):   # the sweeps' batches are already sorted
+            points = points[np.argsort(ids, kind="stable")]
+        sizes = np.bincount(ids, minlength=len(batch))
+        starts = np.cumsum(sizes) - sizes
+        out = np.full(len(batch), -np.inf)
+        for n in np.unique(sizes[sizes >= 2]):
+            reps = np.flatnonzero(sizes == n)
+            pts = points[starts[reps, None] + np.arange(n)]
+            iu = _upper_pairs(int(n))
+            out[reps] = np.abs((pts @ pts.transpose(0, 2, 1))[:, iu[0], iu[1]]).max(axis=1)
+        return out
+    return batch.cached("max_pair_dot", scan)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +249,7 @@ def count_tv_lower_bound(samples, region, target_mean: float,
         raise ValueError("TV lower bound needs at least 1000 samples")
     if rng is None:
         rng = np.random.default_rng(0)   # bootstrap-only randomness
-    value = tv_vs_poisson(counts, target_mean)
-    stderr = _bootstrap_tv_stderr(counts, target_mean, rng)
+    value, stderr = _bootstrap_tv(counts, target_mean, rng)
     name = region_name or (region.describe() if region is not None else "counts")
     return DistanceEstimate(value=value, stderr=stderr, kind="tv-counts", regions=name)
 
@@ -343,8 +351,8 @@ def mecke_check_ppp(mfs: Sequence[MeckeFunctional], lam: float, window: Window,
     in mfs, all on one draw: Phi, then Phi2 and x once Phi is dropped."""
     phi = ReplicateBatch.ppp(window, lam, reps, rng)
     # each point x sees the counts of Phi - x
-    lhs = [np.bincount(phi.rep_ids, mf.g.h(mf.g.membership(phi.points))
-                       * mf.h.h(mf.h.counts(phi)[phi.rep_ids] - mf.h.membership(phi.points)),
+    lhs = [np.bincount(phi.rep_ids, mf.g.h(mf.g.membership(phi))
+                       * mf.h.h(mf.h.counts(phi)[phi.rep_ids] - mf.h.membership(phi)),
                        reps) for mf in mfs]
     del phi
     phi2 = ReplicateBatch.ppp(window, lam, reps, rng)
@@ -362,7 +370,7 @@ def mecke_check_bpp(mfs: Sequence[MeckeFunctional], n_points: int, window: Windo
     if n_points < 1:
         raise ValueError("BPP needs at least one point")
     phi = _bpp(window, n_points, reps, rng)
-    lhs = [np.bincount(phi.rep_ids, mf.g.h(mf.g.membership(phi.points)), reps)
+    lhs = [np.bincount(phi.rep_ids, mf.g.h(mf.g.membership(phi)), reps)
            * mf.h.h(mf.h.counts(phi)) for mf in mfs]
     del phi
     x = _bpp(window, 1, reps, rng)   # one uniform point per replicate

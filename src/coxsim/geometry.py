@@ -64,6 +64,7 @@ class Disk:
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", tuple(self.center))   # hashable: a cache key
         if not (self.radius > 0.0 and all(map(math.isfinite, (*self.center, self.radius)))):
             raise ValueError(f"disk needs a finite center and a positive radius, got {self}")
 
@@ -127,6 +128,7 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", tuple(self.center))   # hashable: a cache key
         if not (0.0 <= self.r_inner < self.r_outer):
             raise ValueError("annulus requires 0 <= r_inner < r_outer")
 
@@ -317,6 +319,7 @@ class SphericalCap:
     height: float
 
     def __post_init__(self):
+        object.__setattr__(self, "axis", tuple(self.axis))   # hashable: a cache key
         if not (-1.0 < self.height < 1.0):
             raise ValueError("cap height must lie in (-1, 1)")
         a = np.asarray(self.axis, dtype=float)

@@ -133,15 +133,16 @@ def generator_apply(functionals, omegas: ReplicateBatch, spec: GlauberSpec,
         raise ValueError("need at least one antithetic pair")
     reps, ids = len(omegas), omegas.rep_ids
     pts = uniform_in_window(spec.window, reps * pairs, rng)
-    mirrored = 2.0 * np.asarray(spec.window.center) - pts
+    births, mirrored = (ReplicateBatch(p, np.repeat(np.arange(reps), pairs), reps, PLANE)
+                        for p in (pts, 2.0 * np.asarray(spec.window.center) - pts))
     values, stderrs = [], []
     for F in functionals:
         c0 = F.counts(omegas)
         f0 = F.h(c0)
-        death = np.bincount(ids, F.h(c0[ids] - F.membership(omegas.points)) - f0[ids],
+        death = np.bincount(ids, F.h(c0[ids] - F.membership(omegas)) - f0[ids],
                             minlength=reps)
         c_pair, f_pair = np.repeat(c0, pairs, axis=0), np.repeat(f0, pairs)
-        pair_means = 0.5 * ((F.h(c_pair + F.membership(pts)) - f_pair)
+        pair_means = 0.5 * ((F.h(c_pair + F.membership(births)) - f_pair)
                             + (F.h(c_pair + F.membership(mirrored)) - f_pair))
         pair_means = pair_means.reshape(reps, pairs)
         values.append(death + spec.birth_rate * pair_means.mean(axis=1))
@@ -163,8 +164,8 @@ def contraction_estimate(functionals, omega: Configuration, z, t: float,
     bad = [F.name for F in functionals if not F.lipschitz]
     if bad:
         raise ValueError(f"contraction estimate requires 1-Lipschitz functionals: {bad}")
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    if not spec.window.contains(z)[0]:
+    z = ReplicateBatch.stack([np.asarray(z, dtype=float).reshape(1, -1)], PLANE)
+    if not z.membership(spec.window)[0]:
         raise ValueError("z must lie inside the window")
     base = semigroup_sample(ReplicateBatch.stack([omega.points] * reps, omega.space),
                             t, spec, rng)

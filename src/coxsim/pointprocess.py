@@ -14,7 +14,7 @@ the exact layout.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,12 +193,17 @@ def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.
 @dataclass(frozen=True)
 class ReplicateBatch:
     """reps replicates stored flat: the points of all replicates and each
-    point's replicate id."""
+    point's replicate id, both read-only, so derived values can be cached."""
 
     points: np.ndarray
     rep_ids: np.ndarray
     reps: int
     space: str
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.rep_ids.setflags(write=False)
 
     def __len__(self) -> int:
         return self.reps
@@ -233,8 +238,21 @@ class ReplicateBatch:
         return cls(sample_uniform_sphere(rng, int(counts.sum())),
                    np.repeat(np.arange(reps), counts), reps, SPHERE)
 
+    def cached(self, key, compute) -> np.ndarray:
+        """compute(), evaluated once per batch and key, as a read-only array."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+            self._cache[key].setflags(write=False)
+        return self._cache[key]
+
     def counts(self, region) -> np.ndarray:
-        return region_counts(self.points, self.rep_ids, region, self.reps)
+        """Per-replicate counts in the region (cached)."""
+        return self.cached(("counts", region), lambda: region_counts(
+            self.points, self.rep_ids, region, self.reps))
+
+    def membership(self, region) -> np.ndarray:
+        """Per-point mask: which points lie in the region (cached)."""
+        return self.cached(("membership", region), lambda: region.contains(self.points))
 
     def thin(self, p: float, rng: np.random.Generator) -> "ReplicateBatch":
         """Independent p-thinning; draws one uniform per point, even at p = 0 or 1."""

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 sphere_functional_family, sphere_region_set,
                                 tv_vs_poisson, wasserstein_lower_bound)
 from coxsim.geometry import Disk, LatitudeBand, Rect, halves
+from coxsim.harness import ValidationSettings, check_mecke
 from coxsim.pointprocess import (PLANE, SPHERE, Configuration, CoupledBatch,
                                  ModelParams, ReplicateBatch, RngStream,
                                  sample_ppp_window, sample_uniform_sphere)
@@ -281,6 +284,42 @@ class TestMecke:
         disk = Disk((0.0, 0.0), 1.0)
         for res in mecke_check_ppp(mecke_functionals(disk)[:3], 2.0, disk, 20_000, rng):
             assert res.passed, res
+
+
+class TestContainsBudget:
+    """Each (batch, region) pair is tested for containment at most once for
+    its counts and once for its point memberships, however many functionals
+    share the region."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+        contains = Rect.contains
+
+        def spy(region, pts):
+            calls.append((region, pts))   # holding pts keeps its id unique
+            return contains(region, pts)
+
+        monkeypatch.setattr(Rect, "contains", spy)
+        return calls
+
+    def test_check_mecke(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        check_mecke(0, ValidationSettings.scaled(2000))
+        per_pair = Counter((region, id(pts)) for region, pts in calls)
+        assert max(per_pair.values()) <= 2
+        # A and B memberships and counts on Phi (ppp), A on Phi_N (bpp);
+        # counts: ppp A on x, A and B on Phi2; bpp A and B on Phi_N, x, Phi_{N-1}
+        assert len(calls) == 14
+
+    def test_wasserstein_counts_window_once_per_batch(self, monkeypatch):
+        samples = ReplicateBatch.ppp(WINDOW, 3.0, 500, rng_for(40))
+        calls = self.record(monkeypatch)
+        wasserstein_lower_bound(samples, partial(ReplicateBatch.ppp, WINDOW, 3.0),
+                                planar_functional_family(WINDOW), rng_for(41))
+        per_pair = Counter((region, id(pts)) for region, pts in calls)
+        assert set(per_pair.values()) == {1}
+        assert sum(region == WINDOW for region, _ in calls) == 2
 
 
 class TestInvariance:

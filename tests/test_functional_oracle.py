@@ -115,6 +115,15 @@ def test_close_pairs_match_per_configuration_products():
                for k in rng.integers(0, 12, 3000)]
     close = [F for F in sphere_functional_family() if F.pair_threshold is not None]
     assert_batch_matches(close, configs, SPHERE)
+    # points in shuffled order: the scan sorts them by replicate (stably),
+    # so each replicate is scanned in the order split() returns it
+    batch = ReplicateBatch.stack([c.points for c in configs], SPHERE)
+    perm = rng.permutation(batch.points.shape[0])
+    shuffled = ReplicateBatch(batch.points[perm], batch.rep_ids[perm], len(batch), SPHERE)
+    assert np.any(np.diff(shuffled.rep_ids) < 0)
+    for F in close:
+        expect = np.array([scalar_value(F, c) for c in split(shuffled)])
+        assert np.array_equal(F(shuffled), expect), F.name
 
 
 SPEC = GlauberSpec(RECT, lam=1.5)

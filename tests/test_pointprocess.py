@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -140,6 +141,63 @@ class TestSuperposeCount:
         right = Rect(0.5, 0, 1, 1)
         # the shared edge has probability 0 under the continuous law
         assert cfg.count_in(left) + cfg.count_in(right) == 200
+
+
+class TestBatchCache:
+    WINDOW = Rect(0, 0, 1, 1)
+    LEFT = Rect(0, 0, 0.5, 1)
+
+    def fresh(self, idx=0, reps=50):
+        return ReplicateBatch.ppp(self.WINDOW, 4.0, reps, rng_for(idx))
+
+    def test_arrays_read_only(self):
+        b = self.fresh()
+        for arr in (b.points, b.rep_ids, b.counts(self.LEFT), b.membership(self.LEFT)):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_computed_once_per_region_value(self):
+        b = self.fresh()
+        counts, mask = b.counts(self.LEFT), b.membership(self.LEFT)
+        # an equal region object hits the same entries
+        assert b.counts(Rect(0, 0, 0.5, 1)) is counts
+        assert b.membership(Rect(0, 0, 0.5, 1)) is mask
+        assert np.array_equal(counts, region_counts(b.points, b.rep_ids, self.LEFT, len(b)))
+        assert np.array_equal(mask, self.LEFT.contains(b.points))
+
+    def test_array_centered_regions_are_keys(self):
+        # a region built from arrays is stored with tuple fields, so it hashes
+        b = ReplicateBatch.ppp(Disk((0, 0), 1.0), 4.0, 50, rng_for(4))
+        disk = Disk(np.array([0.0, 0.5]), 0.5)
+        assert disk == Disk((0.0, 0.5), 0.5)
+        assert np.array_equal(b.counts(disk), region_counts(b.points, b.rep_ids, disk, 50))
+
+    def test_derived_batches_start_empty(self):
+        b, other = self.fresh(0), self.fresh(1)
+        b.counts(self.LEFT), b.membership(self.LEFT), other.counts(self.LEFT)
+        derived = [b.thin(0.5, rng_for(2)), b.superpose(other),
+                   ReplicateBatch.concat([b, other]),
+                   ReplicateBatch.stack([b.points], PLANE),
+                   ReplicateBatch.ppp(self.WINDOW, 4.0, 50, rng_for(0)),
+                   dataclasses.replace(b)]
+        for d in derived:
+            assert d._cache == {}
+
+    def test_thinned_counts_are_its_own(self):
+        b = self.fresh(reps=200)
+        parent = b.counts(self.WINDOW)
+        thinned = b.thin(0.5, rng_for(3))
+        own = thinned.counts(self.WINDOW)
+        assert np.array_equal(
+            own, region_counts(thinned.points, thinned.rep_ids, self.WINDOW, len(b)))
+        assert own.sum() < parent.sum()
+
+    def test_equality_ignores_cache(self):
+        b = self.fresh()
+        same = dataclasses.replace(b)
+        b.counts(self.LEFT)
+        assert b == same and b._cache != same._cache
+        assert "_cache" not in repr(same)
 
 
 class TestPppWindow:
