@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,10 +86,14 @@ def _count_pmfs(counts: np.ndarray, mean: float):
     return _pad_to(np.bincount(counts), n) / counts.size, _pad_to(q, n), tail
 
 
+def _tv(p_hat: np.ndarray, q: np.ndarray, tail: float) -> float:
+    """TV between an empirical pmf and a pmf q with tail mass beyond q."""
+    return 0.5 * (float(np.abs(p_hat - q).sum()) + tail)
+
+
 def tv_vs_poisson(counts: np.ndarray, mean: float) -> float:
     """TV between the empirical count pmf and the Poisson(mean) pmf."""
-    p_hat, q, tail = _count_pmfs(counts, mean)
-    return 0.5 * (float(np.abs(p_hat - q).sum()) + tail)
+    return _tv(*_count_pmfs(counts, mean))
 
 
 def _bootstrap_tv(counts: np.ndarray, mean: float, rng: np.random.Generator) -> tuple:
@@ -97,7 +101,7 @@ def _bootstrap_tv(counts: np.ndarray, mean: float, rng: np.random.Generator) -> 
     p_hat, q, tail = _count_pmfs(counts, mean)
     draws = rng.multinomial(counts.size, p_hat, size=BOOTSTRAP_RESAMPLES) / counts.size
     tvs = 0.5 * (np.abs(draws - q).sum(axis=1) + tail)
-    return 0.5 * (float(np.abs(p_hat - q).sum()) + tail), float(tvs.std(ddof=1))
+    return _tv(p_hat, q, tail), float(tvs.std(ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -181,27 +185,19 @@ def close_pair_indicator(threshold: float, name: str | None = None) -> Functiona
                       pair_threshold=threshold)
 
 
-@lru_cache(maxsize=None)
-def _upper_pairs(n: int) -> tuple:
-    """Index pairs i < j of an n x n matrix, as read-only (broadcast) views."""
-    return tuple(np.broadcast_to(a, a.shape) for a in np.triu_indices(n, k=1))
-
-
 def _max_pair_dot(batch: ReplicateBatch) -> np.ndarray:
     """Per-replicate max |p . q| over point pairs (-inf below 2), cached on the
     batch.  Equal-size replicates are stacked as (m, n, d) and multiplied with
     the P @ P.T product one replicate uses, so dots match it bit for bit."""
     def scan():
-        ids, points = batch.rep_ids, batch.points
-        if np.any(ids[1:] < ids[:-1]):   # the sweeps' batches are already sorted
-            points = points[np.argsort(ids, kind="stable")]
-        sizes = np.bincount(ids, minlength=len(batch))
+        points = batch.points[np.argsort(batch.rep_ids, kind="stable")]
+        sizes = np.bincount(batch.rep_ids, minlength=len(batch))
         starts = np.cumsum(sizes) - sizes
         out = np.full(len(batch), -np.inf)
         for n in np.unique(sizes[sizes >= 2]):
             reps = np.flatnonzero(sizes == n)
             pts = points[starts[reps, None] + np.arange(n)]
-            iu = _upper_pairs(int(n))
+            iu = np.triu_indices(n, k=1)
             out[reps] = np.abs((pts @ pts.transpose(0, 2, 1))[:, iu[0], iu[1]]).max(axis=1)
         return out
     return batch.cached("max_pair_dot", scan)

@@ -193,7 +193,9 @@ def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.
 @dataclass(frozen=True)
 class ReplicateBatch:
     """reps replicates stored flat: the points of all replicates and each
-    point's replicate id, both read-only, so derived values can be cached."""
+    point's replicate id.  The batch takes ownership of both arrays and makes
+    them read-only, so derived values can be cached; they must not be views
+    of data that will still change."""
 
     points: np.ndarray
     rep_ids: np.ndarray
