@@ -8,11 +8,9 @@ models exactly, evaluates the explicit convergence bounds, and verifies the
 O(1/lambda_n) and O(1/n) rates by Monte Carlo.
 """
 
-from .geometry import (Annulus, Disk, LatitudeBand, LineParams, Rect,
-                       SphericalCap, chord_interval, chord_length, line_point,
-                       orbit_point, rotation_to, support_radius)
-from .pointprocess import (Configuration, CoupledBatch, ModelParams, ReplicateBatch,
-                           RngStream, sample_ppp_window, sample_uniform_sphere)
+from .geometry import Annulus, Disk, LatitudeBand, Rect, SphericalCap, support_radius
+from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, RngStream,
+                           sample_ppp_window, sample_uniform_sphere)
 from .coxmodels import (CoxLineSample, SatelliteSample, effective_intensity,
                         sample_cox_line, sample_cox_line_batch, sample_satellites_batch,
                         sample_satellites_with_twin)

@@ -18,7 +18,7 @@ from .harness import (SCHEMA_VERSION, ConfigError, ExperimentConfig,
                       ValidationSettings, config_from_ini, format_check_table,
                       parse_window, run_experiment, run_validation_suite,
                       write_validation_csv)
-from .pointprocess import ModelParams, RngStream, config_to_csv
+from .pointprocess import ModelParams, RngStream, points_to_csv
 from .steinbound import cox_bound, satellite_bound
 
 EXIT_OK = 0
@@ -114,7 +114,7 @@ def _cmd_simulate(args) -> int:
         summary = {"model": "satellites", "c": args.c, "n": args.n,
                    "mu_n": params.mu_n, "n_points": len(sample.points),
                    "seed": args.seed}
-    csv_text = config_to_csv(sample.points)
+    csv_text = points_to_csv(sample.points)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "points.csv"), "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ sampler draws this law in O(c) per replicate, whatever n.
 
 Each sampler draws reps replicates at once into a ReplicateBatch;
 sample_cox_line and sample_satellites_with_twin are their one-replicate
-views.
+views, whose point sets are the read-only (n, d) arrays batch.points.
 
 Mean measures: the lines D(r, theta), r >= 0, sweep a half-plane that holds
 any given point for half of the directions, so the cox-line model has mean
@@ -27,17 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Window, chord_intervals, orbit_frame, support_radius
-from .pointprocess import (PLANE, SPHERE, Configuration, CoupledBatch, ModelParams,
-                           ReplicateBatch, sample_uniform_sphere)
+from .pointprocess import (PLANE, SPHERE, CoupledBatch, ModelParams, ReplicateBatch,
+                           sample_uniform_sphere)
 
 
 @dataclass(frozen=True)
 class CoxLineSample:
     """One realization of the line-based Cox process clipped to a window;
-    lines has shape (m, 2) with columns (r, theta)."""
+    lines has shape (m, 2) with columns (r, theta), points (n, 2)."""
 
     lines: np.ndarray
-    points: Configuration
+    points: np.ndarray
     params: ModelParams
     window: Window
 
@@ -45,10 +45,10 @@ class CoxLineSample:
 @dataclass(frozen=True)
 class SatelliteSample:
     """One realization of the satellite model: the base points of its
-    occupied orbits and the satellites."""
+    occupied orbits and the (n, 3) satellites."""
 
     orbits: np.ndarray
-    points: Configuration
+    points: np.ndarray
     params: ModelParams
 
 
@@ -83,8 +83,7 @@ def sample_cox_line(params: ModelParams, window: Window,
                     rng: np.random.Generator) -> CoxLineSample:
     """Sample the line-based Cox process restricted to the window."""
     lines, batch = sample_cox_line_batch(params, window, 1, rng)
-    return CoxLineSample(lines=lines, points=Configuration(batch.points, PLANE),
-                         params=params, window=window)
+    return CoxLineSample(lines=lines, points=batch.points, params=params, window=window)
 
 
 def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Generator):
@@ -127,9 +126,8 @@ def sample_satellites_with_twin(params: ModelParams, rng: np.random.Generator):
     """One satellite-model sample and its coupled exact-PPP twin
     (the one-replicate view of sample_satellites_batch)."""
     orbits, pair = sample_satellites_batch(params, 1, rng)
-    return (SatelliteSample(orbits=orbits, points=Configuration(pair.model.points, SPHERE),
-                            params=params),
-            Configuration(pair.twin.points, SPHERE))
+    return (SatelliteSample(orbits=orbits, points=pair.model.points, params=params),
+            pair.twin.points)
 
 
 def effective_intensity(counts, measure: float):

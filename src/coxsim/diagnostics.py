@@ -228,25 +228,20 @@ class DistanceEstimate:
         return max(0.0, self.value - self.stderr)
 
 
-def count_tv_lower_bound(samples, region, target_mean: float,
-                         rng: np.random.Generator | None = None,
+def count_tv_lower_bound(samples: ReplicateBatch, region, target_mean: float,
+                         rng: np.random.Generator,
                          region_name: str | None = None) -> DistanceEstimate:
-    """TV between the empirical law of the region count and Poisson(target_mean).
+    """TV between the empirical law of the region count and Poisson(target_mean),
+    with a bootstrap stderr drawn from rng.
 
     A lower bound on the configuration Wasserstein distance: indicators of
-    count level sets are {0,1}-valued and hence 1-Lipschitz.  samples is a
-    ReplicateBatch (counted in region) or a precomputed integer count array.
+    count level sets are {0,1}-valued and hence 1-Lipschitz.
     """
-    if isinstance(samples, ReplicateBatch):
-        counts = samples.counts(region)
-    else:
-        counts = np.asarray(samples, dtype=np.int64)
+    counts = samples.counts(region)
     if counts.size < 1000:
         raise ValueError("TV lower bound needs at least 1000 samples")
-    if rng is None:
-        rng = np.random.default_rng(0)   # bootstrap-only randomness
     value, stderr = _bootstrap_tv(counts, target_mean, rng)
-    name = region_name or (region.describe() if region is not None else "counts")
+    name = region_name or region.describe()
     return DistanceEstimate(value=value, stderr=stderr, kind="tv-counts", regions=name)
 
 
@@ -410,12 +405,12 @@ class RateFit:
 def rate_regression(points) -> RateFit:
     """Least-squares fit of log(distance) against log(parameter).
 
-    A slope near -1 matches the 1/lambda_n and 1/n convergence rates.
-    Requires at least 4 strictly increasing parameters and positive distances.
+    points are (parameter, distance) pairs of floats.  A slope near -1
+    matches the 1/lambda_n and 1/n convergence rates.  Requires at least 4
+    strictly increasing parameters and positive distances.
     """
     params = np.array([float(p) for p, _ in points])
-    dists = np.array([d.value if isinstance(d, DistanceEstimate) else float(d)
-                      for _, d in points])
+    dists = np.array([float(d) for _, d in points])
     if params.size < 4:
         raise ValueError("rate regression needs at least 4 sweep points")
     if not np.all(np.diff(params) > 0):

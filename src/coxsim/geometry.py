@@ -8,8 +8,8 @@ carry an arc-length coordinate s measured from the foot point:
     p(s) = (r cos(theta) - s sin(theta), r sin(theta) + s cos(theta))
 
 On the unit sphere, the orbit of a base point x is the great circle in the
-plane orthogonal to x, parametrized by the image of the unit circle under a
-canonical rotation taking the north pole e3 to x.
+plane orthogonal to x, parametrized by the image of the unit circle under the
+minimal rotation taking the north pole e3 to x (see orbit_frame).
 """
 
 from __future__ import annotations
@@ -19,37 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAU = 2.0 * math.pi
-
-UNIT_TOL = 1e-9        # rejection tolerance for non-unit sphere points
-ORTHO_TOL = 1e-12      # orthogonality tolerance for rotation matrices
 ANTIPODE_TOL = 1e-12   # switch to the fixed antipodal convention below this
-
-
-@dataclass(frozen=True)
-class LineParams:
-    """A line D(r, theta): perpendicular distance r >= 0, angle theta in [0, 2*pi)."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not (self.r >= 0.0 and math.isfinite(self.r)):
-            raise ValueError(f"r must be finite and nonnegative, got {self.r}")
-        if not (0.0 <= self.theta < TAU):
-            raise ValueError(f"theta must lie in [0, 2*pi), got {self.theta}")
-
-
-def line_point(line: LineParams, s):
-    """Point(s) on the line at arc-length coordinate(s) s from the foot point.
-
-    s may be a scalar (returns shape (2,)) or an array (returns shape (n, 2)).
-    """
-    ct, st = math.cos(line.theta), math.sin(line.theta)
-    s = np.asarray(s, dtype=float)
-    x = line.r * ct - s * st
-    y = line.r * st + s * ct
-    return np.stack([x, y], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,45 +126,6 @@ def support_radius(window: Window) -> float:
     return max(math.hypot(x, y) for x, y in corners)
 
 
-def chord_interval(window: Window, line: LineParams):
-    """Arc-length interval [s_lo, s_hi] of the window's chord on the line.
-
-    Scalar reference for chord_intervals.  Returns None when the line misses
-    the window or touches it in a single point (degenerate chords count as
-    empty).
-    """
-    ct, st = math.cos(line.theta), math.sin(line.theta)
-    if isinstance(window, Disk):
-        cx, cy = window.center
-        h = line.r - (cx * ct + cy * st)       # signed normal distance to center
-        if abs(h) >= window.radius:
-            return None
-        half = math.sqrt(window.radius ** 2 - h * h)
-        s_c = cy * ct - cx * st                # tangential coordinate of the center
-        return (s_c - half, s_c + half)
-    # Rectangle: clip x(s) = r*ct - s*st and y(s) = r*st + s*ct against the
-    # four half-planes (Liang-Barsky).
-    lo, hi = -math.inf, math.inf
-    for coef, base, b0, b1 in ((-st, line.r * ct, window.x0, window.x1),
-                               (ct, line.r * st, window.y0, window.y1)):
-        if abs(coef) < 1e-300:
-            if not (b0 <= base <= b1):
-                return None
-            continue
-        t0, t1 = (b0 - base) / coef, (b1 - base) / coef
-        if t0 > t1:
-            t0, t1 = t1, t0
-        lo, hi = max(lo, t0), min(hi, t1)
-    if not (lo < hi) or math.isinf(lo) or math.isinf(hi):
-        return None
-    return (lo, hi)
-
-
-def chord_length(window: Window, line: LineParams) -> float:
-    iv = chord_interval(window, line)
-    return 0.0 if iv is None else iv[1] - iv[0]
-
-
 def chord_intervals(window: Window, r, theta):
     """Vectorized chord intervals for broadcastable arrays of (r, theta).
 
@@ -232,12 +163,6 @@ def chord_intervals(window: Window, r, theta):
     return np.where(ok, lo, 0.0), np.where(ok, hi, 0.0), ok
 
 
-def chord_lengths(window: Window, r, theta) -> np.ndarray:
-    """Vectorized chord lengths (0 where the line misses the window)."""
-    s_lo, s_hi, _ = chord_intervals(window, r, theta)
-    return s_hi - s_lo
-
-
 def halves(window: Window) -> tuple[Rect, Rect]:
     """Left and right halves of the window, split at the center's x.
 
@@ -257,22 +182,13 @@ def halves(window: Window) -> tuple[Rect, Rect]:
 # Sphere geometry
 # ---------------------------------------------------------------------------
 
-def _check_unit(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("expected a single 3-vector")
-    if abs(x @ x - 1.0) > 2.0 * UNIT_TOL:
-        raise ValueError(f"point must be on the unit sphere (|x|^2 = {x @ x})")
-    return x
-
-
 def orbit_frame(xs: np.ndarray):
     """Orthonormal frame (u, w) of the planes orthogonal to unit vectors xs.
 
     For xs of shape (n, 3) returns two (n, 3) arrays with u = R e1, w = R e2
-    where R is the minimal rotation taking e3 to x (see rotation_to).  Rows
-    with x essentially antipodal to e3 use the fixed pi-rotation convention
-    u = e1, w = -e2.
+    where R is the minimal rotation taking e3 to x, about the axis e3 x x; the
+    orbit of x is cos(phi) u + sin(phi) w.  Rows with x essentially antipodal
+    to e3 use the fixed pi-rotation convention u = e1, w = -e2.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
@@ -284,30 +200,6 @@ def orbit_frame(xs: np.ndarray):
     u[~safe] = (1.0, 0.0, 0.0)
     w[~safe] = (0.0, -1.0, 0.0)
     return u, w
-
-
-def rotation_to(x: np.ndarray) -> np.ndarray:
-    """Rotation matrix R with R e3 = x, minimal geodesic choice.
-
-    The rotation axis is e3 x x, so R is continuous in x away from the south
-    pole; at x = -e3 the convention is the rotation by pi about e1.  Raises
-    ValueError when |x| differs from 1 by more than the unit tolerance.
-    """
-    x = _check_unit(x)
-    u, w = orbit_frame(x)
-    return np.column_stack([u[0], w[0], x])
-
-
-def orbit_point(x: np.ndarray, phi) -> np.ndarray:
-    """Point rotation_to(x) @ (cos phi, sin phi, 0) on the orbit of x.
-
-    phi may be scalar (returns (3,)) or an array (returns (n, 3)).
-    """
-    x = _check_unit(x)
-    u, w = orbit_frame(x)
-    phi = np.asarray(phi, dtype=float)
-    pts = (np.cos(phi)[..., None] * u[0] + np.sin(phi)[..., None] * w[0])
-    return pts if pts.ndim > 1 else pts.reshape(3)
 
 
 @dataclass(frozen=True)

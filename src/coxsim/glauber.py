@@ -17,9 +17,11 @@ The module also evaluates the infinitesimal generator
 the semigroup's Lipschitz contraction |P_t F(w + z) - P_t F(w)| <= e^-t with
 a coupled estimator.
 
-The samplers map a ReplicateBatch of starts to one draw per replicate; the
-generator and the contraction estimate share their draws across a list of
-count Functionals, moved by a point's region-membership row, h(c -/+ row).
+The samplers map a ReplicateBatch of starts to one draw per replicate, and
+the consistency and contraction checks repeat one (n, 2) start array across
+their replicates; the generator and the contraction estimate share their
+draws across a list of count Functionals, moved by a point's
+region-membership row, h(c -/+ row).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .diagnostics import tv_rows
 from .geometry import Window
-from .pointprocess import PLANE, Configuration, ReplicateBatch, uniform_in_window
+from .pointprocess import PLANE, ReplicateBatch, uniform_in_window
 
 
 @dataclass(frozen=True)
@@ -104,16 +106,17 @@ def semigroup_sample(omegas: ReplicateBatch, t: float, spec: GlauberSpec,
         ReplicateBatch.ppp(spec.window, (1.0 - p) * spec.lam, len(omegas), rng))
 
 
-def semigroup_trajectory_consistency(omega0: Configuration, spec: GlauberSpec,
+def semigroup_trajectory_consistency(omega0: np.ndarray, spec: GlauberSpec,
                                      t: float, regions, reps: int,
                                      rng: np.random.Generator):
     """Per-region TV between count histograms of the trajectory simulation
-    and the thinning representation at time t.  Both are exact samplers of
+    and the thinning representation at time t, both started from the (n, 2)
+    array omega0 in every replicate.  Both are exact samplers of
     the same law, so the TV should sit at the Monte Carlo noise floor
     2/sqrt(reps)."""
     if reps < 1000:
         raise ValueError("TV comparison needs at least 1000 replicates")
-    starts = ReplicateBatch.stack([omega0.points] * reps, omega0.space)
+    starts = ReplicateBatch.stack([omega0] * reps, PLANE)
     traj = glauber_simulate(starts, spec, rng, horizon=t)
     return tv_rows(traj, semigroup_sample(starts, t, spec, rng), regions)
 
@@ -151,10 +154,10 @@ def generator_apply(functionals, omegas: ReplicateBatch, spec: GlauberSpec,
     return np.column_stack(values), np.column_stack(stderrs)
 
 
-def contraction_estimate(functionals, omega: Configuration, z, t: float,
+def contraction_estimate(functionals, omega: np.ndarray, z, t: float,
                          spec: GlauberSpec, reps: int, rng: np.random.Generator):
-    """Coupled estimates of |P_t F(omega + z) - P_t F(omega)|, one (estimate,
-    stderr) pair per functional.
+    """Coupled estimates of |P_t F(omega + z) - P_t F(omega)| for an (n, 2)
+    start array omega, one (estimate, stderr) pair per functional.
 
     Shares the thinning coins on omega and the fresh-PPP sample between the
     two semigroup draws, so each replicate differs only through survival of
@@ -167,8 +170,7 @@ def contraction_estimate(functionals, omega: Configuration, z, t: float,
     z = ReplicateBatch.stack([np.asarray(z, dtype=float).reshape(1, -1)], PLANE)
     if not z.membership(spec.window)[0]:
         raise ValueError("z must lie inside the window")
-    base = semigroup_sample(ReplicateBatch.stack([omega.points] * reps, omega.space),
-                            t, spec, rng)
+    base = semigroup_sample(ReplicateBatch.stack([omega] * reps, PLANE), t, spec, rng)
     survives = rng.random(reps) < math.exp(-t)
     out = []
     for F in functionals:

@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from .coxmodels import effective_intensity, sample_cox_line_batch, sample_satellites_batch
 from .diagnostics import (DistanceEstimate, RateFit,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
@@ -33,8 +35,8 @@ from .diagnostics import (DistanceEstimate, RateFit,
 from .geometry import Disk, Rect, Window, halves
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       semigroup_sample, semigroup_trajectory_consistency)
-from .pointprocess import (PLANE, Configuration, CoupledBatch, ModelParams,
-                           ReplicateBatch, RngStream, composite_index)
+from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, RngStream,
+                           composite_index)
 from .steinbound import (QuadratureSpec, chord_square_integral, coarea_check,
                          cox_bound, satellite_bound)
 
@@ -425,7 +427,7 @@ def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     # same noise-floor consideration as the invariance check: the TV rows
     # compare two exact samplers, so counts are kept small
     spec = GlauberSpec(window=window, lam=0.5, horizon=20.0)
-    omega0 = Configuration([[0.3, 0.4], [0.7, 0.6]], PLANE)
+    omega0 = np.array([[0.3, 0.4], [0.7, 0.6]])
     regions = _check_regions(window)[:2]
     functionals = glauber_functionals(window)
     rows = []
@@ -456,7 +458,7 @@ def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
         rows.append(_two_sided(f"glauber_generator_null[{F.name}]",
                                float(vals.mean()), 0.0, se, seed))
     # 4. contraction: |P_t F(w+z) - P_t F(w)| <= e^-t, one base batch per t
-    omega_c = Configuration([[0.25, 0.4], [0.7, 0.6]], PLANE)
+    omega_c = np.array([[0.25, 0.4], [0.7, 0.6]])
     z = (0.6, 0.35)
     rng = _stream(seed, LANE_CHECKS, point=42)
     lipschitz = [F for F in functionals if F.lipschitz]

@@ -1,8 +1,8 @@
-"""Configurations (finite point multisets) and exact point process samplers.
+"""Exact point process samplers, replicate batches and RNG streams.
 
-A Configuration is an immutable finite multiset of points, either planar
-(shape (n, 2)) or spherical (shape (n, 3)).  Replicates of a sampler are
-stored flat, as one ReplicateBatch, and counted per region by region_counts.
+A point set is an (n, 2) array in the plane or an (n, 3) array on the unit
+sphere.  Replicates of a sampler are stored flat, as one ReplicateBatch, and
+counted per region by region_counts.
 
 Randomness is organized as counter-based streams: a (master seed, stream
 index) pair keys a Philox generator, so distinct indices give independent
@@ -63,48 +63,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed % 2 ** 64, self.index % 2 ** 64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, lane: int, point: int = 0, replicate: int = 0) -> "RngStream":
-        return RngStream(self.seed, composite_index(lane, point, replicate))
-
-
-# ---------------------------------------------------------------------------
-# Configurations
-# ---------------------------------------------------------------------------
-
-class Configuration:
-    """Immutable finite multiset of points with an ambient-space tag."""
-
-    __slots__ = ("points", "space")
-
-    def __init__(self, points, space: str):
-        if space not in _DIM:
-            raise ValueError(f"unknown space {space!r}")
-        pts = np.asarray(points, dtype=float)
-        if pts.size == 0:
-            pts = np.empty((0, _DIM[space]))
-        if pts.ndim != 2 or pts.shape[1] != _DIM[space]:
-            raise ValueError(f"points must have shape (n, {_DIM[space]}) for {space}")
-        pts = np.ascontiguousarray(pts)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "space", space)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Configuration is immutable")
-
-    @classmethod
-    def empty(cls, space: str = PLANE) -> "Configuration":
-        return cls(np.empty((0, _DIM[space])), space)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def __repr__(self) -> str:
-        return f"Configuration({len(self)} points, {self.space})"
-
-    def count_in(self, region) -> int:
-        return int(region.contains(self.points).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +128,12 @@ def uniform_in_window(window: Window, n: int, rng: np.random.Generator) -> np.nd
     return np.column_stack([x, y])
 
 
-def sample_ppp_window(window: Window, lam: float, rng: np.random.Generator) -> Configuration:
-    """Homogeneous PPP of intensity lam restricted to the window."""
+def sample_ppp_window(window: Window, lam: float, rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous PPP of intensity lam restricted to the window, as an
+    (n, 2) array."""
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
-    n = rng.poisson(lam * window.area)
-    return Configuration(uniform_in_window(window, n, rng), PLANE)
+    return uniform_in_window(window, rng.poisson(lam * window.area), rng)
 
 
 def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -307,23 +265,11 @@ def region_counts(points: np.ndarray, rep_ids: np.ndarray, region, reps: int) ->
 # Serialization
 # ---------------------------------------------------------------------------
 
-def config_to_csv(cfg: Configuration) -> str:
-    header = "x,y" if cfg.space == PLANE else "x,y,z"
+def points_to_csv(points: np.ndarray) -> str:
+    """An (n, 2) or (n, 3) point array as CSV: an x,y or x,y,z header, then
+    one row per point at 17 significant digits."""
     buf = io.StringIO()
-    buf.write(header + "\n")
-    for row in cfg.points:
+    buf.write(("x,y" if points.shape[1] == 2 else "x,y,z") + "\n")
+    for row in points:
         buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return buf.getvalue()
-
-
-def config_from_csv(text: str) -> Configuration:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].strip()
-    if header == "x,y":
-        space = PLANE
-    elif header == "x,y,z":
-        space = SPHERE
-    else:
-        raise ValueError(f"unrecognized configuration CSV header {header!r}")
-    rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
-    return Configuration(np.array(rows) if rows else np.empty((0, _DIM[space])), space)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Disk, Window, chord_intervals, chord_lengths, support_radius
+from .geometry import Disk, Window, chord_intervals, support_radius
 from .pointprocess import ModelParams
 
 MIDPOINT = "midpoint"
@@ -116,8 +116,8 @@ def chord_square_integral(window: Window, quad: QuadratureSpec = QuadratureSpec(
         nt = quad.angular_nodes * 2 ** level
         r, wr = _nodes_1d(quad.rule, nr, 0.0, r_max)
         th, wt = _nodes_1d(MIDPOINT, nt, 0.0, 2.0 * math.pi)
-        lens = chord_lengths(window, r[:, None], th[None, :])
-        return float((wr @ (lens ** 2) @ wt) / math.pi)
+        s_lo, s_hi, _ = chord_intervals(window, r[:, None], th[None, :])
+        return float((wr @ ((s_hi - s_lo) ** 2) @ wt) / math.pi)
 
     return _refine(evaluate, quad)
 

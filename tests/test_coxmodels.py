@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,9 +12,10 @@ from coxsim.coxmodels import (effective_intensity, sample_cox_line, sample_cox_l
 from coxsim.diagnostics import (close_pair_indicator, empirical_count_tv, poisson_pmf,
                                 sphere_region_set)
 from coxsim.geometry import Disk, Rect, chord_intervals, orbit_frame, support_radius
-from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ModelParams, ReplicateBatch,
-                                 RngStream, composite_index, sample_uniform_sphere)
+from coxsim.pointprocess import (SPHERE, ModelParams, ReplicateBatch, RngStream,
+                                 composite_index, sample_uniform_sphere)
 from coxsim.steinbound import cox_bound
+from oracles import multiset
 
 
 def rng_for(idx, seed=4242):
@@ -61,8 +61,7 @@ def oracle_cox_line(params, window, rng, r_max=None):
     theta = rng.uniform(0.0, 2.0 * np.pi, m)
     lines = np.column_stack([r, theta])
     s_lo, s_hi, _ = chord_intervals(window, r, theta)
-    pts = place_marks(lines, np.column_stack([s_lo, s_hi]), params.mu_n, rng)
-    return lines, Configuration(pts, PLANE)
+    return lines, place_marks(lines, np.column_stack([s_lo, s_hi]), params.mu_n, rng)
 
 
 def resample_marks(sample, rng):
@@ -70,7 +69,7 @@ def resample_marks(sample, rng):
     Cox defining property, given the lines chord counts are independent
     Poissons with mean mu_n * chord_length."""
     pts = place_marks(sample.lines, chords(sample)[0], sample.params.mu_n, rng)
-    return dataclasses.replace(sample, points=Configuration(pts, PLANE))
+    return dataclasses.replace(sample, points=pts)
 
 
 def oracle_satellites(params, rng):
@@ -86,10 +85,6 @@ def oracle_satellites(params, rng):
 
 def satellites(params, rng):
     return sample_satellites_with_twin(params, rng)[0]
-
-
-def multiset(points):
-    return Counter(map(tuple, points))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +140,9 @@ class TestCoxLine:
         params = ModelParams.planar(5.0, 10.0)   # mu = 0.5, plenty of points
         s = sample_cox_line(params, UNIT_DISK, rng_for(10))
         assert len(s.points) > 0
-        assert UNIT_DISK.contains(s.points.points).all()
+        assert UNIT_DISK.contains(s.points).all()
         r, theta = s.lines[:, 0], s.lines[:, 1]
-        for p in s.points.points:
+        for p in s.points:
             # each point lies on one of the sampled lines
             resid = np.abs(p[0] * np.cos(theta) + p[1] * np.sin(theta) - r)
             assert resid.min() < 1e-9
@@ -219,7 +214,7 @@ class TestCoxLine:
         ct, st = math.cos(theta), math.sin(theta)
 
         def seg_count(sample, a, b):
-            pts = sample.points.points
+            pts = sample.points
             if pts.shape[0] == 0:
                 return 0
             on_line = np.abs(pts[:, 0] * ct + pts[:, 1] * st - r) < 1e-9
@@ -249,7 +244,7 @@ class TestCoxLine:
         s = sample_cox_line(params, UNIT_DISK, rng_for(40))
         t = resample_marks(s, rng_for(41))
         assert np.array_equal(s.lines, t.lines)
-        assert UNIT_DISK.contains(t.points.points).all() or len(t.points) == 0
+        assert UNIT_DISK.contains(t.points).all() or len(t.points) == 0
 
     def test_coupling_enforced(self):
         bad = ModelParams(lambda_n=5.0, mu_n=0.3, c=1.0, n=1)
@@ -266,7 +261,7 @@ class TestCoxLine:
                     s = sample_cox_line(params, window, rng_for(7, seed))
                     lines, pts = oracle_cox_line(params, window, rng_for(7, seed))
                     assert np.array_equal(s.lines, lines)
-                    assert np.array_equal(s.points.points, pts.points)
+                    assert np.array_equal(s.points, pts)
 
 
 class TestCoxLineBatchLaw:
@@ -304,7 +299,7 @@ class TestSatellites:
         s = satellites(params, rng_for(50))
         assert len(s.points) > 100
         x = s.orbits[0]
-        assert np.abs(s.points.points @ x).max() <= 1e-9
+        assert np.abs(s.points @ x).max() <= 1e-9
 
     def test_mean_total_count(self):
         params = ModelParams.spherical(3.0, 7)
@@ -317,7 +312,7 @@ class TestSatellites:
     def test_orthogonality_invariant(self):
         params = ModelParams.spherical(20.0, 10)
         s = satellites(params, rng_for(52))
-        dots = np.abs(s.points.points @ s.orbits.T)
+        dots = np.abs(s.points @ s.orbits.T)
         assert (dots.min(axis=1) <= 1e-9).all()
 
     def test_rotation_invariance_bands(self):
@@ -325,7 +320,7 @@ class TestSatellites:
         params = ModelParams.spherical(10_000.0, 10_000)
         s = satellites(params, rng_for(53))
         cuts = np.linspace(-1.0, 1.0, 7)
-        z = s.points.points[:, 2]
+        z = s.points[:, 2]
         observed = np.histogram(z, bins=cuts)[0]
         expected = len(s.points) / 6.0
         stat = ((observed - expected) ** 2 / expected).sum()
@@ -357,8 +352,8 @@ class TestSatelliteTwin:
             orbits, pair = sample_satellites_batch(params, 1, rng_for(idx))
             s, twin = sample_satellites_with_twin(params, rng_for(idx))
             assert np.array_equal(orbits, s.orbits)
-            assert np.array_equal(pair.model.points, s.points.points)
-            assert np.array_equal(pair.twin.points, twin.points)
+            assert np.array_equal(pair.model.points, s.points)
+            assert np.array_equal(pair.twin.points, twin)
 
     def test_twin_equals_sample_without_multi_orbits(self):
         # with tiny mu the twin should usually coincide with the sample
@@ -366,7 +361,7 @@ class TestSatelliteTwin:
         same = 0
         for i in range(50):
             s, twin = sample_satellites_with_twin(params, rng_for(60 + i))
-            if multiset(s.points.points) == multiset(twin.points):
+            if multiset(s.points) == multiset(twin):
                 same += 1
         assert same >= 45
 
@@ -385,7 +380,7 @@ class TestSatelliteTwin:
         for _ in range(6000):
             _, twin = sample_satellites_with_twin(params, rng)
             totals.append(len(twin))
-            zs.extend(twin.points[:, 2])
+            zs.extend(twin[:, 2])
         totals = np.array(totals)
         zs = np.array(zs)
         oracle = rng.poisson(2.0, 6000)   # same-law reference draw

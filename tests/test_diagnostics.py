@@ -18,19 +18,15 @@ from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 tv_vs_poisson, wasserstein_lower_bound)
 from coxsim.geometry import Disk, LatitudeBand, Rect, halves
 from coxsim.harness import ValidationSettings, check_mecke
-from coxsim.pointprocess import (PLANE, SPHERE, Configuration, CoupledBatch,
-                                 ModelParams, ReplicateBatch, RngStream,
-                                 sample_ppp_window, sample_uniform_sphere)
+from coxsim.pointprocess import (SPHERE, CoupledBatch, ModelParams, ReplicateBatch,
+                                 RngStream, sample_ppp_window, sample_uniform_sphere)
+from oracles import batch, count_in, plane_points, sphere_points
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 
 
 def rng_for(idx, seed=31415):
     return RngStream(seed, idx).generator()
-
-
-def batch(configs, space=PLANE):
-    return ReplicateBatch.stack([c.points for c in configs], space)
 
 
 def ppp_samples(lam, reps, rng):
@@ -93,7 +89,7 @@ class TestCountTvLowerBound:
         params = ModelParams.spherical(2.0, 5)
         rng = rng_for(2)
         band = LatitudeBand(-1 / 3, 1 / 3)
-        counts = np.array([sample_satellites_with_twin(params, rng)[0].points.count_in(band)
+        counts = np.array([count_in(sample_satellites_with_twin(params, rng)[0].points, band)
                            for _ in range(8000)])
         half = counts.size // 2
         tv = empirical_count_tv(counts[:half], counts[half:])
@@ -103,8 +99,8 @@ class TestCountTvLowerBound:
         # n=5, c=2: strictly positive distance, below the 2c^2/n = 1.6 bound
         params = ModelParams.spherical(2.0, 5)
         rng = rng_for(3)
-        samples = batch([sample_satellites_with_twin(params, rng)[0].points for _ in range(6000)],
-                        SPHERE)
+        samples = batch([sample_satellites_with_twin(params, rng)[0].points
+                         for _ in range(6000)])
         band = LatitudeBand(-1 / 6, 1 / 6)
         est = count_tv_lower_bound(samples, band, 2.0 * band.measure,
                                    rng=rng_for(4))
@@ -113,17 +109,9 @@ class TestCountTvLowerBound:
         assert est.kind == "tv-counts"
 
     def test_needs_enough_samples(self):
-        with pytest.raises(ValueError):
-            count_tv_lower_bound(np.zeros(10, dtype=np.int64),
-                                 LatitudeBand(-1, 1), 1.0)
-
-    def test_counts_array_input(self):
-        counts = rng_for(5).poisson(2.0, 5000)
-        est = count_tv_lower_bound(counts, None, 2.0, rng=rng_for(6),
-                                   region_name="total")
-        assert est.value < 0.05
-        assert est.regions == "total"
-        assert est.stderr > 0
+        with pytest.raises(ValueError, match="at least 1000"):
+            count_tv_lower_bound(batch([sphere_points([])] * 10),
+                                 LatitudeBand(-1, 1), 1.0, rng_for(5))
 
 
 class TestWassersteinLowerBound:
@@ -137,8 +125,8 @@ class TestWassersteinLowerBound:
         assert est.value < 0.02
 
     def test_constant_family_zero(self):
-        samples = batch([Configuration.empty(PLANE)] * 1000)
-        ref = lambda reps, r: batch([Configuration.empty(PLANE)] * reps)
+        samples = batch([plane_points([])] * 1000)
+        ref = lambda reps, r: batch([plane_points([])] * reps)
         fam = [Functional("const", (), lambda c: np.full(len(c), 1.0))]
         est = wasserstein_lower_bound(samples, ref, fam, rng_for(9))
         assert est.value == 0.0
@@ -146,8 +134,8 @@ class TestWassersteinLowerBound:
     def test_rejects_non_lipschitz(self):
         fam = [Functional("bad", (WINDOW,), lambda c: 2.0 * c[:, 0], lipschitz=False)]
         with pytest.raises(ValueError):
-            wasserstein_lower_bound(batch([Configuration.empty(PLANE)]),
-                                    lambda reps, r: batch([Configuration.empty(PLANE)] * reps),
+            wasserstein_lower_bound(batch([plane_points([])]),
+                                    lambda reps, r: batch([plane_points([])] * reps),
                                     fam, rng_for(10))
 
     def test_dominates_count_tv_with_level_sets(self):
@@ -178,8 +166,7 @@ class TestWassersteinLowerBound:
 
 class TestCoupled:
     def test_identical_pairs_zero(self):
-        cfg = Configuration([[0.0, 0.0, 1.0]], SPHERE)
-        side = batch([cfg] * 500, SPHERE)
+        side = batch([sphere_points([[0.0, 0.0, 1.0]])] * 500)
         pairs = CoupledBatch(side, side)
         fam = [count_indicator(LatitudeBand(0, 1), {1})]
         est = coupled_wasserstein_lower_bound(pairs, fam)
@@ -373,11 +360,6 @@ class TestRateRegression:
     def test_inverse_square(self):
         points = [(x, 1.0 / x ** 2) for x in (1.0, 2.0, 4.0, 8.0)]
         assert rate_regression(points).slope == pytest.approx(-2.0, abs=1e-9)
-
-    def test_accepts_distance_estimates(self):
-        points = [(x, DistanceEstimate(1.0 / x, 0.01, "tv-counts", "w"))
-                  for x in (1.0, 2.0, 4.0, 8.0)]
-        assert rate_regression(points).slope == pytest.approx(-1.0, abs=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Batch evaluation of the preset functionals, the Glauber generator and the
 contraction estimate against a scalar oracle that counts one configuration
-at a time with Configuration.count_in."""
+(point array) at a time with oracles.count_in."""
 
 import math
 
@@ -12,8 +12,9 @@ from coxsim.diagnostics import (glauber_functionals, mecke_functionals,
 from coxsim.geometry import Disk, Rect
 from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
                             semigroup_sample)
-from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ReplicateBatch,
-                                 RngStream, sample_uniform_sphere, uniform_in_window)
+from coxsim.pointprocess import (PLANE, SPHERE, ReplicateBatch, RngStream,
+                                 sample_uniform_sphere, uniform_in_window)
+from oracles import count_in, plane_points, plus, sphere_points, split
 
 RECT = Rect(0.0, 0.0, 1.0, 1.0)
 DISK = Disk((0.0, 0.0), 1.0)
@@ -23,16 +24,15 @@ def rng_for(idx, seed=4242):
     return RngStream(seed, idx).generator()
 
 
-def scalar_value(F, cfg: Configuration) -> float:
+def scalar_value(F, pts: np.ndarray) -> float:
     """F on one configuration, from count_in and the kernel's definition."""
     if F.pair_threshold is not None:
-        pts = cfg.points
         if len(pts) < 2:
             return 0.0
         dots = pts @ pts.T
         iu = np.triu_indices(len(pts), k=1)
         return float(np.any(np.abs(dots[iu]) >= F.pair_threshold))
-    counts = [cfg.count_in(r) for r in F.regions]
+    counts = [count_in(pts, r) for r in F.regions]
     kind, kw = F.h.func.__name__, F.h.keywords
     if kind == "_capped":
         return float(min(counts[0], kw["cap"]))
@@ -42,18 +42,8 @@ def scalar_value(F, cfg: Configuration) -> float:
     return float(all(c >= k for c, k in zip(counts, kw["ks"])))
 
 
-def plus(cfg, x):
-    return Configuration(np.vstack([cfg.points, np.reshape(x, (1, -1))]), cfg.space)
-
-
-def split(batch: ReplicateBatch) -> list:
-    """The replicates of a batch as Configurations."""
-    return [Configuration(batch.points[batch.rep_ids == j], batch.space)
-            for j in range(len(batch))]
-
-
 def assert_batch_matches(functionals, configs, space):
-    batch = ReplicateBatch.stack([c.points for c in configs], space)
+    batch = ReplicateBatch.stack(configs, space)
     assert len(batch) == len(configs)
     for F in functionals:
         expect = np.array([scalar_value(F, c) for c in configs])
@@ -64,12 +54,12 @@ def assert_batch_matches(functionals, configs, space):
 
 def planar_configs(window, boundary, rng):
     """Empty replicates (one trailing), duplicates, boundary points, random."""
-    cfg = lambda pts: Configuration(np.asarray(pts, dtype=float).reshape(-1, 2), PLANE)
     inside = uniform_in_window(window, 40, rng)
-    configs = [cfg([]), cfg(boundary), cfg([boundary[0]] * 3), cfg([])]
-    configs += [cfg(np.vstack([boundary[k % len(boundary)], inside[k:k + k % 7]]))
+    empty = plane_points([])
+    configs = [empty, plane_points(boundary), plane_points([boundary[0]] * 3), empty]
+    configs += [np.vstack([boundary[k % len(boundary)], inside[k:k + k % 7]])
                 for k in range(30)]
-    configs += [cfg(inside[:1]), cfg(np.vstack([inside[:5], inside[:5]])), cfg([])]
+    configs += [inside[:1], np.vstack([inside[:5], inside[:5]]), empty]
     return configs
 
 
@@ -87,37 +77,36 @@ def test_planar_presets(window, boundary):
 
 
 def test_sphere_preset_with_pairs_at_threshold():
-    cfg = lambda pts: Configuration(np.asarray(pts, dtype=float).reshape(-1, 3), SPHERE)
     e1 = [1.0, 0.0, 0.0]
 
     def partner(dot):
         # unit-norm partner of e1 whose dot product with e1 is exactly dot
         return [dot, math.sqrt(1.0 - dot * dot), 0.0]
 
-    configs = [cfg([])]
+    rows = [[]]
     for thr in (0.99, 0.999):
         below = np.nextafter(thr, 0.0)
-        configs += [cfg([e1, partner(thr)]), cfg([e1, partner(-thr)]),
-                    cfg([e1, partner(below)]), cfg([e1, partner(-below)]),
-                    cfg([partner(thr), e1, [0.0, 0.0, 1.0]])]
-    configs += [cfg([e1, e1]), cfg([[0.0, 0.0, 1 / 3], [0.0, 0.6, 0.8]]),
-                cfg([[0.0, 0.8, 0.6], [0.0, -0.8, -0.6], [0.0, 0.0, 2 / 3]])]
+        rows += [[e1, partner(thr)], [e1, partner(-thr)],
+                 [e1, partner(below)], [e1, partner(-below)],
+                 [partner(thr), e1, [0.0, 0.0, 1.0]]]
+    rows += [[e1, e1], [[0.0, 0.0, 1 / 3], [0.0, 0.6, 0.8]],
+             [[0.0, 0.8, 0.6], [0.0, -0.8, -0.6], [0.0, 0.0, 2 / 3]]]
+    configs = [sphere_points(r) for r in rows]
     rng = rng_for(1)
-    configs += [cfg(sample_uniform_sphere(rng, int(k))) for k in rng.integers(0, 9, 60)]
-    configs.append(cfg([]))
+    configs += [sample_uniform_sphere(rng, int(k)) for k in rng.integers(0, 9, 60)]
+    configs.append(sphere_points([]))
     assert_batch_matches(sphere_functional_family(), configs, SPHERE)
 
 
 def test_close_pairs_match_per_configuration_products():
     # random satellite-like replicates of many sizes, in one batch
     rng = rng_for(2)
-    configs = [Configuration(sample_uniform_sphere(rng, int(k)), SPHERE)
-               for k in rng.integers(0, 12, 3000)]
+    configs = [sample_uniform_sphere(rng, int(k)) for k in rng.integers(0, 12, 3000)]
     close = [F for F in sphere_functional_family() if F.pair_threshold is not None]
     assert_batch_matches(close, configs, SPHERE)
     # points in shuffled order: the scan sorts them by replicate (stably),
     # so each replicate is scanned in the order split() returns it
-    batch = ReplicateBatch.stack([c.points for c in configs], SPHERE)
+    batch = ReplicateBatch.stack(configs, SPHERE)
     perm = rng.permutation(batch.points.shape[0])
     shuffled = ReplicateBatch(batch.points[perm], batch.rep_ids[perm], len(batch), SPHERE)
     assert np.any(np.diff(shuffled.rep_ids) < 0)
@@ -127,13 +116,12 @@ def test_close_pairs_match_per_configuration_products():
 
 
 SPEC = GlauberSpec(RECT, lam=1.5)
-OMEGAS = [Configuration.empty(PLANE),
-          Configuration([[0.5, 0.5], [0.5, 0.5], [0.2, 0.9]], PLANE),
-          Configuration([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [0.3, 0.3], [0.7, 0.1]],
-                        PLANE)]
+OMEGAS = [plane_points([]),
+          plane_points([[0.5, 0.5], [0.5, 0.5], [0.2, 0.9]]),
+          plane_points([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [0.3, 0.3], [0.7, 0.1]])]
 
 
-OMEGA_BATCH = ReplicateBatch.stack([omega.points for omega in OMEGAS], PLANE)
+OMEGA_BATCH = ReplicateBatch.stack(OMEGAS, PLANE)
 GENERATOR_FAMILY = glauber_functionals(RECT) + planar_functional_family(RECT)
 
 
@@ -154,8 +142,7 @@ def test_generator_matches_oracle(k, generator_values):
         f0 = scalar_value(F, omega)
         death = 0.0
         for i in range(len(omega)):
-            less = Configuration(np.delete(omega.points, i, axis=0), PLANE)
-            death += scalar_value(F, less) - f0
+            death += scalar_value(F, np.delete(omega, i, axis=0)) - f0
         pair_means = np.array([0.5 * ((scalar_value(F, plus(omega, a)) - f0)
                                       + (scalar_value(F, plus(omega, b)) - f0))
                                for a, b in zip(pts, mirrored)])
@@ -171,13 +158,13 @@ def test_contraction_matches_oracle():
     estimates = contraction_estimate(family, omega, z, 0.7, SPEC, 200, rng_for(20))
     # the shared base draws: one semigroup batch, then one survival coin each
     rng = rng_for(20)
-    base = split(semigroup_sample(ReplicateBatch.stack([omega.points] * 200, PLANE),
+    base = split(semigroup_sample(ReplicateBatch.stack([omega] * 200, PLANE),
                                   0.7, SPEC, rng))
     survives = rng.random(200) < math.exp(-0.7)
     assert len(estimates) == len(family)
     for F, (est, se) in zip(family, estimates):
-        diffs = np.array([abs(scalar_value(F, plus(cfg, z) if keep else cfg)
-                              - scalar_value(F, cfg))
-                          for cfg, keep in zip(base, survives)])
+        diffs = np.array([abs(scalar_value(F, plus(pts, z) if keep else pts)
+                              - scalar_value(F, pts))
+                          for pts, keep in zip(base, survives)])
         assert est == diffs.mean(), F.name
         assert se == diffs.std(ddof=1) / math.sqrt(200), F.name

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,53 +11,36 @@ from coxsim.geometry import Rect
 from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
                             glauber_simulate, semigroup_sample,
                             semigroup_trajectory_consistency)
-from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ReplicateBatch,
-                                 RngStream, sample_ppp_window,
+from coxsim.pointprocess import (ReplicateBatch, RngStream, sample_ppp_window,
                                  sample_uniform_sphere, uniform_in_window)
+from oracles import batch, multiset, plane_points, plus, replicate, sphere_points
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 SPEC = GlauberSpec(WINDOW, lam=1.5, horizon=20.0)
-OMEGA0 = Configuration([[0.2, 0.2], [0.8, 0.3], [0.5, 0.7], [0.3, 0.9]], PLANE)
+OMEGA0 = plane_points([[0.2, 0.2], [0.8, 0.3], [0.5, 0.7], [0.3, 0.9]])
 
 
 def rng_for(idx, seed=2025):
     return RngStream(seed, idx).generator()
 
 
-def batch(configs):
-    return ReplicateBatch.stack([c.points for c in configs], configs[0].space)
-
-
-def repeat(cfg, reps):
-    return ReplicateBatch.stack([cfg.points] * reps, cfg.space)
+def repeat(points, reps):
+    return batch([points] * reps)
 
 
 def sizes(b):
     return np.bincount(b.rep_ids, minlength=len(b))
 
 
-def replicate(b, j):
-    return Configuration(b.points[b.rep_ids == j], b.space)
-
-
-def multiset(cfg):
-    """A configuration's points as a multiset, for order-free comparison."""
-    return Counter(map(tuple, cfg.points))
-
-
-def value(F, cfg):
+def value(F, points):
     """F on a single configuration."""
-    return F(batch([cfg]))[0]
+    return F(batch([points]))[0]
 
 
-def plus(cfg, x):
-    return Configuration(np.vstack([cfg.points, np.reshape(x, (1, -1))]), cfg.space)
-
-
-def scalar_glauber(cfg0, spec, rng, horizon):
+def scalar_glauber(omega0, spec, rng, horizon):
     """Reference event loop: one trajectory, one event at a time, with the
     randomness consumed in blocks of 256."""
-    pts = [row.copy() for row in cfg0.points]
+    pts = [row.copy() for row in omega0]
     b = spec.birth_rate
     t = 0.0
     block = 256
@@ -80,7 +62,7 @@ def scalar_glauber(cfg0, spec, rng, horizon):
         else:
             pts.pop(int(u - b))
         k += 1
-    return Configuration(np.array(pts) if pts else np.empty((0, 2)), cfg0.space)
+    return plane_points(pts)
 
 
 class TestTrajectory:
@@ -93,7 +75,7 @@ class TestTrajectory:
         # m(t) = lam |W| (1 - e^-t)
         rng = rng_for(1)
         for t in (0.3, 1.0):
-            ns = sizes(glauber_simulate(repeat(Configuration.empty(PLANE), 4000),
+            ns = sizes(glauber_simulate(repeat(plane_points([]), 4000),
                                         SPEC, rng, horizon=t))
             expect = SPEC.birth_rate * (1.0 - math.exp(-t))
             se = ns.std(ddof=1) / math.sqrt(ns.size)
@@ -119,7 +101,7 @@ class TestTrajectory:
             glauber_simulate(batch([OMEGA0]), SPEC, rng_for(4), horizon=horizon)
 
     def test_rejects_outside_start(self):
-        bad = Configuration([[2.0, 2.0]], PLANE)
+        bad = plane_points([[2.0, 2.0]])
         with pytest.raises(ValueError):
             glauber_simulate(batch([bad]), SPEC, rng_for(4))
 
@@ -176,7 +158,7 @@ def homogeneity(a, b):
 def law_pmf(omega, region, spec, t):
     """Exact count law in the region at time t from omega:
     Binomial(#(omega in region), e^-t) + Poisson(lam |region| (1 - e^-t))."""
-    n_in, p = int(region.contains(omega.points).sum()), math.exp(-t)
+    n_in, p = int(region.contains(omega).sum()), math.exp(-t)
     binom = np.array([math.comb(n_in, k) * p ** k * (1.0 - p) ** (n_in - k)
                       for k in range(n_in + 1)])
     return np.convolve(binom, poisson_pmf(spec.lam * region.area * (1.0 - p))[0])
@@ -205,7 +187,7 @@ class TestLockstepLaw:
 
     def test_empty_replicates_get_births(self):
         # empty starts interleaved with OMEGA0, one trailing empty replicate
-        empty = Configuration.empty(PLANE)
+        empty = plane_points([])
         starts = batch([empty, OMEGA0] * 10_000 + [empty])
         out = glauber_simulate(starts, SPEC, rng_for(32), horizon=1.0)
         counts = out.counts(WINDOW)
@@ -217,7 +199,7 @@ class TestLockstepLaw:
     def test_high_intensity_start_grows(self):
         # 60 starting points at lam = 300: replicates reach more than twice
         # their starting size
-        omega = Configuration(uniform_in_window(WINDOW, 60, rng_for(33)), PLANE)
+        omega = uniform_in_window(WINDOW, 60, rng_for(33))
         spec = GlauberSpec(WINDOW, lam=300.0)
         out = glauber_simulate(repeat(omega, 4000), spec, rng_for(34), horizon=0.5)
         assert WINDOW.contains(out.points).all()
@@ -227,15 +209,15 @@ class TestLockstepLaw:
             assert g < chi2_crit(df), (region.describe(), g, df)
 
     def test_horizon_zero_returns_every_start(self):
-        configs = [Configuration.empty(PLANE), OMEGA0,
-                   Configuration([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], PLANE),
-                   Configuration.empty(PLANE)]
+        configs = [plane_points([]), OMEGA0,
+                   plane_points([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]),
+                   plane_points([])]
         # a superposition leaves the replicates' points out of replicate order
         starts = batch(configs).superpose(batch(configs[::-1]))
         out = glauber_simulate(starts, SPEC, rng_for(35), horizon=0.0)
-        for j, cfg in enumerate(configs):
-            both = np.vstack([cfg.points, configs[len(configs) - 1 - j].points])
-            assert multiset(replicate(out, j)) == multiset(Configuration(both, PLANE))
+        for j, omega in enumerate(configs):
+            both = np.vstack([omega, configs[len(configs) - 1 - j]])
+            assert multiset(replicate(out, j)) == multiset(both)
 
 
 class TestSemigroup:
@@ -317,7 +299,7 @@ class TestGenerator:
 
 class TestContraction:
     Z = (0.6, 0.35)
-    OMEGA = Configuration([[0.25, 0.4], [0.7, 0.6]], PLANE)
+    OMEGA = plane_points([[0.25, 0.4], [0.7, 0.6]])
 
     def test_t_zero_lipschitz(self):
         F = truncated_count(WINDOW, 3)
@@ -360,7 +342,7 @@ class TestFunctionalRegistry:
         functionals = glauber_functionals(WINDOW)
         for _ in range(300):
             n = int(rng.integers(0, 6))
-            omega = Configuration(uniform_in_window(WINDOW, n, rng), PLANE)
+            omega = uniform_in_window(WINDOW, n, rng)
             x = uniform_in_window(WINDOW, 1, rng)[0]
             for F in functionals:
                 if F.lipschitz:
@@ -371,7 +353,7 @@ class TestFunctionalRegistry:
         functionals = [close_pair_indicator(0.99), close_pair_indicator(0.999)]
         for _ in range(200):
             n = int(rng.integers(0, 6))
-            omega = Configuration(sample_uniform_sphere(rng, n), SPHERE)
+            omega = sample_uniform_sphere(rng, n)
             x = sample_uniform_sphere(rng)
             for F in functionals:
                 assert abs(value(F, plus(omega, x)) - value(F, omega)) <= 1.0
@@ -382,23 +364,22 @@ class TestFunctionalRegistry:
 
     def test_indicator_values(self):
         F = count_indicator(WINDOW, {2})
-        assert value(F, Configuration([[0.1, 0.1], [0.2, 0.2]], PLANE)) == 1.0
-        assert value(F, Configuration([[0.1, 0.1]], PLANE)) == 0.0
+        assert value(F, plane_points([[0.1, 0.1], [0.2, 0.2]])) == 1.0
+        assert value(F, plane_points([[0.1, 0.1]])) == 0.0
 
     def test_product_indicator(self):
         left = Rect(0, 0, 0.5, 1)
         right = Rect(0.5, 0, 1, 1)
         F = count_at_least((left, 1), (right, 1))
-        assert value(F, Configuration([[0.2, 0.5], [0.8, 0.5]], PLANE)) == 1.0
-        assert value(F, Configuration([[0.2, 0.5]], PLANE)) == 0.0
+        assert value(F, plane_points([[0.2, 0.5], [0.8, 0.5]])) == 1.0
+        assert value(F, plane_points([[0.2, 0.5]])) == 0.0
 
     def test_close_pair_detects(self):
         F = close_pair_indicator(0.99)
-        near = Configuration([[1.0, 0.0, 0.0], [0.999, math.sqrt(1 - 0.999 ** 2), 0.0]],
-                             SPHERE)
-        anti = Configuration([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], SPHERE)
-        far = Configuration([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], SPHERE)
+        near = sphere_points([[1.0, 0.0, 0.0], [0.999, math.sqrt(1 - 0.999 ** 2), 0.0]])
+        anti = sphere_points([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        far = sphere_points([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert value(F, near) == 1.0
         assert value(F, anti) == 1.0
         assert value(F, far) == 0.0
-        assert value(F, Configuration.empty(SPHERE)) == 0.0
+        assert value(F, sphere_points([])) == 0.0

@@ -1,14 +1,17 @@
+import json
+
+import numpy as np
 import pytest
 
 import coxsim.harness as harness
 from coxsim.cli import main
-from coxsim.coxmodels import sample_cox_line_batch
+from coxsim.coxmodels import sample_cox_line, sample_cox_line_batch
 from coxsim.geometry import Disk, Rect
 from coxsim.harness import (ConfigError, ExperimentConfig, ValidationSettings,
                             config_from_ini, format_check_table, parse_window,
                             run_experiment, run_validation_suite,
                             write_validation_csv)
-from coxsim.pointprocess import ModelParams, config_from_csv
+from coxsim.pointprocess import ModelParams, RngStream
 
 SMALL = ValidationSettings.scaled(2000)
 
@@ -264,9 +267,15 @@ class TestCli:
         out = tmp_path / "sim"
         assert main(["simulate", "cox-line", "--c", "2", "--lam", "10",
                      "--seed", "4", "--out", str(out)]) == 0
-        cfg = config_from_csv((out / "points.csv").read_text())
-        assert cfg.space == "plane"
-        assert (out / "summary.json").exists()
+        text = (out / "points.csv").read_text()
+        assert text.startswith("x,y\n")
+        points = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1, ndmin=2)
+        # the same draw as the command: stream (seed 4, index 0), default window
+        expect = sample_cox_line(ModelParams.planar(2.0, 10.0), Disk((0.0, 0.0), 1.0),
+                                 RngStream(4, 0).generator()).points
+        assert len(expect) > 0 and np.array_equal(points, expect)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_points"] == len(expect)
 
     def test_simulate_satellites_stdout(self, capsys):
         assert main(["simulate", "satellites", "--c", "3", "--n", "5"]) == 0

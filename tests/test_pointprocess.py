@@ -1,18 +1,18 @@
 import dataclasses
 import itertools
 import math
-from collections import Counter
+import warnings
 
 import numpy as np
 import pytest
 
 from coxsim.diagnostics import mecke_check_bpp, mecke_functionals
 from coxsim.geometry import Disk, Rect
-from coxsim.pointprocess import (PLANE, SPHERE, Configuration, ModelParams,
-                                 ReplicateBatch, RngStream, composite_index,
-                                 config_from_csv, config_to_csv,
-                                 ppp_batch, region_counts, sample_ppp_window,
-                                 sample_uniform_sphere, uniform_in_window)
+from coxsim.pointprocess import (PLANE, SPHERE, ModelParams, ReplicateBatch, RngStream,
+                                 composite_index, points_to_csv, ppp_batch,
+                                 region_counts, sample_ppp_window, sample_uniform_sphere,
+                                 uniform_in_window)
+from oracles import batch, count_in, multiset, plane_points, replicate, sphere_points
 
 # chi-square 0.999 quantile at 15 degrees of freedom (fixed table value)
 CHI2_999_DF15 = 37.697
@@ -22,22 +22,9 @@ def rng_for(idx=0, seed=777):
     return RngStream(seed, idx).generator()
 
 
-def batch(*configs):
-    return ReplicateBatch.stack([c.points for c in configs], configs[0].space)
-
-
-def replicate(b, j):
-    return Configuration(b.points[b.rep_ids == j], b.space)
-
-
-def multiset(cfg):
-    """A configuration's points as a multiset, for order-free comparison."""
-    return Counter(map(tuple, cfg.points))
-
-
 def config_tv_distance(a, b) -> int:
     """|a minus b| + |b minus a| as multisets (symmetric difference size)."""
-    if a.space != b.space:
+    if a.shape[1] != b.shape[1]:
         raise ValueError("configurations live in different spaces")
     ma, mb = multiset(a), multiset(b)
     return sum(abs(ma[key] - mb[key]) for key in ma.keys() | mb.keys())
@@ -45,37 +32,24 @@ def config_tv_distance(a, b) -> int:
 
 class TestConfiguration:
     def test_multiset_equality_order_insensitive(self):
-        a = Configuration([[0.0, 0.0], [1.0, 1.0]], PLANE)
-        b = Configuration([[1.0, 1.0], [0.0, 0.0]], PLANE)
+        a = plane_points([[0.0, 0.0], [1.0, 1.0]])
+        b = plane_points([[1.0, 1.0], [0.0, 0.0]])
         assert multiset(a) == multiset(b)
-
-    def test_immutable(self):
-        cfg = Configuration([[0.0, 0.0]], PLANE)
-        with pytest.raises(AttributeError):
-            cfg.space = SPHERE
-        with pytest.raises(ValueError):
-            cfg.points[0, 0] = 5.0
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            Configuration([[1.0, 2.0, 3.0]], PLANE)
-        with pytest.raises(ValueError):
-            Configuration([[1.0, 2.0]], "line")
 
 
 class TestTvDistance:
     def test_identical(self):
-        a = Configuration([[0.0, 1.0]], PLANE)
+        a = plane_points([[0.0, 1.0]])
         assert config_tv_distance(a, a) == 0
 
     def test_single_point_vs_empty(self):
-        a = Configuration([[0.0, 1.0]], PLANE)
-        assert config_tv_distance(a, Configuration.empty(PLANE)) == 1
+        a = plane_points([[0.0, 1.0]])
+        assert config_tv_distance(a, plane_points([])) == 1
 
     def test_symmetric_difference(self):
         p, q, r = [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]
-        a = Configuration([p, q], PLANE)
-        b = Configuration([q, r], PLANE)
+        a = plane_points([p, q])
+        b = plane_points([q, r])
         assert config_tv_distance(a, b) == 2
 
     def test_metric_axioms_small_multisets(self):
@@ -84,7 +58,7 @@ class TestTvDistance:
         pool = []
         for n in range(3):
             for combo in itertools.combinations_with_replacement(ground, n):
-                pool.append(Configuration(np.array(combo).reshape(n, 2), PLANE))
+                pool.append(np.array(combo).reshape(n, 2))
         for a in pool:
             for b in pool:
                 d = config_tv_distance(a, b)
@@ -96,23 +70,22 @@ class TestTvDistance:
 
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
-            config_tv_distance(Configuration.empty(PLANE),
-                               Configuration.empty(SPHERE))
+            config_tv_distance(plane_points([]), sphere_points([]))
 
 
 class TestSuperposeCount:
     def test_superpose_empty(self):
-        a = Configuration([[0.5, 0.5]], PLANE)
-        empty = Configuration.empty(PLANE)
-        out = batch(a, empty).superpose(batch(empty, empty))
+        a = plane_points([[0.5, 0.5]])
+        empty = plane_points([])
+        out = batch([a, empty]).superpose(batch([empty, empty]))
         assert multiset(replicate(out, 0)) == multiset(a) and len(replicate(out, 1)) == 0
 
     def test_superpose_sizes_and_commutativity(self):
         rng = rng_for(1)
-        a = Configuration(rng.random((3, 2)), PLANE)
-        b = Configuration(rng.random((5, 2)), PLANE)
-        ab = batch(a, b).superpose(batch(b, b))
-        ba = batch(b, b).superpose(batch(a, b))
+        a = rng.random((3, 2))
+        b = rng.random((5, 2))
+        ab = batch([a, b]).superpose(batch([b, b]))
+        ba = batch([b, b]).superpose(batch([a, b]))
         assert np.bincount(ab.rep_ids).tolist() == [8, 10]
         for j in range(2):
             assert multiset(replicate(ab, j)) == multiset(replicate(ba, j))
@@ -125,22 +98,22 @@ class TestSuperposeCount:
             plane.superpose(ReplicateBatch.stack([np.empty((0, 2))] * 2, PLANE))
 
     def test_count_empty(self):
-        assert Configuration.empty(PLANE).count_in(Disk((0, 0), 1.0)) == 0
+        assert count_in(plane_points([]), Disk((0, 0), 1.0)) == 0
 
     def test_count_full_window(self):
         rng = rng_for(2)
         window = Rect(0, 0, 1, 1)
         pts = uniform_in_window(window, 40, rng)
-        assert Configuration(pts, PLANE).count_in(window) == 40
+        assert count_in(pts, window) == 40
 
     def test_count_additive_disjoint(self):
         rng = rng_for(3)
         window = Rect(0, 0, 1, 1)
-        cfg = Configuration(uniform_in_window(window, 200, rng), PLANE)
+        pts = uniform_in_window(window, 200, rng)
         left = Rect(0, 0, 0.5, 1)
         right = Rect(0.5, 0, 1, 1)
         # the shared edge has probability 0 under the continuous law
-        assert cfg.count_in(left) + cfg.count_in(right) == 200
+        assert count_in(pts, left) + count_in(pts, right) == 200
 
 
 class TestBatchCache:
@@ -230,8 +203,8 @@ class TestPppWindow:
 
     def test_points_inside(self):
         window = Disk((0.0, 0.0), 0.5)
-        cfg = sample_ppp_window(window, 20.0, rng_for(7))
-        assert window.contains(cfg.points).all()
+        pts = sample_ppp_window(window, 20.0, rng_for(7))
+        assert pts.shape[1] == 2 and window.contains(pts).all()
 
 
 class TestUniformSphere:
@@ -283,36 +256,36 @@ class TestBpp:
 
 class TestThin:
     def test_keep_all(self):
-        cfg = Configuration(rng_for(19).random((7, 2)), PLANE)
-        assert multiset(replicate(batch(cfg).thin(1.0, rng_for(20)), 0)) == multiset(cfg)
+        pts = rng_for(19).random((7, 2))
+        assert multiset(replicate(batch([pts]).thin(1.0, rng_for(20)), 0)) == multiset(pts)
 
     def test_drop_all(self):
-        cfg = Configuration(rng_for(21).random((7, 2)), PLANE)
-        out = batch(cfg, cfg).thin(0.0, rng_for(22))
+        pts = rng_for(21).random((7, 2))
+        out = batch([pts, pts]).thin(0.0, rng_for(22))
         assert len(out.points) == 0 and len(out) == 2
 
     def test_binomial_mean(self):
-        cfg = Configuration(rng_for(23).random((50, 2)), PLANE)
-        out = ReplicateBatch.stack([cfg.points] * 20_000, PLANE).thin(0.3, rng_for(24))
+        pts = rng_for(23).random((50, 2))
+        out = ReplicateBatch.stack([pts] * 20_000, PLANE).thin(0.3, rng_for(24))
         sizes = np.bincount(out.rep_ids, minlength=20_000)
         se = sizes.std(ddof=1) / math.sqrt(sizes.size)
         assert abs(sizes.mean() - 15.0) < 3 * se
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            batch(Configuration.empty(PLANE)).thin(1.5, rng_for(25))
+            batch([plane_points([])]).thin(1.5, rng_for(25))
 
 
 class TestReproducibility:
     def test_identical_streams(self):
         a = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, RngStream(42, 9).generator())
         b = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, RngStream(42, 9).generator())
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
 
     def test_distinct_streams(self):
         a = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, RngStream(42, 9).generator())
         b = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, RngStream(42, 10).generator())
-        assert not (len(a) == len(b) and np.array_equal(a.points, b.points))
+        assert not (len(a) == len(b) and np.array_equal(a, b))
 
     def test_composite_index(self):
         assert composite_index(0, 0, 0) == 0
@@ -324,30 +297,36 @@ class TestReproducibility:
         with pytest.raises(ValueError):
             composite_index(0, 0, 2 ** 40)
 
-    def test_child_stream(self):
-        s = RngStream(7)
-        assert s.child(1, 2, 3).index == composite_index(1, 2, 3)
+
+def parse_csv(text: str) -> np.ndarray:
+    """A points CSV as written by points_to_csv, read back by numpy with one
+    column per header field."""
+    lines = text.splitlines(keepends=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # header-only: no data rows
+        return np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2,
+                          usecols=range(len(lines[0].split(","))))
 
 
 class TestCsv:
     def test_round_trip_planar(self):
-        cfg = Configuration(rng_for(26).random((5, 2)) * 1e-3, PLANE)
-        back = config_from_csv(config_to_csv(cfg))
-        assert back.space == PLANE
-        assert np.array_equal(back.points, cfg.points)
+        pts = rng_for(26).random((5, 2)) * 1e-3
+        text = points_to_csv(pts)
+        assert text.startswith("x,y\n")
+        assert np.array_equal(parse_csv(text), pts)
 
     def test_round_trip_sphere(self):
-        cfg = Configuration(sample_uniform_sphere(rng_for(27), 4), SPHERE)
-        back = config_from_csv(config_to_csv(cfg))
-        assert back.space == SPHERE
-        assert np.array_equal(back.points, cfg.points)
+        pts = sample_uniform_sphere(rng_for(27), 4)
+        text = points_to_csv(pts)
+        assert text.startswith("x,y,z\n")
+        assert np.array_equal(parse_csv(text), pts)
 
     def test_header_only(self):
-        assert len(config_from_csv("x,y\n")) == 0
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError):
-            config_from_csv("a,b\n1,2\n")
+        for empty, header in ((plane_points([]), "x,y\n"), (sphere_points([]), "x,y,z\n")):
+            text = points_to_csv(empty)
+            assert text == header
+            back = parse_csv(text)
+            assert back.shape == empty.shape and np.array_equal(back, empty)
 
 
 class TestModelParams:

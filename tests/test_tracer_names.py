@@ -55,11 +55,11 @@ def _failed(rows):
 CASES = {
     ("coxmodels", "sample_cox_line"): (
         (ModelParams.planar(1.0, 20.0), Disk((0.0, 0.0), 1.0), _rng(1)),
-        lambda s: {"coxmodels.points": float(len(s.points.points)),
+        lambda s: {"coxmodels.points": float(len(s.points)),
                    "coxmodels.lines": float(s.lines.shape[0])}),
     ("coxmodels", "sample_satellites_with_twin"): (
         (ModelParams.spherical(2.0, 7), _rng(2)),
-        lambda r: {"coxmodels.satellite_points": float(r[0].points.points.shape[0]),
+        lambda r: {"coxmodels.satellite_points": float(r[0].points.shape[0]),
                    "coxmodels.orbits": float(r[0].orbits.shape[0])}),
     ("pointprocess", "ppp_batch"): (
         (Rect(0.0, 0.0, 1.0, 1.0), 2.0, 50, _rng(3)),
