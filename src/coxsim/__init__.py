@@ -16,7 +16,7 @@ from .coxmodels import (CoxLineSample, SatelliteSample, effective_intensity,
                         sample_satellites_with_twin)
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       glauber_simulate, semigroup_trajectory_consistency)
-from .steinbound import (BoundReport, QuadratureError, QuadratureSpec,
+from .steinbound import (QuadratureError, QuadratureSpec,
                          chord_square_integral, coarea_check, cox_bound,
                          satellite_bound)
 from .diagnostics import (DistanceEstimate, Functional, RateFit,

@@ -14,8 +14,8 @@ import sys
 from dataclasses import replace
 
 from .coxmodels import sample_cox_line, sample_satellites_with_twin
-from .harness import (SCHEMA_VERSION, ConfigError, ExperimentConfig,
-                      ValidationSettings, config_from_ini, format_check_table,
+from .harness import (ConfigError, ExperimentConfig, ValidationSettings,
+                      config_from_ini, csv_header, csv_line, format_check_table,
                       parse_window, run_experiment, run_validation_suite,
                       write_validation_csv)
 from .pointprocess import ModelParams, RngStream, points_to_csv
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "converge-cox":
             p.add_argument("--window", default=None)
             p.add_argument("--target", default=None,
-                           choices=("c", "half-c", "auto"))
+                           choices=("c", "auto"))
 
     chk = sub.add_parser("check", help="run validation checks")
     chk.add_argument("which", choices=("mecke", "invariance", "glauber",
@@ -129,29 +129,28 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+BOUND_COLUMNS = ["model", "c", "param", "window", "bound"]
+
+
 def _cmd_bound(args) -> int:
     params = _model_params(args)
     if args.model == "cox-line":
-        rep = cox_bound(params, parse_window(args.window))
+        window = parse_window(args.window)
+        value, window_desc = cox_bound(params, window), window.describe()
         param_desc = f"lambda_n={args.lam:g}"
     else:
-        rep = satellite_bound(params)
+        value, window_desc = satellite_bound(params), "sphere"
         param_desc = f"n={args.n}"
-    header = "model,c,param,window,bound,quadrature_error,closed_form"
-    row = (f"{rep.model},{params.c:.17g},"
-           f"{params.lambda_n if rep.model == 'cox-line' else params.n:.17g},"
-           f"{rep.window_desc},{rep.bound_value:.17g},{rep.quadrature_error:.17g},"
-           f"{rep.closed_form:.17g}")
-    print(f"{rep.model} bound with c={params.c:g}, {param_desc}: "
-          f"{rep.bound_value:.8g} (closed form {rep.closed_form:.8g})")
-    print(header)
-    print(row)
+    # param is lambda_n, or n as a float, printed like any float column
+    row = csv_line([args.model, params.c, params.lambda_n, window_desc, value])
+    print(f"{args.model} bound with c={params.c:g}, {param_desc}: {value:.8g}")
+    sys.stdout.write(csv_line(BOUND_COLUMNS) + row)
     if args.out:
         new = not os.path.exists(args.out)
         with open(args.out, "a", encoding="utf-8") as fh:
             if new:
-                fh.write(f"# schema_version={SCHEMA_VERSION}\n{header}\n")
-            fh.write(row + "\n")
+                fh.write(csv_header(BOUND_COLUMNS))
+            fh.write(row)
     return EXIT_OK
 
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Window, chord_intervals, orbit_frame, support_radius
-from .pointprocess import (PLANE, SPHERE, CoupledBatch, ModelParams, ReplicateBatch,
-                           sample_uniform_sphere)
+from .pointprocess import CoupledBatch, ModelParams, ReplicateBatch, sample_uniform_sphere
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,6 @@ class CoxLineSample:
 
     lines: np.ndarray
     points: np.ndarray
-    params: ModelParams
-    window: Window
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,6 @@ class SatelliteSample:
 
     orbits: np.ndarray
     points: np.ndarray
-    params: ModelParams
 
 
 def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
@@ -62,7 +58,7 @@ def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
     lines, the positions on the chords; at reps = 1 this is the
     sample_cox_line draw.
     """
-    params.check_planar()
+    params.check_kind("planar")
     r_max = support_radius(window)
     per_rep = rng.poisson(params.lambda_n * r_max, reps)
     m = int(per_rep.sum())
@@ -76,14 +72,14 @@ def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
     ct, st = np.cos(theta[idx]), np.sin(theta[idx])
     points = np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
     rep_ids = np.repeat(np.arange(reps), per_rep)[idx]
-    return np.column_stack([r, theta]), ReplicateBatch(points, rep_ids, reps, PLANE)
+    return np.column_stack([r, theta]), ReplicateBatch(points, rep_ids, reps)
 
 
 def sample_cox_line(params: ModelParams, window: Window,
                     rng: np.random.Generator) -> CoxLineSample:
     """Sample the line-based Cox process restricted to the window."""
     lines, batch = sample_cox_line_batch(params, window, 1, rng)
-    return CoxLineSample(lines=lines, points=batch.points, params=params, window=window)
+    return CoxLineSample(lines=lines, points=batch.points)
 
 
 def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Generator):
@@ -104,7 +100,7 @@ def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Gener
     Returns (orbits, CoupledBatch): the base points of the occupied orbits,
     ordered by (replicate, label), and the replicate-aligned model and twin.
     """
-    params.check_spherical()
+    params.check_kind("spherical")
     rep_ids = np.repeat(np.arange(reps), rng.poisson(params.c, reps))
     labels = rng.integers(0, params.n, rep_ids.size)
     # unique rows rather than a composite key: no overflow for any n
@@ -118,15 +114,15 @@ def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Gener
     twin = points.copy()
     multi = occupancy[orbit_of] >= 2
     twin[multi] = sample_uniform_sphere(rng, int(multi.sum()))
-    return orbits, CoupledBatch(ReplicateBatch(points, rep_ids, reps, SPHERE),
-                                ReplicateBatch(twin, rep_ids, reps, SPHERE))
+    return orbits, CoupledBatch(ReplicateBatch(points, rep_ids, reps),
+                                ReplicateBatch(twin, rep_ids, reps))
 
 
 def sample_satellites_with_twin(params: ModelParams, rng: np.random.Generator):
     """One satellite-model sample and its coupled exact-PPP twin
     (the one-replicate view of sample_satellites_batch)."""
     orbits, pair = sample_satellites_batch(params, 1, rng)
-    return (SatelliteSample(orbits=orbits, points=pair.model.points, params=params),
+    return (SatelliteSample(orbits=orbits, points=pair.model.points),
             pair.twin.points)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap, Window,
                        halves)
-from .pointprocess import PLANE, CoupledBatch, ReplicateBatch, uniform_in_window
+from .pointprocess import CoupledBatch, ReplicateBatch, uniform_in_window
 
 BOOTSTRAP_RESAMPLES = 200
 
@@ -115,14 +115,13 @@ def _columns(cols, rows: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Functional:
     """F(w) = h(counts of w in regions), h mapping a (reps x len(regions))
-    count matrix to reps float values.  Raw counts are 1-Lipschitz but flagged
-    unbounded.  The close-pair indicator sets pair_threshold instead of h."""
+    count matrix to reps float values.  The close-pair indicator sets
+    pair_threshold instead of h."""
 
     name: str
     regions: tuple
     h: Callable[[np.ndarray], np.ndarray] | None
     lipschitz: bool = True
-    bounded: bool = True
     pair_threshold: float | None = None
 
     def counts(self, batch: ReplicateBatch) -> np.ndarray:
@@ -159,7 +158,7 @@ def truncated_count(region, cap: int, name: str | None = None) -> Functional:
 
 def raw_count(region, name: str | None = None) -> Functional:
     label = name or f"count[{region.describe()}]"
-    return Functional(label, (region,), partial(_capped, cap=math.inf), bounded=False)
+    return Functional(label, (region,), partial(_capped, cap=math.inf))
 
 
 def count_indicator(region, values, name: str | None = None) -> Functional:
@@ -209,15 +208,11 @@ def _max_pair_dot(batch: ReplicateBatch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    """A certified lower-bound style distance value with its standard error.
-
-    kind is one of "tv-counts", "wasserstein-lower", "mean-gap"; regions
-    describes the region set or functional that produced the value.
-    """
+    """A certified lower-bound style distance value with its standard error;
+    regions describes the region or functional that produced the value."""
 
     value: float
     stderr: float
-    kind: str
     regions: str
 
     def __post_init__(self):
@@ -242,10 +237,10 @@ def count_tv_lower_bound(samples: ReplicateBatch, region, target_mean: float,
         raise ValueError("TV lower bound needs at least 1000 samples")
     value, stderr = _bootstrap_tv(counts, target_mean, rng)
     name = region_name or region.describe()
-    return DistanceEstimate(value=value, stderr=stderr, kind="tv-counts", regions=name)
+    return DistanceEstimate(value=value, stderr=stderr, regions=name)
 
 
-def _require_lipschitz(functionals: Sequence[Functional]):
+def require_lipschitz(functionals: Sequence[Functional]):
     bad = [F.name for F in functionals if not F.lipschitz]
     if bad:
         raise ValueError(f"family must be 1-Lipschitz; offending: {bad}")
@@ -255,8 +250,7 @@ def _max_gap(gaps: np.ndarray, ses: np.ndarray, names: Sequence[str]) -> Distanc
     """Largest |gap| minus the stderr of its functional, floored at 0."""
     j = int(np.argmax(np.abs(gaps)))
     value = max(0.0, abs(float(gaps[j])) - float(ses[j]))
-    return DistanceEstimate(value=value, stderr=float(ses[j]),
-                            kind="wasserstein-lower", regions=names[j])
+    return DistanceEstimate(value=value, stderr=float(ses[j]), regions=names[j])
 
 
 def wasserstein_lower_bound(samples: ReplicateBatch, reference_sampler,
@@ -269,7 +263,7 @@ def wasserstein_lower_bound(samples: ReplicateBatch, reference_sampler,
     replicates, reference_sampler(reps, rng).  Reported value is the max gap
     minus the stderr of the maximizing functional, floored at 0.
     """
-    _require_lipschitz(functionals)
+    require_lipschitz(functionals)
     refs = reference_sampler(ref_factor * len(samples), rng)
     # (reps x functionals) matrices of F(replicate)
     ms, mr = (np.column_stack([F(b) for F in functionals]) for b in (samples, refs))
@@ -286,7 +280,7 @@ def coupled_wasserstein_lower_bound(pairs: CoupledBatch,
     mean gap with variance concentrated on the event that the two members of
     the pair actually differ, which is what makes small gaps resolvable.
     """
-    _require_lipschitz(functionals)
+    require_lipschitz(functionals)
     diffs = np.column_stack([F(pairs.model) - F(pairs.twin) for F in functionals])
     gaps = diffs.mean(axis=0)
     ses = diffs.std(axis=0, ddof=1) / math.sqrt(len(pairs))
@@ -325,7 +319,7 @@ class MeckeResult:
 
 def _bpp(window: Window, n: int, reps: int, rng: np.random.Generator) -> ReplicateBatch:
     return ReplicateBatch(uniform_in_window(window, reps * n, rng),
-                          np.repeat(np.arange(reps), n), reps, PLANE)
+                          np.repeat(np.arange(reps), n), reps)
 
 
 def _mecke_results(mfs, lhs: list, rhs: list, oracles: list, *args) -> list[MeckeResult]:

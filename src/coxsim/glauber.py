@@ -17,9 +17,9 @@ The module also evaluates the infinitesimal generator
 the semigroup's Lipschitz contraction |P_t F(w + z) - P_t F(w)| <= e^-t with
 a coupled estimator.
 
-The samplers map a ReplicateBatch of starts to one draw per replicate, and
-the consistency and contraction checks repeat one (n, 2) start array across
-their replicates; the generator and the contraction estimate share their
+The samplers map a ReplicateBatch of starts to one draw per replicate (the
+trajectory simulator to a horizon each call names), and the consistency and
+contraction checks repeat one (n, 2) start array across their replicates; the generator and the contraction estimate share their
 draws across a list of count Functionals, moved by a point's
 region-membership row, h(c -/+ row).
 """
@@ -31,24 +31,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import tv_rows
+from .diagnostics import require_lipschitz, tv_rows
 from .geometry import Window
-from .pointprocess import PLANE, ReplicateBatch, uniform_in_window
+from .pointprocess import ReplicateBatch, uniform_in_window
 
 
 @dataclass(frozen=True)
 class GlauberSpec:
-    """Birth-death dynamics targeting PPP(lam) on the window, run to horizon."""
+    """Birth-death dynamics targeting PPP(lam) on the window."""
 
     window: Window
     lam: float
-    horizon: float = 20.0
 
     def __post_init__(self):
         if not (self.lam > 0 and self.window.area > 0):
             raise ValueError("birth rate lam * area must be positive")
-        if not (0 <= self.horizon < math.inf):
-            raise ValueError("horizon must be finite and nonnegative")
 
     @property
     def birth_rate(self) -> float:
@@ -60,15 +57,14 @@ class GlauberSpec:
 # ---------------------------------------------------------------------------
 
 def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.Generator,
-                     horizon: float | None = None) -> ReplicateBatch:
+                     horizon: float) -> ReplicateBatch:
     """Exact event-driven simulation up to the horizon, one trajectory per
     replicate.  Each lockstep step advances every live replicate by one event
     on its own Exp(b + size) clock and freezes those past the horizon; a
     replicate's points fill a buffer row, and a death swaps in the last one."""
-    t_end = spec.horizon if horizon is None else horizon
-    if not 0 <= t_end < math.inf:
+    if not 0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and nonnegative")
-    if omegas.space != PLANE or not spec.window.contains(omegas.points).all():
+    if omegas.points.shape[1] != 2 or not spec.window.contains(omegas.points).all():
         raise ValueError("initial configurations must lie inside the window")
     reps, order = len(omegas), np.argsort(omegas.rep_ids, kind="stable")
     ids = omegas.rep_ids[order]
@@ -81,7 +77,7 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
     while live.size:
         rate = b + size[live]
         clock[live] += rng.exponential(size=live.size) / rate
-        running = clock[live] <= t_end
+        running = clock[live] <= horizon
         live, rate = live[running], rate[running]
         u = rng.random(live.size) * rate
         born = live[u < b]
@@ -95,7 +91,7 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
         size[dead] -= 1
         buf[dead, gone] = buf[dead, size[dead]]
     keep = np.arange(buf.shape[1]) < size[:, None]
-    return ReplicateBatch(buf[keep], np.repeat(np.arange(reps), size), reps, PLANE)
+    return ReplicateBatch(buf[keep], np.repeat(np.arange(reps), size), reps)
 
 
 def semigroup_sample(omegas: ReplicateBatch, t: float, spec: GlauberSpec,
@@ -116,8 +112,8 @@ def semigroup_trajectory_consistency(omega0: np.ndarray, spec: GlauberSpec,
     2/sqrt(reps)."""
     if reps < 1000:
         raise ValueError("TV comparison needs at least 1000 replicates")
-    starts = ReplicateBatch.stack([omega0] * reps, PLANE)
-    traj = glauber_simulate(starts, spec, rng, horizon=t)
+    starts = ReplicateBatch.stack([omega0] * reps)
+    traj = glauber_simulate(starts, spec, rng, t)
     return tv_rows(traj, semigroup_sample(starts, t, spec, rng), regions)
 
 
@@ -136,7 +132,7 @@ def generator_apply(functionals, omegas: ReplicateBatch, spec: GlauberSpec,
         raise ValueError("need at least one antithetic pair")
     reps, ids = len(omegas), omegas.rep_ids
     pts = uniform_in_window(spec.window, reps * pairs, rng)
-    births, mirrored = (ReplicateBatch(p, np.repeat(np.arange(reps), pairs), reps, PLANE)
+    births, mirrored = (ReplicateBatch(p, np.repeat(np.arange(reps), pairs), reps)
                         for p in (pts, 2.0 * np.asarray(spec.window.center) - pts))
     values, stderrs = [], []
     for F in functionals:
@@ -164,13 +160,11 @@ def contraction_estimate(functionals, omega: np.ndarray, z, t: float,
     z; for 1-Lipschitz F the replicate difference is at most 1{z survives},
     whose mean is e^-t.  One batch of base draws serves every functional.
     """
-    bad = [F.name for F in functionals if not F.lipschitz]
-    if bad:
-        raise ValueError(f"contraction estimate requires 1-Lipschitz functionals: {bad}")
-    z = ReplicateBatch.stack([np.asarray(z, dtype=float).reshape(1, -1)], PLANE)
+    require_lipschitz(functionals)
+    z = ReplicateBatch.stack([np.asarray(z, dtype=float).reshape(1, -1)])
     if not z.membership(spec.window)[0]:
         raise ValueError("z must lie inside the window")
-    base = semigroup_sample(ReplicateBatch.stack([omega] * reps, PLANE), t, spec, rng)
+    base = semigroup_sample(ReplicateBatch.stack([omega] * reps), t, spec, rng)
     survives = rng.random(reps) < math.exp(-t)
     out = []
     for F in functionals:

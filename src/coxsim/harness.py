@@ -60,7 +60,7 @@ class ConfigError(ValueError):
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-TARGET_MODES = ("c", "half-c", "auto")
+TARGET_MODES = ("c", "auto")
 
 
 @dataclass(frozen=True)
@@ -71,27 +71,23 @@ class ExperimentConfig:
     reps: int
     seed: int
     window: Window | None = None     # planar only
-    regions: str = "default"
     target_intensity: str = "auto"
 
     def __post_init__(self):
         if self.model not in ("cox-line", "satellites"):
             raise ConfigError(f"model must be cox-line or satellites, got {self.model!r}")
-        if not self.c > 0:
-            raise ConfigError(f"c must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ConfigError(f"c must be positive and finite, got {self.c}")
         if len(self.sweep) < 4:
             raise ConfigError("sweep needs at least 4 values")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError("sweep values must be strictly increasing")
-        if not all(v > 0 for v in self.sweep):
-            raise ConfigError("sweep values must be positive")
+        if not all(0 < v < math.inf for v in self.sweep):
+            raise ConfigError("sweep values must be positive and finite")
         if self.reps < 1000:
             raise ConfigError("reps per sweep point must be at least 1000")
         if self.target_intensity not in TARGET_MODES:
             raise ConfigError(f"target_intensity must be one of {TARGET_MODES}")
-        if self.regions != "default":
-            raise ConfigError(f"unknown regions preset {self.regions!r}; "
-                              f"only 'default' is defined")
         if self.model == "cox-line" and self.window is None:
             object.__setattr__(self, "window", Disk((0.0, 0.0), 1.0))
         if self.model == "satellites":
@@ -117,8 +113,8 @@ def parse_window(text: str) -> Window:
 
 # calibration_reps is accepted and ignored: older config files carry it from
 # when the intensity target was calibrated by Monte Carlo.
-_CONFIG_KEYS = {"model", "c", "sweep", "reps", "seed", "window", "regions",
-                "target_intensity", "calibration_reps", "out", "plots"}
+_CONFIG_KEYS = {"model", "c", "sweep", "reps", "seed", "window", "target_intensity",
+                "calibration_reps", "out", "plots"}
 
 
 def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
@@ -149,7 +145,6 @@ def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
             reps=section.getint("reps", fallback=10_000),
             seed=section.getint("seed", fallback=0),
             window=parse_window(section["window"]) if "window" in section else None,
-            regions=section.get("regions", fallback="default"),
             target_intensity=section.get("target_intensity", fallback="auto"),
         )
     except ValueError as exc:
@@ -191,12 +186,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def csv_line(values) -> str:
+    """One line of every CSV coxsim writes: floats at 17 significant digits,
+    None as an empty field.  Fields are not quoted, so a name such as
+    min(total,3) keeps its comma inside brackets."""
+    return ",".join(_fmt(v) for v in values) + "\n"
+
+
+def csv_header(columns) -> str:
+    """The schema-version comment line, then the column names."""
+    return f"# schema_version={SCHEMA_VERSION}\n" + csv_line(columns)
+
+
 def _write_csv(path, columns, rows):
+    """Write the rows (dicts keyed by column) to path, flushing each line as
+    its row arrives, so a failed sweep keeps the rows it completed."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        fh.write(",".join(columns) + "\n")
+        fh.write(csv_header(columns))
         for row in rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
+            fh.write(csv_line(row.get(c, "") for c in columns))
+            fh.flush()
 
 
 def _stream(seed: int, lane: int, point: int = 0, replicate: int = 0):
@@ -273,7 +282,7 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
         fit_value = fit_est.value
 
     all_estimates = [w_est] + ([w_secondary] if w_secondary else []) + tv_estimates
-    respected = _bound_respected(all_estimates, bound.bound_value)
+    respected = _bound_respected(all_estimates, bound)
 
     return {
         "model": cfg.model, "c": cfg.c, "param": value, "reps": cfg.reps,
@@ -287,8 +296,8 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
         "tv_region": tv_best.regions,
         "fit_distance": fit_value, "fit_stderr": fit_est.stderr,
         "fit_kind": fit_kind,
-        "bound": bound.bound_value, "bound_respected": int(respected),
-        "_w_est": w_est, "_tv_estimates": tv_estimates, "_bound": bound,
+        "bound": bound, "bound_respected": int(respected),
+        "_w_est": w_est, "_tv_estimates": tv_estimates,
     }
 
 
@@ -298,24 +307,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     then fit the convergence rate on the headline distances."""
     t0 = time.perf_counter()
     result = ExperimentResult(config=cfg)
-    results_path = None
-    fh = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        results_path = os.path.join(out_dir, "results.csv")
-        fh = open(results_path, "w", encoding="utf-8")
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        fh.write(",".join(RESULTS_COLUMNS) + "\n")
-    try:
+
+    def sweep():
         for i, value in enumerate(cfg.sweep):
-            row = run_sweep_point(cfg, i, value)
-            result.rows.append(row)
-            if fh is not None:
-                fh.write(",".join(_fmt(row.get(c, "")) for c in RESULTS_COLUMNS) + "\n")
-                fh.flush()
-    finally:
-        if fh is not None:
-            fh.close()
+            result.rows.append(run_sweep_point(cfg, i, value))
+            yield result.rows[-1]
+
+    if out_dir is None:
+        list(sweep())
+    else:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, sweep())
     try:
         points = [(row["param"], row["fit_distance"]) for row in result.rows]
         result.fit = rate_regression(points)
@@ -426,7 +428,7 @@ def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     window = Rect(0.0, 0.0, 1.0, 1.0)
     # same noise-floor consideration as the invariance check: the TV rows
     # compare two exact samplers, so counts are kept small
-    spec = GlauberSpec(window=window, lam=0.5, horizon=20.0)
+    spec = GlauberSpec(window=window, lam=0.5)
     omega0 = np.array([[0.3, 0.4], [0.7, 0.6]])
     regions = _check_regions(window)[:2]
     functionals = glauber_functionals(window)
@@ -497,10 +499,10 @@ def check_bounds(seed: int) -> list[CheckRow]:
     params = ModelParams.planar(1.0, 10.0)
     scale = params.c ** 2 / params.lambda_n
     rows.append(_two_sided("bound[cox_closed_form]", scale * val,
-                           cox_bound(params, disk).bound_value,
+                           cox_bound(params, disk),
                            max(scale * err, 1e-12) / 3.0, seed))
     sat = satellite_bound(ModelParams.spherical(2.0, 100))
-    rows.append(_two_sided("bound[satellite_c2_n100]", sat.bound_value, 0.08,
+    rows.append(_two_sided("bound[satellite_c2_n100]", sat, 0.08,
                            1e-15, seed))
     return rows
 

@@ -20,12 +20,6 @@ import numpy as np
 
 from .geometry import Disk, Window
 
-PLANE = "plane"
-SPHERE = "sphere"
-
-_DIM = {PLANE: 2, SPHERE: 3}
-
-
 # ---------------------------------------------------------------------------
 # Reproducible streams
 # ---------------------------------------------------------------------------
@@ -71,44 +65,37 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Intensity bookkeeping: lambda_n (line intensity), mu_n (point intensity
-    per unit length, or per orbit in the spherical model), c, and orbit count n.
-
-    Use the planar/spherical constructors to get the couplings mu_n = c/lambda_n
-    and mu_n = c/n enforced; kind records which model the params were built for
-    ("custom" for hand-assembled values, accepted by either model as long as
-    the coupling holds).
+    """Intensity bookkeeping: lambda_n (line intensity, or the orbit count n as
+    a float in the spherical model), c, and orbit count n (1 in the plane);
+    kind records which model the params were built for.  Build them with the
+    planar/spherical constructors, which require finite positive values.
     """
 
     lambda_n: float
-    mu_n: float
     c: float
     n: int
-    kind: str = "custom"
+    kind: str
 
     @classmethod
     def planar(cls, c: float, lambda_n: float) -> "ModelParams":
-        if not (c > 0 and lambda_n > 0):
-            raise ValueError("planar model requires c > 0 and lambda_n > 0")
-        return cls(lambda_n=lambda_n, mu_n=c / lambda_n, c=c, n=1, kind="planar")
+        if not (0 < c < np.inf and 0 < lambda_n < np.inf):
+            raise ValueError("planar model requires finite c > 0 and lambda_n > 0")
+        return cls(lambda_n=lambda_n, c=c, n=1, kind="planar")
 
     @classmethod
     def spherical(cls, c: float, n: int) -> "ModelParams":
-        if not (c > 0 and 1 <= n < 2 ** 63):   # orbit labels are int64
-            raise ValueError("spherical model requires c > 0 and 1 <= n < 2^63")
-        return cls(lambda_n=float(n), mu_n=c / n, c=c, n=int(n), kind="spherical")
+        if not (0 < c < np.inf and 1 <= n < 2 ** 63):   # orbit labels are int64
+            raise ValueError("spherical model requires finite c > 0 and 1 <= n < 2^63")
+        return cls(lambda_n=float(n), c=c, n=int(n), kind="spherical")
 
-    def check_planar(self):
-        if self.kind not in ("planar", "custom"):
-            raise ValueError(f"{self.kind} params passed to the planar model")
-        if abs(self.mu_n * self.lambda_n - self.c) > 1e-9 * self.c:
-            raise ValueError("params violate the planar coupling mu_n = c / lambda_n")
+    @property
+    def mu_n(self) -> float:
+        """Point intensity per unit line length, or per orbit: c / lambda_n."""
+        return self.c / self.lambda_n
 
-    def check_spherical(self):
-        if self.kind not in ("spherical", "custom"):
-            raise ValueError(f"{self.kind} params passed to the spherical model")
-        if abs(self.mu_n * self.n - self.c) > 1e-9 * self.c:
-            raise ValueError("params violate the spherical coupling mu_n = c / n")
+    def check_kind(self, kind: str):
+        if self.kind != kind:
+            raise ValueError(f"{self.kind} params passed to the {kind} model")
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +123,11 @@ def sample_ppp_window(window: Window, lam: float, rng: np.random.Generator) -> n
     return uniform_in_window(window, rng.poisson(lam * window.area), rng)
 
 
-def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform point(s) on the unit sphere via normalized Gaussians."""
-    m = 1 if n is None else n
-    v = rng.standard_normal((m, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v[0] if n is None else v
+def sample_uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform points on the unit sphere, as an (n, 3) array, via normalized
+    Gaussians."""
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +144,6 @@ class ReplicateBatch:
     points: np.ndarray
     rep_ids: np.ndarray
     reps: int
-    space: str
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -169,11 +154,11 @@ class ReplicateBatch:
         return self.reps
 
     @classmethod
-    def stack(cls, point_arrays, space: str) -> "ReplicateBatch":
+    def stack(cls, point_arrays) -> "ReplicateBatch":
         """Batch of per-replicate (n_i, d) point arrays, in the given order."""
         sizes = [a.shape[0] for a in point_arrays]
-        points = np.concatenate([np.empty((0, _DIM[space]))] + list(point_arrays))
-        return cls(points, np.repeat(np.arange(len(sizes)), sizes), len(sizes), space)
+        points = np.concatenate(point_arrays, dtype=float)
+        return cls(points, np.repeat(np.arange(len(sizes)), sizes), len(sizes))
 
     @classmethod
     def concat(cls, batches) -> "ReplicateBatch":
@@ -181,14 +166,14 @@ class ReplicateBatch:
         offsets = np.cumsum([0] + [b.reps for b in batches])
         return cls(np.concatenate([b.points for b in batches]),
                    np.concatenate([b.rep_ids + o for b, o in zip(batches, offsets)]),
-                   int(offsets[-1]), batches[0].space)
+                   int(offsets[-1]))
 
     @classmethod
     def ppp(cls, window: Window, lam: float, reps: int,
             rng: np.random.Generator) -> "ReplicateBatch":
         """reps independent PPP(lam) samples on the window (see ppp_batch)."""
         _, points, rep_ids = ppp_batch(window, lam, reps, rng)
-        return cls(points, rep_ids, reps, PLANE)
+        return cls(points, rep_ids, reps)
 
     @classmethod
     def sphere_ppp(cls, mean: float, reps: int, rng: np.random.Generator) -> "ReplicateBatch":
@@ -196,7 +181,7 @@ class ReplicateBatch:
         Poisson(mean) counts, then one draw of all the uniform points."""
         counts = rng.poisson(mean, reps)
         return cls(sample_uniform_sphere(rng, int(counts.sum())),
-                   np.repeat(np.arange(reps), counts), reps, SPHERE)
+                   np.repeat(np.arange(reps), counts), reps)
 
     def cached(self, key, compute) -> np.ndarray:
         """compute(), evaluated once per batch and key, as a read-only array."""
@@ -219,15 +204,14 @@ class ReplicateBatch:
         if not 0.0 <= p <= 1.0:
             raise ValueError("retention probability must lie in [0, 1]")
         keep = rng.random(self.points.shape[0]) < p
-        return ReplicateBatch(self.points[keep], self.rep_ids[keep], self.reps, self.space)
+        return ReplicateBatch(self.points[keep], self.rep_ids[keep], self.reps)
 
     def superpose(self, other: "ReplicateBatch") -> "ReplicateBatch":
         """Replicate-wise union: replicate j holds both batches' replicate j."""
-        if (self.space, self.reps) != (other.space, other.reps):
+        if (self.points.shape[1], self.reps) != (other.points.shape[1], other.reps):
             raise ValueError("can only superpose batches of the same space and size")
         return ReplicateBatch(np.concatenate([self.points, other.points]),
-                              np.concatenate([self.rep_ids, other.rep_ids]),
-                              self.reps, self.space)
+                              np.concatenate([self.rep_ids, other.rep_ids]), self.reps)
 
 
 @dataclass(frozen=True)

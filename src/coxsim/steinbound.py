@@ -97,16 +97,6 @@ def _refine(evaluate, quad: QuadratureSpec):
         f"doublings (last error estimate {err:g})")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    model: str
-    params: ModelParams
-    window_desc: str
-    bound_value: float
-    quadrature_error: float
-    closed_form: float
-
-
 def chord_square_integral(window: Window, quad: QuadratureSpec = QuadratureSpec()):
     """Geometric constant G(K) with a node-doubling error estimate."""
     r_max = support_radius(window)
@@ -133,21 +123,16 @@ def _closed_form_g(window: Window) -> float:
             + 2.0 * a * b * (a * math.asinh(b / a) + b * math.asinh(a / b))) / math.pi
 
 
-def cox_bound(params: ModelParams, window: Window) -> BoundReport:
+def cox_bound(params: ModelParams, window: Window) -> float:
     """Planar bound (c^2 / lambda_n) * G(K), from the closed form of G."""
-    params.check_planar()
-    value = params.c ** 2 / params.lambda_n * _closed_form_g(window)
-    return BoundReport(model="cox-line", params=params,
-                       window_desc=window.describe(), bound_value=value,
-                       quadrature_error=0.0, closed_form=value)
+    params.check_kind("planar")
+    return params.c ** 2 / params.lambda_n * _closed_form_g(window)
 
 
-def satellite_bound(params: ModelParams) -> BoundReport:
+def satellite_bound(params: ModelParams) -> float:
     """Spherical bound 2 c^2 / n, exact."""
-    params.check_spherical()
-    value = 2.0 * params.c ** 2 / params.n
-    return BoundReport(model="satellites", params=params, window_desc="sphere",
-                       bound_value=value, quadrature_error=0.0, closed_form=value)
+    params.check_kind("spherical")
+    return 2.0 * params.c ** 2 / params.n
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +205,6 @@ def _radial_range(window: Window, theta: float):
 
 @dataclass(frozen=True)
 class CoareaResult:
-    integrand: str
-    theta: float
     lhs: float
     rhs: float
     ratio: float
@@ -262,5 +245,4 @@ def coarea_check(integrand: str, window: Window, theta: float,
     lhs, err_l = _refine(eval_lhs, quad)
     rhs, err_r = _refine(eval_rhs, quad)
     ratio = rhs / lhs if lhs != 0.0 else math.nan
-    return CoareaResult(integrand=integrand, theta=theta, lhs=lhs, rhs=rhs,
-                        ratio=ratio, error_estimate=err_l + err_r)
+    return CoareaResult(lhs=lhs, rhs=rhs, ratio=ratio, error_estimate=err_l + err_r)

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from coxsim.geometry import Disk, Window, orbit_frame
-from coxsim.pointprocess import PLANE, SPHERE, ReplicateBatch
+from coxsim.pointprocess import ReplicateBatch
 
 TAU = 2.0 * math.pi
 
 UNIT_TOL = 1e-9        # rejection tolerance for non-unit sphere points
-
-_SPACE = {2: PLANE, 3: SPHERE}
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +39,8 @@ def sphere_points(rows) -> np.ndarray:
 
 
 def batch(point_sets) -> ReplicateBatch:
-    """The point arrays, in order, as the replicates of one batch; the space
-    (plane or sphere) follows from the first array's column count."""
-    return ReplicateBatch.stack(point_sets, _SPACE[point_sets[0].shape[1]])
+    """The point arrays, in order, as the replicates of one batch."""
+    return ReplicateBatch.stack(point_sets)
 
 
 def replicate(b: ReplicateBatch, j: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from coxsim.coxmodels import (effective_intensity, sample_cox_line, sample_cox_l
 from coxsim.diagnostics import (close_pair_indicator, empirical_count_tv, poisson_pmf,
                                 sphere_region_set)
 from coxsim.geometry import Disk, Rect, chord_intervals, orbit_frame, support_radius
-from coxsim.pointprocess import (SPHERE, ModelParams, ReplicateBatch, RngStream,
+from coxsim.pointprocess import (ModelParams, ReplicateBatch, RngStream,
                                  composite_index, sample_uniform_sphere)
 from coxsim.steinbound import cox_bound
 from oracles import multiset
@@ -44,10 +44,11 @@ def place_marks(lines, intervals, mu, rng):
     return np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
 
 
-def chords(sample):
-    """(intervals, hits) of a sample's lines: the (m, 2) chord [s_lo, s_hi]
-    per line (zero-length rows for missing chords, flagged in hits)."""
-    s_lo, s_hi, hits = chord_intervals(sample.window, sample.lines[:, 0], sample.lines[:, 1])
+def chords(lines, window):
+    """(intervals, hits) of (r, theta) lines in the window: the (m, 2) chord
+    [s_lo, s_hi] per line (zero-length rows for missing chords, flagged in
+    hits)."""
+    s_lo, s_hi, hits = chord_intervals(window, lines[:, 0], lines[:, 1])
     return np.column_stack([s_lo, s_hi]), hits
 
 
@@ -64,11 +65,11 @@ def oracle_cox_line(params, window, rng, r_max=None):
     return lines, place_marks(lines, np.column_stack([s_lo, s_hi]), params.mu_n, rng)
 
 
-def resample_marks(sample, rng):
-    """Redraw the point marks conditionally on the line set of a sample: the
-    Cox defining property, given the lines chord counts are independent
-    Poissons with mean mu_n * chord_length."""
-    pts = place_marks(sample.lines, chords(sample)[0], sample.params.mu_n, rng)
+def resample_marks(sample, params, window, rng):
+    """Redraw the point marks conditionally on the line set of a sample drawn
+    with params in the window: the Cox defining property, given the lines
+    chord counts are independent Poissons with mean mu_n * chord_length."""
+    pts = place_marks(sample.lines, chords(sample.lines, window)[0], params.mu_n, rng)
     return dataclasses.replace(sample, points=pts)
 
 
@@ -131,7 +132,7 @@ def same_rate(x, y):
 class TestCoxLine:
     def test_zero_mark_intensity(self):
         # degenerate c = 0: lines may exist but carry no points
-        params = ModelParams(lambda_n=8.0, mu_n=0.0, c=0.0, n=1)
+        params = ModelParams(lambda_n=8.0, c=0.0, n=1, kind="planar")
         for i in range(5):
             s = sample_cox_line(params, UNIT_DISK, rng_for(i))
             assert len(s.points) == 0
@@ -199,7 +200,7 @@ class TestCoxLine:
         base = None
         for i in range(200):  # find a sample whose first line has a long chord
             cand = sample_cox_line(params, UNIT_DISK, rng_for(30 + i))
-            intervals, hits = chords(cand)
+            intervals, hits = chords(cand.lines, UNIT_DISK)
             if hits.any():
                 order = np.argsort(~hits)  # hit lines first
                 length = intervals[order[0], 1] - intervals[order[0], 0]
@@ -226,7 +227,7 @@ class TestCoxLine:
         c1 = np.empty(reps)
         c2 = np.empty(reps)
         for k in range(reps):
-            res = resample_marks(base, rng)
+            res = resample_marks(base, params, UNIT_DISK, rng)
             c1[k] = seg_count(res, s_lo, mid)
             c2[k] = seg_count(res, mid, s_hi)
         for c, a, b in ((c1, s_lo, mid), (c2, mid, s_hi)):
@@ -242,14 +243,13 @@ class TestCoxLine:
     def test_resample_marks_keeps_lines(self):
         params = ModelParams.planar(1.0, 5.0)
         s = sample_cox_line(params, UNIT_DISK, rng_for(40))
-        t = resample_marks(s, rng_for(41))
+        t = resample_marks(s, params, UNIT_DISK, rng_for(41))
         assert np.array_equal(s.lines, t.lines)
         assert UNIT_DISK.contains(t.points).all() or len(t.points) == 0
 
-    def test_coupling_enforced(self):
-        bad = ModelParams(lambda_n=5.0, mu_n=0.3, c=1.0, n=1)
+    def test_kind_enforced(self):
         with pytest.raises(ValueError):
-            sample_cox_line(bad, UNIT_DISK, rng_for(42))
+            sample_cox_line(ModelParams.spherical(1.0, 5), UNIT_DISK, rng_for(42))
 
     def test_matches_per_replicate_oracle(self):
         # the one-replicate view draws exactly what the line-by-line sampler
@@ -278,7 +278,7 @@ class TestCoxLineBatchLaw:
         d = x - mean
         excess_se = float(np.std(d ** 2 - d, ddof=1)) / math.sqrt(reps)
         assert abs(mean - 0.5 * window.area) < 4 * math.sqrt(var / reps)
-        assert abs(var - mean - cox_bound(params, window).bound_value / 2.0) < 4 * excess_se
+        assert abs(var - mean - cox_bound(params, window) / 2.0) < 4 * excess_se
 
     def test_points_carry_their_lines_replicate(self):
         params = ModelParams.planar(2.0, 10.0)
@@ -338,10 +338,9 @@ class TestSatellites:
         (m1, s1), (m2, s2) = means
         assert abs(m2 - 2.0 * m1) < 3 * math.sqrt((2 * s1) ** 2 + s2 ** 2)
 
-    def test_coupling_enforced(self):
-        bad = ModelParams(lambda_n=5.0, mu_n=0.3, c=1.0, n=5)
+    def test_kind_enforced(self):
         with pytest.raises(ValueError):
-            satellites(bad, rng_for(55))
+            satellites(ModelParams.planar(1.0, 5.0), rng_for(55))
 
 
 class TestSatelliteTwin:
@@ -421,8 +420,7 @@ class TestSatelliteBatchLaw:
         reps = 20_000
         _, pair = sample_satellites_batch(params, reps, rng_for(420 + n))
         rng = rng_for(430 + n)
-        oracle = ReplicateBatch.stack([oracle_satellites(params, rng) for _ in range(reps)],
-                                      SPHERE)
+        oracle = ReplicateBatch.stack([oracle_satellites(params, rng) for _ in range(reps)])
         for name in BANDS + CAPS:
             assert two_sample_passes(pair.model.counts(REGIONS[name]),
                                      oracle.counts(REGIONS[name])), name

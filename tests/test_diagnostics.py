@@ -18,7 +18,7 @@ from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 tv_vs_poisson, wasserstein_lower_bound)
 from coxsim.geometry import Disk, LatitudeBand, Rect, halves
 from coxsim.harness import ValidationSettings, check_mecke
-from coxsim.pointprocess import (SPHERE, CoupledBatch, ModelParams, ReplicateBatch,
+from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
                                  RngStream, sample_ppp_window, sample_uniform_sphere)
 from oracles import batch, count_in, plane_points, sphere_points
 
@@ -106,7 +106,7 @@ class TestCountTvLowerBound:
                                    rng=rng_for(4))
         assert est.value - est.stderr > 0
         assert est.value < 1.6
-        assert est.kind == "tv-counts"
+        assert est.regions == band.describe()
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError, match="at least 1000"):
@@ -179,8 +179,8 @@ class TestCoupled:
         for _ in range(2000):
             models.append(sample_uniform_sphere(rng, 2))
             twins.append(sample_uniform_sphere(rng, 1))
-        pairs = CoupledBatch(ReplicateBatch.stack(models, SPHERE),
-                             ReplicateBatch.stack(twins, SPHERE))
+        pairs = CoupledBatch(ReplicateBatch.stack(models),
+                             ReplicateBatch.stack(twins))
         fam = [count_indicator(band, {0})]
         est = coupled_wasserstein_lower_bound(pairs, fam)
         # |P(Binom(2,1/2)=0) - P(Binom(1,1/2)=0)| = 1/4
@@ -413,10 +413,10 @@ class TestPresets:
 class TestDistanceEstimate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            DistanceEstimate(-0.1, 0.0, "tv-counts", "w")
+            DistanceEstimate(-0.1, 0.0, "w")
 
     def test_conservative(self):
-        est = DistanceEstimate(0.05, 0.02, "tv-counts", "w")
+        est = DistanceEstimate(0.05, 0.02, "w")
         assert est.conservative() == pytest.approx(0.03)
-        est2 = DistanceEstimate(0.01, 0.02, "tv-counts", "w")
+        est2 = DistanceEstimate(0.01, 0.02, "w")
         assert est2.conservative() == 0.0

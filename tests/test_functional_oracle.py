@@ -12,8 +12,8 @@ from coxsim.diagnostics import (glauber_functionals, mecke_functionals,
 from coxsim.geometry import Disk, Rect
 from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
                             semigroup_sample)
-from coxsim.pointprocess import (PLANE, SPHERE, ReplicateBatch, RngStream,
-                                 sample_uniform_sphere, uniform_in_window)
+from coxsim.pointprocess import (ReplicateBatch, RngStream, sample_uniform_sphere,
+                                 uniform_in_window)
 from oracles import count_in, plane_points, plus, sphere_points, split
 
 RECT = Rect(0.0, 0.0, 1.0, 1.0)
@@ -42,8 +42,8 @@ def scalar_value(F, pts: np.ndarray) -> float:
     return float(all(c >= k for c, k in zip(counts, kw["ks"])))
 
 
-def assert_batch_matches(functionals, configs, space):
-    batch = ReplicateBatch.stack(configs, space)
+def assert_batch_matches(functionals, configs):
+    batch = ReplicateBatch.stack(configs)
     assert len(batch) == len(configs)
     for F in functionals:
         expect = np.array([scalar_value(F, c) for c in configs])
@@ -73,7 +73,7 @@ DISK_BOUNDARY = [[1.0, 0.0], [0.0, -1.0], [0.5, 0.0], [0.0, 0.75], [0.0, 0.0],
 def test_planar_presets(window, boundary):
     functionals = (planar_functional_family(window) + glauber_functionals(window)
                    + [mf.h for mf in mecke_functionals(window)])
-    assert_batch_matches(functionals, planar_configs(window, boundary, rng_for(0)), PLANE)
+    assert_batch_matches(functionals, planar_configs(window, boundary, rng_for(0)))
 
 
 def test_sphere_preset_with_pairs_at_threshold():
@@ -95,7 +95,7 @@ def test_sphere_preset_with_pairs_at_threshold():
     rng = rng_for(1)
     configs += [sample_uniform_sphere(rng, int(k)) for k in rng.integers(0, 9, 60)]
     configs.append(sphere_points([]))
-    assert_batch_matches(sphere_functional_family(), configs, SPHERE)
+    assert_batch_matches(sphere_functional_family(), configs)
 
 
 def test_close_pairs_match_per_configuration_products():
@@ -103,12 +103,12 @@ def test_close_pairs_match_per_configuration_products():
     rng = rng_for(2)
     configs = [sample_uniform_sphere(rng, int(k)) for k in rng.integers(0, 12, 3000)]
     close = [F for F in sphere_functional_family() if F.pair_threshold is not None]
-    assert_batch_matches(close, configs, SPHERE)
+    assert_batch_matches(close, configs)
     # points in shuffled order: the scan sorts them by replicate (stably),
     # so each replicate is scanned in the order split() returns it
-    batch = ReplicateBatch.stack(configs, SPHERE)
+    batch = ReplicateBatch.stack(configs)
     perm = rng.permutation(batch.points.shape[0])
-    shuffled = ReplicateBatch(batch.points[perm], batch.rep_ids[perm], len(batch), SPHERE)
+    shuffled = ReplicateBatch(batch.points[perm], batch.rep_ids[perm], len(batch))
     assert np.any(np.diff(shuffled.rep_ids) < 0)
     for F in close:
         expect = np.array([scalar_value(F, c) for c in split(shuffled)])
@@ -121,7 +121,7 @@ OMEGAS = [plane_points([]),
           plane_points([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [0.3, 0.3], [0.7, 0.1]])]
 
 
-OMEGA_BATCH = ReplicateBatch.stack(OMEGAS, PLANE)
+OMEGA_BATCH = ReplicateBatch.stack(OMEGAS)
 GENERATOR_FAMILY = glauber_functionals(RECT) + planar_functional_family(RECT)
 
 
@@ -158,7 +158,7 @@ def test_contraction_matches_oracle():
     estimates = contraction_estimate(family, omega, z, 0.7, SPEC, 200, rng_for(20))
     # the shared base draws: one semigroup batch, then one survival coin each
     rng = rng_for(20)
-    base = split(semigroup_sample(ReplicateBatch.stack([omega] * 200, PLANE),
+    base = split(semigroup_sample(ReplicateBatch.stack([omega] * 200),
                                   0.7, SPEC, rng))
     survives = rng.random(200) < math.exp(-0.7)
     assert len(estimates) == len(family)

@@ -16,7 +16,7 @@ from coxsim.pointprocess import (ReplicateBatch, RngStream, sample_ppp_window,
 from oracles import batch, multiset, plane_points, plus, replicate, sphere_points
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
-SPEC = GlauberSpec(WINDOW, lam=1.5, horizon=20.0)
+SPEC = GlauberSpec(WINDOW, lam=1.5)
 OMEGA0 = plane_points([[0.2, 0.2], [0.8, 0.3], [0.5, 0.7], [0.3, 0.9]])
 
 
@@ -85,7 +85,7 @@ class TestTrajectory:
         # at t = 20 the state is indistinguishable from the stationary PPP
         rng = rng_for(2)
         reps = 4000
-        na = sizes(glauber_simulate(repeat(OMEGA0, reps), SPEC, rng))
+        na = sizes(glauber_simulate(repeat(OMEGA0, reps), SPEC, rng, horizon=20.0))
         nb = np.array([len(sample_ppp_window(WINDOW, SPEC.lam, rng))
                        for _ in range(reps)])
         assert empirical_count_tv(na, nb) < 2.0 / math.sqrt(reps)
@@ -103,7 +103,7 @@ class TestTrajectory:
     def test_rejects_outside_start(self):
         bad = plane_points([[2.0, 2.0]])
         with pytest.raises(ValueError):
-            glauber_simulate(batch([bad]), SPEC, rng_for(4))
+            glauber_simulate(batch([bad]), SPEC, rng_for(4), horizon=1.0)
 
 
 LEFT = Rect(0.0, 0.0, 0.5, 1.0)
@@ -354,13 +354,9 @@ class TestFunctionalRegistry:
         for _ in range(200):
             n = int(rng.integers(0, 6))
             omega = sample_uniform_sphere(rng, n)
-            x = sample_uniform_sphere(rng)
+            x = sample_uniform_sphere(rng, 1)
             for F in functionals:
                 assert abs(value(F, plus(omega, x)) - value(F, omega)) <= 1.0
-
-    def test_raw_count_flagged_unbounded(self):
-        F = raw_count(WINDOW)
-        assert F.lipschitz and not F.bounded
 
     def test_indicator_values(self):
         F = count_indicator(WINDOW, {2})

@@ -82,6 +82,11 @@ class TestIniConfig:
                         "bogus_key = 1\n")
         with pytest.raises(ConfigError, match="bogus_key"):
             config_from_ini(str(path))
+        # regions named a one-value preset; the key is gone
+        path.write_text("[experiment]\nmodel = satellites\nsweep = 1 2 3 4\n"
+                        "regions = default\n")
+        with pytest.raises(ConfigError, match="regions"):
+            config_from_ini(str(path))
 
     def test_missing_model(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -132,12 +137,13 @@ class TestRunExperiment:
         assert (tmp_path / "results.svg").exists()
 
     def test_cox_smoke_fixed_target(self, tmp_path):
+        # target "c" pins the other convention; the measured intensity stays c/2
         cfg = ExperimentConfig("cox-line", 1.0, (4, 6, 9, 14), 1000, 3,
-                               target_intensity="half-c")
+                               target_intensity="c")
         res = run_experiment(cfg, out_dir=str(tmp_path))
         assert len(res.rows) == 4
         for row in res.rows:
-            assert row["target_intensity"] == pytest.approx(0.5)
+            assert row["target_intensity"] == 1.0
             assert row["eff_intensity"] == pytest.approx(0.5, abs=0.1)
 
     def test_cox_auto_target_off_origin(self):
@@ -172,11 +178,6 @@ class TestRunExperiment:
             ExperimentConfig(reps=6000, **base), 0, 6.0)
         ratio = row_small["w_stderr"] / row_big["w_stderr"]
         assert 1.6 <= ratio <= 2.4
-
-    def test_unknown_regions_preset(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 0,
-                             regions="exotic")
 
     def test_partial_flush(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 3)
@@ -255,6 +256,14 @@ class TestCli:
         ["bound", "cox-line", "--lam", "1", "--window", "disk:0,-inf,1"],
         ["check", "bounds", "--reps", "0"],
         ["check", "bounds", "--reps", "-5"],
+        ["experiment", "converge-sat", "--sweep", "10,20,40,inf", "--reps", "1000"],
+        ["experiment", "converge-cox", "--c", "inf", "--reps", "1000"],
+        ["experiment", "converge-cox", "--sweep", "5,10,20,inf", "--reps", "1000"],
+        ["experiment", "converge-cox", "--c", "nan", "--reps", "1000"],
+        ["simulate", "cox-line", "--c", "inf", "--lam", "5"],
+        ["simulate", "satellites", "--c", "inf", "--n", "5"],
+        ["bound", "cox-line", "--lam", "inf"],
+        ["bound", "satellites", "--c", "nan", "--n", "5"],
     ])
     def test_bad_model_params_exit_2(self, argv, capsys):
         assert main(argv) == 2

@@ -8,7 +8,7 @@ import pytest
 
 from coxsim.diagnostics import mecke_check_bpp, mecke_functionals
 from coxsim.geometry import Disk, Rect
-from coxsim.pointprocess import (PLANE, SPHERE, ModelParams, ReplicateBatch, RngStream,
+from coxsim.pointprocess import (ModelParams, ReplicateBatch, RngStream,
                                  composite_index, points_to_csv, ppp_batch,
                                  region_counts, sample_ppp_window, sample_uniform_sphere,
                                  uniform_in_window)
@@ -91,11 +91,11 @@ class TestSuperposeCount:
             assert multiset(replicate(ab, j)) == multiset(replicate(ba, j))
 
     def test_superpose_space_mismatch(self):
-        plane = ReplicateBatch.stack([np.empty((0, 2))], PLANE)
+        plane = ReplicateBatch.stack([np.empty((0, 2))])
         with pytest.raises(ValueError):
-            plane.superpose(ReplicateBatch.stack([np.empty((0, 3))], SPHERE))
+            plane.superpose(ReplicateBatch.stack([np.empty((0, 3))]))
         with pytest.raises(ValueError):
-            plane.superpose(ReplicateBatch.stack([np.empty((0, 2))] * 2, PLANE))
+            plane.superpose(ReplicateBatch.stack([np.empty((0, 2))] * 2))
 
     def test_count_empty(self):
         assert count_in(plane_points([]), Disk((0, 0), 1.0)) == 0
@@ -150,7 +150,7 @@ class TestBatchCache:
         b.counts(self.LEFT), b.membership(self.LEFT), other.counts(self.LEFT)
         derived = [b.thin(0.5, rng_for(2)), b.superpose(other),
                    ReplicateBatch.concat([b, other]),
-                   ReplicateBatch.stack([b.points], PLANE),
+                   ReplicateBatch.stack([b.points]),
                    ReplicateBatch.ppp(self.WINDOW, 4.0, 50, rng_for(0)),
                    dataclasses.replace(b)]
         for d in derived:
@@ -224,8 +224,7 @@ class TestUniformSphere:
         assert abs(z2.mean() - oracle) < 3 * z2.std(ddof=1) / math.sqrt(z.size)
 
     def test_single_draw_shape(self):
-        p = sample_uniform_sphere(rng_for(14))
-        assert p.shape == (3,)
+        assert sample_uniform_sphere(rng_for(14), 1).shape == (1, 3)
 
 
 class TestBpp:
@@ -266,7 +265,7 @@ class TestThin:
 
     def test_binomial_mean(self):
         pts = rng_for(23).random((50, 2))
-        out = ReplicateBatch.stack([pts] * 20_000, PLANE).thin(0.3, rng_for(24))
+        out = ReplicateBatch.stack([pts] * 20_000).thin(0.3, rng_for(24))
         sizes = np.bincount(out.rep_ids, minlength=20_000)
         se = sizes.std(ddof=1) / math.sqrt(sizes.size)
         assert abs(sizes.mean() - 15.0) < 3 * se
@@ -333,20 +332,24 @@ class TestModelParams:
     def test_planar_coupling(self):
         p = ModelParams.planar(2.0, 8.0)
         assert p.mu_n == pytest.approx(0.25)
-        p.check_planar()
+        p.check_kind("planar")
+        with pytest.raises(ValueError):
+            p.check_kind("spherical")
 
     def test_spherical_coupling(self):
         p = ModelParams.spherical(3.0, 12)
         assert p.mu_n == pytest.approx(0.25)
-        p.check_spherical()
-
-    def test_coupling_violation(self):
-        bad = ModelParams(lambda_n=2.0, mu_n=0.3, c=1.0, n=1)
+        p.check_kind("spherical")
         with pytest.raises(ValueError):
-            bad.check_planar()
+            p.check_kind("planar")
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             ModelParams.planar(-1.0, 2.0)
         with pytest.raises(ValueError):
             ModelParams.spherical(1.0, 0)
+        for c, lam in ((math.inf, 2.0), (1.0, math.inf), (math.nan, 2.0)):
+            with pytest.raises(ValueError):
+                ModelParams.planar(c, lam)
+        with pytest.raises(ValueError):
+            ModelParams.spherical(math.inf, 5)

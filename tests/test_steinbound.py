@@ -110,29 +110,26 @@ class TestChordSquareIntegral:
 
 class TestCoxBound:
     def test_value_c1_lam10(self):
-        rep = cox_bound(ModelParams.planar(1.0, 10.0), UNIT_DISK)
-        assert rep.bound_value == pytest.approx(16.0 / 30.0, abs=1e-8)
-        assert rep.closed_form == pytest.approx(16.0 / 30.0, abs=1e-12)
+        bound = cox_bound(ModelParams.planar(1.0, 10.0), UNIT_DISK)
+        assert bound == pytest.approx(16.0 / 30.0, abs=1e-12)
 
     def test_halves_when_lambda_doubles(self):
         r1 = cox_bound(ModelParams.planar(1.0, 10.0), UNIT_DISK)
         r2 = cox_bound(ModelParams.planar(1.0, 20.0), UNIT_DISK)
-        assert r2.bound_value == pytest.approx(r1.bound_value / 2.0, rel=1e-10)
+        assert r2 == pytest.approx(r1 / 2.0, rel=1e-10)
 
     def test_quadruples_when_c_doubles(self):
         r1 = cox_bound(ModelParams.planar(1.0, 10.0), UNIT_DISK)
         r2 = cox_bound(ModelParams.planar(2.0, 10.0), UNIT_DISK)
-        assert r2.bound_value == pytest.approx(4.0 * r1.bound_value, rel=1e-10)
+        assert r2 == pytest.approx(4.0 * r1, rel=1e-10)
 
     def test_closed_form_agreement_invariant(self):
         # the reported bound matches the quadrature-based (c^2/lambda) G(K)
         params = ModelParams.planar(1.5, 7.0)
-        rep = cox_bound(params, Disk((0, 0), 1.2))
-        assert rep.closed_form == rep.bound_value
-        assert rep.quadrature_error == 0.0
+        bound = cox_bound(params, Disk((0, 0), 1.2))
         val, err = chord_square_integral(Disk((0, 0), 1.2))
         scale = params.c ** 2 / params.lambda_n
-        assert abs(rep.bound_value - scale * val) <= max(3 * scale * err, 1e-10)
+        assert abs(bound - scale * val) <= max(3 * scale * err, 1e-10)
 
     @pytest.mark.parametrize("window, quad", [
         (Disk((0.5, 0.0), 1.0),
@@ -151,17 +148,17 @@ class TestCoxBound:
     def test_closed_form_matches_quadrature(self, window, quad):
         # closed form for off-centre disks and rects, against the
         # independent chord-square quadrature (c = lambda = 1 gives G)
-        rep = cox_bound(ModelParams.planar(1.0, 1.0), window)
+        bound = cox_bound(ModelParams.planar(1.0, 1.0), window)
         val, err = chord_square_integral(window, quad)
-        assert abs(rep.bound_value - val) <= 3 * err
+        assert abs(bound - val) <= 3 * err
 
     def test_unit_square_closed_form(self):
         # [(2/3)(2 - 2^1.5) + 4 asinh(1)] / pi
-        rep = cox_bound(ModelParams.planar(1.0, 10.0), Rect(0, 0, 1, 1))
-        assert rep.bound_value == pytest.approx(0.0946402009, abs=1e-10)
+        bound = cox_bound(ModelParams.planar(1.0, 10.0), Rect(0, 0, 1, 1))
+        assert bound == pytest.approx(0.0946402009, abs=1e-10)
         # motion invariance: translating the window leaves G unchanged
         moved = cox_bound(ModelParams.planar(1.0, 10.0), Rect(3, -2, 4, -1))
-        assert moved.bound_value == pytest.approx(rep.bound_value, rel=1e-14)
+        assert moved == pytest.approx(bound, rel=1e-14)
 
     def test_requires_planar(self):
         with pytest.raises(ValueError):
@@ -170,22 +167,17 @@ class TestCoxBound:
 
 class TestSatelliteBound:
     def test_c2_n100(self):
-        rep = satellite_bound(ModelParams.spherical(2.0, 100))
-        assert rep.bound_value == pytest.approx(0.08, abs=1e-15)
+        bound = satellite_bound(ModelParams.spherical(2.0, 100))
+        assert bound == pytest.approx(0.08, abs=1e-15)
 
     def test_c1_n1(self):
-        rep = satellite_bound(ModelParams.spherical(1.0, 1))
-        assert rep.bound_value == pytest.approx(2.0, abs=1e-15)
+        bound = satellite_bound(ModelParams.spherical(1.0, 1))
+        assert bound == pytest.approx(2.0, abs=1e-15)
 
     def test_halves_when_n_doubles(self):
         r1 = satellite_bound(ModelParams.spherical(2.0, 50))
         r2 = satellite_bound(ModelParams.spherical(2.0, 100))
-        assert r2.bound_value == pytest.approx(r1.bound_value / 2.0, rel=1e-12)
-
-    def test_no_quadrature(self):
-        rep = satellite_bound(ModelParams.spherical(3.0, 10))
-        assert rep.quadrature_error == 0.0
-        assert rep.closed_form == rep.bound_value
+        assert r2 == pytest.approx(r1 / 2.0, rel=1e-12)
 
     def test_requires_spherical(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,16 @@ runs with --trace 1."""
 
 import importlib
 import runpy
+
+import coxsim.harness as harness
 from pathlib import Path
 
 import pytest
 
 from coxsim.diagnostics import sphere_functional_family
 from coxsim.geometry import Disk, Rect
-from coxsim.harness import ValidationSettings
-from coxsim.pointprocess import (SPHERE, CoupledBatch, ModelParams, ReplicateBatch,
+from coxsim.harness import ValidationSettings, run_validation_suite
+from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
                                  RngStream, sample_uniform_sphere)
 from coxsim.steinbound import QuadratureSpec
 
@@ -33,7 +35,7 @@ def _rng(idx=0):
 
 def _sphere_batch(reps, rng):
     return ReplicateBatch.stack([sample_uniform_sphere(rng, int(k))
-                                 for k in rng.poisson(2.0, reps)], SPHERE)
+                                 for k in rng.poisson(2.0, reps)])
 
 
 def _sphere_ppp(reps, rng):
@@ -82,6 +84,20 @@ CASES = {
     ("harness", "check_coarea"): ((0,), _failed),
     ("harness", "check_bounds"): ((0,), _failed),
 }
+
+def test_all_calls_each_timed_group_in_order(monkeypatch):
+    # untraced runs take max_unit_s from the harness.check_<group> wrappers,
+    # so "all" must reach every group through the module attribute
+    calls = []
+
+    def recorder(group):
+        return lambda *args: calls.append(group) or []
+
+    for group in TRACING["CHECK_GROUPS"]:
+        monkeypatch.setattr(harness, f"check_{group}", recorder(group))
+    assert run_validation_suite(0, TINY, "all") == []
+    assert calls == list(TRACING["CHECK_GROUPS"])
+
 
 HOOKED = [(m, f, hook) for m, f, hook in TRACING["LAYERS"] if hook is not None]
 
