@@ -39,20 +39,18 @@ BOOTSTRAP_RESAMPLES = 200
 def poisson_pmf(mean: float, tail_tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """Poisson pmf vector truncated where the remaining tail mass is below
     tail_tol; returns (pmf, tail mass) so the truncation enters error budgets
-    explicitly."""
+    explicitly.  Each term is exp(k log m - m - log k!), so no term depends on
+    exp(-m), which underflows to 0 from m = 746."""
     if mean < 0:
         raise ValueError("Poisson mean must be nonnegative")
     if mean == 0.0:
         return np.array([1.0]), 0.0
-    terms = [math.exp(-mean)]
-    cum = terms[0]
-    k = 0
-    kmax = int(mean + 40.0 * math.sqrt(mean) + 50)
-    while cum < 1.0 - tail_tol and k < kmax:
-        k += 1
-        terms.append(terms[-1] * mean / k)
-        cum += terms[-1]
-    return np.array(terms), max(0.0, 1.0 - cum)
+    k = np.arange(int(mean + 40.0 * math.sqrt(mean) + 50) + 1)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(k.size)])
+    terms = np.exp(k * math.log(mean) - mean - log_fact)
+    cum = np.cumsum(terms)
+    last = min(int(np.searchsorted(cum, 1.0 - tail_tol)), k.size - 1)
+    return terms[:last + 1], max(0.0, 1.0 - float(cum[last]))
 
 
 def _pad_to(a: np.ndarray, n: int) -> np.ndarray:

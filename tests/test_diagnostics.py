@@ -43,6 +43,14 @@ class TestPoissonPmf:
         assert tail <= 1e-12
         assert pmf.sum() == pytest.approx(1.0, abs=1e-11)
 
+    @pytest.mark.parametrize("mean", [0.5, 50.0, 740.0, 800.0, 5000.0])
+    def test_mass_is_one(self, mean):
+        # exp(-mean) underflows from mean 746: a recursion started from it
+        # loses mass near 730 and returns all zeros from 746
+        pmf, tail = poisson_pmf(mean)
+        assert abs(pmf.sum() - 1.0) <= 1e-11
+        assert tail <= 1e-12
+
     def test_zero_mean(self):
         pmf, tail = poisson_pmf(0.0)
         assert pmf.tolist() == [1.0]
