@@ -12,7 +12,8 @@ sampler draws this law in O(c) per replicate, whatever n.
 
 Each sampler draws reps replicates at once into a ReplicateBatch;
 sample_cox_line and sample_satellites_with_twin are their one-replicate
-views, whose point sets are the read-only (n, d) arrays batch.points.
+views, holding only the lines or orbits and the read-only (n, d) arrays
+batch.points; the params and window are the caller's.
 
 Mean measures: the lines D(r, theta), r >= 0, sweep a half-plane that holds
 any given point for half of the directions, so the cox-line model has mean

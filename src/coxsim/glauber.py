@@ -19,9 +19,9 @@ a coupled estimator.
 
 The samplers map a ReplicateBatch of starts to one draw per replicate (the
 trajectory simulator to a horizon each call names), and the consistency and
-contraction checks repeat one (n, 2) start array across their replicates; the generator and the contraction estimate share their
-draws across a list of count Functionals, moved by a point's
-region-membership row, h(c -/+ row).
+contraction checks repeat one (n, 2) start array across their replicates;
+the generator and the contraction estimate share their draws across a list
+of count Functionals, moved by a point's region-membership row, h(c -/+ row).
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Exact point process samplers, replicate batches and RNG streams.
 
 A point set is an (n, 2) array in the plane or an (n, 3) array on the unit
-sphere.  Replicates of a sampler are stored flat, as one ReplicateBatch, and
-counted per region by region_counts.
+sphere.  Replicates of a sampler are stored flat, as one ReplicateBatch whose
+column count is its space, and counted per region by region_counts.  Model
+parameters store lambda_n, c and n; mu_n = c / lambda_n is derived.
 
 Randomness is organized as counter-based streams: a (master seed, stream
 index) pair keys a Philox generator, so distinct indices give independent
