@@ -30,6 +30,7 @@ from .geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap, Window,
 from .pointprocess import CoupledBatch, ReplicateBatch, uniform_in_window
 
 BOOTSTRAP_RESAMPLES = 200
+PAIR_BLOCK = 1 << 22  # dot products per block of the close-pair scan
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +63,8 @@ def empirical_count_tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     counts_a = np.asarray(counts_a, dtype=np.int64)
     counts_b = np.asarray(counts_b, dtype=np.int64)
     n = max(counts_a.max(initial=0), counts_b.max(initial=0)) + 1
-    pa = _pad_to(np.bincount(counts_a), n) / counts_a.size
-    pb = _pad_to(np.bincount(counts_b), n) / counts_b.size
+    pa = np.bincount(counts_a, minlength=n) / counts_a.size
+    pb = np.bincount(counts_b, minlength=n) / counts_b.size
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
@@ -81,7 +82,7 @@ def _count_pmfs(counts: np.ndarray, mean: float):
     counts = np.asarray(counts, dtype=np.int64)
     q, tail = poisson_pmf(mean)
     n = max(int(counts.max(initial=0)) + 1, q.size)
-    return _pad_to(np.bincount(counts), n) / counts.size, _pad_to(q, n), tail
+    return np.bincount(counts, minlength=n) / counts.size, _pad_to(q, n), tail
 
 
 def _tv(p_hat: np.ndarray, q: np.ndarray, tail: float) -> float:
@@ -184,18 +185,24 @@ def close_pair_indicator(threshold: float, name: str | None = None) -> Functiona
 
 def _max_pair_dot(batch: ReplicateBatch) -> np.ndarray:
     """Per-replicate max |p . q| over point pairs (-inf below 2), cached on the
-    batch.  Equal-size replicates are stacked as (m, n, d) and multiplied with
-    the P @ P.T product one replicate uses, so dots match it bit for bit."""
+    batch.  Equal-size replicates are stacked as (m, n, d) in blocks of at most
+    PAIR_BLOCK dots (a replicate of over sqrt(PAIR_BLOCK) points is a block
+    alone) and multiplied with the P @ P.T product one replicate uses, so dots
+    match it bit for bit; the diagonal is masked to -inf before the row max."""
     def scan():
         points = batch.points[np.argsort(batch.rep_ids, kind="stable")]
         sizes = np.bincount(batch.rep_ids, minlength=len(batch))
         starts = np.cumsum(sizes) - sizes
         out = np.full(len(batch), -np.inf)
-        for n in np.unique(sizes[sizes >= 2]):
+        for n in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
             reps = np.flatnonzero(sizes == n)
-            pts = points[starts[reps, None] + np.arange(n)]
-            iu = np.triu_indices(n, k=1)
-            out[reps] = np.abs((pts @ pts.transpose(0, 2, 1))[:, iu[0], iu[1]]).max(axis=1)
+            step = max(1, PAIR_BLOCK // (n * n))
+            for block in np.split(reps, range(step, reps.size, step)):
+                pts = points[starts[block, None] + np.arange(n)]
+                dots = (pts @ pts.transpose(0, 2, 1)).reshape(block.size, n * n)
+                np.abs(dots, out=dots)
+                dots[:, ::n + 1] = -np.inf
+                out[block] = dots.max(axis=1)
         return out
     return batch.cached("max_pair_dot", scan)
 

@@ -3,11 +3,13 @@ contraction estimate against a scalar oracle that counts one configuration
 (point array) at a time with oracles.count_in."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coxsim.diagnostics import (glauber_functionals, mecke_functionals,
+from coxsim import diagnostics
+from coxsim.diagnostics import (_max_pair_dot, glauber_functionals, mecke_functionals,
                                 planar_functional_family, sphere_functional_family)
 from coxsim.geometry import Disk, Rect
 from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
@@ -98,21 +100,58 @@ def test_sphere_preset_with_pairs_at_threshold():
     assert_batch_matches(sphere_functional_family(), configs)
 
 
+CLOSE = [F for F in sphere_functional_family() if F.pair_threshold is not None]
+
+
+def sphere_configs(rng):
+    """Random satellite-like replicates of sizes 0-60, many of each size."""
+    sizes = np.concatenate([rng.integers(0, 12, 3000), rng.integers(12, 61, 600)])
+    return [sample_uniform_sphere(rng, int(k)) for k in rng.permutation(sizes)]
+
+
 def test_close_pairs_match_per_configuration_products():
-    # random satellite-like replicates of many sizes, in one batch
     rng = rng_for(2)
-    configs = [sample_uniform_sphere(rng, int(k)) for k in rng.integers(0, 12, 3000)]
-    close = [F for F in sphere_functional_family() if F.pair_threshold is not None]
-    assert_batch_matches(close, configs)
+    configs = sphere_configs(rng)
+    assert_batch_matches(CLOSE, configs)
     # points in shuffled order: the scan sorts them by replicate (stably),
     # so each replicate is scanned in the order split() returns it
     batch = ReplicateBatch.stack(configs)
     perm = rng.permutation(batch.points.shape[0])
     shuffled = ReplicateBatch(batch.points[perm], batch.rep_ids[perm], len(batch))
     assert np.any(np.diff(shuffled.rep_ids) < 0)
-    for F in close:
+    for F in CLOSE:
         expect = np.array([scalar_value(F, c) for c in split(shuffled)])
         assert np.array_equal(F(shuffled), expect), F.name
+
+
+def test_close_pair_scan_in_small_blocks(monkeypatch):
+    # a block of 50 dots holds at most 12 replicates of size 2 and one
+    # replicate of any size over 5, so every size splits into many blocks
+    configs = sphere_configs(rng_for(3))
+    whole = _max_pair_dot(ReplicateBatch.stack(configs))
+    monkeypatch.setattr(diagnostics, "PAIR_BLOCK", 50)
+    blocked = ReplicateBatch.stack(configs)
+    assert np.array_equal(_max_pair_dot(blocked), whole)
+    expect = np.array([np.abs(c @ c.T)[np.triu_indices(len(c), k=1)].max()
+                       if len(c) >= 2 else -np.inf for c in configs])
+    assert np.array_equal(whole, expect)
+    assert_batch_matches(CLOSE, configs)
+    for F in CLOSE:
+        assert np.array_equal(F(blocked), (whole >= F.pair_threshold).astype(float))
+
+
+def test_close_pair_scan_memory_is_capped(monkeypatch):
+    # 500 replicates of 60 points: one unsplit product is 1.8e6 dots (14 MB);
+    # blocks of 36,000 dots keep the scan's peak allocation near the points'
+    batch = ReplicateBatch.stack([sample_uniform_sphere(rng_for(4), 60)] * 500)
+    monkeypatch.setattr(diagnostics, "PAIR_BLOCK", 36_000)
+    tracemalloc.start()
+    try:
+        _max_pair_dot(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 SPEC = GlauberSpec(RECT, lam=1.5)

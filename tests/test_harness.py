@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,6 +196,20 @@ class TestRunExperiment:
             run_experiment(cfg, out_dir=str(tmp_path))
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # comment + header + 2 completed rows
+
+    def test_satellite_point_leaves_numpy_ma_unimported(self):
+        # np.unique without counts or indices imports numpy.ma (numpy 2.x),
+        # several ms in every fresh process; no satellite sweep step needs it
+        code = ("import sys\n"
+                "from coxsim.harness import ExperimentConfig, run_sweep_point\n"
+                "cfg = ExperimentConfig('satellites', 2.0, (10, 20, 40, 80), 1000, 0)\n"
+                "run_sweep_point(cfg, 0, 10.0)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True).stdout
+        assert out.strip() == "False"
 
 
 class TestValidationSuite:
