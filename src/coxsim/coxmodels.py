@@ -1,9 +1,14 @@
 """Exact batch samplers for the two Cox constructions.
 
-Cox-Poisson on lines: a Poisson number of lines hits the window (truncation
-at r = support_radius is exact, since larger r gives an empty chord), each
-line carries an independent 1-D PPP of per-length intensity mu_n on its
-chord, mapped to the plane through the arc-length parametrization.
+Cox-Poisson on lines: a Poisson line process, lambda_n lines per unit of r
+with theta uniform, each line carrying an independent 1-D PPP of per-length
+intensity mu_n = c / lambda_n, observed in the window K.  Lines without a
+point in K leave no trace, so the sampler draws only the point-carrying
+ones: proposals through uniform points of K in uniform directions (the
+chord-length-weighted line measure), thinned by (1 - e^-m) / m with
+m = mu_n * chord length, each kept line carrying a zero-truncated
+Poisson(m) number of uniform points on its chord.  The law is exact and the
+cost O(c |K|) per replicate, whatever lambda_n.
 
 Satellites: n i.i.d. uniform base points on the sphere, each carrying a
 Poisson(mu_n) number of satellites at i.i.d. uniform angles on its orbit
@@ -27,14 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Window, chord_intervals, orbit_frame, support_radius
-from .pointprocess import CoupledBatch, ModelParams, ReplicateBatch, sample_uniform_sphere
+from .geometry import Window, chord_intervals, orbit_frame
+from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, sample_uniform_sphere,
+                           uniform_in_window)
 
 
 @dataclass(frozen=True)
 class CoxLineSample:
     """One realization of the line-based Cox process clipped to a window;
-    lines has shape (m, 2) with columns (r, theta), points (n, 2)."""
+    lines has shape (m, 2) with columns (r, theta) and holds only the lines
+    that carry a point in the window, points (n, 2)."""
 
     lines: np.ndarray
     points: np.ndarray
@@ -53,26 +60,47 @@ def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
                           rng: np.random.Generator):
     """reps replicates of the line-based Cox process restricted to the window.
 
+    Only the lines that carry a point in the window are drawn, so the cost
+    and memory are O(c |K|) per replicate, whatever lambda_n.  A line with
+    chord length l carries Poisson(m) points, m = mu_n * l, so the lines that
+    carry points form a Poisson line process of intensity
+    lambda_n (1 - e^-m) <= c * l, each with a zero-truncated Poisson(m)
+    count.  A line through a uniform point of K in a uniform direction has
+    density proportional to l (Santalo 1976), so Poisson(c |K| / 2) such
+    proposals per replicate have intensity exactly c * l, and keeping each
+    with probability (1 - e^-m) / m thins them to the point-carrying lines.
+    A kept line's count is 1 + Poisson(m - T), where T is the first arrival
+    of a unit-rate process on [0, m] given that one exists (inverse
+    transform); its points are uniform on the chord.
+
     Returns (lines, batch): lines is the (M, 2) array of (r, theta) of every
-    replicate's lines, in replicate order, and each point of batch carries its
-    line's replicate id.  Draw order: line counts, r, theta, the marks of all
-    lines, the positions on the chords; at reps = 1 this is the
-    sample_cox_line draw.
+    replicate's point-carrying lines, in replicate order, and each point of
+    batch carries its line's replicate id.  Draw order: proposal counts, the
+    proposals' points in the window, their normal angles, the acceptance
+    uniforms, the first arrivals, the further counts, the positions on the
+    chords; at reps = 1 this is the sample_cox_line draw.
     """
     params.check_kind("planar")
-    r_max = support_radius(window)
-    per_rep = rng.poisson(params.lambda_n * r_max, reps)
-    m = int(per_rep.sum())
-    r = rng.uniform(0.0, r_max, m)
-    theta = rng.uniform(0.0, 2.0 * np.pi, m)
+    per_rep = rng.poisson(0.5 * params.c * window.area, reps)
+    x = uniform_in_window(window, int(per_rep.sum()), rng)
+    alpha = rng.uniform(0.0, 2.0 * np.pi, x.shape[0])
+    # the line through x with unit normal at angle alpha, as (r >= 0, theta)
+    r = x[:, 0] * np.cos(alpha) + x[:, 1] * np.sin(alpha)
+    theta = np.where(r < 0.0, np.mod(alpha + np.pi, 2.0 * np.pi), alpha)
+    r = np.abs(r)
     s_lo, s_hi, _ = chord_intervals(window, r, theta)
     lengths = s_hi - s_lo
-    marks = rng.poisson(params.mu_n * lengths)
-    idx = np.repeat(np.arange(m), marks)
+    m = params.mu_n * lengths
+    p_hit = -np.expm1(-m)                  # P(the line carries a point)
+    keep = rng.random(m.size) * m < p_hit
+    r, theta, s_lo, lengths, m, p_hit = (a[keep] for a in (r, theta, s_lo, lengths, m, p_hit))
+    first = -np.log1p(-rng.random(m.size) * p_hit)
+    marks = 1 + rng.poisson(np.maximum(m - first, 0.0))
+    idx = np.repeat(np.arange(m.size), marks)
     s = s_lo[idx] + rng.random(idx.size) * lengths[idx]
     ct, st = np.cos(theta[idx]), np.sin(theta[idx])
     points = np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
-    rep_ids = np.repeat(np.arange(reps), per_rep)[idx]
+    rep_ids = np.repeat(np.arange(reps), per_rep)[keep][idx]
     return np.column_stack([r, theta]), ReplicateBatch(points, rep_ids, reps)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coxsim.geometry import Disk, Window, orbit_frame
+from coxsim.geometry import Disk, Window, chord_intervals, orbit_frame, support_radius
 from coxsim.pointprocess import ReplicateBatch
 
 TAU = 2.0 * math.pi
@@ -135,6 +135,28 @@ def chord_interval(window: Window, line: LineParams):
 def chord_length(window: Window, line: LineParams) -> float:
     iv = chord_interval(window, line)
     return 0.0 if iv is None else iv[1] - iv[0]
+
+
+def oracle_cox_line(params, window: Window, rng, r_max=None):
+    """One cox-line replicate drawn directly: all Poisson(lambda_n * r_max)
+    lines with r <= r_max, each carrying Poisson(mu_n * chord length) uniform
+    points on its chord.  Returns (lines, points, marks): every drawn line,
+    with or without points, and its point count.  r_max overrides the
+    truncation radius (any value at least support_radius gives the same law
+    for the clipped points)."""
+    if r_max is None:
+        r_max = support_radius(window)
+    m = rng.poisson(params.lambda_n * r_max)
+    r = rng.uniform(0.0, r_max, m)
+    theta = rng.uniform(0.0, TAU, m)
+    s_lo, s_hi, _ = chord_intervals(window, r, theta)
+    lengths = s_hi - s_lo
+    marks = rng.poisson(params.mu_n * lengths)
+    idx = np.repeat(np.arange(m), marks)
+    s = s_lo[idx] + rng.random(idx.size) * lengths[idx]
+    ct, st = np.cos(theta[idx]), np.sin(theta[idx])
+    points = np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
+    return np.column_stack([r, theta]), points, marks
 
 
 # ---------------------------------------------------------------------------

@@ -292,16 +292,18 @@ class TestCli:
     def test_simulate_to_dir(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "cox-line", "--c", "2", "--lam", "10",
-                     "--seed", "4", "--out", str(out)]) == 0
+                     "--seed", "3", "--out", str(out)]) == 0
         text = (out / "points.csv").read_text()
         assert text.startswith("x,y\n")
         points = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1, ndmin=2)
-        # the same draw as the command: stream (seed 4, index 0), default window
+        # the same draw as the command: stream (seed 3, index 0), default window
         expect = sample_cox_line(ModelParams.planar(2.0, 10.0), Disk((0.0, 0.0), 1.0),
-                                 RngStream(4, 0).generator()).points
+                                 RngStream(3, 0).generator()).points
         assert len(expect) > 0 and np.array_equal(points, expect)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_points"] == len(expect)
+        # n_lines counts only the lines that carry a point
+        assert 1 <= summary["n_lines"] <= summary["n_points"]
 
     def test_simulate_satellites_stdout(self, capsys):
         assert main(["simulate", "satellites", "--c", "3", "--n", "5"]) == 0
