@@ -132,10 +132,14 @@ def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Gener
     params.check_kind("spherical")
     rep_ids = np.repeat(np.arange(reps), rng.poisson(params.c, reps))
     labels = rng.integers(0, params.n, rep_ids.size)
-    # unique rows rather than a composite key: no overflow for any n
-    _, orbit_of, occupancy = np.unique(np.column_stack([rep_ids, labels]), axis=0,
-                                       return_inverse=True, return_counts=True)
-    orbit_of = orbit_of.ravel()   # 2-D on some numpy 2.0 releases
+    # orbits in (replicate, label) order by sort and scan: no composite key to overflow
+    order = np.lexsort((labels, rep_ids))
+    r, lab = rep_ids[order], labels[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (r[1:] != r[:-1]) | (lab[1:] != lab[:-1])
+    orbit_of = np.empty_like(order)
+    orbit_of[order] = np.cumsum(new) - 1
+    occupancy = np.bincount(orbit_of)
     orbits = sample_uniform_sphere(rng, occupancy.size)
     u, w = orbit_frame(orbits)
     phi = rng.uniform(0.0, 2.0 * np.pi, rep_ids.size)

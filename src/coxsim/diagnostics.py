@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,21 +37,24 @@ PAIR_BLOCK = 1 << 22  # dot products per block of the close-pair scan
 # Count histograms and TV distances
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)   # an entry holds about mean + 7 sqrt(mean) floats
 def poisson_pmf(mean: float, tail_tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """Poisson pmf vector truncated where the remaining tail mass is below
     tail_tol; returns (pmf, tail mass) so the truncation enters error budgets
     explicitly.  Each term is exp(k log m - m - log k!), so no term depends on
-    exp(-m), which underflows to 0 from m = 746."""
+    exp(-m), which underflows to 0 from m = 746.  Cached, hence read-only."""
     if mean < 0:
         raise ValueError("Poisson mean must be nonnegative")
-    if mean == 0.0:
-        return np.array([1.0]), 0.0
-    k = np.arange(int(mean + 40.0 * math.sqrt(mean) + 50) + 1)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(k.size)])
-    terms = np.exp(k * math.log(mean) - mean - log_fact)
-    cum = np.cumsum(terms)
-    last = min(int(np.searchsorted(cum, 1.0 - tail_tol)), k.size - 1)
-    return terms[:last + 1], max(0.0, 1.0 - float(cum[last]))
+    pmf, tail = np.array([1.0]), 0.0
+    if mean > 0.0:
+        k = np.arange(int(mean + 40.0 * math.sqrt(mean) + 50) + 1)
+        log_fact = np.array([math.lgamma(j + 1.0) for j in range(k.size)])
+        terms = np.exp(k * math.log(mean) - mean - log_fact)
+        cum = np.cumsum(terms)
+        last = min(int(np.searchsorted(cum, 1.0 - tail_tol)), k.size - 1)
+        pmf, tail = terms[:last + 1].copy(), max(0.0, 1.0 - float(cum[last]))
+    pmf.setflags(write=False)
+    return pmf, tail
 
 
 def _pad_to(a: np.ndarray, n: int) -> np.ndarray:
@@ -143,7 +146,7 @@ def _capped(counts, cap):
 
 
 def _in_set(counts, values):
-    return np.isin(counts[:, 0], values).astype(float)
+    return (counts[:, :1] == np.asarray(values)).any(axis=1).astype(float)
 
 
 def _at_least(counts, ks):

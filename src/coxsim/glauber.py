@@ -19,7 +19,7 @@ a coupled estimator.
 
 The samplers map a ReplicateBatch of starts to one draw per replicate (the
 trajectory simulator to a horizon each call names), and the consistency and
-contraction checks repeat one (n, 2) start array across their replicates;
+contraction checks tile one (n, 2) start array across their replicates;
 the generator and the contraction estimate share their draws across a list
 of count Functionals, moved by a point's region-membership row, h(c -/+ row).
 """
@@ -61,7 +61,8 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
     """Exact event-driven simulation up to the horizon, one trajectory per
     replicate.  Each lockstep step advances every live replicate by one event
     on its own Exp(b + size) clock and freezes those past the horizon; a
-    replicate's points fill a buffer row, and a death swaps in the last one."""
+    replicate's points fill a buffer row, a death swaps in the last one, and
+    np.compress gathers the rows' live prefixes at the end."""
     if not 0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and nonnegative")
     if omegas.points.shape[1] != 2 or not spec.window.contains(omegas.points).all():
@@ -91,7 +92,8 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
         size[dead] -= 1
         buf[dead, gone] = buf[dead, size[dead]]
     keep = np.arange(buf.shape[1]) < size[:, None]
-    return ReplicateBatch(buf[keep], np.repeat(np.arange(reps), size), reps)
+    return ReplicateBatch(np.compress(keep.ravel(), buf.reshape(-1, 2), axis=0),
+                          np.repeat(np.arange(reps), size), reps)
 
 
 def semigroup_sample(omegas: ReplicateBatch, t: float, spec: GlauberSpec,
@@ -112,7 +114,7 @@ def semigroup_trajectory_consistency(omega0: np.ndarray, spec: GlauberSpec,
     2/sqrt(reps)."""
     if reps < 1000:
         raise ValueError("TV comparison needs at least 1000 replicates")
-    starts = ReplicateBatch.stack([omega0] * reps)
+    starts = ReplicateBatch.tile(omega0, reps)
     traj = glauber_simulate(starts, spec, rng, t)
     return tv_rows(traj, semigroup_sample(starts, t, spec, rng), regions)
 
@@ -164,7 +166,7 @@ def contraction_estimate(functionals, omega: np.ndarray, z, t: float,
     z = ReplicateBatch.stack([np.asarray(z, dtype=float).reshape(1, -1)])
     if not z.membership(spec.window)[0]:
         raise ValueError("z must lie inside the window")
-    base = semigroup_sample(ReplicateBatch.stack([omega] * reps), t, spec, rng)
+    base = semigroup_sample(ReplicateBatch.tile(omega, reps), t, spec, rng)
     survives = rng.random(reps) < math.exp(-t)
     out = []
     for F in functionals:

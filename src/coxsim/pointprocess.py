@@ -162,6 +162,12 @@ class ReplicateBatch:
         return cls(points, np.repeat(np.arange(len(sizes)), sizes), len(sizes))
 
     @classmethod
+    def tile(cls, points: np.ndarray, reps: int) -> "ReplicateBatch":
+        """reps replicates of one (n, d) point array, as stack([points] * reps)."""
+        return cls(np.tile(np.asarray(points, dtype=float), (reps, 1)),
+                   np.repeat(np.arange(reps), len(points)), reps)
+
+    @classmethod
     def concat(cls, batches) -> "ReplicateBatch":
         """The replicates of the batches, in order, as one batch."""
         offsets = np.cumsum([0] + [b.reps for b in batches])
@@ -201,11 +207,12 @@ class ReplicateBatch:
         return self.cached(("membership", region), lambda: region.contains(self.points))
 
     def thin(self, p: float, rng: np.random.Generator) -> "ReplicateBatch":
-        """Independent p-thinning; draws one uniform per point, even at p = 0 or 1."""
+        """Independent p-thinning by np.compress; one uniform per point, even at p = 0, 1."""
         if not 0.0 <= p <= 1.0:
             raise ValueError("retention probability must lie in [0, 1]")
         keep = rng.random(self.points.shape[0]) < p
-        return ReplicateBatch(self.points[keep], self.rep_ids[keep], self.reps)
+        return ReplicateBatch(np.compress(keep, self.points, axis=0),
+                              np.compress(keep, self.rep_ids), self.reps)
 
     def superpose(self, other: "ReplicateBatch") -> "ReplicateBatch":
         """Replicate-wise union: replicate j holds both batches' replicate j."""
@@ -241,9 +248,9 @@ def ppp_batch(window: Window, lam: float, reps: int, rng: np.random.Generator):
 
 
 def region_counts(points: np.ndarray, rep_ids: np.ndarray, region, reps: int) -> np.ndarray:
-    """Per-replicate counts of flattened points inside a region."""
-    mask = region.contains(points)
-    return np.bincount(rep_ids[mask], minlength=reps)
+    """Per-replicate counts of flattened points inside a region.  np.compress
+    gives what rep_ids[mask] gives, several times faster on batch-sized arrays."""
+    return np.bincount(np.compress(region.contains(points), rep_ids), minlength=reps)
 
 
 # ---------------------------------------------------------------------------

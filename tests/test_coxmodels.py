@@ -402,6 +402,39 @@ class TestSatelliteBatchLaw:
             assert np.array_equal(kept[rows], alone)
 
 
+def unique_row_satellites(params, reps, rng):
+    """sample_satellites_batch with its orbits grouped by np.unique over
+    (replicate, label) rows, the form the sort-and-scan grouping replaced."""
+    rep_ids = np.repeat(np.arange(reps), rng.poisson(params.c, reps))
+    labels = rng.integers(0, params.n, rep_ids.size)
+    _, orbit_of, occupancy = np.unique(np.column_stack([rep_ids, labels]), axis=0,
+                                       return_inverse=True, return_counts=True)
+    orbit_of = orbit_of.ravel()
+    orbits = sample_uniform_sphere(rng, occupancy.size)
+    u, w = orbit_frame(orbits)
+    phi = rng.uniform(0.0, 2.0 * np.pi, rep_ids.size)
+    points = np.cos(phi)[:, None] * u[orbit_of] + np.sin(phi)[:, None] * w[orbit_of]
+    twin = points.copy()
+    multi = occupancy[orbit_of] >= 2
+    twin[multi] = sample_uniform_sphere(rng, int(multi.sum()))
+    return orbits, points, twin, rep_ids
+
+
+class TestOrbitGrouping:
+    @pytest.mark.parametrize("c, n, reps", [(2.0, 1, 500), (2.0, 2, 500),
+                                            (2.0, 2 ** 63 - 1, 500), (50.0, 20, 300),
+                                            (50.0, 10 ** 6, 50), (1e-12, 5, 100)])
+    def test_matches_unique_row_grouping(self, c, n, reps):
+        params = ModelParams.spherical(c, n)
+        orbits, pair = sample_satellites_batch(params, reps, rng_for(460))
+        ref_orbits, points, twin, rep_ids = unique_row_satellites(params, reps, rng_for(460))
+        for got, want in ((orbits, ref_orbits), (pair.model.points, points),
+                          (pair.twin.points, twin), (pair.model.rep_ids, rep_ids)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if c < 1e-6:
+            assert pair.model.points.shape == (0, 3) and orbits.shape == (0, 3)
+
+
 def blocks_by_hand(seed, point, reps, draw):
     """Blocks of BLOCK_REPS replicates, block b from stream (0, point, b)."""
     size = harness.BLOCK_REPS

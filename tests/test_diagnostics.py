@@ -56,6 +56,20 @@ class TestPoissonPmf:
         assert pmf.tolist() == [1.0]
         assert tail == 0.0
 
+    @pytest.mark.parametrize("mean", [0.0, 1.0, 2.7, 800.0])
+    def test_memo_is_read_only_and_exact(self, mean):
+        pmf, tail = poisson_pmf(mean)
+        with pytest.raises(ValueError):
+            pmf[0] = 0.5
+        fresh, fresh_tail = poisson_pmf.__wrapped__(mean)
+        assert pmf.tobytes() == fresh.tobytes() and tail == fresh_tail
+        assert poisson_pmf(mean)[0] is pmf
+        # a cache entry holds the truncated pmf, not the longer term array
+        assert pmf.base is None and pmf.size <= mean + 7 * math.sqrt(mean) + 20
+
+    def test_memo_is_bounded(self):
+        assert 0 < poisson_pmf.cache_info().maxsize < 1000
+
 
 class TestTv:
     def test_identical_counts(self):
@@ -416,6 +430,17 @@ class TestPresets:
             assert F.lipschitz
         for F in planar_functional_family(Disk((0.0, 0.0), 1.0)):
             assert F.lipschitz
+        # check_glauber passes this family to contraction_estimate unfiltered
+        for F in glauber_functionals(Rect(0, 0, 1, 1)):
+            assert F.lipschitz
+
+
+class TestCountIndicator:
+    @pytest.mark.parametrize("values", [[], [0], [3, 1], [2, 2, 7], [-1, 50]])
+    def test_matches_isin(self, values):
+        counts = rng_for(8).poisson(2.0, (500, 1))
+        F = count_indicator(WINDOW, values)
+        assert F.h(counts).tobytes() == np.isin(counts[:, 0], values).astype(float).tobytes()
 
 
 class TestDistanceEstimate:

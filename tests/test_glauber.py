@@ -220,6 +220,29 @@ class TestLockstepLaw:
             assert multiset(replicate(out, j)) == multiset(both)
 
 
+class TestFinalGather:
+    @pytest.mark.parametrize("lam, horizon", [(0.5, 1.0), (300.0, 0.5)])
+    def test_matches_mask_indexing_of_the_buffer(self, monkeypatch, lam, horizon):
+        # the (reps, width, 2) buffer's live prefixes, gathered as buf[keep];
+        # at lam 300 the buffer grows past its first width of 8
+        calls, compress = [], np.compress
+
+        def spy(condition, a, axis=None):
+            calls.append((condition, a))
+            return compress(condition, a, axis=axis)
+
+        monkeypatch.setattr(np, "compress", spy)
+        starts = batch([plane_points([]), OMEGA0] * 500)
+        out = glauber_simulate(starts, GlauberSpec(WINDOW, lam), rng_for(36), horizon)
+        monkeypatch.undo()
+        (flat_keep, flat_buf), = calls
+        buf = flat_buf.base
+        keep = flat_keep.reshape(buf.shape[:2])
+        assert buf.shape[0] == len(starts) and (buf.shape[1] > 8) == (lam > 1)
+        assert np.array_equal(out.points, buf[keep])
+        assert np.array_equal(out.rep_ids, np.nonzero(keep)[0])
+
+
 class TestSemigroup:
     def test_t_zero_exact(self):
         # at t = 0 every point survives and no fresh point is born

@@ -275,6 +275,46 @@ class TestThin:
             batch([plane_points([])]).thin(1.5, rng_for(25))
 
 
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestCompressMatchesMaskIndexing:
+    """The np.compress selections give what boolean-mask indexing gave."""
+
+    WINDOW = Rect(0, 0, 1, 1)
+
+    @pytest.mark.parametrize("reps, region", [
+        (0, Rect(0, 0, 1, 1)),                 # empty batch
+        (40, Rect(2, 2, 3, 3)),                # all-False mask
+        (40, Rect(-1, -1, 2, 2)),              # all-True mask
+        (40, Disk((0.5, 0.5), 0.3))])
+    def test_region_counts(self, reps, region):
+        b = ReplicateBatch.ppp(self.WINDOW, 30.0, reps, rng_for(26))
+        mask = region.contains(b.points)
+        assert_same_array(region_counts(b.points, b.rep_ids, region, reps),
+                          np.bincount(b.rep_ids[mask], minlength=reps))
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_thin(self, p):
+        b = ReplicateBatch.ppp(self.WINDOW, 30.0, 40, rng_for(27))
+        keep = rng_for(28).random(b.points.shape[0]) < p
+        out = b.thin(p, rng_for(28))
+        assert_same_array(out.points, b.points[keep])
+        assert_same_array(out.rep_ids, b.rep_ids[keep])
+        assert len(out) == len(b)
+
+    @pytest.mark.parametrize("pts", [np.empty((0, 2)), np.array([[1, 2], [3, 4]]),
+                                     np.array([[0.5, -0.5, 0.25]])])
+    def test_tile_is_stack(self, pts):
+        for reps in (1, 3):
+            tiled, stacked = ReplicateBatch.tile(pts, reps), ReplicateBatch.stack([pts] * reps)
+            assert_same_array(tiled.points, stacked.points)
+            assert_same_array(tiled.rep_ids, stacked.rep_ids)
+            assert len(tiled) == len(stacked) == reps
+
+
 class TestReproducibility:
     def test_identical_streams(self):
         a = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, RngStream(42, 9).generator())
