@@ -14,10 +14,10 @@ import sys
 from dataclasses import replace
 
 from .coxmodels import sample_cox_line, sample_satellites_with_twin
-from .harness import (ConfigError, ExperimentConfig, ValidationSettings,
-                      config_from_ini, csv_header, csv_line, format_check_table,
-                      parse_window, run_experiment, run_validation_suite,
-                      write_validation_csv)
+from .harness import (MODEL_DEFAULTS, ConfigError, ExperimentConfig,
+                      ValidationSettings, config_from_ini, csv_header, csv_line,
+                      format_check_table, parse_window, run_experiment,
+                      run_validation_suite, write_validation_csv)
 from .pointprocess import ModelParams, RngStream, points_to_csv
 from .steinbound import cox_bound, satellite_bound
 
@@ -163,9 +163,7 @@ def _cmd_experiment(args) -> int:
             raise ConfigError(f"config file is for model {cfg.model!r}, "
                               f"but the subcommand expects {model!r}")
     else:
-        defaults = {"cox-line": (1.0, (5.0, 10.0, 20.0, 40.0, 80.0)),
-                    "satellites": (2.0, (10.0, 20.0, 40.0, 80.0, 160.0))}
-        c0, sweep0 = defaults[model]
+        c0, sweep0 = MODEL_DEFAULTS[model]
         cfg = ExperimentConfig(model=model, c=c0, sweep=sweep0, reps=10_000, seed=0)
     # CLI flags override config file values and the defaults
     flags = {"c": args.c, "sweep": args.sweep, "reps": args.reps, "seed": args.seed}

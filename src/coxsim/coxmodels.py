@@ -15,10 +15,12 @@ Poisson(mu_n) number of satellites at i.i.d. uniform angles on its orbit
 (the great circle orthogonal to the base point).  By Poisson splitting the
 sampler draws this law in O(c) per replicate, whatever n.
 
-Each sampler draws reps replicates at once into a ReplicateBatch;
-sample_cox_line and sample_satellites_with_twin are their one-replicate
-views, holding only the lines or orbits and the read-only (n, d) arrays
-batch.points; the params and window are the caller's.
+Each sampler draws reps replicates at once into a CoupledBatch: the model
+and its twin, an exact PPP of the limiting intensity that keeps one point of
+each point-carrying line or occupied orbit and is independent of the model
+everywhere else.  sample_cox_line and sample_satellites_with_twin are their
+one-replicate views, holding only the lines or orbits and the read-only
+(n, d) point arrays; the params and window are the caller's.
 
 Mean measures: the lines D(r, theta), r >= 0, sweep a half-plane that holds
 any given point for half of the directions, so the cox-line model has mean
@@ -58,14 +60,15 @@ class SatelliteSample:
 
 def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
                           rng: np.random.Generator):
-    """reps replicates of the line-based Cox process restricted to the window.
+    """reps replicates of the line-based Cox process restricted to the window,
+    with coupled exact-PPP twins.
 
     Only the lines that carry a point in the window are drawn, so the cost
     and memory are O(c |K|) per replicate, whatever lambda_n.  A line with
     chord length l carries Poisson(m) points, m = mu_n * l, so the lines that
     carry points form a Poisson line process of intensity
     lambda_n (1 - e^-m) <= c * l, each with a zero-truncated Poisson(m)
-    count.  A line through a uniform point of K in a uniform direction has
+    count.  A line through a uniform point x of K in a uniform direction has
     density proportional to l (Santalo 1976), so Poisson(c |K| / 2) such
     proposals per replicate have intensity exactly c * l, and keeping each
     with probability (1 - e^-m) / m thins them to the point-carrying lines.
@@ -73,9 +76,15 @@ def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
     of a unit-rate process on [0, m] given that one exists (inverse
     transform); its points are uniform on the chord.
 
-    Returns (lines, batch): lines is the (M, 2) array of (r, theta) of every
-    replicate's point-carrying lines, in replicate order, and each point of
-    batch carries its line's replicate id.  Draw order: proposal counts, the
+    The twin takes no draws of its own.  The proposal points x are a PPP of
+    intensity c/2 on K, and given its line each x is uniform on the chord, as
+    is the first point a kept line carries.  So the twin, one point per
+    proposal (the first point of its line if kept, x itself if rejected), is
+    exactly PPP(c/2) on K and shares one point with each point-carrying line.
+
+    Returns (lines, CoupledBatch): lines is the (M, 2) array of (r, theta) of
+    every replicate's point-carrying lines, in replicate order; each model
+    point carries its line's replicate id.  Draw order: proposal counts, the
     proposals' points in the window, their normal angles, the acceptance
     uniforms, the first arrivals, the further counts, the positions on the
     chords; at reps = 1 this is the sample_cox_line draw.
@@ -100,15 +109,18 @@ def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
     s = s_lo[idx] + rng.random(idx.size) * lengths[idx]
     ct, st = np.cos(theta[idx]), np.sin(theta[idx])
     points = np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
-    rep_ids = np.repeat(np.arange(reps), per_rep)[keep][idx]
-    return np.column_stack([r, theta]), ReplicateBatch(points, rep_ids, reps)
+    proposal_reps = np.repeat(np.arange(reps), per_rep)
+    x[keep] = points[np.cumsum(marks) - marks]   # each kept line's first point
+    return np.column_stack([r, theta]), CoupledBatch(
+        ReplicateBatch(points, proposal_reps[keep][idx], reps),
+        ReplicateBatch(x, proposal_reps, reps))
 
 
 def sample_cox_line(params: ModelParams, window: Window,
                     rng: np.random.Generator) -> CoxLineSample:
     """Sample the line-based Cox process restricted to the window."""
-    lines, batch = sample_cox_line_batch(params, window, 1, rng)
-    return CoxLineSample(lines=lines, points=batch.points)
+    lines, pair = sample_cox_line_batch(params, window, 1, rng)
+    return CoxLineSample(lines=lines, points=pair.model.points)
 
 
 def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Generator):
@@ -118,13 +130,14 @@ def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Gener
     spread over n uniform orbit labels, and unoccupied orbits carry no
     points, so a replicate draws its total, one label per point, and one base
     point per occupied (replicate, label) pair: O(c) work and memory per
-    replicate.  The twin keeps the satellites of singly occupied orbits (each
-    exactly uniform on the sphere) and replaces those of multiply occupied
-    orbits, in place, by fresh uniform points.  It is then distributed
-    exactly as the limiting PPP with intensity c * nu while sharing all other
-    randomness with the model, so mean differences of functionals over the
-    pairs are unbiased for the model-vs-PPP gap with far smaller variance
-    than two independent samples.
+    replicate.  The twin keeps the first point of each occupied orbit (the
+    first points of distinct orbits are i.i.d. uniform on the sphere) and
+    replaces every other point, in place, by a fresh uniform point.  It is
+    then distributed exactly as the limiting PPP with intensity c * nu and
+    differs from the model only where an orbit holds two or more points, so
+    mean differences of functionals over the pairs are unbiased for the
+    model-vs-PPP gap with far smaller variance than two independent samples.
+    The twin's draws come after the model's.
 
     Returns (orbits, CoupledBatch): the base points of the occupied orbits,
     ordered by (replicate, label), and the replicate-aligned model and twin.
@@ -139,14 +152,14 @@ def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Gener
     new[1:] = (r[1:] != r[:-1]) | (lab[1:] != lab[:-1])
     orbit_of = np.empty_like(order)
     orbit_of[order] = np.cumsum(new) - 1
-    occupancy = np.bincount(orbit_of)
-    orbits = sample_uniform_sphere(rng, occupancy.size)
+    lead = np.empty_like(new)
+    lead[order] = new                      # the first point of its orbit
+    orbits = sample_uniform_sphere(rng, int(new.sum()))
     u, w = orbit_frame(orbits)
     phi = rng.uniform(0.0, 2.0 * np.pi, rep_ids.size)
     points = np.cos(phi)[:, None] * u[orbit_of] + np.sin(phi)[:, None] * w[orbit_of]
     twin = points.copy()
-    multi = occupancy[orbit_of] >= 2
-    twin[multi] = sample_uniform_sphere(rng, int(multi.sum()))
+    twin[~lead] = sample_uniform_sphere(rng, int(lead.size - orbits.shape[0]))
     return orbits, CoupledBatch(ReplicateBatch(points, rep_ids, reps),
                                 ReplicateBatch(twin, rep_ids, reps))
 

@@ -227,9 +227,6 @@ class DistanceEstimate:
         if self.value < 0:
             raise ValueError("distance estimates are nonnegative")
 
-    def conservative(self) -> float:
-        return max(0.0, self.value - self.stderr)
-
 
 def count_tv_lower_bound(samples: ReplicateBatch, region, target_mean: float,
                          rng: np.random.Generator,
@@ -269,7 +266,8 @@ def wasserstein_lower_bound(samples: ReplicateBatch, reference_sampler,
 
     The reference side is one batch of ref_factor * len(samples) fresh
     replicates, reference_sampler(reps, rng).  Reported value is the max gap
-    minus the stderr of the maximizing functional, floored at 0.
+    minus the stderr of the maximizing functional, floored at 0.  The sweeps
+    use the coupled form below; this uncoupled one is a test reference.
     """
     require_lipschitz(functionals)
     refs = reference_sampler(ref_factor * len(samples), rng)

@@ -4,14 +4,15 @@ management, the validation suite, and CSV/SVG emission.
 Determinism contract: every random draw comes from a counter-based stream
 keyed by (master seed, composite_index(lane, sweep point, index)), so a
 (config, seed) pair maps to byte-identical CSV output on any machine.
-Lanes: 0 model samples, drawn in blocks of BLOCK_REPS replicates with one
-stream per block (replicate j comes from block j // BLOCK_REPS); 2 reference
-samples, one stream and one batch per sweep point; 3 validation checks;
-4 bootstrap.  Lane 1 (the retired intensity calibration) stays unused so the
-others keep their streams.
-Intensity targets are the closed-form mean measures (see coxmodels), and
-eff_intensity is measured from the sweep's own samples.  Wall-clock metadata
-is kept out of all CSV files on purpose.
+Lanes: 0 model samples and their twins, drawn in blocks of BLOCK_REPS
+replicates with one stream per block (replicate j comes from block
+j // BLOCK_REPS); 3 validation checks; 4 bootstrap.  Lanes 1 (the retired
+intensity calibration) and 2 (the retired uncoupled reference samples) stay
+unused so the others keep their streams.
+Each sweep point makes one Wasserstein estimate, coupled: model against its
+exact-PPP twin (see coxmodels).  Intensity targets are the closed-form mean
+measures, and eff_intensity is measured from the sweep's own samples.
+Wall-clock metadata is kept out of all CSV files on purpose.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .diagnostics import (DistanceEstimate, RateFit,
                           glauber_functionals, invariance_check, mecke_check_bpp,
                           mecke_check_ppp, mecke_functionals, planar_functional_family,
                           planar_region_set, rate_regression, sphere_functional_family,
-                          sphere_region_set, wasserstein_lower_bound)
+                          sphere_region_set)
 from .geometry import Disk, Rect, Window, halves
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       semigroup_sample, semigroup_trajectory_consistency)
@@ -40,10 +41,11 @@ from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, RngStream,
 from .steinbound import (QuadratureSpec, chord_square_integral, coarea_check,
                          cox_bound, satellite_bound)
 
-SCHEMA_VERSION = 1
+# the schema line of results.csv, bumped when its columns change; the other
+# CSVs are at 1
+SCHEMA_VERSION = 2
 
 LANE_SAMPLES = 0
-LANE_REFERENCE = 2
 LANE_CHECKS = 3
 LANE_BOOTSTRAP = 4
 
@@ -62,6 +64,11 @@ class ConfigError(ValueError):
 
 TARGET_MODES = ("c", "auto")
 
+# per model: the c and sweep of the CLI without --config, and the c of an
+# INI file that leaves it out
+MODEL_DEFAULTS = {"cox-line": (1.0, (5.0, 10.0, 20.0, 40.0, 80.0)),
+                  "satellites": (2.0, (10.0, 20.0, 40.0, 80.0, 160.0))}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -74,7 +81,7 @@ class ExperimentConfig:
     target_intensity: str = "auto"
 
     def __post_init__(self):
-        if self.model not in ("cox-line", "satellites"):
+        if self.model not in MODEL_DEFAULTS:
             raise ConfigError(f"model must be cox-line or satellites, got {self.model!r}")
         if not 0 < self.c < math.inf:
             raise ConfigError(f"c must be positive and finite, got {self.c}")
@@ -140,7 +147,8 @@ def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
         sweep = tuple(float(v) for v in sweep_raw.replace(",", " ").split())
         cfg = ExperimentConfig(
             model=model,
-            c=section.getfloat("c", fallback=1.0),
+            # an unknown model has no default; ExperimentConfig rejects it
+            c=section.getfloat("c", fallback=MODEL_DEFAULTS.get(model, (None,))[0]),
             sweep=sweep,
             reps=section.getint("reps", fallback=10_000),
             seed=section.getint("seed", fallback=0),
@@ -172,7 +180,7 @@ class ExperimentResult:
 RESULTS_COLUMNS = [
     "model", "c", "param", "reps", "target_mode", "target_intensity",
     "eff_intensity", "eff_stderr", "w_distance", "w_stderr", "w_functional",
-    "w_secondary", "w_secondary_stderr", "tv_distance", "tv_stderr",
+    "tv_distance", "tv_stderr",
     "tv_region", "fit_distance", "fit_stderr", "fit_kind", "bound",
     "bound_respected",
 ]
@@ -193,16 +201,16 @@ def csv_line(values) -> str:
     return ",".join(_fmt(v) for v in values) + "\n"
 
 
-def csv_header(columns) -> str:
+def csv_header(columns, version: int = 1) -> str:
     """The schema-version comment line, then the column names."""
-    return f"# schema_version={SCHEMA_VERSION}\n" + csv_line(columns)
+    return f"# schema_version={version}\n" + csv_line(columns)
 
 
-def _write_csv(path, columns, rows):
+def _write_csv(path, columns, rows, version: int = 1):
     """Write the rows (dicts keyed by column) to path, flushing each line as
     its row arrives, so a failed sweep keeps the rows it completed."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_header(columns))
+        fh.write(csv_header(columns, version))
         for row in rows:
             fh.write(csv_line(row.get(c, "") for c in columns))
             fh.flush()
@@ -225,37 +233,31 @@ def model_blocks(seed: int, point_idx: int, reps: int, draw) -> list:
 
 
 def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict:
-    """Run one sweep point: sample, estimate distances, evaluate the bound.
-    Deterministic given (config, master seed, point index)."""
+    """Run one sweep point: sample model and twin, estimate distances,
+    evaluate the bound.  Deterministic given (config, master seed, point
+    index)."""
     seed = cfg.seed
     if cfg.model == "cox-line":
         params = ModelParams.planar(cfg.c, value)
-        window = cfg.window
-        regions = planar_region_set(window)
-        family = planar_functional_family(window)
+        regions = planar_region_set(cfg.window)
+        family = planar_functional_family(cfg.window)
         # the mean measure is (c/2) Leb2 on every window; "auto" uses it
         target = cfg.c if cfg.target_intensity == "c" else cfg.c / 2.0
-        samples = ReplicateBatch.concat([batch for _, batch in model_blocks(
-            seed, point_idx, cfg.reps, partial(sample_cox_line_batch, params, window))])
-        ref = partial(ReplicateBatch.ppp, window, target)
-        bound = cox_bound(params, window)
+        draw = partial(sample_cox_line_batch, params, cfg.window)
+        bound = cox_bound(params, cfg.window)
     else:
         params = ModelParams.spherical(cfg.c, int(value))
         regions = sphere_region_set()
         family = sphere_functional_family()
         target = cfg.c   # mean total count is exactly n * mu_n = c
-        pairs = [pair for _, pair in model_blocks(
-            seed, point_idx, cfg.reps, partial(sample_satellites_batch, params))]
-        samples = ReplicateBatch.concat([pair.model for pair in pairs])
-        w_coupled = coupled_wasserstein_lower_bound(
-            CoupledBatch(samples, ReplicateBatch.concat([pair.twin for pair in pairs])),
-            family)
-        ref = partial(ReplicateBatch.sphere_ppp, cfg.c)   # PPP(c nu) replicates
+        draw = partial(sample_satellites_batch, params)
         bound = satellite_bound(params)
-    w_ref = wasserstein_lower_bound(samples, ref, family,
-                                    _stream(seed, LANE_REFERENCE, point_idx))
-    w_est, w_secondary = ((w_ref, None) if cfg.model == "cox-line"
-                          else (w_coupled, w_ref))
+    pairs = [pair for _, pair in model_blocks(seed, point_idx, cfg.reps, draw)]
+    samples = ReplicateBatch.concat([pair.model for pair in pairs])
+    # the headline of the rate fit: the largest mean gap over the family
+    # between model and exact-PPP twin, stderr already subtracted
+    w_est = coupled_wasserstein_lower_bound(
+        CoupledBatch(samples, ReplicateBatch.concat([pair.twin for pair in pairs])), family)
 
     whole = regions[0][1]   # the whole window or sphere
     eff, eff_se = effective_intensity(samples.counts(whole), whole.measure)
@@ -265,38 +267,18 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
                     for name, region in regions]
     tv_best = max(tv_estimates, key=lambda e: e.value)
 
-    # headline distance for the rate fit: the statistically strongest
-    # certified lower bound per model, conservatively reported (stderr
-    # subtracted) so the estimator's upward noise bias does not flatten the
-    # rate at large parameters.  For the line model the total-count law
-    # carries the dominant deviation (intensity mixing overdisperses the
-    # window count); for satellites the coupled estimator resolves the
-    # small-gap regime that an uncoupled two-sample estimate cannot.
-    if cfg.model == "cox-line":
-        fit_est = next(e for e in tv_estimates if e.regions == "window")
-        fit_kind = "tv-counts(window,conservative)"
-        fit_value = fit_est.conservative()
-    else:
-        fit_est = w_est   # coupled value already has its stderr subtracted
-        fit_kind = "wasserstein-lower(coupled)"
-        fit_value = fit_est.value
-
-    all_estimates = [w_est] + ([w_secondary] if w_secondary else []) + tv_estimates
-    respected = _bound_respected(all_estimates, bound)
-
     return {
         "model": cfg.model, "c": cfg.c, "param": value, "reps": cfg.reps,
         "target_mode": cfg.target_intensity, "target_intensity": target,
         "eff_intensity": eff, "eff_stderr": eff_se,
         "w_distance": w_est.value, "w_stderr": w_est.stderr,
         "w_functional": w_est.regions,
-        "w_secondary": w_secondary.value if w_secondary else "",
-        "w_secondary_stderr": w_secondary.stderr if w_secondary else "",
         "tv_distance": tv_best.value, "tv_stderr": tv_best.stderr,
         "tv_region": tv_best.regions,
-        "fit_distance": fit_value, "fit_stderr": fit_est.stderr,
-        "fit_kind": fit_kind,
-        "bound": bound, "bound_respected": int(respected),
+        "fit_distance": w_est.value, "fit_stderr": w_est.stderr,
+        "fit_kind": "wasserstein-lower(coupled)",
+        "bound": bound,
+        "bound_respected": int(_bound_respected([w_est] + tv_estimates, bound)),
         "_w_est": w_est, "_tv_estimates": tv_estimates,
     }
 
@@ -317,7 +299,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         list(sweep())
     else:
         os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, sweep())
+        _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, sweep(),
+                   SCHEMA_VERSION)
     try:
         points = [(row["param"], row["fit_distance"]) for row in result.rows]
         result.fit = rate_regression(points)

@@ -35,9 +35,10 @@ def composite_index(lane: int, point: int, replicate: int) -> int:
 
     Layout: lane in the top 8 bits, sweep-point index in the next 16,
     replicate (or block) index in the low 40.  Harness lanes: 0 = model
-    samples, one stream per block of replicates (replicate j in block
-    j // harness.BLOCK_REPS), 2 = reference samples, 3 = validation checks,
-    4 = bootstrap; lane 1 (the retired intensity calibration) is not reused.
+    samples and their twins, one stream per block of replicates (replicate j
+    in block j // harness.BLOCK_REPS), 3 = validation checks, 4 = bootstrap;
+    lanes 1 (the retired intensity calibration) and 2 (the retired uncoupled
+    reference samples) are not reused.
     """
     if not (0 <= lane < 2 ** LANE_BITS):
         raise ValueError(f"lane out of range: {lane}")
@@ -181,14 +182,6 @@ class ReplicateBatch:
         """reps independent PPP(lam) samples on the window (see ppp_batch)."""
         _, points, rep_ids = ppp_batch(window, lam, reps, rng)
         return cls(points, rep_ids, reps)
-
-    @classmethod
-    def sphere_ppp(cls, mean: float, reps: int, rng: np.random.Generator) -> "ReplicateBatch":
-        """reps independent PPPs of intensity mean * nu on the unit sphere:
-        Poisson(mean) counts, then one draw of all the uniform points."""
-        counts = rng.poisson(mean, reps)
-        return cls(sample_uniform_sphere(rng, int(counts.sum())),
-                   np.repeat(np.arange(reps), counts), reps)
 
     def cached(self, key, compute) -> np.ndarray:
         """compute(), evaluated once per batch and key, as a read-only array."""

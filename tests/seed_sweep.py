@@ -1,0 +1,82 @@
+"""Pass counts of acceptance criteria 3 and 4 over a range of seeds.
+
+Runs the two acceptance sweeps of tests/test_acceptance.py at every seed of
+the range and prints, per criterion, how many seeds pass, the mean and
+standard deviation of the rate-fit slope, the seeds without a fit and the
+failing seeds.  The wall-time budgets are left out: they do not depend on
+the seed.  pytest does not collect this file (its name does not start with
+test_).
+
+    PYTHONPATH=src python tests/seed_sweep.py --seeds 0-99
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+
+from coxsim.geometry import Disk
+from coxsim.harness import ExperimentConfig, run_experiment
+
+SLOPE_BAND = (-1.3, -0.7)
+
+
+def _in_band(fit) -> bool:
+    return fit is not None and SLOPE_BAND[0] <= fit.slope <= SLOPE_BAND[1]
+
+
+def criterion_3(result) -> bool:
+    """Satellite slope in the band with r^2 >= 0.9."""
+    return _in_band(result.fit) and result.fit.r_squared >= 0.9
+
+
+def criterion_4(result) -> bool:
+    """Every cox-line estimate within bound + 3 stderr, slope in the band and
+    eff_intensity within 0.05 of c/2."""
+    within = all(e.value <= row["bound"] + 3.0 * e.stderr
+                 for row in result.rows
+                 for e in [row["_w_est"]] + row["_tv_estimates"])
+    effs = all(abs(row["eff_intensity"] - 0.5) < 0.05 for row in result.rows)
+    return within and effs and _in_band(result.fit)
+
+
+CRITERIA = {
+    "3 (satellites)": (lambda seed, reps: ExperimentConfig(
+        "satellites", 2.0, (10, 20, 40, 80, 160), reps=reps, seed=seed), criterion_3),
+    "4 (cox-line)": (lambda seed, reps: ExperimentConfig(
+        "cox-line", 1.0, (5, 10, 20, 40, 80), reps=reps, seed=seed,
+        window=Disk((0.0, 0.0), 1.0)), criterion_4),
+}
+
+
+def _seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=_seed_range, default=_seed_range("0-99"),
+                        help="inclusive range, e.g. 0-99")
+    parser.add_argument("--reps", type=int, default=10_000)
+    args = parser.parse_args(argv)
+    for name, (config, passes) in CRITERIA.items():
+        failed, no_fit, slopes = [], [], []
+        for seed in args.seeds:
+            result = run_experiment(config(seed, args.reps))
+            if result.fit is None:
+                no_fit.append(seed)
+            else:
+                slopes.append(result.fit.slope)
+            if not passes(result):
+                failed.append(seed)
+        n = len(args.seeds)
+        sd = statistics.stdev(slopes) if len(slopes) > 1 else float("nan")
+        mean = statistics.fmean(slopes) if slopes else float("nan")
+        print(f"criterion {name}: {n - len(failed)}/{n} seeds pass; "
+              f"slope mean {mean:.3f} sd {sd:.3f}; no fit: {no_fit or 'none'}; "
+              f"failing: {failed or 'none'}")
+
+
+if __name__ == "__main__":
+    main()

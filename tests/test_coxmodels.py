@@ -178,7 +178,8 @@ class TestCoxLine:
         # Poisson(mu * l) number of points, i.i.d. uniform on its chord
         for lam, idx in ((0.5, 30), (2.0, 32)):
             params = ModelParams.planar(1.0, lam)
-            lines, batch = sample_cox_line_batch(params, UNIT_DISK, 4000, rng_for(idx))
+            lines, pair = sample_cox_line_batch(params, UNIT_DISK, 4000, rng_for(idx))
+            batch = pair.model
             on = line_of_each_point(lines, batch.points)
             marks = np.bincount(on, minlength=len(lines))
             assert marks.min() >= 1
@@ -203,7 +204,8 @@ class TestCoxLine:
         for lam in (2.0, 20.0):
             for window in (UNIT_DISK, OFF_ORIGIN):
                 params = ModelParams.planar(1.0, lam)
-                lines, batch = sample_cox_line_batch(params, window, 20_000, rng_for(7))
+                lines, pair = sample_cox_line_batch(params, window, 20_000, rng_for(7))
+                batch = pair.model
                 on = line_of_each_point(lines, batch.points)
                 first = np.flatnonzero(np.diff(on, prepend=-1))   # one point per line
                 carrying = np.bincount(batch.rep_ids[first], minlength=len(batch))
@@ -218,8 +220,8 @@ class TestCoxLine:
         for window in (UNIT_DISK, OFF_ORIGIN):
             params = ModelParams.planar(2.0, 10.0)
             s = sample_cox_line(params, window, rng_for(9))
-            lines, batch = sample_cox_line_batch(params, window, 1, rng_for(9))
-            assert np.array_equal(s.lines, lines) and np.array_equal(s.points, batch.points)
+            lines, pair = sample_cox_line_batch(params, window, 1, rng_for(9))
+            assert np.array_equal(s.lines, lines) and np.array_equal(s.points, pair.model.points)
 
 
 class TestCoxLineBatchLaw:
@@ -232,8 +234,8 @@ class TestCoxLineBatchLaw:
         # = (c^2 / 2 lambda) G(K), half the bound
         params = ModelParams.planar(1.0, lam)
         reps = 100_000
-        _, batch = sample_cox_line_batch(params, window, reps, rng_for(300))
-        x = batch.counts(window).astype(float)
+        _, pair = sample_cox_line_batch(params, window, reps, rng_for(300))
+        x = pair.model.counts(window).astype(float)
         mean, var = x.mean(), x.var(ddof=1)
         d = x - mean
         excess_se = float(np.std(d ** 2 - d, ddof=1)) / math.sqrt(reps)
@@ -244,13 +246,59 @@ class TestCoxLineBatchLaw:
         # lines come in replicate order, each with at least one point, and
         # every point of a line carries that line's replicate id
         params = ModelParams.planar(2.0, 10.0)
-        lines, batch = sample_cox_line_batch(params, UNIT_DISK, 50, rng_for(301))
+        lines, pair = sample_cox_line_batch(params, UNIT_DISK, 50, rng_for(301))
+        batch = pair.model
         assert len(batch) == 50 and np.all(np.diff(batch.rep_ids) >= 0)
         on = line_of_each_point(lines, batch.points)
         assert np.array_equal(np.unique(on), np.arange(len(lines)))
         first = np.flatnonzero(np.diff(on, prepend=-1))
         assert np.array_equal(batch.rep_ids, np.repeat(batch.rep_ids[first],
                                                        np.diff(first, append=on.size)))
+
+
+def kept_only(pair):
+    """A planted defect: the cox-line twin without its rejected proposals,
+    i.e. only the twin points that are also model points."""
+    shared = set(map(tuple, pair.model.points))
+    mask = np.array([tuple(p) in shared for p in pair.twin.points], dtype=bool)
+    return ReplicateBatch(np.compress(mask, pair.twin.points, axis=0),
+                          np.compress(mask, pair.twin.rep_ids), len(pair))
+
+
+class TestCoxLineTwin:
+    # each G-test at level 0.001 against Poisson((c/2)|A|), 10^5 replicates
+    CASES = [(UNIT_DISK, UNIT_DISK), (UNIT_DISK, Rect(0.1, 0.1, 0.6, 0.5)),
+             (OFF_ORIGIN, OFF_ORIGIN)]
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        params = ModelParams.planar(1.0, 5.0)
+        return {window: sample_cox_line_batch(params, window, 100_000, rng_for(320 + k))[1]
+                for k, window in enumerate((UNIT_DISK, OFF_ORIGIN))}
+
+    @pytest.mark.parametrize("side", ["twin", "model", "kept only"])
+    @pytest.mark.parametrize("window, region", CASES, ids=["disk", "rect-in-disk", "off-origin"])
+    def test_twin_counts_poisson(self, pairs, side, window, region):
+        # the twin is exactly PPP(c/2) on the window; the model (a twin that
+        # keeps every point) and the twin without its rejected proposals are
+        # planted defects that the same test rejects
+        pair = pairs[window]
+        batch = {"twin": pair.twin, "model": pair.model, "kept only": kept_only(pair)}[side]
+        pmf, _ = poisson_pmf(0.5 * region.area)
+        assert g_test_passes(batch.counts(region), pmf) == (side == "twin")
+
+    def test_twin_shares_one_point_per_line(self):
+        # one twin point per proposal: the first point of each kept line in
+        # line order, the proposal point itself for the others
+        params = ModelParams.planar(2.0, 5.0)
+        lines, pair = sample_cox_line_batch(params, UNIT_DISK, 500, rng_for(325))
+        first = np.flatnonzero(np.diff(line_of_each_point(lines, pair.model.points),
+                                       prepend=-1))
+        shared = kept_only(pair)
+        assert np.array_equal(shared.points, pair.model.points[first])
+        assert np.array_equal(shared.rep_ids, pair.model.rep_ids[first])
+        assert np.all(np.diff(pair.twin.rep_ids) >= 0) and len(pair.twin) == 500
+        assert UNIT_DISK.contains(pair.twin.points).all()
 
 
 class TestSatellites:
@@ -392,14 +440,40 @@ class TestSatelliteBatchLaw:
         orbits, pair = sample_satellites_batch(params, 300, rng_for(440))
         model, twin = pair.model.points, pair.twin.points
         assert np.array_equal(pair.model.rep_ids, pair.twin.rep_ids)
-        # a point stays iff no other point of its replicate shares its orbit
+        # a point stays iff it is the first point of its orbit in its
+        # replicate, in batch order; every other point is redrawn
         on = np.abs(model @ orbits.T) <= 1e-9
         kept = np.all(model == twin, axis=1)
         for j in range(len(pair.model)):
             rows = pair.model.rep_ids == j
-            shared = on[rows].sum(axis=0)
-            alone = shared[np.argmax(on[rows], axis=1)] == 1
-            assert np.array_equal(kept[rows], alone)
+            orbit = np.argmax(on[rows], axis=1)
+            first = np.zeros(orbit.size, dtype=bool)
+            first[np.unique(orbit, return_index=True)[1]] = True
+            assert np.array_equal(kept[rows], first)
+
+    def test_band_test_rejects_the_model_as_twin(self):
+        # a planted defect: a twin equal to the model fails the G-tests that
+        # test_twin_band_counts_poisson[2] passes on the same draw
+        _, pair = sample_satellites_batch(ModelParams.spherical(self.C, 2), 50_000,
+                                          rng_for(412))
+        assert not all(g_test_passes(pair.model.counts(REGIONS[name]),
+                                     poisson_pmf(self.C * REGIONS[name].measure)[0])
+                       for name in BANDS)
+
+    @pytest.mark.parametrize("n, cost", [(10, 0.3746), (40, 0.0983), (160, 0.02490)])
+    def test_coupling_cost(self, n, cost):
+        # model and twin differ in the redrawn points, 2 (points - occupied
+        # orbits) per replicate, with mean 2 (c - n (1 - e^(-c/n)))
+        expected = 2 * (self.C - n * -math.expm1(-self.C / n))
+        assert expected == pytest.approx(cost, abs=1e-4)
+        reps = 200_000
+        orbits, pair = sample_satellites_batch(ModelParams.spherical(self.C, n), reps,
+                                               rng_for(450 + n))
+        redrawn = np.any(pair.model.points != pair.twin.points, axis=1)
+        assert redrawn.sum() == pair.model.points.shape[0] - orbits.shape[0]
+        delta = 2.0 * np.bincount(pair.model.rep_ids, redrawn, minlength=reps)
+        se = delta.std(ddof=1) / math.sqrt(reps)
+        assert abs(delta.mean() - expected) < 3 * se
 
 
 def unique_row_satellites(params, reps, rng):
@@ -407,16 +481,17 @@ def unique_row_satellites(params, reps, rng):
     (replicate, label) rows, the form the sort-and-scan grouping replaced."""
     rep_ids = np.repeat(np.arange(reps), rng.poisson(params.c, reps))
     labels = rng.integers(0, params.n, rep_ids.size)
-    _, orbit_of, occupancy = np.unique(np.column_stack([rep_ids, labels]), axis=0,
-                                       return_inverse=True, return_counts=True)
+    _, first, orbit_of = np.unique(np.column_stack([rep_ids, labels]), axis=0,
+                                   return_index=True, return_inverse=True)
     orbit_of = orbit_of.ravel()
-    orbits = sample_uniform_sphere(rng, occupancy.size)
+    orbits = sample_uniform_sphere(rng, first.size)
     u, w = orbit_frame(orbits)
     phi = rng.uniform(0.0, 2.0 * np.pi, rep_ids.size)
     points = np.cos(phi)[:, None] * u[orbit_of] + np.sin(phi)[:, None] * w[orbit_of]
     twin = points.copy()
-    multi = occupancy[orbit_of] >= 2
-    twin[multi] = sample_uniform_sphere(rng, int(multi.sum()))
+    others = np.ones(rep_ids.size, dtype=bool)
+    others[first] = False                  # all but each orbit's first point
+    twin[others] = sample_uniform_sphere(rng, int(others.sum()))
     return orbits, points, twin, rep_ids
 
 
@@ -462,7 +537,7 @@ class TestBlocks:
         params = ModelParams.planar(1.0, 10.0)
 
         def draw(size, rng):
-            return sample_cox_line_batch(params, UNIT_DISK, size, rng)[1]
+            return sample_cox_line_batch(params, UNIT_DISK, size, rng)[1].model
 
         blocks = harness.model_blocks(5, 2, self.REPS, draw)
         self._check(ReplicateBatch.concat(blocks), blocks_by_hand(5, 2, self.REPS, draw))
@@ -492,8 +567,12 @@ class TestLargeN:
     def test_sweep_point_at_a_million_orbits(self):
         cfg = harness.ExperimentConfig("satellites", 2.0, (1e6, 2e6, 4e6, 8e6), 1000, 0)
         row = harness.run_sweep_point(cfg, 0, 1e6)
-        assert row["reps"] == 1000 and row["bound_respected"] == 1
-        assert math.isfinite(row["w_distance"]) and math.isfinite(row["eff_intensity"])
+        # bound_respected is not asserted: the bound, 8e-6, lies far below the
+        # empirical TV's noise floor at 1000 reps, so on exact Poisson counts
+        # the check reads 0 on about a quarter of the seeds; the coupled
+        # estimate resolves gaps that small
+        assert row["reps"] == 1000 and math.isfinite(row["eff_intensity"])
+        assert row["w_distance"] <= row["bound"] + 3 * row["w_stderr"]
 
     def test_label_range(self):
         # labels are int64: n up to 2^63 - 1 samples, larger n is refused

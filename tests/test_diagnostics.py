@@ -447,9 +447,3 @@ class TestDistanceEstimate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DistanceEstimate(-0.1, 0.0, "w")
-
-    def test_conservative(self):
-        est = DistanceEstimate(0.05, 0.02, "w")
-        assert est.conservative() == pytest.approx(0.03)
-        est2 = DistanceEstimate(0.01, 0.02, "w")
-        assert est2.conservative() == 0.0

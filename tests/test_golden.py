@@ -34,10 +34,12 @@ def _experiment(cfg: ExperimentConfig) -> dict:
     res = run_experiment(cfg)
     rows = [{k: v for k, v in row.items() if not k.startswith("_")}
             for row in res.rows]
-    fit = {"params": list(res.fit.params), "distances": list(res.fit.distances),
-           "slope": res.fit.slope, "intercept": res.fit.intercept,
-           "r_squared": res.fit.r_squared}
-    return {"rows": rows, "fit": fit}
+    # a sweep with a zero headline distance has no rate fit, only its error
+    fit = None if res.fit is None else {
+        "params": list(res.fit.params), "distances": list(res.fit.distances),
+        "slope": res.fit.slope, "intercept": res.fit.intercept,
+        "r_squared": res.fit.r_squared}
+    return {"rows": rows, "fit": fit, "fit_error": res.fit_error}
 
 
 def _validation() -> list:

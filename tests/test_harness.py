@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import coxsim.cli as cli
 import coxsim.harness as harness
 from coxsim.cli import main
 from coxsim.coxmodels import sample_cox_line, sample_cox_line_batch
@@ -115,6 +116,19 @@ class TestIniConfig:
             outs.append((tmp_path / name / "results.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("model, kind", [("cox-line", "converge-cox"),
+                                             ("satellites", "converge-sat")])
+    def test_default_c_matches_cli(self, tmp_path, monkeypatch, model, kind):
+        # a file that leaves c out runs the c of the CLI without --config
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\nmodel = {model}\nsweep = 10 20 40 80\n")
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg, **kw: seen.append(cfg) or harness.ExperimentResult(cfg))
+        assert main(["experiment", kind]) == 0
+        assert config_from_ini(str(path))[0].c == seen[0].c
+        assert seen[0].c == {"cox-line": 1.0, "satellites": 2.0}[model]
+
     def test_window_key(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[experiment]\nmodel = cox-line\nc = 1\n"
@@ -134,7 +148,8 @@ class TestRunExperiment:
             assert row["bound_respected"] == 1
         text = (tmp_path / "results.csv").read_text()
         lines = text.strip().splitlines()
-        assert lines[0] == "# schema_version=1"
+        assert lines[0] == "# schema_version=2"
+        assert lines[1] == ",".join(harness.RESULTS_COLUMNS)
         assert len(lines) == 6  # comment + header + 4 rows
         assert (tmp_path / "fit.csv").exists()
         assert (tmp_path / "results.svg").exists()
@@ -159,10 +174,13 @@ class TestRunExperiment:
         assert row["target_intensity"] == 0.5
         params = ModelParams.planar(1.0, 6.0)
         block = harness.BLOCK_REPS
-        total = sum(sample_cox_line_batch(params, window, min(block, cfg.reps - start),
-                                          harness._stream(3, harness.LANE_SAMPLES, 1,
-                                                          start // block))[1].points.shape[0]
-                    for start in range(0, cfg.reps, block))
+
+        def block_points(start):
+            rng = harness._stream(3, harness.LANE_SAMPLES, 1, start // block)
+            _, pair = sample_cox_line_batch(params, window, min(block, cfg.reps - start), rng)
+            return pair.model.points.shape[0]
+
+        total = sum(block_points(start) for start in range(0, cfg.reps, block))
         assert round(row["eff_intensity"] * window.area * cfg.reps) == total
 
     def test_determinism_byte_identical(self, tmp_path):

@@ -9,6 +9,7 @@ import runpy
 import coxsim.harness as harness
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coxsim.diagnostics import sphere_functional_family
@@ -39,7 +40,11 @@ def _sphere_batch(reps, rng):
 
 
 def _sphere_ppp(reps, rng):
-    return ReplicateBatch.sphere_ppp(2.0, reps, rng)
+    """reps PPPs of intensity 2 nu on the sphere: Poisson(2) counts, then one
+    draw of all the uniform points."""
+    counts = rng.poisson(2.0, reps)
+    return ReplicateBatch(sample_uniform_sphere(rng, int(counts.sum())),
+                          np.repeat(np.arange(reps), counts), reps)
 
 
 FAMILY = sphere_functional_family()
