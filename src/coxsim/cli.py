@@ -14,8 +14,8 @@ import sys
 from dataclasses import replace
 
 from .coxmodels import sample_cox_line, sample_satellites_with_twin
-from .harness import (MODEL_DEFAULTS, ConfigError, ExperimentConfig,
-                      ValidationSettings, config_from_ini, csv_header, csv_line,
+from .harness import (DEFAULT_CHECK_REPS, MODEL_DEFAULTS, ConfigError,
+                      ExperimentConfig, config_from_ini, csv_header, csv_line,
                       format_check_table, parse_window, run_experiment,
                       run_validation_suite, write_validation_csv)
 from .pointprocess import ModelParams, RngStream, points_to_csv
@@ -83,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("which", choices=("mecke", "invariance", "glauber",
                                        "coarea", "bounds", "all"))
     chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--reps", type=int, default=None,
-                     help="base replicate count (default: full acceptance reps)")
+    chk.add_argument("--reps", type=int, default=DEFAULT_CHECK_REPS,
+                     help="base replicate count; each check section is sized "
+                          "from it (default: the acceptance size)")
     chk.add_argument("--out", default=None, help="output directory")
     return top
 
@@ -198,11 +199,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.reps is not None and args.reps < 1:
+    if args.reps < 1:
         raise ConfigError(f"--reps must be at least 1, got {args.reps}")
-    settings = (ValidationSettings() if args.reps is None
-                else ValidationSettings.scaled(args.reps))
-    rows = run_validation_suite(args.seed, settings, which=args.which)
+    rows = run_validation_suite(args.seed, args.reps, which=args.which)
     print(format_check_table(rows))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

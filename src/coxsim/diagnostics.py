@@ -37,12 +37,16 @@ PAIR_BLOCK = 1 << 22  # dot products per block of the close-pair scan
 # Count histograms and TV distances
 # ---------------------------------------------------------------------------
 
+POISSON_TAIL_TOL = 1e-12  # Poisson mass left beyond a truncated pmf
+
+
 @lru_cache(maxsize=64)   # an entry holds about mean + 7 sqrt(mean) floats
-def poisson_pmf(mean: float, tail_tol: float = 1e-12) -> tuple[np.ndarray, float]:
+def poisson_pmf(mean: float) -> tuple[np.ndarray, float]:
     """Poisson pmf vector truncated where the remaining tail mass is below
-    tail_tol; returns (pmf, tail mass) so the truncation enters error budgets
-    explicitly.  Each term is exp(k log m - m - log k!), so no term depends on
-    exp(-m), which underflows to 0 from m = 746.  Cached, hence read-only."""
+    POISSON_TAIL_TOL; returns (pmf, tail mass) so the truncation enters error
+    budgets explicitly.  Each term is exp(k log m - m - log k!), so no term
+    depends on exp(-m), which underflows to 0 from m = 746.  Cached, hence
+    read-only."""
     if mean < 0:
         raise ValueError("Poisson mean must be nonnegative")
     pmf, tail = np.array([1.0]), 0.0
@@ -51,24 +55,32 @@ def poisson_pmf(mean: float, tail_tol: float = 1e-12) -> tuple[np.ndarray, float
         log_fact = np.array([math.lgamma(j + 1.0) for j in range(k.size)])
         terms = np.exp(k * math.log(mean) - mean - log_fact)
         cum = np.cumsum(terms)
-        last = min(int(np.searchsorted(cum, 1.0 - tail_tol)), k.size - 1)
+        last = min(int(np.searchsorted(cum, 1.0 - POISSON_TAIL_TOL)), k.size - 1)
         pmf, tail = terms[:last + 1].copy(), max(0.0, 1.0 - float(cum[last]))
     pmf.setflags(write=False)
     return pmf, tail
 
 
-def _pad_to(a: np.ndarray, n: int) -> np.ndarray:
-    return a if a.size >= n else np.pad(a, (0, n - a.size))
+def _pmfs(counts: np.ndarray, q: np.ndarray) -> tuple:
+    """The empirical pmf of an integer sample and the pmf q, zero-padded to
+    one common length."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n = max(int(counts.max(initial=0)) + 1, q.size)
+    if q.size < n:   # np.pad would copy q even when it needs no padding
+        q = np.concatenate([q, np.zeros(n - q.size)])
+    return np.bincount(counts, minlength=n) / counts.size, q
+
+
+def _tv(p: np.ndarray, q: np.ndarray, tail: float = 0.0):
+    """TV (|p - q|_1 + tail) / 2 along the last axis; tail is q's mass
+    beyond its support."""
+    return 0.5 * (np.abs(p - q).sum(axis=-1) + tail)
 
 
 def empirical_count_tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     """TV distance between the empirical pmfs of two integer samples."""
-    counts_a = np.asarray(counts_a, dtype=np.int64)
     counts_b = np.asarray(counts_b, dtype=np.int64)
-    n = max(counts_a.max(initial=0), counts_b.max(initial=0)) + 1
-    pa = np.bincount(counts_a, minlength=n) / counts_a.size
-    pb = np.bincount(counts_b, minlength=n) / counts_b.size
-    return 0.5 * float(np.abs(pa - pb).sum())
+    return float(_tv(*_pmfs(counts_a, np.bincount(counts_b) / counts_b.size)))
 
 
 def tv_rows(a: ReplicateBatch, b: ReplicateBatch, regions) -> list:
@@ -79,31 +91,18 @@ def tv_rows(a: ReplicateBatch, b: ReplicateBatch, regions) -> list:
             for name, region in regions]
 
 
-def _count_pmfs(counts: np.ndarray, mean: float):
-    """Empirical and Poisson(mean) pmfs padded to a common length, plus the
-    Poisson tail mass beyond the truncation."""
-    counts = np.asarray(counts, dtype=np.int64)
-    q, tail = poisson_pmf(mean)
-    n = max(int(counts.max(initial=0)) + 1, q.size)
-    return np.bincount(counts, minlength=n) / counts.size, _pad_to(q, n), tail
-
-
-def _tv(p_hat: np.ndarray, q: np.ndarray, tail: float) -> float:
-    """TV between an empirical pmf and a pmf q with tail mass beyond q."""
-    return 0.5 * (float(np.abs(p_hat - q).sum()) + tail)
-
-
 def tv_vs_poisson(counts: np.ndarray, mean: float) -> float:
     """TV between the empirical count pmf and the Poisson(mean) pmf."""
-    return _tv(*_count_pmfs(counts, mean))
+    q, tail = poisson_pmf(mean)
+    return float(_tv(*_pmfs(counts, q), tail))
 
 
 def _bootstrap_tv(counts: np.ndarray, mean: float, rng: np.random.Generator) -> tuple:
     """tv_vs_poisson and its bootstrap stderr, from one pair of pmfs."""
-    p_hat, q, tail = _count_pmfs(counts, mean)
+    q, tail = poisson_pmf(mean)
+    p_hat, q = _pmfs(counts, q)
     draws = rng.multinomial(counts.size, p_hat, size=BOOTSTRAP_RESAMPLES) / counts.size
-    tvs = 0.5 * (np.abs(draws - q).sum(axis=1) + tail)
-    return _tv(p_hat, q, tail), float(tvs.std(ddof=1))
+    return float(_tv(p_hat, q, tail)), float(_tv(draws, q, tail).std(ddof=1))
 
 
 # ---------------------------------------------------------------------------

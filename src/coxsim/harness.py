@@ -10,8 +10,10 @@ j // BLOCK_REPS); 3 validation checks; 4 bootstrap.  Lanes 1 (the retired
 intensity calibration) and 2 (the retired uncoupled reference samples) stay
 unused so the others keep their streams.
 Each sweep point makes one Wasserstein estimate, coupled: model against its
-exact-PPP twin (see coxmodels).  Intensity targets are the closed-form mean
-measures, and eff_intensity is measured from the sweep's own samples.
+exact-PPP twin (see coxmodels); the rate fit reads it as w_distance.
+Intensity targets are the closed-form mean measures, and eff_intensity is
+measured from the sweep's own samples.  The validation suite takes one
+replicate count, reps, and every check section derives its own size from it.
 Wall-clock metadata is kept out of all CSV files on purpose.
 """
 
@@ -43,7 +45,7 @@ from .steinbound import (QuadratureSpec, chord_square_integral, coarea_check,
 
 # the schema line of results.csv, bumped when its columns change; the other
 # CSVs are at 1
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 LANE_SAMPLES = 0
 LANE_CHECKS = 3
@@ -181,8 +183,7 @@ RESULTS_COLUMNS = [
     "model", "c", "param", "reps", "target_mode", "target_intensity",
     "eff_intensity", "eff_stderr", "w_distance", "w_stderr", "w_functional",
     "tv_distance", "tv_stderr",
-    "tv_region", "fit_distance", "fit_stderr", "fit_kind", "bound",
-    "bound_respected",
+    "tv_region", "bound", "bound_respected",
 ]
 
 
@@ -275,8 +276,6 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
         "w_functional": w_est.regions,
         "tv_distance": tv_best.value, "tv_stderr": tv_best.stderr,
         "tv_region": tv_best.regions,
-        "fit_distance": w_est.value, "fit_stderr": w_est.stderr,
-        "fit_kind": "wasserstein-lower(coupled)",
         "bound": bound,
         "bound_respected": int(_bound_respected([w_est] + tv_estimates, bound)),
         "_w_est": w_est, "_tv_estimates": tv_estimates,
@@ -286,7 +285,7 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    plots: bool = False) -> ExperimentResult:
     """Run the sweep, flushing one results row per point as it completes,
-    then fit the convergence rate on the headline distances."""
+    then fit the convergence rate on the coupled distances w_distance."""
     t0 = time.perf_counter()
     result = ExperimentResult(config=cfg)
 
@@ -302,7 +301,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, sweep(),
                    SCHEMA_VERSION)
     try:
-        points = [(row["param"], row["fit_distance"]) for row in result.rows]
+        points = [(row["param"], row["w_distance"]) for row in result.rows]
         result.fit = rate_regression(points)
     except ValueError as exc:
         result.fit_error = str(exc)
@@ -350,28 +349,16 @@ def _threshold_row(name, value, threshold, seed) -> CheckRow:
     return CheckRow(name, value, 0.0, threshold / 3.0, value <= threshold, seed)
 
 
-@dataclass(frozen=True)
-class ValidationSettings:
-    mecke_reps: int = 100_000
-    invariance_reps: int = 100_000
-    glauber_traj_reps: int = 10_000
-    glauber_stat_reps: int = 3_000
-    glauber_generator_reps: int = 1_000
-    glauber_contraction_reps: int = 3_000
-
-    @classmethod
-    def scaled(cls, reps: int) -> "ValidationSettings":
-        reps = max(2000, reps)
-        return cls(mecke_reps=reps, invariance_reps=reps,
-                   glauber_traj_reps=max(1000, reps // 10),
-                   glauber_stat_reps=max(500, reps // 30),
-                   glauber_generator_reps=max(300, reps // 100),
-                   glauber_contraction_reps=max(500, reps // 30))
+# Every check section sizes itself from one replicate count, reps: Mecke and
+# invariance draw max(2000, reps) replicates; the Glauber trajectory,
+# stationarity, generator-null and contraction sections draw reps // 10,
+# // 30, // 100 and // 30, floored at 1000, 500, 300 and 500.
+DEFAULT_CHECK_REPS = 100_000
 
 
-def check_mecke(seed: int, settings: ValidationSettings) -> list[CheckRow]:
+def check_mecke(seed: int, reps: int) -> list[CheckRow]:
     window = Rect(0.0, 0.0, 1.0, 1.0)
-    mfs, reps = mecke_functionals(window), settings.mecke_reps
+    mfs, reps = mecke_functionals(window), max(2000, reps)
     # one draw per kind, shared by the whole family
     ppp = mecke_check_ppp(mfs, 3.0, window, reps, _stream(seed, LANE_CHECKS, 0, 1))
     bpp = mecke_check_bpp(mfs, 6, window, reps, _stream(seed, LANE_CHECKS, 0, 2))
@@ -392,7 +379,7 @@ def _check_regions(window: Rect):
             ("cell", Rect(left.x0, left.y0, left.x1, 0.5 * (window.y0 + window.y1)))]
 
 
-def check_invariance(seed: int, settings: ValidationSettings) -> list[CheckRow]:
+def check_invariance(seed: int, reps: int) -> list[CheckRow]:
     window = Rect(0.0, 0.0, 1.0, 1.0)
     # region means below ~1 keep the empirical-TV noise floor a safe factor
     # under the 2/sqrt(reps) tolerance
@@ -402,12 +389,12 @@ def check_invariance(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     for k, t in enumerate((0.25, 0.5, 0.75)):
         rng = _stream(seed, LANE_CHECKS, point=16 + k)
         for name, tv, thr in invariance_check(lam, window, t,
-                                              regions, settings.invariance_reps, rng):
+                                              regions, max(2000, reps), rng):
             rows.append(_threshold_row(f"invariance[t={t:g},{name}]", tv, thr, seed))
     return rows
 
 
-def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
+def check_glauber(seed: int, reps: int) -> list[CheckRow]:
     window = Rect(0.0, 0.0, 1.0, 1.0)
     # same noise-floor consideration as the invariance check: the TV rows
     # compare two exact samplers, so counts are kept small
@@ -420,11 +407,11 @@ def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     for k, t in enumerate((0.5, 2.0, 20.0)):
         rng = _stream(seed, LANE_CHECKS, point=32 + k)
         for name, tv, thr in semigroup_trajectory_consistency(
-                omega0, spec, t, regions, settings.glauber_traj_reps, rng):
+                omega0, spec, t, regions, max(1000, reps // 10), rng):
             rows.append(_threshold_row(f"glauber_traj[t={t:g},{name}]", tv, thr, seed))
     # 2. stationarity: E[P_t F(Phi)] = E[F(Phi)], one batch triple for all F
     rng = _stream(seed, LANE_CHECKS, point=40)
-    n = settings.glauber_stat_reps
+    n = max(500, reps // 30)
     phi = ReplicateBatch.ppp(window, spec.lam, n, rng)
     evolved = semigroup_sample(phi, 1.0, spec, rng)
     fresh = ReplicateBatch.ppp(window, spec.lam, n, rng)
@@ -435,7 +422,7 @@ def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
                                float(a.mean()), float(b.mean()), se, seed))
     # 3. generator null at stationarity: E[L F(Phi)] = 0, one batch for all F
     rng = _stream(seed, LANE_CHECKS, point=41)
-    n = settings.glauber_generator_reps
+    n = max(300, reps // 100)
     values, _ = generator_apply(functionals, ReplicateBatch.ppp(window, spec.lam, n, rng),
                                 spec, 32, rng)
     for F, vals in zip(functionals, values.T):
@@ -448,7 +435,7 @@ def check_glauber(seed: int, settings: ValidationSettings) -> list[CheckRow]:
     rng = _stream(seed, LANE_CHECKS, point=42)
     for t in (0.5, 1.0, 2.0):
         estimates = contraction_estimate(functionals, omega_c, z, t, spec,
-                                         settings.glauber_contraction_reps, rng)
+                                         max(500, reps // 30), rng)
         for F, (est, se) in zip(functionals, estimates):
             rows.append(_one_sided(f"glauber_contraction_le[t={t:g},{F.name}]",
                                    est, math.exp(-t), se, seed))
@@ -472,9 +459,8 @@ def check_coarea(seed: int) -> list[CheckRow]:
 
 
 def check_bounds(seed: int) -> list[CheckRow]:
-    quad = QuadratureSpec()
     disk = Disk((0.0, 0.0), 1.0)
-    val, err = chord_square_integral(disk, quad)
+    val, err = chord_square_integral(disk)
     rows = [_two_sided("bound[chord_sq_unit_disk]", val, 16.0 / 3.0,
                        1e-8 / 3.0, seed)]
     # quadrature-based bound against the closed form cox_bound reports
@@ -489,18 +475,17 @@ def check_bounds(seed: int) -> list[CheckRow]:
     return rows
 
 
-def run_validation_suite(seed: int,
-                         settings: ValidationSettings = ValidationSettings(),
+def run_validation_suite(seed: int, reps: int = DEFAULT_CHECK_REPS,
                          which: str = "all") -> list[CheckRow]:
-    """Run the named validation checks; individual failures are recorded and
-    the suite continues."""
+    """Run the named validation checks, each sized from reps; individual
+    failures are recorded and the suite continues."""
     rows: list[CheckRow] = []
     if which in ("all", "mecke"):
-        rows += check_mecke(seed, settings)
+        rows += check_mecke(seed, reps)
     if which in ("all", "invariance"):
-        rows += check_invariance(seed, settings)
+        rows += check_invariance(seed, reps)
     if which in ("all", "glauber"):
-        rows += check_glauber(seed, settings)
+        rows += check_glauber(seed, reps)
     if which in ("all", "coarea"):
         rows += check_coarea(seed)
     if which in ("all", "bounds"):
@@ -530,12 +515,15 @@ def format_check_table(rows: list[CheckRow]) -> str:
 # SVG rate plot (log-log distances with the theoretical bound line)
 # ---------------------------------------------------------------------------
 
-def write_rate_plot(path: str, result: ExperimentResult, size=(480, 360)):
+PLOT_SIZE = (480, 360)
+
+
+def write_rate_plot(path: str, result: ExperimentResult):
     rows = result.rows
     xs = [row["param"] for row in rows]
-    ys = [max(row["fit_distance"], 1e-12) for row in rows]
+    ys = [max(row["w_distance"], 1e-12) for row in rows]
     bs = [row["bound"] for row in rows]
-    w, h = size
+    w, h = PLOT_SIZE
     margin = 50.0
     lx = [math.log10(v) for v in xs]
     ly = [math.log10(v) for v in ys + bs]

@@ -10,8 +10,10 @@ a x b rectangle,
     G = [(2/3)(a^3 + b^3 - (a^2 + b^2)^(3/2))
          + 2ab (a asinh(b/a) + b asinh(a/b))] / pi;
 
-the quadrature chord_square_integral is their independent cross-check.  The
-spherical bound is 2 c^2 / n with no quadrature at all.
+the quadrature chord_square_integral is their independent cross-check.  Its
+radial rule follows the window: Gauss-Legendre on an origin-centred disk,
+where the chord square 4 (R^2 - r^2) is a polynomial in r, and the midpoint
+rule elsewhere.  The spherical bound is 2 c^2 / n with no quadrature at all.
 
 The coarea check evaluates both sides of the identity
 
@@ -34,9 +36,6 @@ import numpy as np
 from .geometry import Disk, Window, chord_intervals, support_radius
 from .pointprocess import ModelParams
 
-MIDPOINT = "midpoint"
-GAUSS = "gauss-legendre"
-
 
 class QuadratureError(RuntimeError):
     """Raised when node-doubling fails to reach the requested tolerance."""
@@ -46,23 +45,18 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Tensor quadrature controls.
 
-    rule applies to the radial dimension; the angular dimension always uses
-    the midpoint rule, which is the natural choice on the periodic interval.
     The reported error estimate is the change under one node-doubling; levels
     are doubled until it falls below tol or max_levels is exhausted.
     """
 
     radial_nodes: int = 64
     angular_nodes: int = 64
-    rule: str = GAUSS
     tol: float = 1e-8
     max_levels: int = 6
 
     def __post_init__(self):
         if self.radial_nodes < 8 or self.angular_nodes < 8:
             raise ValueError("node counts must be at least 8")
-        if self.rule not in (MIDPOINT, GAUSS):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.max_levels < 1 or self.tol <= 0:
             raise ValueError("need max_levels >= 1 and tol > 0")
 
@@ -75,10 +69,14 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _nodes_1d(rule: str, n: int, a: float, b: float):
-    if rule == GAUSS:
-        x, w = _leggauss(n)
-        return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
+def _gauss(n: int, a: float, b: float):
+    """n-point Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = _leggauss(n)
+    return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
+
+
+def _midpoint(n: int, a: float, b: float):
+    """n-point midpoint nodes and weights on [a, b]."""
     h = (b - a) / n
     return a + h * (np.arange(n) + 0.5), np.full(n, h)
 
@@ -98,14 +96,19 @@ def _refine(evaluate, quad: QuadratureSpec):
 
 
 def chord_square_integral(window: Window, quad: QuadratureSpec = QuadratureSpec()):
-    """Geometric constant G(K) with a node-doubling error estimate."""
+    """Geometric constant G(K) with a node-doubling error estimate.  The
+    angular rule is midpoint; the radial one is Gauss-Legendre on an
+    origin-centred disk and midpoint elsewhere, where kinks in the chord
+    square make Gauss's node-doubling estimate erratic."""
     r_max = support_radius(window)
+    origin_disk = isinstance(window, Disk) and window.center == (0.0, 0.0)
+    radial = _gauss if origin_disk else _midpoint
 
     def evaluate(level: int) -> float:
         nr = quad.radial_nodes * 2 ** level
         nt = quad.angular_nodes * 2 ** level
-        r, wr = _nodes_1d(quad.rule, nr, 0.0, r_max)
-        th, wt = _nodes_1d(MIDPOINT, nt, 0.0, 2.0 * math.pi)
+        r, wr = radial(nr, 0.0, r_max)
+        th, wt = _midpoint(nt, 0.0, 2.0 * math.pi)
         s_lo, s_hi, _ = chord_intervals(window, r[:, None], th[None, :])
         return float((wr @ ((s_hi - s_lo) ** 2) @ wt) / math.pi)
 
@@ -155,16 +158,16 @@ def _area_integral(f, window: Window, quad: QuadratureSpec, level: int) -> float
     n1 = quad.radial_nodes * 2 ** level
     n2 = quad.angular_nodes * 2 ** level
     if isinstance(window, Disk):
-        rho, wr = _nodes_1d(GAUSS, n1, 0.0, window.radius)
-        ang, wa = _nodes_1d(MIDPOINT, n2, 0.0, 2.0 * math.pi)
+        rho, wr = _gauss(n1, 0.0, window.radius)
+        ang, wa = _midpoint(n2, 0.0, 2.0 * math.pi)
         cx, cy = window.center
         xs = cx + rho[:, None] * np.cos(ang)[None, :]
         ys = cy + rho[:, None] * np.sin(ang)[None, :]
         pts = np.column_stack([xs.ravel(), ys.ravel()])
         vals = f(pts).reshape(n1, n2) * rho[:, None]
         return float(wr @ vals @ wa)
-    xs, wx = _nodes_1d(GAUSS, n1, window.x0, window.x1)
-    ys, wy = _nodes_1d(GAUSS, n2, window.y0, window.y1)
+    xs, wx = _gauss(n1, window.x0, window.x1)
+    ys, wy = _gauss(n2, window.y0, window.y1)
     grid = np.column_stack([np.repeat(xs, n2), np.tile(ys, n1)])
     vals = f(grid).reshape(n1, n2)
     return float(wx @ vals @ wy)
@@ -233,10 +236,10 @@ def coarea_check(integrand: str, window: Window, theta: float,
             cu = 0.5 * (u_lo + u_hi)
             R = 0.5 * (u_hi - u_lo)
             v_lo = math.asin(max(-1.0, min(1.0, (r_lo - cu) / R)))
-            v, wv = _nodes_1d(GAUSS, n, v_lo, 0.5 * math.pi)
+            v, wv = _gauss(n, v_lo, 0.5 * math.pi)
             r = cu + R * np.sin(v)
             return float(np.sum(g(r) * R * np.cos(v) * wv))
-        r, wr = _nodes_1d(MIDPOINT, n, r_lo, r_hi)
+        r, wr = _midpoint(n, r_lo, r_hi)
         return float(np.sum(g(r) * wr))
 
     def eval_lhs(level: int) -> float:

@@ -1,22 +1,32 @@
-"""Pass counts of acceptance criteria 3 and 4 over a range of seeds.
+"""Pass counts of acceptance criteria 3 and 4, or false alarms of
+`check all`, over a range of seeds.
 
-Runs the two acceptance sweeps of tests/test_acceptance.py at every seed of
-the range and prints, per criterion, how many seeds pass, the mean and
-standard deviation of the rate-fit slope, the seeds without a fit and the
-failing seeds.  The wall-time budgets are left out: they do not depend on
-the seed.  pytest does not collect this file (its name does not start with
-test_).
+By default, runs the two acceptance sweeps of tests/test_acceptance.py at
+every seed of the range and prints, per criterion, how many seeds pass, the
+mean and standard deviation of the rate-fit slope, the seeds without a fit
+and the failing seeds.  The wall-time budgets are left out: they do not
+depend on the seed.
+
+With --validation, runs the validation suite (`check all`) at every seed
+instead and prints how many seeds fail it, the failing seeds, and the
+failures per row (a row's name up to its first bracket, such as mecke_ppp).
+On correct code every failure is a false alarm.
+
+pytest does not collect this file (its name does not start with test_).
 
     PYTHONPATH=src python tests/seed_sweep.py --seeds 0-99
+    PYTHONPATH=src python tests/seed_sweep.py --validation --seeds 0-199
 """
 
 from __future__ import annotations
 
 import argparse
 import statistics
+from collections import Counter
 
 from coxsim.geometry import Disk
-from coxsim.harness import ExperimentConfig, run_experiment
+from coxsim.harness import (DEFAULT_CHECK_REPS, ExperimentConfig, run_experiment,
+                            run_validation_suite)
 
 SLOPE_BAND = (-1.3, -0.7)
 
@@ -54,12 +64,35 @@ def _seed_range(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
+def validation_sweep(seeds: range, reps: int):
+    """Print the seeds on which `check all` fails and the failures per row."""
+    failed, per_row = [], Counter()
+    for seed in seeds:
+        bad = [r.name.split("[")[0] for r in run_validation_suite(seed, reps)
+               if not r.passed]
+        if bad:
+            failed.append(seed)
+            per_row.update(bad)
+    print(f"check all at reps {reps}: {len(failed)}/{len(seeds)} seeds fail, "
+          f"{sum(per_row.values())} rows; failing: {failed or 'none'}")
+    for row, count in per_row.most_common():
+        print(f"  {row}: {count}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=_seed_range, default=_seed_range("0-99"),
                         help="inclusive range, e.g. 0-99")
-    parser.add_argument("--reps", type=int, default=10_000)
+    parser.add_argument("--validation", action="store_true",
+                        help="count check-all false alarms instead of criteria 3 and 4")
+    parser.add_argument("--reps", type=int, default=None,
+                        help=f"replicates per sweep point (default 10000), or with "
+                             f"--validation the check size (default {DEFAULT_CHECK_REPS})")
     args = parser.parse_args(argv)
+    if args.validation:
+        validation_sweep(args.seeds, args.reps or DEFAULT_CHECK_REPS)
+        return
+    args.reps = args.reps or 10_000
     for name, (config, passes) in CRITERIA.items():
         failed, no_fit, slopes = [], [], []
         for seed in args.seeds:

@@ -13,20 +13,14 @@ import pytest
 
 from coxsim.cli import main
 from coxsim.geometry import Disk
-from coxsim.harness import (ExperimentConfig, ValidationSettings, check_mecke,
-                            run_experiment, run_validation_suite)
+from coxsim.harness import (ExperimentConfig, check_mecke, run_experiment,
+                            run_validation_suite)
 from coxsim.steinbound import QuadratureSpec, chord_square_integral
 
 SEED = 0
 
-ACCEPT_SETTINGS = ValidationSettings(
-    mecke_reps=100_000,
-    invariance_reps=100_000,
-    glauber_traj_reps=10_000,
-    glauber_stat_reps=3_000,
-    glauber_generator_reps=1_000,
-    glauber_contraction_reps=3_000,
-)
+# Mecke and invariance at 1e5 replicates, the Glauber trajectories at 1e4
+ACCEPT_REPS = 100_000
 
 
 def report(criterion: str, passed: bool, detail: str) -> bool:
@@ -120,7 +114,7 @@ def test_criterion_4_cox_bound_and_rate(cox_result):
 
 
 def test_criterion_5_campbell_mecke():
-    rows = check_mecke(SEED, ACCEPT_SETTINGS)
+    rows = check_mecke(SEED, ACCEPT_REPS)
     bad = [r for r in rows if not r.passed]
     oracle_rows = [r for r in rows if r.name.endswith("_oracle")]
     ok = not bad and len(oracle_rows) == 8
@@ -131,17 +125,17 @@ def test_criterion_5_campbell_mecke():
 
 
 def test_criterion_6_thinning_invariance():
-    rows = run_validation_suite(SEED, ACCEPT_SETTINGS, which="invariance")
+    rows = run_validation_suite(SEED, ACCEPT_REPS, which="invariance")
     bad = [r for r in rows if not r.passed]
     worst = max(r.lhs for r in rows)
     ok = not bad and len(rows) == 9
     assert report("6 (thinning invariance)", ok,
                   f"9 region/t checks at reps=1e5, worst TV {worst:.5f} vs "
-                  f"threshold {2.0 / math.sqrt(ACCEPT_SETTINGS.invariance_reps):.5f}")
+                  f"threshold {2.0 / math.sqrt(ACCEPT_REPS):.5f}")
 
 
 def test_criterion_7_glauber_consistency():
-    rows = run_validation_suite(SEED, ACCEPT_SETTINGS, which="glauber")
+    rows = run_validation_suite(SEED, ACCEPT_REPS, which="glauber")
     bad = [r for r in rows if not r.passed]
     traj = [r for r in rows if r.name.startswith("glauber_traj")]
     contraction = [r for r in rows if r.name.startswith("glauber_contraction")]
@@ -154,7 +148,7 @@ def test_criterion_7_glauber_consistency():
 
 
 def test_criterion_8_coarea_ratios():
-    rows = run_validation_suite(SEED, ACCEPT_SETTINGS, which="coarea")
+    rows = run_validation_suite(SEED, ACCEPT_REPS, which="coarea")
     square = next(r for r in rows if "square,one" in r.name)
     disk = next(r for r in rows if "disk,one" in r.name)
     ok = (abs(square.lhs - 1.0) < 1e-6 and abs(disk.lhs - 0.5) < 1e-6

@@ -17,7 +17,7 @@ from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 sphere_functional_family, sphere_region_set,
                                 tv_vs_poisson, wasserstein_lower_bound)
 from coxsim.geometry import Disk, LatitudeBand, Rect, halves
-from coxsim.harness import ValidationSettings, check_mecke
+from coxsim.harness import check_mecke
 from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
                                  RngStream, sample_ppp_window, sample_uniform_sphere)
 from oracles import batch, count_in, plane_points, sphere_points
@@ -314,7 +314,7 @@ class TestContainsBudget:
 
     def test_check_mecke(self, monkeypatch):
         calls = self.record(monkeypatch)
-        check_mecke(0, ValidationSettings.scaled(2000))
+        check_mecke(0, 2000)
         per_pair = Counter((region, id(pts)) for region, pts in calls)
         assert max(per_pair.values()) <= 2
         # A and B memberships and counts on Phi (ppp), A on Phi_N (bpp);

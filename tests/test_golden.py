@@ -1,5 +1,5 @@
 """Seed-0 regression: the in-memory rows of two small sweeps and of the
-scaled validation suite must match tests/data/golden_seed0.json.
+validation suite at reps 2000 must match tests/data/golden_seed0.json.
 
 Text and integer fields match exactly, floats to 1e-12 relative.  A change
 that moves random draws on purpose regenerates the data with
@@ -17,8 +17,7 @@ from pathlib import Path
 import pytest
 
 from coxsim.geometry import Disk
-from coxsim.harness import (ExperimentConfig, ValidationSettings,
-                            run_experiment, run_validation_suite)
+from coxsim.harness import ExperimentConfig, run_experiment, run_validation_suite
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_seed0.json"
 
@@ -44,7 +43,7 @@ def _experiment(cfg: ExperimentConfig) -> dict:
 
 def _validation() -> list:
     return [{**dataclasses.asdict(r), "passed": bool(r.passed)}
-            for r in run_validation_suite(0, ValidationSettings.scaled(2000))]
+            for r in run_validation_suite(0, 2000)]
 
 
 def _assert_same(actual, expected, path="."):

@@ -11,13 +11,12 @@ import coxsim.harness as harness
 from coxsim.cli import main
 from coxsim.coxmodels import sample_cox_line, sample_cox_line_batch
 from coxsim.geometry import Disk, Rect
-from coxsim.harness import (ConfigError, ExperimentConfig, ValidationSettings,
-                            config_from_ini, format_check_table, parse_window,
-                            run_experiment, run_validation_suite,
-                            write_validation_csv)
+from coxsim.harness import (ConfigError, ExperimentConfig, config_from_ini,
+                            format_check_table, parse_window, run_experiment,
+                            run_validation_suite, write_validation_csv)
 from coxsim.pointprocess import ModelParams, RngStream
 
-SMALL = ValidationSettings.scaled(2000)
+SMALL = 2000
 
 
 class TestExperimentConfig:
@@ -148,7 +147,7 @@ class TestRunExperiment:
             assert row["bound_respected"] == 1
         text = (tmp_path / "results.csv").read_text()
         lines = text.strip().splitlines()
-        assert lines[0] == "# schema_version=2"
+        assert lines[0] == "# schema_version=3"
         assert lines[1] == ",".join(harness.RESULTS_COLUMNS)
         assert len(lines) == 6  # comment + header + 4 rows
         assert (tmp_path / "fit.csv").exists()
@@ -340,6 +339,13 @@ class TestCli:
                          "--out", str(tmp_path / sub)]) == 0
         assert ((tmp_path / "a" / "validation.csv").read_bytes()
                 == (tmp_path / "b" / "validation.csv").read_bytes())
+
+    def test_check_default_is_reps_100000(self, tmp_path):
+        # one sizing formula: the default run is the run at its default reps
+        for sub, extra in (("default", []), ("explicit", ["--reps", "100000"])):
+            main(["check", "all", "--seed", "0", "--out", str(tmp_path / sub)] + extra)
+        assert ((tmp_path / "default" / "validation.csv").read_bytes()
+                == (tmp_path / "explicit" / "validation.csv").read_bytes())
 
     def test_experiment_config_file(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"

@@ -13,6 +13,19 @@ from coxsim.steinbound import _leggauss
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
 TIGHT = QuadratureSpec(radial_nodes=64, angular_nodes=64, tol=1e-9, max_levels=8)
 
+# windows that are not origin disks, each with a quadrature that resolves it,
+# and the (value, error estimate) the midpoint rule gives there
+OTHER_WINDOWS = {
+    "offset_disk": (Disk((0.5, 0.0), 1.0), QuadratureSpec(64, 64, tol=1e-3),
+                    (5.333331133553201, 7.78337392057793e-05)),
+    "small_offset_disk": (Disk((0.4, 0.0), 0.6), QuadratureSpec(96, 96, tol=1e-4),
+                          (1.1519991560112304, 5.61916825070341e-07)),
+    "centered_square": (Rect(-0.5, -0.5, 0.5, 0.5), QuadratureSpec(128, 128, tol=5e-4),
+                        (0.9463889464934883, 3.071105737117996e-05)),
+    "offset_rect": (Rect(-0.4, -0.3, 0.5, 0.6), QuadratureSpec(64, 64, tol=1e-3),
+                    (0.6898975266132157, 6.2718587192645e-05)),
+}
+
 
 class TestGaussNodes:
     @pytest.mark.parametrize("n", [32, 64, 128])
@@ -45,8 +58,7 @@ class TestChordSquareIntegral:
 
     def test_rotation_invariance_offset_disk(self):
         # rotating the window about the origin leaves the integral unchanged
-        q = QuadratureSpec(radial_nodes=96, angular_nodes=96, rule="midpoint",
-                           tol=1e-4, max_levels=6)
+        q = QuadratureSpec(radial_nodes=96, angular_nodes=96, tol=1e-4)
         v1, e1 = chord_square_integral(Disk((0.4, 0.0), 0.6), q)
         v2, e2 = chord_square_integral(Disk((0.0, 0.4), 0.6), q)
         v3, e3 = chord_square_integral(Disk((0.4 / math.sqrt(2), 0.4 / math.sqrt(2)), 0.6), q)
@@ -58,8 +70,7 @@ class TestChordSquareIntegral:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_rect_window_converges(self):
-        q = QuadratureSpec(radial_nodes=128, angular_nodes=128, rule="midpoint",
-                           tol=5e-4, max_levels=6)
+        q = QuadratureSpec(radial_nodes=128, angular_nodes=128, tol=5e-4)
         val, err = chord_square_integral(Rect(-0.5, -0.5, 0.5, 0.5), q)
         assert err <= 5e-4
         # sanity: bounded by the disk circumscribing the square
@@ -69,24 +80,22 @@ class TestChordSquareIntegral:
     def test_angular_grid_offset_stability(self):
         # different angular node counts shift the midpoint grid; estimates
         # must agree within the reported error budgets
-        qa = QuadratureSpec(radial_nodes=64, angular_nodes=64, rule="midpoint",
-                            tol=1e-3, max_levels=6)
-        qb = QuadratureSpec(radial_nodes=64, angular_nodes=72, rule="midpoint",
-                            tol=1e-3, max_levels=6)
+        qa = QuadratureSpec(radial_nodes=64, angular_nodes=64, tol=1e-3)
+        qb = QuadratureSpec(radial_nodes=64, angular_nodes=72, tol=1e-3)
         window = Rect(-0.4, -0.3, 0.5, 0.6)
         va, ea = chord_square_integral(window, qa)
         vb, eb = chord_square_integral(window, qb)
         assert abs(va - vb) <= 3 * (ea + eb)
 
     def test_node_doubling_convergence(self):
-        # successive doubling errors shrink by at least 2x on a smooth window
-        # (origin-centered disk: the radial integrand 4(R^2 - r^2) is
-        # polynomial over the whole range, so midpoint converges at rate 4x)
-        window = Disk((0.0, 0.0), 1.0)
+        # successive doubling errors of the midpoint rule shrink by at least
+        # 2x on the centred square (ratios 5.4 and 3.3; Gauss-Legendre gives
+        # 2.2 and 1.1 there, which is why only origin disks use it)
+        window = Rect(-0.5, -0.5, 0.5, 0.5)
 
         def refine_error(nodes):
-            q = QuadratureSpec(radial_nodes=nodes, angular_nodes=nodes,
-                               rule="midpoint", tol=1e300, max_levels=1)
+            q = QuadratureSpec(radial_nodes=nodes, angular_nodes=nodes, tol=1e300,
+                               max_levels=1)
             return chord_square_integral(window, q)[1]
 
         e1 = refine_error(16)    # |I(32) - I(16)|
@@ -96,16 +105,27 @@ class TestChordSquareIntegral:
         assert e2 / e3 >= 2.0
 
     def test_non_convergent_reported(self):
-        q = QuadratureSpec(radial_nodes=8, angular_nodes=8, rule="midpoint",
-                           tol=1e-14, max_levels=1)
+        q = QuadratureSpec(radial_nodes=8, angular_nodes=8, tol=1e-14, max_levels=1)
         with pytest.raises(QuadratureError):
             chord_square_integral(Rect(-0.5, -0.5, 0.5, 0.5), q)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(radial_nodes=4)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rule="simpson")
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 3.7])
+    def test_origin_disk_is_exact(self, radius):
+        # Gauss-Legendre integrates the polynomial 4(R^2 - r^2) exactly
+        val, err = chord_square_integral(Disk((0.0, 0.0), radius))
+        assert val == pytest.approx(16.0 * radius ** 3 / 3.0, rel=1e-12)
+        assert err < 1e-12 * val
+
+    @pytest.mark.parametrize("window, quad, expected", OTHER_WINDOWS.values(),
+                             ids=OTHER_WINDOWS.keys())
+    def test_other_windows_use_midpoint(self, window, quad, expected):
+        val, err = chord_square_integral(window, quad)
+        assert val == pytest.approx(expected[0], rel=1e-13)
+        assert err == pytest.approx(expected[1], rel=1e-9)
 
 
 class TestCoxBound:
@@ -131,21 +151,9 @@ class TestCoxBound:
         scale = params.c ** 2 / params.lambda_n
         assert abs(bound - scale * val) <= max(3 * scale * err, 1e-10)
 
-    @pytest.mark.parametrize("window, quad", [
-        (Disk((0.5, 0.0), 1.0),
-         QuadratureSpec(radial_nodes=64, angular_nodes=64, rule="midpoint",
-                        tol=1e-3, max_levels=6)),
-        (Disk((0.4, 0.0), 0.6),
-         QuadratureSpec(radial_nodes=96, angular_nodes=96, rule="midpoint",
-                        tol=1e-4, max_levels=6)),
-        (Rect(-0.5, -0.5, 0.5, 0.5),
-         QuadratureSpec(radial_nodes=128, angular_nodes=128, rule="midpoint",
-                        tol=5e-4, max_levels=6)),
-        (Rect(-0.4, -0.3, 0.5, 0.6),
-         QuadratureSpec(radial_nodes=64, angular_nodes=64, rule="midpoint",
-                        tol=1e-3, max_levels=6)),
-    ], ids=["offset_disk", "small_offset_disk", "centered_square", "offset_rect"])
-    def test_closed_form_matches_quadrature(self, window, quad):
+    @pytest.mark.parametrize("window, quad, _midpoint", OTHER_WINDOWS.values(),
+                             ids=OTHER_WINDOWS.keys())
+    def test_closed_form_matches_quadrature(self, window, quad, _midpoint):
         # closed form for off-centre disks and rects, against the
         # independent chord-square quadrature (c = lambda = 1 gives G)
         bound = cox_bound(ModelParams.planar(1.0, 1.0), window)

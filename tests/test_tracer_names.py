@@ -14,7 +14,7 @@ import pytest
 
 from coxsim.diagnostics import sphere_functional_family
 from coxsim.geometry import Disk, Rect
-from coxsim.harness import ValidationSettings, run_validation_suite
+from coxsim.harness import run_validation_suite
 from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
                                  RngStream, sample_uniform_sphere)
 from coxsim.steinbound import QuadratureSpec
@@ -48,9 +48,7 @@ def _sphere_ppp(reps, rng):
 
 
 FAMILY = sphere_functional_family()
-TINY = ValidationSettings(mecke_reps=300, invariance_reps=300, glauber_traj_reps=1000,
-                          glauber_stat_reps=50, glauber_generator_reps=20,
-                          glauber_contraction_reps=50)
+TINY = 2000   # every check section at its floor
 QUAD = QuadratureSpec(tol=1e-6)
 
 
