@@ -18,7 +18,7 @@ from .harness import (DEFAULT_CHECK_REPS, MODEL_DEFAULTS, ConfigError,
                       ExperimentConfig, config_from_ini, csv_header, csv_line,
                       format_check_table, parse_window, run_experiment,
                       run_validation_suite, write_validation_csv)
-from .pointprocess import ModelParams, RngStream, points_to_csv
+from .pointprocess import ModelParams, RngStream
 from .steinbound import cox_bound, satellite_bound
 
 EXIT_OK = 0
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_sub = sim.add_subparsers(dest="model", required=True)
     for name in ("cox-line", "satellites"):
         p = sim_sub.add_parser(name)
-        p.add_argument("--c", type=float, default=1.0)
+        p.add_argument("--c", type=float, default=MODEL_DEFAULTS[name][0])
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory")
         if name == "cox-line":
@@ -53,12 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     bnd = sub.add_parser("bound", help="evaluate the theoretical bound")
     bnd_sub = bnd.add_subparsers(dest="model", required=True)
     p = bnd_sub.add_parser("cox-line")
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--c", type=float, default=MODEL_DEFAULTS["cox-line"][0])
     p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
     p.add_argument("--window", default="disk:0,0,1")
     p.add_argument("--out", default=None, help="append the CSV row to this file")
     p = bnd_sub.add_parser("satellites")
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--c", type=float, default=MODEL_DEFAULTS["satellites"][0])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
 
@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--plots", action="store_true")
         if kind == "converge-cox":
             p.add_argument("--window", default=None)
-            p.add_argument("--target", default=None,
-                           choices=("c", "auto"))
 
     chk = sub.add_parser("check", help="run validation checks")
     chk.add_argument("which", choices=("mecke", "invariance", "glauber",
@@ -115,7 +113,8 @@ def _cmd_simulate(args) -> int:
         summary = {"model": "satellites", "c": args.c, "n": args.n,
                    "mu_n": params.mu_n, "n_points": len(sample.points),
                    "seed": args.seed}
-    csv_text = points_to_csv(sample.points)
+    header = ("x", "y", "z")[:sample.points.shape[1]]
+    csv_text = "".join(map(csv_line, [header, *sample.points]))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "points.csv"), "w", encoding="utf-8") as fh:
@@ -170,7 +169,6 @@ def _cmd_experiment(args) -> int:
     flags = {"c": args.c, "sweep": args.sweep, "reps": args.reps, "seed": args.seed}
     if model == "cox-line":
         flags["window"] = None if args.window is None else parse_window(args.window)
-        flags["target_intensity"] = args.target
     updates = {k: v for k, v in flags.items() if v is not None}
     if updates:
         cfg = replace(cfg, **updates)
@@ -192,7 +190,7 @@ def _cmd_experiment(args) -> int:
         print(f"note: measured intensity {row['eff_intensity']:.4f} per unit area "
               f"vs c={cfg.c:g}; the r >= 0 line construction has mean measure "
               f"(c/2) Leb2, and distances are compared against the target "
-              f"{row['target_intensity']:g} ({cfg.target_intensity}).")
+              f"{row['target_intensity']:g}.")
     print(f"wall time {result.wall_seconds:.1f}s"
           + (f"; outputs in {out_dir}" if out_dir else ""))
     return EXIT_OK

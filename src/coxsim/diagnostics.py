@@ -117,12 +117,12 @@ def _columns(cols, rows: int) -> np.ndarray:
 class Functional:
     """F(w) = h(counts of w in regions), h mapping a (reps x len(regions))
     count matrix to reps float values.  The close-pair indicator sets
-    pair_threshold instead of h."""
+    pair_threshold instead of h.  The distance estimates need F to move by
+    at most 1 when one point is added or removed; every preset does."""
 
     name: str
     regions: tuple
     h: Callable[[np.ndarray], np.ndarray] | None
-    lipschitz: bool = True
     pair_threshold: float | None = None
 
     def counts(self, batch: ReplicateBatch) -> np.ndarray:
@@ -244,12 +244,6 @@ def count_tv_lower_bound(samples: ReplicateBatch, region, target_mean: float,
     return DistanceEstimate(value=value, stderr=stderr, regions=name)
 
 
-def require_lipschitz(functionals: Sequence[Functional]):
-    bad = [F.name for F in functionals if not F.lipschitz]
-    if bad:
-        raise ValueError(f"family must be 1-Lipschitz; offending: {bad}")
-
-
 def _max_gap(gaps: np.ndarray, ses: np.ndarray, names: Sequence[str]) -> DistanceEstimate:
     """Largest |gap| minus the stderr of its functional, floored at 0."""
     j = int(np.argmax(np.abs(gaps)))
@@ -268,7 +262,6 @@ def wasserstein_lower_bound(samples: ReplicateBatch, reference_sampler,
     minus the stderr of the maximizing functional, floored at 0.  The sweeps
     use the coupled form below; this uncoupled one is a test reference.
     """
-    require_lipschitz(functionals)
     refs = reference_sampler(ref_factor * len(samples), rng)
     # (reps x functionals) matrices of F(replicate)
     ms, mr = (np.column_stack([F(b) for F in functionals]) for b in (samples, refs))
@@ -285,7 +278,6 @@ def coupled_wasserstein_lower_bound(pairs: CoupledBatch,
     mean gap with variance concentrated on the event that the two members of
     the pair actually differ, which is what makes small gaps resolvable.
     """
-    require_lipschitz(functionals)
     diffs = np.column_stack([F(pairs.model) - F(pairs.twin) for F in functionals])
     gaps = diffs.mean(axis=0)
     ses = diffs.std(axis=0, ddof=1) / math.sqrt(len(pairs))

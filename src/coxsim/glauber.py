@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import require_lipschitz, tv_rows
+from .diagnostics import tv_rows
 from .geometry import Window
 from .pointprocess import ReplicateBatch, uniform_in_window
 
@@ -162,7 +162,6 @@ def contraction_estimate(functionals, omega: np.ndarray, z, t: float,
     z; for 1-Lipschitz F the replicate difference is at most 1{z survives},
     whose mean is e^-t.  One batch of base draws serves every functional.
     """
-    require_lipschitz(functionals)
     z = ReplicateBatch.stack([np.asarray(z, dtype=float).reshape(1, -1)])
     if not z.membership(spec.window)[0]:
         raise ValueError("z must lie inside the window")

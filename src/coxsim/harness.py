@@ -11,9 +11,11 @@ intensity calibration) and 2 (the retired uncoupled reference samples) stay
 unused so the others keep their streams.
 Each sweep point makes one Wasserstein estimate, coupled: model against its
 exact-PPP twin (see coxmodels); the rate fit reads it as w_distance.
-Intensity targets are the closed-form mean measures, and eff_intensity is
-measured from the sweep's own samples.  The validation suite takes one
-replicate count, reps, and every check section derives its own size from it.
+The count-law target is the model's closed-form mean measure, c/2 per unit
+area for cox-line and c per unit nu-measure for satellites; it is derived,
+not configured.  eff_intensity is measured from the sweep's own samples.
+The validation suite takes one replicate count, reps, and every check
+section derives its own size from it.
 Wall-clock metadata is kept out of all CSV files on purpose.
 """
 
@@ -45,7 +47,7 @@ from .steinbound import (QuadratureSpec, chord_square_integral, coarea_check,
 
 # the schema line of results.csv, bumped when its columns change; the other
 # CSVs are at 1
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 LANE_SAMPLES = 0
 LANE_CHECKS = 3
@@ -64,8 +66,6 @@ class ConfigError(ValueError):
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-TARGET_MODES = ("c", "auto")
-
 # per model: the c and sweep of the CLI without --config, and the c of an
 # INI file that leaves it out
 MODEL_DEFAULTS = {"cox-line": (1.0, (5.0, 10.0, 20.0, 40.0, 80.0)),
@@ -79,8 +79,7 @@ class ExperimentConfig:
     sweep: tuple
     reps: int
     seed: int
-    window: Window | None = None     # planar only
-    target_intensity: str = "auto"
+    window: Window | None = None     # cox-line only
 
     def __post_init__(self):
         if self.model not in MODEL_DEFAULTS:
@@ -95,11 +94,12 @@ class ExperimentConfig:
             raise ConfigError("sweep values must be positive and finite")
         if self.reps < 1000:
             raise ConfigError("reps per sweep point must be at least 1000")
-        if self.target_intensity not in TARGET_MODES:
-            raise ConfigError(f"target_intensity must be one of {TARGET_MODES}")
         if self.model == "cox-line" and self.window is None:
             object.__setattr__(self, "window", Disk((0.0, 0.0), 1.0))
         if self.model == "satellites":
+            if self.window is not None:
+                raise ConfigError("window applies to cox-line only; satellites live "
+                                  "on the sphere")
             for v in self.sweep:
                 if int(v) != v or not 1 <= v < 2 ** 63:
                     raise ConfigError("satellite sweep values must be integers "
@@ -120,8 +120,10 @@ def parse_window(text: str) -> Window:
     raise ConfigError(f"cannot parse window {text!r}; use disk:cx,cy,R or rect:x0,y0,x1,y1")
 
 
-# calibration_reps is accepted and ignored: older config files carry it from
-# when the intensity target was calibrated by Monte Carlo.
+# Older config files carry two retired keys: calibration_reps, from when the
+# intensity target was calibrated by Monte Carlo, is accepted and ignored;
+# target_intensity, from when the count-law target could be set, is accepted
+# only as auto, the model's mean measure, which every run uses.
 _CONFIG_KEYS = {"model", "c", "sweep", "reps", "seed", "window", "target_intensity",
                 "calibration_reps", "out", "plots"}
 
@@ -139,6 +141,9 @@ def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
     unknown = set(section.keys()) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if section.get("target_intensity", "auto") != "auto":
+        raise ConfigError("target_intensity must be auto: the count-law target is the "
+                          "model's mean measure (c/2 for cox-line, c for satellites)")
     try:
         model = section.get("model")
         if model is None:
@@ -155,7 +160,6 @@ def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
             reps=section.getint("reps", fallback=10_000),
             seed=section.getint("seed", fallback=0),
             window=parse_window(section["window"]) if "window" in section else None,
-            target_intensity=section.get("target_intensity", fallback="auto"),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -180,7 +184,7 @@ class ExperimentResult:
 
 
 RESULTS_COLUMNS = [
-    "model", "c", "param", "reps", "target_mode", "target_intensity",
+    "model", "c", "param", "reps", "target_intensity",
     "eff_intensity", "eff_stderr", "w_distance", "w_stderr", "w_functional",
     "tv_distance", "tv_stderr",
     "tv_region", "bound", "bound_respected",
@@ -242,8 +246,7 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
         params = ModelParams.planar(cfg.c, value)
         regions = planar_region_set(cfg.window)
         family = planar_functional_family(cfg.window)
-        # the mean measure is (c/2) Leb2 on every window; "auto" uses it
-        target = cfg.c if cfg.target_intensity == "c" else cfg.c / 2.0
+        target = cfg.c / 2.0   # the mean measure is (c/2) Leb2 on every window
         draw = partial(sample_cox_line_batch, params, cfg.window)
         bound = cox_bound(params, cfg.window)
     else:
@@ -270,7 +273,7 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
 
     return {
         "model": cfg.model, "c": cfg.c, "param": value, "reps": cfg.reps,
-        "target_mode": cfg.target_intensity, "target_intensity": target,
+        "target_intensity": target,
         "eff_intensity": eff, "eff_stderr": eff_se,
         "w_distance": w_est.value, "w_stderr": w_est.stderr,
         "w_functional": w_est.regions,

@@ -14,7 +14,6 @@ the exact layout.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,22 +238,7 @@ def ppp_batch(window: Window, lam: float, reps: int, rng: np.random.Generator):
     return counts, points, rep_ids
 
 
-
 def region_counts(points: np.ndarray, rep_ids: np.ndarray, region, reps: int) -> np.ndarray:
     """Per-replicate counts of flattened points inside a region.  np.compress
     gives what rep_ids[mask] gives, several times faster on batch-sized arrays."""
     return np.bincount(np.compress(region.contains(points), rep_ids), minlength=reps)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def points_to_csv(points: np.ndarray) -> str:
-    """An (n, 2) or (n, 3) point array as CSV: an x,y or x,y,z header, then
-    one row per point at 17 significant digits."""
-    buf = io.StringIO()
-    buf.write(("x,y" if points.shape[1] == 2 else "x,y,z") + "\n")
-    for row in points:
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()

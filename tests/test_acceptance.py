@@ -41,8 +41,7 @@ def satellite_result():
 @pytest.fixture(scope="module")
 def cox_result():
     cfg = ExperimentConfig("cox-line", 1.0, (5, 10, 20, 40, 80),
-                           reps=10_000, seed=SEED, window=Disk((0.0, 0.0), 1.0),
-                           target_intensity="auto")
+                           reps=10_000, seed=SEED, window=Disk((0.0, 0.0), 1.0))
     t0 = time.perf_counter()
     res = run_experiment(cfg)
     res.wall_seconds = time.perf_counter() - t0

@@ -44,10 +44,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig("satellites", 1.0, (10, 20, 40, 80), 500, 0)
 
-    def test_bad_target(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig("cox-line", 1.0, (5, 10, 20, 40), 1000, 0,
-                             target_intensity="double-c")
+    def test_bad_target(self, tmp_path):
+        # the count-law target is the model's mean measure, not a setting; a
+        # file may still say auto, and any other value is an error
+        path = tmp_path / "exp.ini"
+        for value in ("c", "double-c"):
+            path.write_text("[experiment]\nmodel = cox-line\nsweep = 5 10 20 40\n"
+                            f"target_intensity = {value}\n")
+            with pytest.raises(ConfigError, match="mean measure"):
+                config_from_ini(str(path))
 
     def test_non_integer_orbit_sweep(self):
         with pytest.raises(ConfigError):
@@ -102,12 +107,14 @@ class TestIniConfig:
             config_from_ini("/nonexistent/exp.ini")
 
     def test_calibration_reps_ignored(self, tmp_path):
-        # older config files carry calibration_reps; it is accepted and has
-        # no effect on the output
-        body = ("[experiment]\nmodel = satellites\nc = 2.0\n"
+        # older config files, the benchmark's among them, carry
+        # calibration_reps and target_intensity = auto; both are accepted and
+        # have no effect on the output
+        body = ("[experiment]\nmodel = cox-line\nc = 1.0\nwindow = disk:0,0,1\n"
                 "sweep = 4 6 9 14\nreps = 1000\nseed = 5\n")
         outs = []
-        for name, extra in (("old", "calibration_reps = 5000\n"), ("new", "")):
+        for name, extra in (("old", "target_intensity = auto\ncalibration_reps = 5000\n"),
+                            ("new", "")):
             path = tmp_path / f"{name}.ini"
             path.write_text(body + extra)
             cfg, _ = config_from_ini(str(path))
@@ -115,18 +122,29 @@ class TestIniConfig:
             outs.append((tmp_path / name / "results.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("model, kind", [("cox-line", "converge-cox"),
-                                             ("satellites", "converge-sat")])
-    def test_default_c_matches_cli(self, tmp_path, monkeypatch, model, kind):
-        # a file that leaves c out runs the c of the CLI without --config
+    @pytest.mark.parametrize("model, kind", [
+        ("cox-line", "converge-cox"), ("satellites", "converge-sat"),
+        ("cox-line", "simulate"), ("satellites", "simulate"),
+        ("cox-line", "bound"), ("satellites", "bound")])
+    def test_default_c_matches_cli(self, tmp_path, monkeypatch, capsys, model, kind):
+        # a file that leaves c out runs the c of every command without --c
         path = tmp_path / "exp.ini"
         path.write_text(f"[experiment]\nmodel = {model}\nsweep = 10 20 40 80\n")
-        seen = []
-        monkeypatch.setattr(cli, "run_experiment",
-                            lambda cfg, **kw: seen.append(cfg) or harness.ExperimentResult(cfg))
-        assert main(["experiment", kind]) == 0
-        assert config_from_ini(str(path))[0].c == seen[0].c
-        assert seen[0].c == {"cox-line": 1.0, "satellites": 2.0}[model]
+        size = ["--lam", "10"] if model == "cox-line" else ["--n", "10"]
+        if kind == "simulate":
+            assert main(["simulate", model, *size]) == 0
+            c = json.loads(capsys.readouterr().out.splitlines()[-1])["c"]
+        elif kind == "bound":
+            assert main(["bound", model, *size]) == 0
+            c = float(capsys.readouterr().out.splitlines()[-1].split(",")[1])
+        else:
+            seen = []
+            monkeypatch.setattr(cli, "run_experiment",
+                                lambda cfg, **kw: seen.append(cfg) or harness.ExperimentResult(cfg))
+            assert main(["experiment", kind]) == 0
+            c = seen[0].c
+        assert config_from_ini(str(path))[0].c == c
+        assert c == {"cox-line": 1.0, "satellites": 2.0}[model]
 
     def test_window_key(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -147,24 +165,24 @@ class TestRunExperiment:
             assert row["bound_respected"] == 1
         text = (tmp_path / "results.csv").read_text()
         lines = text.strip().splitlines()
-        assert lines[0] == "# schema_version=3"
+        assert lines[0] == "# schema_version=4"
         assert lines[1] == ",".join(harness.RESULTS_COLUMNS)
         assert len(lines) == 6  # comment + header + 4 rows
         assert (tmp_path / "fit.csv").exists()
         assert (tmp_path / "results.svg").exists()
 
     def test_cox_smoke_fixed_target(self, tmp_path):
-        # target "c" pins the other convention; the measured intensity stays c/2
-        cfg = ExperimentConfig("cox-line", 1.0, (4, 6, 9, 14), 1000, 3,
-                               target_intensity="c")
+        # the target is the model's mean measure c/2, which the sweep's own
+        # samples measure
+        cfg = ExperimentConfig("cox-line", 2.0, (4, 6, 9, 14), 1000, 3)
         res = run_experiment(cfg, out_dir=str(tmp_path))
         assert len(res.rows) == 4
         for row in res.rows:
             assert row["target_intensity"] == 1.0
-            assert row["eff_intensity"] == pytest.approx(0.5, abs=0.1)
+            assert row["eff_intensity"] == pytest.approx(1.0, abs=0.1)
 
     def test_cox_auto_target_off_origin(self):
-        # "auto" is the closed form c/2 on any window; eff_intensity is the
+        # the target is the closed form c/2 on any window; eff_intensity is the
         # mean window count of the sweep's own samples per unit area
         window = Rect(3.0, -0.5, 4.0, 0.5)
         cfg = ExperimentConfig("cox-line", 1.0, (4, 6, 9, 14), 1000, 3,
@@ -363,6 +381,26 @@ class TestCli:
                        "mystery = 1\n")
         assert main(["experiment", "converge-sat", "--config", str(ini)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_target_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "converge-cox", "--target", "c"])
+        assert exc.value.code == 2
+        assert "--target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, line", [
+        ("cox-line", "target_intensity = c"),
+        ("satellites", "window = rect:0,0,5,5")])
+    def test_experiment_bad_key_value_exit_2(self, tmp_path, capsys, model, line):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\nmodel = {model}\nsweep = 4 6 9 14\n"
+                       f"reps = 1000\n{line}\n")
+        kind = "converge-cox" if model == "cox-line" else "converge-sat"
+        assert main(["experiment", kind, "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
 
     def test_experiment_model_mismatch_exit_2(self, tmp_path):
         ini = tmp_path / "exp.ini"

@@ -8,8 +8,9 @@ import pytest
 
 from coxsim.diagnostics import mecke_check_bpp, mecke_functionals
 from coxsim.geometry import Disk, Rect
+from coxsim.harness import csv_line
 from coxsim.pointprocess import (ModelParams, ReplicateBatch, RngStream,
-                                 composite_index, points_to_csv, ppp_batch,
+                                 composite_index, ppp_batch,
                                  region_counts, sample_ppp_window, sample_uniform_sphere,
                                  uniform_in_window)
 from oracles import batch, count_in, multiset, plane_points, replicate, sphere_points
@@ -337,9 +338,14 @@ class TestReproducibility:
             composite_index(0, 0, 2 ** 40)
 
 
+def points_csv(points: np.ndarray) -> str:
+    """A points CSV as simulate writes it: the x,y or x,y,z header, then one
+    csv_line per point."""
+    return "".join(map(csv_line, [("x", "y", "z")[:points.shape[1]], *points]))
+
+
 def parse_csv(text: str) -> np.ndarray:
-    """A points CSV as written by points_to_csv, read back by numpy with one
-    column per header field."""
+    """A points CSV read back by numpy, with one column per header field."""
     lines = text.splitlines(keepends=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # header-only: no data rows
@@ -350,19 +356,19 @@ def parse_csv(text: str) -> np.ndarray:
 class TestCsv:
     def test_round_trip_planar(self):
         pts = rng_for(26).random((5, 2)) * 1e-3
-        text = points_to_csv(pts)
+        text = points_csv(pts)
         assert text.startswith("x,y\n")
         assert np.array_equal(parse_csv(text), pts)
 
     def test_round_trip_sphere(self):
         pts = sample_uniform_sphere(rng_for(27), 4)
-        text = points_to_csv(pts)
+        text = points_csv(pts)
         assert text.startswith("x,y,z\n")
         assert np.array_equal(parse_csv(text), pts)
 
     def test_header_only(self):
         for empty, header in ((plane_points([]), "x,y\n"), (sphere_points([]), "x,y,z\n")):
-            text = points_to_csv(empty)
+            text = points_csv(empty)
             assert text == header
             back = parse_csv(text)
             assert back.shape == empty.shape and np.array_equal(back, empty)
