@@ -14,9 +14,9 @@ import sys
 from dataclasses import replace
 
 from .coxmodels import sample_cox_line, sample_satellites_with_twin
-from .harness import (DEFAULT_CHECK_REPS, MODEL_DEFAULTS, ConfigError,
+from .harness import (CHECK_GROUPS, DEFAULT_CHECK_REPS, MODEL_DEFAULTS, ConfigError,
                       ExperimentConfig, config_from_ini, csv_header, csv_line,
-                      format_check_table, parse_window, run_experiment,
+                      format_check_table, parse_sweep, parse_window, run_experiment,
                       run_validation_suite, write_validation_csv)
 from .pointprocess import ModelParams, RngStream
 from .steinbound import cox_bound, satellite_bound
@@ -24,10 +24,6 @@ from .steinbound import cox_bound, satellite_bound
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-
-
-def _sweep_arg(text: str):
-    return tuple(float(v) for v in text.replace(",", " ").split())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = exp_sub.add_parser(kind)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--c", type=float, default=None)
-        p.add_argument("--sweep", type=_sweep_arg, default=None,
+        p.add_argument("--sweep", type=parse_sweep, default=None,
                        help="comma/space separated increasing values")
         p.add_argument("--reps", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -78,8 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--window", default=None)
 
     chk = sub.add_parser("check", help="run validation checks")
-    chk.add_argument("which", choices=("mecke", "invariance", "glauber",
-                                       "coarea", "bounds", "all"))
+    chk.add_argument("which", choices=(*CHECK_GROUPS, "all"))
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--reps", type=int, default=DEFAULT_CHECK_REPS,
                      help="base replicate count; each check section is sized "
@@ -163,8 +158,7 @@ def _cmd_experiment(args) -> int:
             raise ConfigError(f"config file is for model {cfg.model!r}, "
                               f"but the subcommand expects {model!r}")
     else:
-        c0, sweep0 = MODEL_DEFAULTS[model]
-        cfg = ExperimentConfig(model=model, c=c0, sweep=sweep0, reps=10_000, seed=0)
+        cfg = ExperimentConfig(model=model)
     # CLI flags override config file values and the defaults
     flags = {"c": args.c, "sweep": args.sweep, "reps": args.reps, "seed": args.seed}
     if model == "cox-line":

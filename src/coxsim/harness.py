@@ -42,8 +42,7 @@ from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       semigroup_sample, semigroup_trajectory_consistency)
 from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, RngStream,
                            composite_index)
-from .steinbound import (QuadratureSpec, chord_square_integral, coarea_check,
-                         cox_bound, satellite_bound)
+from .steinbound import chord_square_integral, coarea_check, cox_bound, satellite_bound
 
 # the schema line of results.csv, bumped when its columns change; the other
 # CSVs are at 1
@@ -66,24 +65,31 @@ class ConfigError(ValueError):
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-# per model: the c and sweep of the CLI without --config, and the c of an
-# INI file that leaves it out
+# per model: the c and sweep of an ExperimentConfig that leaves them out, so
+# of both the bare CLI and an INI file; the c is also every --c default
 MODEL_DEFAULTS = {"cox-line": (1.0, (5.0, 10.0, 20.0, 40.0, 80.0)),
                   "satellites": (2.0, (10.0, 20.0, 40.0, 80.0, 160.0))}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep configuration; c and sweep default to MODEL_DEFAULTS[model]."""
+
     model: str                       # "cox-line" | "satellites"
-    c: float
-    sweep: tuple
-    reps: int
-    seed: int
+    c: float | None = None
+    sweep: tuple | None = None
+    reps: int = 10_000
+    seed: int = 0
     window: Window | None = None     # cox-line only
 
     def __post_init__(self):
         if self.model not in MODEL_DEFAULTS:
             raise ConfigError(f"model must be cox-line or satellites, got {self.model!r}")
+        c0, sweep0 = MODEL_DEFAULTS[self.model]
+        if self.c is None:
+            object.__setattr__(self, "c", c0)
+        if self.sweep is None:
+            object.__setattr__(self, "sweep", sweep0)
         if not 0 < self.c < math.inf:
             raise ConfigError(f"c must be positive and finite, got {self.c}")
         if len(self.sweep) < 4:
@@ -120,12 +126,20 @@ def parse_window(text: str) -> Window:
     raise ConfigError(f"cannot parse window {text!r}; use disk:cx,cy,R or rect:x0,y0,x1,y1")
 
 
+def parse_sweep(text: str) -> tuple:
+    """Parse comma- or space-separated sweep values."""
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+# the ExperimentConfig fields an INI file may set; the rest keep their defaults
+_CONFIG_PARSERS = {"c": float, "sweep": parse_sweep, "reps": int, "seed": int,
+                   "window": parse_window}
 # Older config files carry two retired keys: calibration_reps, from when the
 # intensity target was calibrated by Monte Carlo, is accepted and ignored;
 # target_intensity, from when the count-law target could be set, is accepted
 # only as auto, the model's mean measure, which every run uses.
-_CONFIG_KEYS = {"model", "c", "sweep", "reps", "seed", "window", "target_intensity",
-                "calibration_reps", "out", "plots"}
+_CONFIG_KEYS = {"model", *_CONFIG_PARSERS, "target_intensity", "calibration_reps",
+                "out", "plots"}
 
 
 def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
@@ -144,23 +158,13 @@ def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
     if section.get("target_intensity", "auto") != "auto":
         raise ConfigError("target_intensity must be auto: the count-law target is the "
                           "model's mean measure (c/2 for cox-line, c for satellites)")
+    model = section.get("model")
+    if model is None:
+        raise ConfigError("missing required key: model")
     try:
-        model = section.get("model")
-        if model is None:
-            raise ConfigError("missing required key: model")
-        sweep_raw = section.get("sweep")
-        if sweep_raw is None:
-            raise ConfigError("missing required key: sweep")
-        sweep = tuple(float(v) for v in sweep_raw.replace(",", " ").split())
-        cfg = ExperimentConfig(
-            model=model,
-            # an unknown model has no default; ExperimentConfig rejects it
-            c=section.getfloat("c", fallback=MODEL_DEFAULTS.get(model, (None,))[0]),
-            sweep=sweep,
-            reps=section.getint("reps", fallback=10_000),
-            seed=section.getint("seed", fallback=0),
-            window=parse_window(section["window"]) if "window" in section else None,
-        )
+        cfg = ExperimentConfig(model=model, **{key: parse(section[key])
+                                               for key, parse in _CONFIG_PARSERS.items()
+                                               if key in section})
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -446,7 +450,6 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
 
 
 def check_coarea(seed: int) -> list[CheckRow]:
-    quad = QuadratureSpec(radial_nodes=64, angular_nodes=64, tol=1e-9, max_levels=8)
     tol = 1e-6
     rows = []
     cases = [
@@ -456,7 +459,7 @@ def check_coarea(seed: int) -> list[CheckRow]:
         ("coarea[disk,xsq,theta=0]", "xsq", Disk((0.0, 0.0), 1.0), 0.0, 0.5),
     ]
     for name, f, win, theta, expect in cases:
-        res = coarea_check(f, win, theta, quad)
+        res = coarea_check(f, win, theta)
         rows.append(_two_sided(name, res.ratio, expect, tol / 3.0, seed))
     return rows
 
@@ -478,10 +481,16 @@ def check_bounds(seed: int) -> list[CheckRow]:
     return rows
 
 
+CHECK_GROUPS = ("mecke", "invariance", "glauber", "coarea", "bounds")
+
+
 def run_validation_suite(seed: int, reps: int = DEFAULT_CHECK_REPS,
                          which: str = "all") -> list[CheckRow]:
-    """Run the named validation checks, each sized from reps; individual
-    failures are recorded and the suite continues."""
+    """Run one of CHECK_GROUPS, or all of them, each sized from reps;
+    individual failures are recorded and the suite continues."""
+    if which != "all" and which not in CHECK_GROUPS:
+        raise ValueError(f"unknown check group {which!r}; choose from "
+                         f"{', '.join(CHECK_GROUPS)} or all")
     rows: list[CheckRow] = []
     if which in ("all", "mecke"):
         rows += check_mecke(seed, reps)

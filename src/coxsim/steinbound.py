@@ -23,6 +23,10 @@ at fixed theta and reports their ratio: the identity holds with ratio 1 only
 when A lies in the half-plane {x cos(theta) + y sin(theta) >= 0}; for the
 origin-centered disk the r >= 0 family sweeps exactly half of A and the
 ratio is 1/2.  The check reports ratios rather than asserting equality.
+For its integrands f = 1 and f = x^2 the left side and every chord integral
+are in closed form; only the outer integral over r is numerical:
+Gauss-Legendre after an arcsine substitution on disks, the midpoint rule on
+rects, each refined by node doubling.
 """
 
 from __future__ import annotations
@@ -142,57 +146,25 @@ def satellite_bound(params: ModelParams) -> float:
 # Coarea check
 # ---------------------------------------------------------------------------
 
-def _gauss_bump(pts: np.ndarray) -> np.ndarray:
-    d = pts - np.array([0.2, 0.1])
-    return np.exp(-(d[:, 0] ** 2 + d[:, 1] ** 2) / (2.0 * 0.35 ** 2))
-
-
-INTEGRANDS = {
-    "one": lambda pts: np.ones(pts.shape[0]),
-    "gauss": _gauss_bump,
-    "xsq": lambda pts: pts[:, 0] ** 2,
-}
-
-
-def _area_integral(f, window: Window, quad: QuadratureSpec, level: int) -> float:
-    n1 = quad.radial_nodes * 2 ** level
-    n2 = quad.angular_nodes * 2 ** level
+def _area_xsq(window: Window) -> float:
     if isinstance(window, Disk):
-        rho, wr = _gauss(n1, 0.0, window.radius)
-        ang, wa = _midpoint(n2, 0.0, 2.0 * math.pi)
-        cx, cy = window.center
-        xs = cx + rho[:, None] * np.cos(ang)[None, :]
-        ys = cy + rho[:, None] * np.sin(ang)[None, :]
-        pts = np.column_stack([xs.ravel(), ys.ravel()])
-        vals = f(pts).reshape(n1, n2) * rho[:, None]
-        return float(wr @ vals @ wa)
-    xs, wx = _gauss(n1, window.x0, window.x1)
-    ys, wy = _gauss(n2, window.y0, window.y1)
-    grid = np.column_stack([np.repeat(xs, n2), np.tile(ys, n1)])
-    vals = f(grid).reshape(n1, n2)
-    return float(wx @ vals @ wy)
+        return window.area * (window.center[0] ** 2 + window.radius ** 2 / 4.0)
+    return (window.x1 ** 3 - window.x0 ** 3) * (window.y1 - window.y0) / 3.0
 
 
-def _chord_function(f, window: Window, theta: float, inner_nodes: int):
-    """Returns g(r) = int over the chord of f ds, vectorized over r."""
-    xg, wg = _leggauss(inner_nodes)
+def _chord_xsq(a, b, s_lo, s_hi):
+    def antiderivative(s):
+        return s * (a * a - a * b * s + b * b * s * s / 3.0)
+    return antiderivative(s_hi) - antiderivative(s_lo)
 
-    def g(r: np.ndarray) -> np.ndarray:
-        s_lo, s_hi, ok = chord_intervals(window, r, np.full_like(r, theta))
-        mid = 0.5 * (s_lo + s_hi)
-        half = 0.5 * (s_hi - s_lo)
-        out = np.zeros_like(r)
-        if not ok.any():
-            return out
-        s = mid[ok, None] + half[ok, None] * xg[None, :]
-        ct, st = math.cos(theta), math.sin(theta)
-        px = r[ok, None] * ct - s * st
-        py = r[ok, None] * st + s * ct
-        vals = f(np.column_stack([px.ravel(), py.ravel()])).reshape(s.shape)
-        out[ok] = (vals @ wg) * half[ok]
-        return out
 
-    return g
+# integrand name -> (int_K f dx, int_{s_lo}^{s_hi} f ds along a chord whose
+# x coordinate is x(s) = a - b s, a = r cos(theta), b = sin(theta)); both in
+# closed form, so the radial rule is the check's only numerical step
+INTEGRANDS = {
+    "one": (lambda window: window.area, lambda a, b, s_lo, s_hi: s_hi - s_lo),
+    "xsq": (_area_xsq, _chord_xsq),
+}
 
 
 def _radial_range(window: Window, theta: float):
@@ -210,26 +182,33 @@ def _radial_range(window: Window, theta: float):
 class CoareaResult:
     lhs: float
     rhs: float
-    ratio: float
     error_estimate: float
+
+    @property
+    def ratio(self) -> float:
+        return self.rhs / self.lhs
 
 
 def coarea_check(integrand: str, window: Window, theta: float,
                  quad: QuadratureSpec = QuadratureSpec()) -> CoareaResult:
-    """Compare the area integral of f over the window with the iterated
-    chord integral over r in [0, inf) at fixed theta."""
+    """Compare the area integral of f over the window, in closed form, with
+    the iterated chord integral over r in [0, inf) at fixed theta."""
     if integrand not in INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand!r}; "
                          f"choose from {sorted(INTEGRANDS)}")
-    f = INTEGRANDS[integrand]
+    area_integral, chord_integral = INTEGRANDS[integrand]
     u_lo, u_hi = _radial_range(window, theta)
     r_lo, r_hi = max(0.0, u_lo), u_hi
+    ct, st = math.cos(theta), math.sin(theta)
+
+    def g(r: np.ndarray) -> np.ndarray:
+        s_lo, s_hi, _ = chord_intervals(window, r, theta)
+        return chord_integral(r * ct, st, s_lo, s_hi)
 
     def eval_rhs(level: int) -> float:
         if r_hi <= r_lo:
             return 0.0
         n = quad.radial_nodes * 2 ** level
-        g = _chord_function(f, window, theta, inner_nodes=32)
         if isinstance(window, Disk):
             # substitute r = cu + R sin(v): resolves the sqrt kinks at both
             # tangency radii; the r >= 0 clip lands at a smooth interior point
@@ -242,10 +221,5 @@ def coarea_check(integrand: str, window: Window, theta: float,
         r, wr = _midpoint(n, r_lo, r_hi)
         return float(np.sum(g(r) * wr))
 
-    def eval_lhs(level: int) -> float:
-        return _area_integral(f, window, quad, level)
-
-    lhs, err_l = _refine(eval_lhs, quad)
-    rhs, err_r = _refine(eval_rhs, quad)
-    ratio = rhs / lhs if lhs != 0.0 else math.nan
-    return CoareaResult(lhs=lhs, rhs=rhs, ratio=ratio, error_estimate=err_l + err_r)
+    rhs, err = _refine(eval_rhs, quad)
+    return CoareaResult(lhs=float(area_integral(window)), rhs=rhs, error_estimate=err)

@@ -146,6 +146,18 @@ class TestIniConfig:
         assert config_from_ini(str(path))[0].c == c
         assert c == {"cox-line": 1.0, "satellites": 2.0}[model]
 
+    @pytest.mark.parametrize("model, kind", [("cox-line", "converge-cox"),
+                                             ("satellites", "converge-sat")])
+    def test_model_only_file_matches_bare_cli(self, tmp_path, model, kind):
+        # every key a file leaves out takes the bare command's value
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\nmodel = {model}\n")
+        assert main(["experiment", kind, "--out", str(tmp_path / "bare")]) == 0
+        assert main(["experiment", kind, "--config", str(path),
+                     "--out", str(tmp_path / "ini")]) == 0
+        assert ((tmp_path / "bare" / "results.csv").read_bytes()
+                == (tmp_path / "ini" / "results.csv").read_bytes())
+
     def test_window_key(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[experiment]\nmodel = cox-line\nc = 1\n"
@@ -253,6 +265,11 @@ class TestValidationSuite:
         assert all(r.name.startswith("coarea") for r in rows)
         rows = run_validation_suite(0, SMALL, which="bounds")
         assert all(r.passed for r in rows)
+
+    def test_unknown_group(self):
+        with pytest.raises(ValueError, match="mecke, invariance, glauber, coarea, "
+                                             "bounds or all"):
+            run_validation_suite(0, SMALL, which="Mecke")
 
     def test_deterministic(self):
         a = run_validation_suite(5, SMALL, which="invariance")

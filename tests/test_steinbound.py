@@ -5,7 +5,7 @@ import pytest
 
 from coxsim.geometry import Disk, Rect
 from coxsim.pointprocess import ModelParams
-from coxsim.steinbound import (QuadratureError, QuadratureSpec,
+from coxsim.steinbound import (INTEGRANDS, QuadratureError, QuadratureSpec,
                                chord_square_integral, coarea_check, cox_bound,
                                satellite_bound)
 from coxsim.steinbound import _leggauss
@@ -210,9 +210,9 @@ class TestCoarea:
         res = coarea_check("one", Rect(3.0, -0.5, 4.0, 0.5), 0.0, TIGHT)
         assert abs(res.ratio - 1.0) < 1e-6
 
-    def test_translated_disk_gauss(self):
+    def test_translated_disk_xsq(self):
         # window fully in the positive half-plane: identity for any integrand
-        res = coarea_check("gauss", Disk((3.0, 0.0), 0.7), 0.0, TIGHT)
+        res = coarea_check("xsq", Disk((3.0, 0.0), 0.7), 0.0, TIGHT)
         assert abs(res.ratio - 1.0) < 1e-6
 
     def test_disk_xsq_half(self):
@@ -225,9 +225,34 @@ class TestCoarea:
 
     def test_other_theta(self):
         # same half-plane geometry at theta = pi/2 for a window above y = 0
-        res = coarea_check("one", Rect(-0.5, 0.2, 0.5, 1.2), math.pi / 2.0, TIGHT)
-        assert abs(res.ratio - 1.0) < 1e-6
+        for integrand in ("one", "xsq"):
+            res = coarea_check(integrand, Rect(-0.5, 0.2, 0.5, 1.2), math.pi / 2.0, TIGHT)
+            assert abs(res.ratio - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("window", [Disk((0.4, -0.3), 0.8), Rect(0.3, -1.2, 1.5, 0.4)],
+                             ids=["off_centre_disk", "off_origin_rect"])
+    def test_closed_form_xsq_area_integral(self, window):
+        # a 2-D Gauss-Legendre tensor sum: exact for the polynomial x^2 on the
+        # rect and for the radial factor on the disk, and converged to
+        # rounding for the disk's trigonometric angular factor
+        x, w = np.polynomial.legendre.leggauss(16)
+
+        def nodes(a, b):
+            return a + (b - a) * (x + 1) / 2, (b - a) * w / 2
+
+        if isinstance(window, Disk):
+            rho, w_rho = nodes(0.0, window.radius)
+            phi, w_phi = nodes(0.0, 2.0 * math.pi)
+            vals = (window.center[0] + rho[:, None] * np.cos(phi)) ** 2 * rho[:, None]
+            expected = w_rho @ vals @ w_phi
+        else:
+            xs, w_x = nodes(window.x0, window.x1)
+            _, w_y = nodes(window.y0, window.y1)
+            expected = w_x @ np.outer(xs ** 2, np.ones_like(w_y)) @ w_y
+        area_integral, _ = INTEGRANDS["xsq"]
+        assert area_integral(window) == pytest.approx(expected, rel=1e-13)
 
     def test_unknown_integrand(self):
-        with pytest.raises(ValueError):
-            coarea_check("cubic", UNIT_DISK, 0.0, TIGHT)
+        for integrand in ("cubic", "gauss"):
+            with pytest.raises(ValueError):
+                coarea_check(integrand, UNIT_DISK, 0.0, TIGHT)
