@@ -16,9 +16,8 @@ from .coxmodels import (CoxLineSample, SatelliteSample, effective_intensity,
                         sample_satellites_with_twin)
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       glauber_simulate, semigroup_trajectory_consistency)
-from .steinbound import (QuadratureError, QuadratureSpec,
-                         chord_square_integral, coarea_check, cox_bound,
-                         satellite_bound)
+from .steinbound import (QuadratureError, chord_square_integral, coarea_check,
+                         cox_bound, satellite_bound)
 from .diagnostics import (DistanceEstimate, Functional, RateFit,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
                           invariance_check, mecke_check_bpp, mecke_check_ppp,

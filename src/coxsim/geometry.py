@@ -130,7 +130,7 @@ def chord_intervals(window: Window, r, theta):
     """Vectorized chord intervals for broadcastable arrays of (r, theta).
 
     Returns (s_lo, s_hi, nonempty mask); s_hi - s_lo is 0 where the line
-    misses the window.  The quadrature passes an (n, 1) x (1, m) grid.
+    misses the window.  The quadrature passes r of shape (m, k) with theta (m, 1).
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)

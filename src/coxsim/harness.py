@@ -467,8 +467,13 @@ def check_coarea(seed: int) -> list[CheckRow]:
 def check_bounds(seed: int) -> list[CheckRow]:
     disk = Disk((0.0, 0.0), 1.0)
     val, err = chord_square_integral(disk)
-    rows = [_two_sided("bound[chord_sq_unit_disk]", val, 16.0 / 3.0,
-                       1e-8 / 3.0, seed)]
+    rows = [_two_sided("bound[chord_sq_unit_disk]", val, 16.0 / 3.0, 1e-8 / 3.0, seed)]
+    # the rect and origin-outside disk closed forms; c = lambda = 1 bounds G(K)
+    for name, window in (("unit_square", Rect(0.0, 0.0, 1.0, 1.0)),
+                         ("offset_disk", Disk((3.0, 1.0), 0.7))):
+        rows.append(_two_sided(f"bound[chord_sq_{name}]", chord_square_integral(window)[0],
+                               cox_bound(ModelParams.planar(1.0, 1.0), window), 1e-8 / 3.0,
+                               seed))
     # quadrature-based bound against the closed form cox_bound reports
     params = ModelParams.planar(1.0, 10.0)
     scale = params.c ** 2 / params.lambda_n

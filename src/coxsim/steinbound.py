@@ -10,10 +10,14 @@ a x b rectangle,
     G = [(2/3)(a^3 + b^3 - (a^2 + b^2)^(3/2))
          + 2ab (a asinh(b/a) + b asinh(a/b))] / pi;
 
-the quadrature chord_square_integral is their independent cross-check.  Its
-radial rule follows the window: Gauss-Legendre on an origin-centred disk,
-where the chord square 4 (R^2 - r^2) is a polynomial in r, and the midpoint
-rule elsewhere.  The spherical bound is 2 c^2 / n with no quadrature at all.
+the quadrature chord_square_integral is their independent cross-check (the
+spherical bound 2 c^2 / n needs none).  Every chord integral here, in G and
+in the coarea check, is piecewise smooth with breaks the window fixes, so one
+rule serves both: Gauss-Legendre on each smooth piece.  In r a rect's chord
+is linear between the sorted corner projections x cos(theta) + y sin(theta),
+clipped at 0; a disk's is 2 R cos(v) after r = cu + R sin(v), between its
+tangency radii.  In theta the pieces change only where a corner projection
+or a tangency radius crosses 0, or two corner projections tie.
 
 The coarea check evaluates both sides of the identity
 
@@ -24,9 +28,7 @@ when A lies in the half-plane {x cos(theta) + y sin(theta) >= 0}; for the
 origin-centered disk the r >= 0 family sweeps exactly half of A and the
 ratio is 1/2.  The check reports ratios rather than asserting equality.
 For its integrands f = 1 and f = x^2 the left side and every chord integral
-are in closed form; only the outer integral over r is numerical:
-Gauss-Legendre after an arcsine substitution on disks, the midpoint rule on
-rects, each refined by node doubling.
+are in closed form; only the outer integral over r is numerical.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Disk, Window, chord_intervals, support_radius
+from .geometry import Disk, Window, chord_intervals
 from .pointprocess import ModelParams
 
 
@@ -45,24 +47,9 @@ class QuadratureError(RuntimeError):
     """Raised when node-doubling fails to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor quadrature controls.
-
-    The reported error estimate is the change under one node-doubling; levels
-    are doubled until it falls below tol or max_levels is exhausted.
-    """
-
-    radial_nodes: int = 64
-    angular_nodes: int = 64
-    tol: float = 1e-8
-    max_levels: int = 6
-
-    def __post_init__(self):
-        if self.radial_nodes < 8 or self.angular_nodes < 8:
-            raise ValueError("node counts must be at least 8")
-        if self.max_levels < 1 or self.tol <= 0:
-            raise ValueError("need max_levels >= 1 and tol > 0")
+NODES = 16        # Gauss-Legendre nodes per smooth piece at level 0
+TOL = 1e-8        # node-doubling error estimate at which refinement stops
+MAX_LEVELS = 6    # doublings allowed before QuadratureError
 
 
 @lru_cache(maxsize=None)
@@ -73,50 +60,87 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss(n: int, a: float, b: float):
-    """n-point Gauss-Legendre nodes and weights on [a, b]."""
+def _piecewise_gauss(edges, n: int):
+    """n-point Gauss-Legendre nodes and weights on each interval between
+    consecutive edges (last axis, sorted); empty intervals get zero weight."""
     x, w = _leggauss(n)
-    return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
+    edges = np.asarray(edges, dtype=float)
+    lo = edges[..., :-1, None]
+    half = 0.5 * (edges[..., 1:, None] - lo)
+    shape = edges.shape[:-1] + (-1,)
+    return (lo + half * (x + 1.0)).reshape(shape), (half * w).reshape(shape)
 
 
-def _midpoint(n: int, a: float, b: float):
-    """n-point midpoint nodes and weights on [a, b]."""
-    h = (b - a) / n
-    return a + h * (np.arange(n) + 0.5), np.full(n, h)
+def _radial_rule(window: Window, theta, n: int):
+    """Nodes and weights in r >= 0 for integrals along the chords at angle(s)
+    theta, n per smooth piece of the chord; shapes theta.shape + (k,)."""
+    theta = np.asarray(theta, dtype=float)[..., None]
+    ct, st = np.cos(theta), np.sin(theta)
+    if isinstance(window, Disk):
+        # r = cu + R sin(v): the chord is 2 R cos(v) between the tangency
+        # radii, smooth in v; the r >= 0 clip moves the lower end only
+        R = window.radius
+        cu = window.center[0] * ct + window.center[1] * st
+        v_lo = np.arcsin(np.clip(-cu / R, -1.0, 1.0))
+        v, wv = _piecewise_gauss(
+            np.concatenate([v_lo, np.full_like(v_lo, 0.5 * math.pi)], axis=-1), n)
+        return cu + R * np.sin(v), wv * R * np.cos(v)
+    # the chord is linear in r between the sorted corner projections
+    proj = np.concatenate([x * ct + y * st for x in (window.x0, window.x1)
+                           for y in (window.y0, window.y1)], axis=-1)
+    return _piecewise_gauss(np.sort(np.maximum(0.0, proj), axis=-1), n)
 
 
-def _refine(evaluate, quad: QuadratureSpec):
+def _angular_breaks(window: Window) -> list[float]:
+    """Sorted angles in [0, 2 pi], ends included, between which the radial
+    pieces of _radial_rule keep their order: where a disk's tangency radius
+    or a rect corner's projection crosses 0, or two corners' projections tie."""
+    if isinstance(window, Disk):
+        (cx, cy), R = window.center, window.radius
+        dist = math.hypot(cx, cy)
+        # the tangency radii cu -+ R cross 0 at atan2(cy, cx) + k pi +- acos(R / dist)
+        angles = [] if dist < R else [
+            math.atan2(cy, cx) + k * math.pi + s * math.acos(R / dist)
+            for k in (0, 1) for s in (-1, 1)]
+    else:
+        a, b = window.x1 - window.x0, window.y1 - window.y0
+        # theta normal to a corner: its projection crosses 0; normal to the
+        # difference of two corners: their projections tie
+        vectors = [(x, y) for x in (window.x0, window.x1) for y in (window.y0, window.y1)]
+        vectors += [(a, 0.0), (0.0, b), (a, b), (a, -b)]
+        angles = [math.atan2(y, x) + k * math.pi / 2.0 for x, y in vectors for k in (1, 3)]
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    return sorted({0.0, 2.0 * math.pi} | {t % (2.0 * math.pi) for t in angles})
+
+
+def _refine(evaluate):
     """Node-doubling driver: evaluate(level) -> value; returns (value, err)."""
     prev = evaluate(0)
-    for level in range(1, quad.max_levels + 1):
+    for level in range(1, MAX_LEVELS + 1):
         cur = evaluate(level)
         err = abs(cur - prev)
-        if err <= quad.tol:
+        if err <= TOL:
             return cur, err
         prev = cur
     raise QuadratureError(
-        f"quadrature did not reach tol={quad.tol:g} after {quad.max_levels} "
+        f"quadrature did not reach tol={TOL:g} after {MAX_LEVELS} "
         f"doublings (last error estimate {err:g})")
 
 
-def chord_square_integral(window: Window, quad: QuadratureSpec = QuadratureSpec()):
-    """Geometric constant G(K) with a node-doubling error estimate.  The
-    angular rule is midpoint; the radial one is Gauss-Legendre on an
-    origin-centred disk and midpoint elsewhere, where kinks in the chord
-    square make Gauss's node-doubling estimate erratic."""
-    r_max = support_radius(window)
-    origin_disk = isinstance(window, Disk) and window.center == (0.0, 0.0)
-    radial = _gauss if origin_disk else _midpoint
+def chord_square_integral(window: Window):
+    """Geometric constant G(K) with a node-doubling error estimate.  Only the
+    angular rule doubles: NODES points integrate each radial piece, a
+    quadratic (rect) or 4 R^3 cos^3(v) (disk), to rounding, and a fixed
+    radial count keeps the top level's grid near 10^6 nodes."""
+    breaks = _angular_breaks(window)
 
     def evaluate(level: int) -> float:
-        nr = quad.radial_nodes * 2 ** level
-        nt = quad.angular_nodes * 2 ** level
-        r, wr = radial(nr, 0.0, r_max)
-        th, wt = _midpoint(nt, 0.0, 2.0 * math.pi)
-        s_lo, s_hi, _ = chord_intervals(window, r[:, None], th[None, :])
-        return float((wr @ ((s_hi - s_lo) ** 2) @ wt) / math.pi)
+        th, wt = _piecewise_gauss(breaks, NODES * 2 ** level)
+        r, wr = _radial_rule(window, th, NODES)
+        s_lo, s_hi, _ = chord_intervals(window, r, th[:, None])
+        return float(wt @ np.sum(wr * (s_hi - s_lo) ** 2, axis=1) / math.pi)
 
-    return _refine(evaluate, quad)
+    return _refine(evaluate)
 
 
 def _closed_form_g(window: Window) -> float:
@@ -167,17 +191,6 @@ INTEGRANDS = {
 }
 
 
-def _radial_range(window: Window, theta: float):
-    """Range of u_theta = x cos(theta) + y sin(theta) over the window."""
-    ct, st = math.cos(theta), math.sin(theta)
-    if isinstance(window, Disk):
-        cu = window.center[0] * ct + window.center[1] * st
-        return cu - window.radius, cu + window.radius
-    vals = [x * ct + y * st for x in (window.x0, window.x1)
-            for y in (window.y0, window.y1)]
-    return min(vals), max(vals)
-
-
 @dataclass(frozen=True)
 class CoareaResult:
     lhs: float
@@ -189,37 +202,19 @@ class CoareaResult:
         return self.rhs / self.lhs
 
 
-def coarea_check(integrand: str, window: Window, theta: float,
-                 quad: QuadratureSpec = QuadratureSpec()) -> CoareaResult:
+def coarea_check(integrand: str, window: Window, theta: float) -> CoareaResult:
     """Compare the area integral of f over the window, in closed form, with
     the iterated chord integral over r in [0, inf) at fixed theta."""
     if integrand not in INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand!r}; "
                          f"choose from {sorted(INTEGRANDS)}")
     area_integral, chord_integral = INTEGRANDS[integrand]
-    u_lo, u_hi = _radial_range(window, theta)
-    r_lo, r_hi = max(0.0, u_lo), u_hi
     ct, st = math.cos(theta), math.sin(theta)
 
-    def g(r: np.ndarray) -> np.ndarray:
-        s_lo, s_hi, _ = chord_intervals(window, r, theta)
-        return chord_integral(r * ct, st, s_lo, s_hi)
-
     def eval_rhs(level: int) -> float:
-        if r_hi <= r_lo:
-            return 0.0
-        n = quad.radial_nodes * 2 ** level
-        if isinstance(window, Disk):
-            # substitute r = cu + R sin(v): resolves the sqrt kinks at both
-            # tangency radii; the r >= 0 clip lands at a smooth interior point
-            cu = 0.5 * (u_lo + u_hi)
-            R = 0.5 * (u_hi - u_lo)
-            v_lo = math.asin(max(-1.0, min(1.0, (r_lo - cu) / R)))
-            v, wv = _gauss(n, v_lo, 0.5 * math.pi)
-            r = cu + R * np.sin(v)
-            return float(np.sum(g(r) * R * np.cos(v) * wv))
-        r, wr = _midpoint(n, r_lo, r_hi)
-        return float(np.sum(g(r) * wr))
+        r, w = _radial_rule(window, theta, NODES * 2 ** level)
+        s_lo, s_hi, _ = chord_intervals(window, r, theta)
+        return float(np.sum(w * chord_integral(r * ct, st, s_lo, s_hi)))
 
-    rhs, err = _refine(eval_rhs, quad)
+    rhs, err = _refine(eval_rhs)
     return CoareaResult(lhs=float(area_integral(window)), rhs=rhs, error_estimate=err)

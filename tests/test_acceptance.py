@@ -15,7 +15,7 @@ from coxsim.cli import main
 from coxsim.geometry import Disk
 from coxsim.harness import (ExperimentConfig, check_mecke, run_experiment,
                             run_validation_suite)
-from coxsim.steinbound import QuadratureSpec, chord_square_integral
+from coxsim.steinbound import chord_square_integral
 
 SEED = 0
 
@@ -50,7 +50,7 @@ def cox_result():
 
 def test_criterion_1_disk_geometric_constant():
     t0 = time.perf_counter()
-    value, err = chord_square_integral(Disk((0.0, 0.0), 1.0), QuadratureSpec())
+    value, err = chord_square_integral(Disk((0.0, 0.0), 1.0))
     elapsed = time.perf_counter() - t0
     gap = abs(value - 16.0 / 3.0)
     ok = gap < 1e-8 and elapsed < 1.0

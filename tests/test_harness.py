@@ -258,6 +258,23 @@ class TestRunExperiment:
                              capture_output=True).stdout
         assert out.strip() == "False"
 
+    def test_cli_runs_leave_numpy_ma_unimported(self):
+        # the same guard over every path the benchmark times: both sweeps,
+        # the whole validation suite (with its quadratures) and a rect bound
+        code = ("import contextlib, io, sys\n"
+                "from coxsim.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    main(['check', 'all', '--reps', '2000'])\n"
+                "    main(['experiment', 'converge-cox', '--reps', '1000'])\n"
+                "    main(['experiment', 'converge-sat', '--reps', '1000'])\n"
+                "    main(['bound', 'cox-line', '--lam', '10', '--window', 'rect:0,0,1,1'])\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True).stdout
+        assert out.strip() == "False"
+
 
 class TestValidationSuite:
     def test_selected_subsets(self):

@@ -5,26 +5,55 @@ import pytest
 
 from coxsim.geometry import Disk, Rect
 from coxsim.pointprocess import ModelParams
-from coxsim.steinbound import (INTEGRANDS, QuadratureError, QuadratureSpec,
-                               chord_square_integral, coarea_check, cox_bound,
-                               satellite_bound)
-from coxsim.steinbound import _leggauss
+from coxsim.steinbound import (INTEGRANDS, QuadratureError, chord_square_integral,
+                               coarea_check, cox_bound, satellite_bound)
+from coxsim.steinbound import _closed_form_g, _leggauss, _piecewise_gauss, _refine
 
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
-TIGHT = QuadratureSpec(radial_nodes=64, angular_nodes=64, tol=1e-9, max_levels=8)
 
-# windows that are not origin disks, each with a quadrature that resolves it,
-# and the (value, error estimate) the midpoint rule gives there
+# windows away from the origin-centred disk, each with the origin inside
 OTHER_WINDOWS = {
-    "offset_disk": (Disk((0.5, 0.0), 1.0), QuadratureSpec(64, 64, tol=1e-3),
-                    (5.333331133553201, 7.78337392057793e-05)),
-    "small_offset_disk": (Disk((0.4, 0.0), 0.6), QuadratureSpec(96, 96, tol=1e-4),
-                          (1.1519991560112304, 5.61916825070341e-07)),
-    "centered_square": (Rect(-0.5, -0.5, 0.5, 0.5), QuadratureSpec(128, 128, tol=5e-4),
-                        (0.9463889464934883, 3.071105737117996e-05)),
-    "offset_rect": (Rect(-0.4, -0.3, 0.5, 0.6), QuadratureSpec(64, 64, tol=1e-3),
-                    (0.6898975266132157, 6.2718587192645e-05)),
+    "offset_disk": Disk((0.5, 0.0), 1.0),
+    "small_offset_disk": Disk((0.4, 0.0), 0.6),
+    "centered_square": Rect(-0.5, -0.5, 0.5, 0.5),
+    "offset_rect": Rect(-0.4, -0.3, 0.5, 0.6),
 }
+
+# G on each of OTHER_WINDOWS as a midpoint rule gave it (64 to 128 nodes per
+# axis, node-doubling), with the tolerance that rule was run to
+MIDPOINT_VALUES = {
+    "offset_disk": (5.333331133553201, 1e-3),
+    "small_offset_disk": (1.1519991560112304, 1e-4),
+    "centered_square": (0.9463889464934883, 5e-4),
+    "offset_rect": (0.6898975266132157, 1e-3),
+}
+
+PLACEMENTS = ("inside", "boundary", "outside")
+
+
+def _random_windows(kind, placement, count=11):
+    """Seeded disks or rects of size 0.2 to 2 with the origin strictly
+    inside, on the boundary, or outside."""
+    rng = np.random.default_rng([PLACEMENTS.index(placement), int(kind == "rect")])
+    windows = []
+    for _ in range(count):
+        if kind == "disk":
+            radius = rng.uniform(0.2, 2.0)
+            scale = {"inside": rng.uniform(0.0, 0.95), "boundary": 1.0,
+                     "outside": rng.uniform(1.05, 3.0)}[placement]
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            windows.append(Disk((scale * radius * math.cos(phi),
+                                 scale * radius * math.sin(phi)), radius))
+            continue
+        a, b = rng.uniform(0.2, 2.0, 2)
+        x0, y0 = -rng.uniform(0.05, 0.95) * a, -rng.uniform(0.05, 0.95) * b
+        if placement == "boundary":   # origin on an edge or at a corner
+            x0 = rng.choice([0.0, -a])
+            y0 = rng.choice([y0, 0.0, -b])
+        elif placement == "outside":
+            x0 += rng.choice([-1.0, 1.0]) * (a + rng.uniform(0.05, 3.0))
+        windows.append(Rect(x0, y0, x0 + a, y0 + b))
+    return windows
 
 
 class TestGaussNodes:
@@ -43,14 +72,14 @@ class TestChordSquareIntegral:
     def test_unit_disk_closed_form(self):
         # int_0^{2pi} int_0^1 (2 sqrt(1-r^2))^2 dr dtheta/pi = 2 * 8/3 = 16/3
         val, err = chord_square_integral(UNIT_DISK)
-        assert abs(val - 16.0 / 3.0) < 1e-8
-        assert err < 1e-8
+        assert abs(val - 16.0 / 3.0) < 1e-12
+        assert err < 1e-12
 
     def test_cubic_scaling(self):
         v1, _ = chord_square_integral(Disk((0, 0), 1.0))
         v2, _ = chord_square_integral(Disk((0, 0), 2.0))
-        assert v2 == pytest.approx(8.0 * v1, rel=1e-8)
-        assert v2 == pytest.approx(16.0 * 8.0 / 3.0, rel=1e-8)
+        assert v2 == pytest.approx(8.0 * v1, rel=1e-12)
+        assert v2 == pytest.approx(16.0 * 8.0 / 3.0, rel=1e-12)
 
     def test_tiny_window_vanishes(self):
         val, _ = chord_square_integral(Disk((0, 0), 1e-4))
@@ -58,74 +87,61 @@ class TestChordSquareIntegral:
 
     def test_rotation_invariance_offset_disk(self):
         # rotating the window about the origin leaves the integral unchanged
-        q = QuadratureSpec(radial_nodes=96, angular_nodes=96, tol=1e-4)
-        v1, e1 = chord_square_integral(Disk((0.4, 0.0), 0.6), q)
-        v2, e2 = chord_square_integral(Disk((0.0, 0.4), 0.6), q)
-        v3, e3 = chord_square_integral(Disk((0.4 / math.sqrt(2), 0.4 / math.sqrt(2)), 0.6), q)
-        assert abs(v1 - v2) <= 3 * (e1 + e2) + 1e-6
-        assert abs(v1 - v3) <= 3 * (e1 + e3) + 1e-6
+        v1, _ = chord_square_integral(Disk((0.4, 0.0), 0.6))
+        for center in ((0.0, 0.4), (0.4 / math.sqrt(2), 0.4 / math.sqrt(2)), (-0.4, 0.0)):
+            assert chord_square_integral(Disk(center, 0.6))[0] == pytest.approx(v1, rel=1e-12)
+
+    def test_rotation_invariance_rect(self):
+        # a quarter turn (x, y) -> (-y, x) maps a rect to a rect
+        v1, _ = chord_square_integral(Rect(-0.4, -0.3, 0.5, 1.6))
+        v2, _ = chord_square_integral(Rect(-1.6, -0.4, 0.3, 0.5))
+        assert v2 == pytest.approx(v1, rel=1e-12)
 
     def test_monotone_nested_disks(self):
         vals = [chord_square_integral(Disk((0, 0), R))[0] for R in (0.5, 0.8, 1.0, 1.3)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_rect_window_converges(self):
-        q = QuadratureSpec(radial_nodes=128, angular_nodes=128, tol=5e-4)
-        val, err = chord_square_integral(Rect(-0.5, -0.5, 0.5, 0.5), q)
-        assert err <= 5e-4
+        val, err = chord_square_integral(Rect(-0.5, -0.5, 0.5, 0.5))
+        assert err <= 1e-12
         # sanity: bounded by the disk circumscribing the square
         upper, _ = chord_square_integral(Disk((0, 0), math.sqrt(0.5)))
         assert 0.0 < val < upper
 
-    def test_angular_grid_offset_stability(self):
-        # different angular node counts shift the midpoint grid; estimates
-        # must agree within the reported error budgets
-        qa = QuadratureSpec(radial_nodes=64, angular_nodes=64, tol=1e-3)
-        qb = QuadratureSpec(radial_nodes=64, angular_nodes=72, tol=1e-3)
-        window = Rect(-0.4, -0.3, 0.5, 0.6)
-        va, ea = chord_square_integral(window, qa)
-        vb, eb = chord_square_integral(window, qb)
-        assert abs(va - vb) <= 3 * (ea + eb)
-
-    def test_node_doubling_convergence(self):
-        # successive doubling errors of the midpoint rule shrink by at least
-        # 2x on the centred square (ratios 5.4 and 3.3; Gauss-Legendre gives
-        # 2.2 and 1.1 there, which is why only origin disks use it)
-        window = Rect(-0.5, -0.5, 0.5, 0.5)
-
-        def refine_error(nodes):
-            q = QuadratureSpec(radial_nodes=nodes, angular_nodes=nodes, tol=1e300,
-                               max_levels=1)
-            return chord_square_integral(window, q)[1]
-
-        e1 = refine_error(16)    # |I(32) - I(16)|
-        e2 = refine_error(32)    # |I(64) - I(32)|
-        e3 = refine_error(64)
-        assert e1 / e2 >= 2.0
-        assert e2 / e3 >= 2.0
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("kind", ["disk", "rect"])
+    def test_random_windows_match_closed_form(self, kind, placement):
+        for window in _random_windows(kind, placement):
+            val, err = chord_square_integral(window)
+            assert val == pytest.approx(_closed_form_g(window), rel=1e-12), window
+            assert err <= 1e-8, window
 
     def test_non_convergent_reported(self):
-        q = QuadratureSpec(radial_nodes=8, angular_nodes=8, tol=1e-14, max_levels=1)
-        with pytest.raises(QuadratureError):
-            chord_square_integral(Rect(-0.5, -0.5, 0.5, 0.5), q)
+        # Gauss-Legendre on int_0^1 x^-1/2 dx = 2 gains about one digit per
+        # doubling, short of the tolerance after every allowed level
+        def evaluate(level):
+            x, w = _piecewise_gauss([0.0, 1.0], 16 * 2 ** level)
+            return float(w @ x ** -0.5)
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(radial_nodes=4)
+        with pytest.raises(QuadratureError):
+            _refine(evaluate)
+
+    @pytest.mark.parametrize("name", OTHER_WINDOWS.keys())
+    def test_other_windows_use_midpoint(self, name):
+        # the Gauss rule agrees with an independent midpoint rule's values
+        # to that rule's tolerance, and converges far tighter itself
+        expected, midpoint_tol = MIDPOINT_VALUES[name]
+        val, err = chord_square_integral(OTHER_WINDOWS[name])
+        assert val == pytest.approx(expected, abs=midpoint_tol)
+        assert err <= 1e-12
 
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 3.7])
     def test_origin_disk_is_exact(self, radius):
-        # Gauss-Legendre integrates the polynomial 4(R^2 - r^2) exactly
+        # one angular piece with a constant integrand, and one radial piece
+        # 4 R^3 cos^3(v) that Gauss-Legendre integrates to rounding
         val, err = chord_square_integral(Disk((0.0, 0.0), radius))
         assert val == pytest.approx(16.0 * radius ** 3 / 3.0, rel=1e-12)
         assert err < 1e-12 * val
-
-    @pytest.mark.parametrize("window, quad, expected", OTHER_WINDOWS.values(),
-                             ids=OTHER_WINDOWS.keys())
-    def test_other_windows_use_midpoint(self, window, quad, expected):
-        val, err = chord_square_integral(window, quad)
-        assert val == pytest.approx(expected[0], rel=1e-13)
-        assert err == pytest.approx(expected[1], rel=1e-9)
 
 
 class TestCoxBound:
@@ -151,14 +167,14 @@ class TestCoxBound:
         scale = params.c ** 2 / params.lambda_n
         assert abs(bound - scale * val) <= max(3 * scale * err, 1e-10)
 
-    @pytest.mark.parametrize("window, quad, _midpoint", OTHER_WINDOWS.values(),
-                             ids=OTHER_WINDOWS.keys())
-    def test_closed_form_matches_quadrature(self, window, quad, _midpoint):
+    @pytest.mark.parametrize("window", OTHER_WINDOWS.values(), ids=OTHER_WINDOWS.keys())
+    def test_closed_form_matches_quadrature(self, window):
         # closed form for off-centre disks and rects, against the
         # independent chord-square quadrature (c = lambda = 1 gives G)
         bound = cox_bound(ModelParams.planar(1.0, 1.0), window)
-        val, err = chord_square_integral(window, quad)
-        assert abs(bound - val) <= 3 * err
+        val, err = chord_square_integral(window)
+        assert val == pytest.approx(bound, rel=1e-12)
+        assert err <= 1e-12
 
     def test_unit_square_closed_form(self):
         # [(2/3)(2 - 2^1.5) + 4 asinh(1)] / pi
@@ -195,39 +211,68 @@ class TestSatelliteBound:
 class TestCoarea:
     def test_square_in_half_plane(self):
         # [0,1]^2 lies in {x >= 0}: the identity holds with ratio 1
-        res = coarea_check("one", Rect(0, 0, 1, 1), 0.0, TIGHT)
-        assert abs(res.ratio - 1.0) < 1e-6
-        assert res.lhs == pytest.approx(1.0, abs=1e-9)
+        res = coarea_check("one", Rect(0, 0, 1, 1), 0.0)
+        assert abs(res.ratio - 1.0) < 1e-12
+        assert res.lhs == pytest.approx(1.0, abs=1e-12)
 
     def test_origin_disk_half(self):
         # only the half-disk {x >= 0} is swept by r >= 0: ratio 1/2
-        res = coarea_check("one", UNIT_DISK, 0.0, TIGHT)
-        assert abs(res.ratio - 0.5) < 1e-6
-        assert res.lhs == pytest.approx(math.pi, abs=1e-8)
-        assert res.rhs == pytest.approx(math.pi / 2.0, abs=1e-8)
+        res = coarea_check("one", UNIT_DISK, 0.0)
+        assert abs(res.ratio - 0.5) < 1e-12
+        assert res.lhs == pytest.approx(math.pi, abs=1e-12)
+        assert res.rhs == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_translated_square(self):
-        res = coarea_check("one", Rect(3.0, -0.5, 4.0, 0.5), 0.0, TIGHT)
-        assert abs(res.ratio - 1.0) < 1e-6
+        res = coarea_check("one", Rect(3.0, -0.5, 4.0, 0.5), 0.0)
+        assert abs(res.ratio - 1.0) < 1e-12
 
     def test_translated_disk_xsq(self):
         # window fully in the positive half-plane: identity for any integrand
-        res = coarea_check("xsq", Disk((3.0, 0.0), 0.7), 0.0, TIGHT)
-        assert abs(res.ratio - 1.0) < 1e-6
+        res = coarea_check("xsq", Disk((3.0, 0.0), 0.7), 0.0)
+        assert abs(res.ratio - 1.0) < 1e-12
 
     def test_disk_xsq_half(self):
         # lhs = int_disk x^2 = pi R^4 / 4; rhs (theta=0) = int_0^R 2 r^2
         # sqrt(R^2-r^2) dr = pi R^4 / 8: ratio 1/2
-        res = coarea_check("xsq", UNIT_DISK, 0.0, TIGHT)
-        assert res.lhs == pytest.approx(math.pi / 4.0, abs=1e-8)
-        assert res.rhs == pytest.approx(math.pi / 8.0, abs=1e-8)
-        assert abs(res.ratio - 0.5) < 1e-6
+        res = coarea_check("xsq", UNIT_DISK, 0.0)
+        assert res.lhs == pytest.approx(math.pi / 4.0, abs=1e-12)
+        assert res.rhs == pytest.approx(math.pi / 8.0, abs=1e-12)
+        assert abs(res.ratio - 0.5) < 1e-12
 
     def test_other_theta(self):
         # same half-plane geometry at theta = pi/2 for a window above y = 0
         for integrand in ("one", "xsq"):
-            res = coarea_check(integrand, Rect(-0.5, 0.2, 0.5, 1.2), math.pi / 2.0, TIGHT)
-            assert abs(res.ratio - 1.0) < 1e-6
+            res = coarea_check(integrand, Rect(-0.5, 0.2, 0.5, 1.2), math.pi / 2.0)
+            assert abs(res.ratio - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0])
+    def test_off_axis_rect_xsq(self, theta):
+        # rhs / lhs is int x^2 over the part of the rect with
+        # x cos(theta) + y sin(theta) >= 0, over int x^2 on the whole rect:
+        # clip the polygon to that half-plane and take its second moment
+        x0, y0, x1, y1 = 0.3, -1.2, 1.5, 0.4
+        ct, st = math.cos(theta), math.sin(theta)
+
+        def clipped(poly):
+            out = []
+            for p, q in zip(poly, poly[1:] + poly[:1]):
+                up, uq = p[0] * ct + p[1] * st, q[0] * ct + q[1] * st
+                if up >= 0.0:
+                    out.append(p)
+                if (up >= 0.0) != (uq >= 0.0):
+                    t = up / (up - uq)
+                    out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            return out
+
+        def x_second_moment(poly):   # counter-clockwise vertices
+            return sum((xa * yb - xb * ya) * (xa * xa + xa * xb + xb * xb) / 12.0
+                       for (xa, ya), (xb, yb) in zip(poly, poly[1:] + poly[:1]))
+
+        rect = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        expected = x_second_moment(clipped(rect)) / x_second_moment(rect)
+        res = coarea_check("xsq", Rect(x0, y0, x1, y1), theta)
+        assert res.ratio == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert res.error_estimate <= 1e-12
 
     @pytest.mark.parametrize("window", [Disk((0.4, -0.3), 0.8), Rect(0.3, -1.2, 1.5, 0.4)],
                              ids=["off_centre_disk", "off_origin_rect"])
@@ -255,4 +300,4 @@ class TestCoarea:
     def test_unknown_integrand(self):
         for integrand in ("cubic", "gauss"):
             with pytest.raises(ValueError):
-                coarea_check(integrand, UNIT_DISK, 0.0, TIGHT)
+                coarea_check(integrand, UNIT_DISK, 0.0)
