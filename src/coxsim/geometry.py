@@ -116,16 +116,6 @@ class Annulus:
         return f"annulus({self.r_inner:g},{self.r_outer:g})"
 
 
-def support_radius(window: Window) -> float:
-    """max |p| over p in the window; lines with r beyond it miss the window."""
-    if isinstance(window, Disk):
-        cx, cy = window.center
-        return math.hypot(cx, cy) + window.radius
-    corners = [(window.x0, window.y0), (window.x0, window.y1),
-               (window.x1, window.y0), (window.x1, window.y1)]
-    return max(math.hypot(x, y) for x, y in corners)
-
-
 def chord_intervals(window: Window, r, theta):
     """Vectorized chord intervals for broadcastable arrays of (r, theta).
 

@@ -48,7 +48,8 @@ class QuadratureError(RuntimeError):
 
 
 NODES = 16        # Gauss-Legendre nodes per smooth piece at level 0
-TOL = 1e-8        # node-doubling error estimate at which refinement stops
+TOL = 1e-8        # node-doubling error estimate at which refinement stops,
+                  # relative to the value where it is below 1
 MAX_LEVELS = 6    # doublings allowed before QuadratureError
 
 
@@ -118,13 +119,13 @@ def _refine(evaluate):
     prev = evaluate(0)
     for level in range(1, MAX_LEVELS + 1):
         cur = evaluate(level)
-        err = abs(cur - prev)
-        if err <= TOL:
+        err, target = abs(cur - prev), TOL * min(1.0, abs(cur))
+        if err <= target:
             return cur, err
         prev = cur
     raise QuadratureError(
-        f"quadrature did not reach tol={TOL:g} after {MAX_LEVELS} "
-        f"doublings (last error estimate {err:g})")
+        f"quadrature did not reach {target:g} (tol={TOL:g}, relative below 1) "
+        f"after {MAX_LEVELS} doublings (last error estimate {err:g})")
 
 
 def chord_square_integral(window: Window):

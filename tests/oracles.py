@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coxsim.geometry import Disk, Window, chord_intervals, orbit_frame, support_radius
+from coxsim.geometry import Disk, Window, chord_intervals, orbit_frame
 from coxsim.pointprocess import ReplicateBatch
 
 TAU = 2.0 * math.pi
@@ -96,6 +96,16 @@ def line_point(line: LineParams, s):
     x = line.r * ct - s * st
     y = line.r * st + s * ct
     return np.stack([x, y], axis=-1)
+
+
+def support_radius(window: Window) -> float:
+    """max |p| over p in the window; lines with r beyond it miss the window."""
+    if isinstance(window, Disk):
+        cx, cy = window.center
+        return math.hypot(cx, cy) + window.radius
+    corners = [(window.x0, window.y0), (window.x0, window.y1),
+               (window.x1, window.y0), (window.x1, window.y1)]
+    return max(math.hypot(x, y) for x, y in corners)
 
 
 def chord_interval(window: Window, line: LineParams):

@@ -1,4 +1,4 @@
-"""Pass counts of acceptance criteria 3 and 4, or false alarms of
+"""Pass counts of acceptance criteria 2, 3 and 4, or false alarms of
 `check all`, over a range of seeds.
 
 By default, runs the two acceptance sweeps of tests/test_acceptance.py at
@@ -35,6 +35,17 @@ def _in_band(fit) -> bool:
     return fit is not None and SLOPE_BAND[0] <= fit.slope <= SLOPE_BAND[1]
 
 
+def _within(row) -> bool:
+    """Every estimate of the row within bound + 3 stderr."""
+    return all(e.value <= row["bound"] + 3.0 * e.stderr
+               for e in [row["_w_est"]] + row["_tv_estimates"])
+
+
+def criterion_2(result) -> bool:
+    """Every satellite estimate within bound + 3 stderr, and bound_respected."""
+    return all(_within(row) and row["bound_respected"] for row in result.rows)
+
+
 def criterion_3(result) -> bool:
     """Satellite slope in the band with r^2 >= 0.9."""
     return _in_band(result.fit) and result.fit.r_squared >= 0.9
@@ -43,19 +54,24 @@ def criterion_3(result) -> bool:
 def criterion_4(result) -> bool:
     """Every cox-line estimate within bound + 3 stderr, slope in the band and
     eff_intensity within 0.05 of c/2."""
-    within = all(e.value <= row["bound"] + 3.0 * e.stderr
-                 for row in result.rows
-                 for e in [row["_w_est"]] + row["_tv_estimates"])
+    within = all(_within(row) for row in result.rows)
     effs = all(abs(row["eff_intensity"] - 0.5) < 0.05 for row in result.rows)
     return within and effs and _in_band(result.fit)
 
 
-CRITERIA = {
-    "3 (satellites)": (lambda seed, reps: ExperimentConfig(
-        "satellites", 2.0, (10, 20, 40, 80, 160), reps=reps, seed=seed), criterion_3),
-    "4 (cox-line)": (lambda seed, reps: ExperimentConfig(
+# the acceptance sweeps, run once per seed and shared by their criteria
+SWEEPS = {
+    "satellites": lambda seed, reps: ExperimentConfig(
+        "satellites", 2.0, (10, 20, 40, 80, 160), reps=reps, seed=seed),
+    "cox-line": lambda seed, reps: ExperimentConfig(
         "cox-line", 1.0, (5, 10, 20, 40, 80), reps=reps, seed=seed,
-        window=Disk((0.0, 0.0), 1.0)), criterion_4),
+        window=Disk((0.0, 0.0), 1.0)),
+}
+
+CRITERIA = {
+    "2 (satellites, bound)": ("satellites", criterion_2),
+    "3 (satellites, rate)": ("satellites", criterion_3),
+    "4 (cox-line)": ("cox-line", criterion_4),
 }
 
 
@@ -84,7 +100,7 @@ def main(argv=None):
     parser.add_argument("--seeds", type=_seed_range, default=_seed_range("0-99"),
                         help="inclusive range, e.g. 0-99")
     parser.add_argument("--validation", action="store_true",
-                        help="count check-all false alarms instead of criteria 3 and 4")
+                        help="count check-all false alarms instead of criteria 2-4")
     parser.add_argument("--reps", type=int, default=None,
                         help=f"replicates per sweep point (default 10000), or with "
                              f"--validation the check size (default {DEFAULT_CHECK_REPS})")
@@ -93,23 +109,19 @@ def main(argv=None):
         validation_sweep(args.seeds, args.reps or DEFAULT_CHECK_REPS)
         return
     args.reps = args.reps or 10_000
-    for name, (config, passes) in CRITERIA.items():
-        failed, no_fit, slopes = [], [], []
-        for seed in args.seeds:
-            result = run_experiment(config(seed, args.reps))
-            if result.fit is None:
-                no_fit.append(seed)
-            else:
-                slopes.append(result.fit.slope)
-            if not passes(result):
-                failed.append(seed)
-        n = len(args.seeds)
+    results = {model: [run_experiment(config(seed, args.reps)) for seed in args.seeds]
+               for model, config in SWEEPS.items()}
+    n = len(args.seeds)
+    for name, (model, passes) in CRITERIA.items():
+        runs = list(zip(args.seeds, results[model]))
+        failed = [seed for seed, result in runs if not passes(result)]
+        no_fit = [seed for seed, result in runs if result.fit is None]
+        slopes = [result.fit.slope for _, result in runs if result.fit is not None]
         sd = statistics.stdev(slopes) if len(slopes) > 1 else float("nan")
         mean = statistics.fmean(slopes) if slopes else float("nan")
         print(f"criterion {name}: {n - len(failed)}/{n} seeds pass; "
               f"slope mean {mean:.3f} sd {sd:.3f}; no fit: {no_fit or 'none'}; "
               f"failing: {failed or 'none'}")
-
 
 if __name__ == "__main__":
     main()

@@ -11,11 +11,11 @@ from coxsim.coxmodels import (effective_intensity, sample_cox_line, sample_cox_l
                               sample_satellites_batch, sample_satellites_with_twin)
 from coxsim.diagnostics import (close_pair_indicator, empirical_count_tv, poisson_pmf,
                                 sphere_region_set)
-from coxsim.geometry import Disk, Rect, chord_intervals, orbit_frame, support_radius
+from coxsim.geometry import Disk, Rect, chord_intervals, orbit_frame
 from coxsim.pointprocess import (ModelParams, ReplicateBatch, RngStream,
                                  composite_index, sample_uniform_sphere)
 from coxsim.steinbound import cox_bound
-from oracles import multiset, oracle_cox_line
+from oracles import multiset, oracle_cox_line, support_radius
 
 
 def rng_for(idx, seed=4242):

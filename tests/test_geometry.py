@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from coxsim.geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap,
-                             chord_intervals, halves, support_radius)
+                             chord_intervals, halves)
 from oracles import (LineParams, chord_interval, chord_length, line_point,
-                     orbit_point, rotation_to)
+                     orbit_point, rotation_to, support_radius)
 
 RNG = np.random.default_rng(1234)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import coxsim.cli as cli
+import coxsim.diagnostics as diagnostics
 import coxsim.harness as harness
 from coxsim.cli import main
 from coxsim.coxmodels import sample_cox_line, sample_cox_line_batch
@@ -274,6 +275,84 @@ class TestRunExperiment:
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True).stdout
         assert out.strip() == "False"
+
+
+def sweep_point(model: str, point_idx: int, value: float, seed: int = 0) -> dict:
+    c, sweep = harness.MODEL_DEFAULTS[model]
+    return harness.run_sweep_point(ExperimentConfig(model, c, sweep, 1000, seed),
+                                   point_idx, value)
+
+
+def spy_bootstrap(monkeypatch) -> list:
+    """Record the target mean of every diagnostics._bootstrap_tv call."""
+    calls, original = [], diagnostics._bootstrap_tv
+
+    def spy(counts, mean, rng):
+        calls.append(mean)
+        return original(counts, mean, rng)
+
+    monkeypatch.setattr(diagnostics, "_bootstrap_tv", spy)
+    return calls
+
+
+def spy_region_tvs(monkeypatch) -> list:
+    """Record (counts, mean, tv) of every region run_sweep_point measures, in
+    region order."""
+    regions, original = [], harness.tv_vs_poisson
+
+    def spy(counts, mean):
+        regions.append((counts, mean, original(counts, mean)))
+        return regions[-1][2]
+
+    monkeypatch.setattr(harness, "tv_vs_poisson", spy)
+    return regions
+
+
+class TestSweepPointBootstrap:
+    """Only the reported region and the regions above the bound get a
+    bootstrap stderr; any other region passes value <= bound + 3 stderr
+    whatever its stderr, so bound_respected keeps the eager rule's truth."""
+
+    @pytest.mark.parametrize("model, value", [("cox-line", 5.0), ("satellites", 10.0)])
+    def test_one_bootstrap_when_all_within_bound(self, monkeypatch, model, value):
+        # tv_distance is the largest region TV, so every region is within the
+        # bound and only the reported one of 20 (cox-line) or 11 regions is
+        # bootstrapped
+        calls = spy_bootstrap(monkeypatch)
+        row = sweep_point(model, 0, value)
+        assert row["tv_distance"] <= row["bound"]
+        assert len(calls) == 1 and len(row["_tv_estimates"]) == 1
+
+    @pytest.mark.parametrize("model", ["cox-line", "satellites"])
+    def test_regions_above_bound_bootstrapped(self, monkeypatch, model):
+        calls, regions = spy_bootstrap(monkeypatch), spy_region_tvs(monkeypatch)
+        row = sweep_point(model, 0, 1e6)
+        names = [name for name, _ in (diagnostics.planar_region_set(Disk((0.0, 0.0), 1.0))
+                                      if model == "cox-line" else
+                                      diagnostics.sphere_region_set())]
+        assert len(regions) == len(names)
+        above = {name for name, (_, _, tv) in zip(names, regions) if tv > row["bound"]}
+        assert above   # the bound lies far below the empirical TV's noise floor
+        assert above <= {e.regions for e in row["_tv_estimates"]}
+        assert len(calls) == len(row["_tv_estimates"])
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("model, point_idx, value", [
+        ("cox-line", 4, 80.0), ("cox-line", 0, 1e6),
+        ("satellites", 4, 160.0), ("satellites", 0, 1e6)])
+    def test_matches_eager_rule(self, monkeypatch, model, point_idx, value, seed):
+        # eager: every region bootstrapped, region k on stream (4, point, k)
+        regions = spy_region_tvs(monkeypatch)
+        row = sweep_point(model, point_idx, value, seed)
+        eager = [diagnostics._bootstrap_tv(
+                     counts, mean, harness._stream(seed, harness.LANE_BOOTSTRAP, point_idx, k))
+                 for k, (counts, mean, _) in enumerate(regions)]
+        bound, w = row["bound"], row["_w_est"]
+        respected = (w.value <= bound + 3.0 * w.stderr
+                     and all(v <= bound + 3.0 * se for v, se in eager))
+        assert row["bound_respected"] == int(respected)
+        best = max(range(len(eager)), key=lambda k: eager[k][0])
+        assert (row["tv_distance"], row["tv_stderr"]) == eager[best]
 
 
 class TestValidationSuite:

@@ -116,6 +116,18 @@ class TestChordSquareIntegral:
             assert val == pytest.approx(_closed_form_g(window), rel=1e-12), window
             assert err <= 1e-8, window
 
+    @pytest.mark.parametrize("height", [1e-4, 1e-3])
+    def test_thin_rect_converged_or_refused(self, height):
+        # G of a thin rect is far below 1, where the stop rule is relative, so
+        # the quadrature reports G to 1e-6 relative or raises; an absolute
+        # 1e-8 is 15% of G (6.6e-8) at height 1e-4
+        window = Rect(0.0, 0.0, 1.0, height)
+        try:
+            val, _ = chord_square_integral(window)
+        except QuadratureError:
+            return
+        assert val == pytest.approx(_closed_form_g(window), rel=1e-6)
+
     def test_non_convergent_reported(self):
         # Gauss-Legendre on int_0^1 x^-1/2 dx = 2 gains about one digit per
         # doubling, short of the tolerance after every allowed level
