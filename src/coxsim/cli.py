@@ -13,13 +13,12 @@ import os
 import sys
 from dataclasses import replace
 
-from .coxmodels import sample_cox_line, sample_satellites_with_twin
-from .harness import (CHECK_GROUPS, DEFAULT_CHECK_REPS, MODEL_DEFAULTS, ConfigError,
+from .coxmodels import MODELS, Model
+from .harness import (CHECK_GROUPS, DEFAULT_CHECK_REPS, ConfigError,
                       ExperimentConfig, config_from_ini, csv_header, csv_line,
                       format_check_table, parse_sweep, parse_window, run_experiment,
                       run_validation_suite, write_validation_csv)
-from .pointprocess import ModelParams, RngStream
-from .steinbound import cox_bound, satellite_bound
+from .pointprocess import RngStream
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,34 +33,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="draw one realization of a model")
     sim_sub = sim.add_subparsers(dest="model", required=True)
-    for name in ("cox-line", "satellites"):
-        p = sim_sub.add_parser(name)
-        p.add_argument("--c", type=float, default=MODEL_DEFAULTS[name][0])
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output directory")
-        if name == "cox-line":
-            p.add_argument("--lam", "--lambda", dest="lam", type=float,
-                           required=True, help="line intensity lambda_n")
-            p.add_argument("--window", default="disk:0,0,1")
-        else:
-            p.add_argument("--n", type=int, required=True, help="orbit count")
-
     bnd = sub.add_parser("bound", help="evaluate the theoretical bound")
     bnd_sub = bnd.add_subparsers(dest="model", required=True)
-    p = bnd_sub.add_parser("cox-line")
-    p.add_argument("--c", type=float, default=MODEL_DEFAULTS["cox-line"][0])
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--window", default="disk:0,0,1")
-    p.add_argument("--out", default=None, help="append the CSV row to this file")
-    p = bnd_sub.add_parser("satellites")
-    p.add_argument("--c", type=float, default=MODEL_DEFAULTS["satellites"][0])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default=None)
-
     exp = sub.add_parser("experiment", help="run a convergence-rate sweep")
     exp_sub = exp.add_subparsers(dest="kind", required=True)
-    for kind in ("converge-cox", "converge-sat"):
-        p = exp_sub.add_parser(kind)
+    for name, model in MODELS.items():
+        p = sim_sub.add_parser(name)
+        p.add_argument("--c", type=float, default=model.c)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None, help="output directory")
+        _add_size_flags(p, model, model.help)
+        p = bnd_sub.add_parser(name)
+        p.add_argument("--c", type=float, default=model.c)
+        _add_size_flags(p, model)
+        p.add_argument("--out", default=None, help="append the CSV row to this file")
+        p = exp_sub.add_parser(model.experiment)
+        p.set_defaults(model=name)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--c", type=float, default=None)
         p.add_argument("--sweep", type=parse_sweep, default=None,
@@ -70,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--plots", action="store_true")
-        if kind == "converge-cox":
+        if model.window is not None:
             p.add_argument("--window", default=None)
 
     chk = sub.add_parser("check", help="run validation checks")
@@ -83,33 +70,35 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _model_params(args) -> ModelParams:
-    """Model parameters from the flags; bad values are config errors."""
+def _add_size_flags(p, model: Model, help=None):
+    """The sweep parameter's flag, and --window if the model has one."""
+    p.add_argument(*model.flags, dest=model.dest, type=model.type, required=True, help=help)
+    if model.window is not None:
+        p.add_argument("--window")
+
+
+def _model_args(args):
+    """(model, params, window) from the flags; bad values are config errors."""
+    model = MODELS[args.model]
     try:
-        if args.model == "cox-line":
-            return ModelParams.planar(args.c, args.lam)
-        return ModelParams.spherical(args.c, args.n)
+        params = model.params(args.c, getattr(args, model.dest))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    text = getattr(args, "window", None)
+    return model, params, model.window if text is None else parse_window(text)
 
 
 def _cmd_simulate(args) -> int:
     rng = RngStream(args.seed, 0).generator()
-    params = _model_params(args)
-    if args.model == "cox-line":
-        window = parse_window(args.window)
-        sample = sample_cox_line(params, window, rng)
-        summary = {"model": "cox-line", "c": args.c, "lambda_n": args.lam,
-                   "mu_n": params.mu_n, "window": window.describe(),
-                   "n_lines": int(sample.lines.shape[0]),
-                   "n_points": len(sample.points), "seed": args.seed}
-    else:
-        sample, _twin = sample_satellites_with_twin(params, rng)
-        summary = {"model": "satellites", "c": args.c, "n": args.n,
-                   "mu_n": params.mu_n, "n_points": len(sample.points),
-                   "seed": args.seed}
-    header = ("x", "y", "z")[:sample.points.shape[1]]
-    csv_text = "".join(map(csv_line, [header, *sample.points]))
+    model, params, window = _model_args(args)
+    lines, pair = model.sample(params, window, 1, rng)
+    points = pair.model.points
+    summary = {"model": model.name, "c": args.c, model.key: getattr(args, model.dest),
+               "mu_n": params.mu_n, "n_points": len(points), "seed": args.seed}
+    if window is not None:   # the planar model reports its window and its lines
+        summary.update(window=window.describe(), n_lines=int(lines.shape[0]))
+    header = ("x", "y", "z")[:points.shape[1]]
+    csv_text = "".join(map(csv_line, [header, *points]))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "points.csv"), "w", encoding="utf-8") as fh:
@@ -128,17 +117,12 @@ BOUND_COLUMNS = ["model", "c", "param", "window", "bound"]
 
 
 def _cmd_bound(args) -> int:
-    params = _model_params(args)
-    if args.model == "cox-line":
-        window = parse_window(args.window)
-        value, window_desc = cox_bound(params, window), window.describe()
-        param_desc = f"lambda_n={args.lam:g}"
-    else:
-        value, window_desc = satellite_bound(params), "sphere"
-        param_desc = f"n={args.n}"
+    model, params, window = _model_args(args)
+    value = model.bound(params, window)
     # param is lambda_n, or n as a float, printed like any float column
-    row = csv_line([args.model, params.c, params.lambda_n, window_desc, value])
-    print(f"{args.model} bound with c={params.c:g}, {param_desc}: {value:.8g}")
+    row = csv_line([model.name, params.c, params.lambda_n, model.describe(window), value])
+    print(f"{model.name} bound with c={params.c:g}, "
+          f"{model.param_text.format(getattr(args, model.dest))}: {value:.8g}")
     sys.stdout.write(csv_line(BOUND_COLUMNS) + row)
     if args.out:
         new = not os.path.exists(args.out)
@@ -150,19 +134,19 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    model = "cox-line" if args.kind == "converge-cox" else "satellites"
+    model = MODELS[args.model]
     extras = {"out": None, "plots": False}
     if args.config:
         cfg, extras = config_from_ini(args.config)
-        if cfg.model != model:
+        if cfg.model != model.name:
             raise ConfigError(f"config file is for model {cfg.model!r}, "
-                              f"but the subcommand expects {model!r}")
+                              f"but the subcommand expects {model.name!r}")
     else:
-        cfg = ExperimentConfig(model=model)
+        cfg = ExperimentConfig(model=model.name)
     # CLI flags override config file values and the defaults
-    flags = {"c": args.c, "sweep": args.sweep, "reps": args.reps, "seed": args.seed}
-    if model == "cox-line":
-        flags["window"] = None if args.window is None else parse_window(args.window)
+    window = getattr(args, "window", None)
+    flags = {"c": args.c, "sweep": args.sweep, "reps": args.reps, "seed": args.seed,
+             "window": None if window is None else parse_window(window)}
     updates = {k: v for k, v in flags.items() if v is not None}
     if updates:
         cfg = replace(cfg, **updates)
@@ -179,12 +163,8 @@ def _cmd_experiment(args) -> int:
               f"intercept={result.fit.intercept:.4f} r2={result.fit.r_squared:.4f}")
     else:
         print(f"rate fit unavailable: {result.fit_error}")
-    if model == "cox-line" and result.rows:
-        row = result.rows[-1]
-        print(f"note: measured intensity {row['eff_intensity']:.4f} per unit area "
-              f"vs c={cfg.c:g}; the r >= 0 line construction has mean measure "
-              f"(c/2) Leb2, and distances are compared against the target "
-              f"{row['target_intensity']:g}.")
+    if model.note and result.rows:
+        print(model.note.format(**result.rows[-1]))
     print(f"wall time {result.wall_seconds:.1f}s"
           + (f"; outputs in {out_dir}" if out_dir else ""))
     return EXIT_OK

@@ -26,17 +26,25 @@ Mean measures: the lines D(r, theta), r >= 0, sweep a half-plane that holds
 any given point for half of the directions, so the cox-line model has mean
 measure (c/2) Leb2 on every window; the satellite model's expected total
 count is n * mu_n = c.  effective_intensity measures sampled counts.
+
+MODELS holds one Model record per model, all the CLI and harness use of it.
+Its functions look the samplers and bounds up in this module at call time,
+so a wrapper installed in the module's namespace sees every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .geometry import Window, chord_intervals, orbit_frame
+from .diagnostics import (planar_functional_family, planar_region_set,
+                          sphere_functional_family, sphere_region_set)
+from .geometry import Disk, Window, chord_intervals, orbit_frame
 from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, sample_uniform_sphere,
                            uniform_in_window)
+from .steinbound import cox_bound, satellite_bound
 
 
 @dataclass(frozen=True)
@@ -182,3 +190,49 @@ def effective_intensity(counts, measure: float):
     value = counts.mean() / measure
     stderr = counts.std(ddof=1) / np.sqrt(counts.size) / measure
     return float(value), float(stderr)
+
+
+@dataclass(frozen=True)
+class Model:
+    """One model as the CLI and the harness see it; see MODELS."""
+
+    name: str                # simulate/bound subcommand, INI model key
+    experiment: str          # sweep subcommand
+    c: float                 # default c
+    sweep: tuple             # default sweep
+    flags: tuple             # the sweep parameter's flags, dest, type and help
+    dest: str
+    type: type
+    help: str
+    key: str                 # its simulate summary key
+    param_text: str          # its bound line, formatted with its value
+    window: Window | None    # default window; every window is None on the sphere
+    mean: float              # mean count per unit c and unit measure: the count-law target
+    params: Callable         # (c, sweep value) -> ModelParams
+    sample: Callable         # (params, window, reps, rng) -> (lines or orbits, CoupledBatch)
+    regions: Callable        # window -> [(name, region)], the whole window or sphere first
+    family: Callable         # window -> the functional family
+    bound: Callable          # (params, window) -> the explicit bound
+    note: str | None = None  # printed after a sweep, formatted with its last row
+
+    def describe(self, window) -> str:   # the window column of a bound row
+        return "sphere" if window is None else window.describe()
+
+
+# in this order, the CLI's model choices
+MODELS = {model.name: model for model in (
+    Model("cox-line", "converge-cox", 1.0, (5.0, 10.0, 20.0, 40.0, 80.0),
+          ("--lam", "--lambda"), "lam", float, "line intensity lambda_n", "lambda_n",
+          "lambda_n={:g}", Disk((0.0, 0.0), 1.0), 0.5, params=ModelParams.planar,
+          sample=lambda p, window, reps, rng: sample_cox_line_batch(p, window, reps, rng),
+          regions=planar_region_set, family=planar_functional_family,
+          bound=lambda p, window: cox_bound(p, window),
+          note="note: measured intensity {eff_intensity:.4f} per unit area vs c={c:g}; "
+               "the r >= 0 line construction has mean measure (c/2) Leb2, and "
+               "distances are compared against the target {target_intensity:g}."),
+    Model("satellites", "converge-sat", 2.0, (10.0, 20.0, 40.0, 80.0, 160.0),
+          ("--n",), "n", int, "orbit count", "n", "n={}", None, 1.0,
+          params=ModelParams.spherical,
+          sample=lambda p, window, reps, rng: sample_satellites_batch(p, reps, rng),
+          regions=lambda w: sphere_region_set(), family=lambda w: sphere_functional_family(),
+          bound=lambda p, window: satellite_bound(p)))}

@@ -12,9 +12,10 @@ and 2 (the retired uncoupled reference samples) stay unused so the others
 keep their streams.
 Each sweep point makes one Wasserstein estimate, coupled: model against its
 exact-PPP twin (see coxmodels); the rate fit reads it as w_distance.
-The count-law target is the model's closed-form mean measure, c/2 per unit
-area for cox-line and c per unit nu-measure for satellites; it is derived,
-not configured.  eff_intensity is measured from the sweep's own samples.
+Every per-model piece comes from coxmodels.MODELS.  The count-law target
+is the model's closed-form mean measure, c/2 per unit area for cox-line
+and c per unit nu-measure for satellites; it is derived, not configured.
+eff_intensity is measured from the sweep's own samples.
 The validation suite takes one replicate count, reps, and every check
 section derives its own size from it.
 Wall-clock metadata is kept out of all CSV files on purpose.
@@ -31,13 +32,11 @@ from functools import partial
 
 import numpy as np
 
-from .coxmodels import effective_intensity, sample_cox_line_batch, sample_satellites_batch
+from .coxmodels import MODELS, effective_intensity
 from .diagnostics import (DistanceEstimate, RateFit,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
                           glauber_functionals, invariance_check, mecke_check_bpp,
-                          mecke_check_ppp, mecke_functionals, planar_functional_family,
-                          planar_region_set, rate_regression, sphere_functional_family,
-                          sphere_region_set, tv_vs_poisson)
+                          mecke_check_ppp, mecke_functionals, rate_regression, tv_vs_poisson)
 from .geometry import Disk, Rect, Window, halves
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       semigroup_sample, semigroup_trajectory_consistency)
@@ -66,17 +65,11 @@ class ConfigError(ValueError):
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-# per model: the c and sweep of an ExperimentConfig that leaves them out, so
-# of both the bare CLI and an INI file; the c is also every --c default
-MODEL_DEFAULTS = {"cox-line": (1.0, (5.0, 10.0, 20.0, 40.0, 80.0)),
-                  "satellites": (2.0, (10.0, 20.0, 40.0, 80.0, 160.0))}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A sweep configuration; c and sweep default to MODEL_DEFAULTS[model]."""
+    """A sweep configuration; c, sweep and window default to MODELS[model]'s."""
 
-    model: str                       # "cox-line" | "satellites"
+    model: str                       # a key of MODELS
     c: float | None = None
     sweep: tuple | None = None
     reps: int = 10_000
@@ -84,33 +77,25 @@ class ExperimentConfig:
     window: Window | None = None     # cox-line only
 
     def __post_init__(self):
-        if self.model not in MODEL_DEFAULTS:
-            raise ConfigError(f"model must be cox-line or satellites, got {self.model!r}")
-        c0, sweep0 = MODEL_DEFAULTS[self.model]
-        if self.c is None:
-            object.__setattr__(self, "c", c0)
-        if self.sweep is None:
-            object.__setattr__(self, "sweep", sweep0)
-        if not 0 < self.c < math.inf:
-            raise ConfigError(f"c must be positive and finite, got {self.c}")
+        if self.model not in MODELS:
+            raise ConfigError(f"model must be {' or '.join(MODELS)}, got {self.model!r}")
+        model = MODELS[self.model]
+        for key in ("c", "sweep", "window"):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, getattr(model, key))
         if len(self.sweep) < 4:
             raise ConfigError("sweep needs at least 4 values")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError("sweep values must be strictly increasing")
-        if not all(0 < v < math.inf for v in self.sweep):
-            raise ConfigError("sweep values must be positive and finite")
         if self.reps < 1000:
             raise ConfigError("reps per sweep point must be at least 1000")
-        if self.model == "cox-line" and self.window is None:
-            object.__setattr__(self, "window", Disk((0.0, 0.0), 1.0))
-        if self.model == "satellites":
-            if self.window is not None:
-                raise ConfigError("window applies to cox-line only; satellites live "
-                                  "on the sphere")
+        if model.window is None and self.window is not None:
+            raise ConfigError(f"model {self.model!r} lives on the sphere and takes no window")
+        try:
             for v in self.sweep:
-                if int(v) != v or not 1 <= v < 2 ** 63:
-                    raise ConfigError("satellite sweep values must be integers "
-                                      "in [1, 2^63)")
+                model.params(self.c, v)
+        except ValueError as exc:
+            raise ConfigError(f"{exc}; got c={self.c:g}, sweep value {v:g}") from exc
 
 
 def parse_window(text: str) -> Window:
@@ -166,12 +151,12 @@ def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
         cfg = ExperimentConfig(model=model, **{key: parse(section[key])
                                                for key, parse in _CONFIG_PARSERS.items()
                                                if key in section})
+        extras = {"out": section.get("out", fallback=None),
+                  "plots": section.getboolean("plots", fallback=False)}
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config value: {exc}") from exc
-    extras = {"out": section.get("out", fallback=None),
-              "plots": section.getboolean("plots", fallback=False)}
     return cfg, extras
 
 
@@ -247,20 +232,13 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
     evaluate the bound.  Deterministic given (config, master seed, point
     index)."""
     seed = cfg.seed
-    if cfg.model == "cox-line":
-        params = ModelParams.planar(cfg.c, value)
-        regions = planar_region_set(cfg.window)
-        family = planar_functional_family(cfg.window)
-        target = cfg.c / 2.0   # the mean measure is (c/2) Leb2 on every window
-        draw = partial(sample_cox_line_batch, params, cfg.window)
-        bound = cox_bound(params, cfg.window)
-    else:
-        params = ModelParams.spherical(cfg.c, int(value))
-        regions = sphere_region_set()
-        family = sphere_functional_family()
-        target = cfg.c   # mean total count is exactly n * mu_n = c
-        draw = partial(sample_satellites_batch, params)
-        bound = satellite_bound(params)
+    model = MODELS[cfg.model]
+    params = model.params(cfg.c, value)
+    regions = model.regions(cfg.window)
+    family = model.family(cfg.window)
+    target = model.mean * cfg.c
+    draw = partial(model.sample, params, cfg.window)
+    bound = model.bound(params, cfg.window)
     pairs = [pair for _, pair in model_blocks(seed, point_idx, cfg.reps, draw)]
     samples = ReplicateBatch.concat([pair.model for pair in pairs])
     # the headline of the rate fit: the largest mean gap over the family

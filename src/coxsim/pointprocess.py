@@ -86,8 +86,8 @@ class ModelParams:
 
     @classmethod
     def spherical(cls, c: float, n: int) -> "ModelParams":
-        if not (0 < c < np.inf and 1 <= n < 2 ** 63):   # orbit labels are int64
-            raise ValueError("spherical model requires finite c > 0 and 1 <= n < 2^63")
+        if not (0 < c < np.inf and 1 <= n < 2 ** 63 and int(n) == n):   # int64 labels
+            raise ValueError("spherical model requires finite c > 0, integer 1 <= n < 2^63")
         return cls(lambda_n=float(n), c=c, n=int(n), kind="spherical")
 
     @property

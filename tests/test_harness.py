@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import coxsim.cli as cli
 import coxsim.diagnostics as diagnostics
 import coxsim.harness as harness
 from coxsim.cli import main
-from coxsim.coxmodels import sample_cox_line, sample_cox_line_batch
+from coxsim.coxmodels import MODELS, sample_cox_line, sample_cox_line_batch
 from coxsim.geometry import Disk, Rect
 from coxsim.harness import (ConfigError, ExperimentConfig, config_from_ini,
                             format_check_table, parse_window, run_experiment,
@@ -58,6 +59,15 @@ class TestExperimentConfig:
     def test_non_integer_orbit_sweep(self):
         with pytest.raises(ConfigError):
             ExperimentConfig("satellites", 1.0, (10.5, 20, 40, 80), 1000, 0)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("c, sweep", [
+        (0.0, None), (math.inf, None), (math.nan, None), (1.0, (-5.0, 5.0, 10.0, 20.0)),
+        (1.0, (5.0, 10.0, 20.0, math.inf))])
+    def test_c_and_sweep_must_make_model_params(self, model, c, sweep):
+        # each is a ValueError of model.params(c, value), raised as a ConfigError
+        with pytest.raises(ConfigError, match="requires finite c > 0"):
+            ExperimentConfig(model, c, sweep, 1000, 0)
 
 
 class TestParseWindow:
@@ -123,15 +133,13 @@ class TestIniConfig:
             outs.append((tmp_path / name / "results.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("model, kind", [
-        ("cox-line", "converge-cox"), ("satellites", "converge-sat"),
-        ("cox-line", "simulate"), ("satellites", "simulate"),
-        ("cox-line", "bound"), ("satellites", "bound")])
+    @pytest.mark.parametrize("model, kind", [(name, kind) for name, m in MODELS.items()
+                                             for kind in (m.experiment, "simulate", "bound")])
     def test_default_c_matches_cli(self, tmp_path, monkeypatch, capsys, model, kind):
         # a file that leaves c out runs the c of every command without --c
         path = tmp_path / "exp.ini"
         path.write_text(f"[experiment]\nmodel = {model}\nsweep = 10 20 40 80\n")
-        size = ["--lam", "10"] if model == "cox-line" else ["--n", "10"]
+        size = [MODELS[model].flags[0], "10"]
         if kind == "simulate":
             assert main(["simulate", model, *size]) == 0
             c = json.loads(capsys.readouterr().out.splitlines()[-1])["c"]
@@ -144,11 +152,10 @@ class TestIniConfig:
                                 lambda cfg, **kw: seen.append(cfg) or harness.ExperimentResult(cfg))
             assert main(["experiment", kind]) == 0
             c = seen[0].c
-        assert config_from_ini(str(path))[0].c == c
-        assert c == {"cox-line": 1.0, "satellites": 2.0}[model]
+        assert config_from_ini(str(path))[0].c == c == MODELS[model].c
+        assert c == {"cox-line": 1.0, "satellites": 2.0}[model]   # as README documents
 
-    @pytest.mark.parametrize("model, kind", [("cox-line", "converge-cox"),
-                                             ("satellites", "converge-sat")])
+    @pytest.mark.parametrize("model, kind", [(name, m.experiment) for name, m in MODELS.items()])
     def test_model_only_file_matches_bare_cli(self, tmp_path, model, kind):
         # every key a file leaves out takes the bare command's value
         path = tmp_path / "exp.ini"
@@ -278,9 +285,8 @@ class TestRunExperiment:
 
 
 def sweep_point(model: str, point_idx: int, value: float, seed: int = 0) -> dict:
-    c, sweep = harness.MODEL_DEFAULTS[model]
-    return harness.run_sweep_point(ExperimentConfig(model, c, sweep, 1000, seed),
-                                   point_idx, value)
+    cfg = ExperimentConfig(model, MODELS[model].c, MODELS[model].sweep, 1000, seed)
+    return harness.run_sweep_point(cfg, point_idx, value)
 
 
 def spy_bootstrap(monkeypatch) -> list:
@@ -327,9 +333,7 @@ class TestSweepPointBootstrap:
     def test_regions_above_bound_bootstrapped(self, monkeypatch, model):
         calls, regions = spy_bootstrap(monkeypatch), spy_region_tvs(monkeypatch)
         row = sweep_point(model, 0, 1e6)
-        names = [name for name, _ in (diagnostics.planar_region_set(Disk((0.0, 0.0), 1.0))
-                                      if model == "cox-line" else
-                                      diagnostics.sphere_region_set())]
+        names = [name for name, _ in MODELS[model].regions(MODELS[model].window)]
         assert len(regions) == len(names)
         above = {name for name, (_, _, tv) in zip(names, regions) if tv > row["bound"]}
         assert above   # the bound lies far below the empirical TV's noise floor
@@ -495,6 +499,17 @@ class TestCli:
         assert main(["experiment", "converge-sat", "--config", str(ini)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_experiment_bad_boolean_exit_2(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nmodel = satellites\nsweep = 4 6 9 14\n"
+                       "reps = 1000\nplots = maybe\n")
+        assert main(["experiment", "converge-sat", "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "maybe" in lines[0]
+
     def test_target_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "converge-cox", "--target", "c"])
@@ -508,8 +523,7 @@ class TestCli:
         ini = tmp_path / "exp.ini"
         ini.write_text(f"[experiment]\nmodel = {model}\nsweep = 4 6 9 14\n"
                        f"reps = 1000\n{line}\n")
-        kind = "converge-cox" if model == "cox-line" else "converge-sat"
-        assert main(["experiment", kind, "--config", str(ini)]) == 2
+        assert main(["experiment", MODELS[model].experiment, "--config", str(ini)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.strip().splitlines()

@@ -399,3 +399,12 @@ class TestModelParams:
                 ModelParams.planar(c, lam)
         with pytest.raises(ValueError):
             ModelParams.spherical(math.inf, 5)
+
+    def test_spherical_n_must_be_integral(self):
+        # n = 10.5 would give mu_n = c / 10.5 while the sampler draws labels
+        # in [0, 10) and the bound reads n = 10
+        for n in (10.5, 1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="integer"):
+                ModelParams.spherical(2.0, n)
+        p = ModelParams.spherical(2.0, 10.0)
+        assert (p.n, p.lambda_n, p.mu_n) == (10, 10.0, 0.2)

@@ -6,12 +6,14 @@ runs with --trace 1."""
 import importlib
 import runpy
 
+import coxsim
 import coxsim.harness as harness
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coxsim.cli import main
 from coxsim.diagnostics import sphere_functional_family
 from coxsim.geometry import Disk, Rect
 from coxsim.harness import run_validation_suite
@@ -136,3 +138,29 @@ def test_uncoupled_evals_match_reference_draws(ref_factor):
     dict((f, h) for _, f, h in HOOKED)["wasserstein_lower_bound"](counters, result, *args)
     assert counters["diagnostics.functional_evals"] == (20 + sum(draws)) * len(FAMILY)
     assert sum(draws) == 20 * (ref_factor or 4)
+
+
+@pytest.mark.parametrize("module, func, argv", [
+    ("steinbound", "cox_bound", ["bound", "cox-line", "--lam", "10"]),
+    ("coxmodels", "effective_intensity", None)])
+def test_traced_layer_sees_model_calls(monkeypatch, module, func, argv):
+    # the tracer replaces a function in every coxsim namespace that holds it,
+    # so a caller that kept its own reference (say, a field of a model
+    # record) would run untraced and its layer would read 0 s
+    original = getattr(importlib.import_module(f"coxsim.{module}"), func)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(func)
+        return original(*args, **kwargs)
+
+    for ns in [coxsim] + [importlib.import_module(f"coxsim.{m}") for m in TRACING["MODULES"]]:
+        for attr, value in list(vars(ns).items()):
+            if value is original:
+                monkeypatch.setattr(ns, attr, spy)
+    harness.run_sweep_point(harness.ExperimentConfig("cox-line", reps=1000), 0, 10.0)
+    assert calls
+    if argv:
+        calls.clear()
+        assert main(argv) == 0
+        assert calls
