@@ -152,6 +152,8 @@ def _cmd_experiment(args) -> int:
         cfg = replace(cfg, **updates)
     out_dir = args.out or extras.get("out")
     plots = args.plots or extras.get("plots", False)
+    if plots and not out_dir:
+        raise ConfigError("plots need an output directory: give --out or the INI out key")
     result = run_experiment(cfg, out_dir=out_dir, plots=plots)
     for row in result.rows:
         print(f"param={row['param']:g}: W>={row['w_distance']:.5g} "

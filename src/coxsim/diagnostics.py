@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap, Window,
                        halves)
-from .pointprocess import CoupledBatch, ReplicateBatch, uniform_in_window
+from .pointprocess import CoupledBatch, ReplicateBatch
 
 BOOTSTRAP_RESAMPLES = 200
 PAIR_BLOCK = 1 << 22  # dot products per block of the close-pair scan
@@ -109,8 +109,8 @@ def _bootstrap_tv(counts: np.ndarray, mean: float, rng: np.random.Generator) -> 
 # Functionals
 # ---------------------------------------------------------------------------
 
-def _columns(cols, rows: int) -> np.ndarray:
-    return np.array(cols, dtype=np.int64).reshape(len(cols), rows).T
+def _columns(cols, rows: int, dtype=np.int64) -> np.ndarray:
+    return np.array(cols, dtype=dtype).reshape(len(cols), rows).T
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,15 @@ class Functional:
         return _columns([batch.counts(r) for r in self.regions], len(batch))
 
     def membership(self, batch: ReplicateBatch) -> np.ndarray:
-        """(points x len(regions)) 0/1 matrix of the batch's region masks."""
+        """(points x len(regions)) 0/1 int8 matrix of the batch's region masks."""
         if self.h is None:
             raise ValueError(f"{self.name} is not a count functional")
-        return _columns([batch.membership(r) for r in self.regions], batch.points.shape[0])
+        return _columns([batch.membership(r) for r in self.regions], len(batch.points), np.int8)
+
+    def moved(self, batch: ReplicateBatch, points: ReplicateBatch, sign: int = 1) -> np.ndarray:
+        """Per point of points, F of its replicate of batch with the point added
+        (sign 1) or removed (sign -1): h(counts + sign * its membership row)."""
+        return self.h(self.counts(batch)[points.rep_ids] + sign * self.membership(points))
 
     def __call__(self, batch: ReplicateBatch) -> np.ndarray:
         if self.pair_threshold is not None:
@@ -141,7 +146,7 @@ class Functional:
 
 
 def _capped(counts, cap):
-    return np.minimum(counts[:, 0], cap).astype(float)
+    return np.minimum(counts[:, 0], cap, dtype=float)
 
 
 def _in_set(counts, values):
@@ -314,13 +319,18 @@ class MeckeResult:
         return abs(self.lhs - self.rhs) <= 3.0 * self.stderr
 
 
-def _bpp(window: Window, n: int, reps: int, rng: np.random.Generator) -> ReplicateBatch:
-    return ReplicateBatch(uniform_in_window(window, reps * n, rng),
-                          np.repeat(np.arange(reps), n), reps)
+def _point_sums(mfs, phi: ReplicateBatch) -> list:
+    """Per replicate, sum_{x in Phi} F(x, Phi - x), for each F in mfs.  h's
+    per-point values are made first, so g's are not held while they are."""
+    return [np.bincount(phi.rep_ids, mf.h.moved(phi, phi, -1) * mf.g.h(mf.g.membership(phi)),
+                        len(phi)) for mf in mfs]
 
 
-def _mecke_results(mfs, lhs: list, rhs: list, oracles: list, *args) -> list[MeckeResult]:
-    """One result per functional; its oracle, if any, is evaluated at args."""
+def _palm_side(mfs, lhs: list, mass: float, x: ReplicateBatch, palm: ReplicateBatch,
+               oracles: list, *args) -> list[MeckeResult]:
+    """One result per F in mfs: its left side against mass * F(x, Palm), x one
+    point per replicate; its oracle, if any, is evaluated at args."""
+    rhs = [mass * mf.g(x) * mf.h(palm) for mf in mfs]
     return [MeckeResult(mf.name, float(lv.mean()), float(rv.mean()),
                         math.sqrt(lv.var(ddof=1) / lv.size + rv.var(ddof=1) / rv.size),
                         oracle and oracle(*args))
@@ -329,37 +339,28 @@ def _mecke_results(mfs, lhs: list, rhs: list, oracles: list, *args) -> list[Meck
 
 def mecke_check_ppp(mfs: Sequence[MeckeFunctional], lam: float, window: Window,
                     reps: int, rng: np.random.Generator) -> list[MeckeResult]:
-    """Check E[sum_{x in Phi} F(x, Phi - x)] = lam * int E[F(x, Phi)] dx for each F
-    in mfs, all on one draw: Phi, then Phi2 and x once Phi is dropped."""
-    phi = ReplicateBatch.ppp(window, lam, reps, rng)
-    # each point x sees the counts of Phi - x
-    lhs = [np.bincount(phi.rep_ids, mf.g.h(mf.g.membership(phi))
-                       * mf.h.h(mf.h.counts(phi)[phi.rep_ids] - mf.h.membership(phi)),
-                       reps) for mf in mfs]
-    del phi
-    phi2 = ReplicateBatch.ppp(window, lam, reps, rng)
-    x = _bpp(window, 1, reps, rng)   # one uniform point per replicate
-    rhs = [lam * window.area * mf.g.h(mf.g.counts(x)) * mf.h.h(mf.h.counts(phi2))
-           for mf in mfs]
-    return _mecke_results(mfs, lhs, rhs, [mf.oracle_ppp for mf in mfs], lam, window)
+    """Check E[sum_{x in Phi} F(x, Phi - x)] = lam |K| E[F(x, Phi')] for each F in
+    mfs, x uniform on the window K and Phi' a fresh PPP, the reduced Palm law
+    (Slivnyak).  All on one draw: Phi, then Phi' and x once Phi is dropped."""
+    lhs = _point_sums(mfs, ReplicateBatch.ppp(window, lam, reps, rng))
+    palm = ReplicateBatch.ppp(window, lam, reps, rng)
+    x = ReplicateBatch.bpp(window, 1, reps, rng)
+    return _palm_side(mfs, lhs, lam * window.area, x, palm,
+                      [mf.oracle_ppp for mf in mfs], lam, window)
 
 
 def mecke_check_bpp(mfs: Sequence[MeckeFunctional], n_points: int, window: Window,
                     reps: int, rng: np.random.Generator) -> list[MeckeResult]:
-    """Check E[sum_{x in Phi_N} F(x, Phi_N)] = N int E[F(x, Phi_{N-1} + x)] mu(dx)
-    for the BPP supported by the uniform law on the window, for each F in mfs,
-    all on one draw: Phi_N, then x and Phi_{N-1} once Phi_N is dropped."""
+    """Check E[sum_{x in Phi_N} F(x, Phi_N - x)] = N E[F(x, Phi_{N-1})] for each F
+    in mfs, Phi_N a BPP of N uniform points and x uniform on the window.  All
+    on one draw: Phi_N, then x and Phi_{N-1} once Phi_N is dropped."""
     if n_points < 1:
         raise ValueError("BPP needs at least one point")
-    phi = _bpp(window, n_points, reps, rng)
-    lhs = [np.bincount(phi.rep_ids, mf.g.h(mf.g.membership(phi)), reps)
-           * mf.h.h(mf.h.counts(phi)) for mf in mfs]
-    del phi
-    x = _bpp(window, 1, reps, rng)   # one uniform point per replicate
-    phi2 = _bpp(window, n_points - 1, reps, rng)
-    rhs = [n_points * mf.g.h(mf.g.counts(x)) * mf.h.h(mf.h.counts(phi2) + mf.h.counts(x))
-           for mf in mfs]
-    return _mecke_results(mfs, lhs, rhs, [mf.oracle_bpp for mf in mfs], n_points, window)
+    lhs = _point_sums(mfs, ReplicateBatch.bpp(window, n_points, reps, rng))
+    x = ReplicateBatch.bpp(window, 1, reps, rng)
+    palm = ReplicateBatch.bpp(window, n_points - 1, reps, rng)
+    return _palm_side(mfs, lhs, n_points, x, palm,
+                      [mf.oracle_bpp for mf in mfs], n_points, window)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +536,7 @@ def mecke_functionals(window: Window) -> list[MeckeFunctional]:
         MeckeFunctional(
             "F=1{x in A}|w∩A|", in_A, raw_count(A),
             oracle_ppp=lambda lam, K: (lam * aA) ** 2,
-            oracle_bpp=lambda N, K: N * (aA / K.area) * (1.0 + (N - 1) * aA / K.area)),
+            oracle_bpp=lambda N, K: N * (N - 1) * (aA / K.area) ** 2),
         MeckeFunctional(
             "F=1{x in A}1{|w∩B|>=1}", in_A, count_at_least((B, 1)),
             oracle_ppp=lambda lam, K: lam * aA * (1.0 - math.exp(-lam * aB)),

@@ -21,7 +21,7 @@ The samplers map a ReplicateBatch of starts to one draw per replicate (the
 trajectory simulator to a horizon each call names), and the consistency and
 contraction checks tile one (n, 2) start array across their replicates;
 the generator and the contraction estimate share their draws across a list
-of count Functionals, moved by a point's region-membership row, h(c -/+ row).
+of count Functionals, each moved by one point with Functional.moved.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import numpy as np
 from .diagnostics import tv_rows
 from .geometry import Window
 from .pointprocess import ReplicateBatch, uniform_in_window
+
+BIRTH_PAIRS = 32  # antithetic birth pairs per replicate in generator_apply
 
 
 @dataclass(frozen=True)
@@ -124,32 +126,22 @@ def semigroup_trajectory_consistency(omega0: np.ndarray, spec: GlauberSpec,
 # ---------------------------------------------------------------------------
 
 def generator_apply(functionals, omegas: ReplicateBatch, spec: GlauberSpec,
-                    pairs: int, rng: np.random.Generator):
-    """Generator L F(omega_j) for every replicate j and functional F: exact
-    death sum plus a birth integral over `pairs` antithetic pairs per
-    replicate (a point and its reflection through the window center, which
-    halves the variance for near-linear integrands at no bias), shared by all
-    functionals.  Returns (values, birth-integral stderrs), each (reps x F)."""
-    if pairs < 1:
-        raise ValueError("need at least one antithetic pair")
+                    rng: np.random.Generator) -> np.ndarray:
+    """Generator L F(omega_j) for every replicate j and functional F, as a (reps x F)
+    array: exact death sum plus a birth integral over BIRTH_PAIRS antithetic pairs
+    per replicate, shared by all F (a point and its reflection through the window
+    center, halving the variance of near-linear integrands at no bias)."""
     reps, ids = len(omegas), omegas.rep_ids
-    pts = uniform_in_window(spec.window, reps * pairs, rng)
-    births, mirrored = (ReplicateBatch(p, np.repeat(np.arange(reps), pairs), reps)
-                        for p in (pts, 2.0 * np.asarray(spec.window.center) - pts))
-    values, stderrs = [], []
+    births = ReplicateBatch.bpp(spec.window, BIRTH_PAIRS, reps, rng)
+    pairs = births.superpose(ReplicateBatch(  # the births, then their reflections
+        2.0 * np.asarray(spec.window.center) - births.points, births.rep_ids, reps))
+    values = []
     for F in functionals:
-        c0 = F.counts(omegas)
-        f0 = F.h(c0)
-        death = np.bincount(ids, F.h(c0[ids] - F.membership(omegas)) - f0[ids],
-                            minlength=reps)
-        c_pair, f_pair = np.repeat(c0, pairs, axis=0), np.repeat(f0, pairs)
-        pair_means = 0.5 * ((F.h(c_pair + F.membership(births)) - f_pair)
-                            + (F.h(c_pair + F.membership(mirrored)) - f_pair))
-        pair_means = pair_means.reshape(reps, pairs)
-        values.append(death + spec.birth_rate * pair_means.mean(axis=1))
-        stderrs.append(spec.birth_rate * pair_means.std(ddof=1, axis=1) / math.sqrt(pairs)
-                       if pairs > 1 else np.full(reps, math.inf))
-    return np.column_stack(values), np.column_stack(stderrs)
+        f0 = F(omegas)
+        death = np.bincount(ids, F.moved(omegas, omegas, -1) - f0[ids], minlength=reps)
+        born = (F.moved(omegas, pairs) - f0[pairs.rep_ids]).reshape(2, reps, BIRTH_PAIRS)
+        values.append(death + spec.birth_rate * (0.5 * (born[0] + born[1])).mean(axis=1))
+    return np.column_stack(values)
 
 
 def contraction_estimate(functionals, omega: np.ndarray, z, t: float,
@@ -162,15 +154,14 @@ def contraction_estimate(functionals, omega: np.ndarray, z, t: float,
     z; for 1-Lipschitz F the replicate difference is at most 1{z survives},
     whose mean is e^-t.  One batch of base draws serves every functional.
     """
-    z = ReplicateBatch.stack([np.asarray(z, dtype=float).reshape(1, -1)])
-    if not z.membership(spec.window)[0]:
+    zs = ReplicateBatch.tile(np.reshape(z, (1, -1)), reps)
+    if not zs.membership(spec.window).all():
         raise ValueError("z must lie inside the window")
     base = semigroup_sample(ReplicateBatch.tile(omega, reps), t, spec, rng)
     survives = rng.random(reps) < math.exp(-t)
     out = []
     for F in functionals:
-        counts = F.counts(base)
-        diffs = np.abs(F.h(counts + survives[:, None] * F.membership(z)) - F.h(counts))
+        diffs = np.abs(F.moved(base, zs) - F(base)) * survives
         se = float(diffs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
         out.append((float(diffs.mean()), se))
     return out

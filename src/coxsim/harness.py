@@ -129,34 +129,34 @@ _CONFIG_KEYS = {"model", *_CONFIG_PARSERS, "target_intensity", "calibration_reps
 
 
 def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
-    """Read an INI experiment config.  Unknown keys are errors.  Returns the
-    config plus the extra output options (out, plots)."""
+    """Read an INI experiment config; unknown keys and unparsable files are
+    one-line errors.  Returns the config plus the extra options (out, plots)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    if "experiment" not in parser:
-        raise ConfigError("config file needs an [experiment] section")
-    section = parser["experiment"]
-    unknown = set(section.keys()) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if section.get("target_intensity", "auto") != "auto":
-        raise ConfigError("target_intensity must be auto: the count-law target is the "
-                          "model's mean measure (c/2 for cox-line, c for satellites)")
-    model = section.get("model")
-    if model is None:
-        raise ConfigError("missing required key: model")
     try:
+        read = parser.read(path)
+        if not read:
+            raise ConfigError(f"cannot read config file {path}")
+        if "experiment" not in parser:
+            raise ConfigError("config file needs an [experiment] section")
+        section = parser["experiment"]
+        unknown = set(section.keys()) - _CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if section.get("target_intensity", "auto") != "auto":
+            raise ConfigError("target_intensity must be auto: the count-law target is the "
+                              "model's mean measure (c/2 for cox-line, c for satellites)")
+        model = section.get("model")
+        if model is None:
+            raise ConfigError("missing required key: model")
         cfg = ExperimentConfig(model=model, **{key: parse(section[key])
                                                for key, parse in _CONFIG_PARSERS.items()
                                                if key in section})
         extras = {"out": section.get("out", fallback=None),
                   "plots": section.getboolean("plots", fallback=False)}
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    except ConfigError:
+        raise
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigError(f"invalid config file: {' '.join(str(exc).split())}") from exc
     return cfg, extras
 
 
@@ -415,8 +415,7 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
     # 3. generator null at stationarity: E[L F(Phi)] = 0, one batch for all F
     rng = _stream(seed, LANE_CHECKS, point=41)
     n = max(300, reps // 100)
-    values, _ = generator_apply(functionals, ReplicateBatch.ppp(window, spec.lam, n, rng),
-                                spec, 32, rng)
+    values = generator_apply(functionals, ReplicateBatch.ppp(window, spec.lam, n, rng), spec, rng)
     for F, vals in zip(functionals, values.T):
         se = float(vals.std(ddof=1) / math.sqrt(n))
         rows.append(_two_sided(f"glauber_generator_null[{F.name}]",

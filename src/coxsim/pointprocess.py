@@ -183,6 +183,13 @@ class ReplicateBatch:
         _, points, rep_ids = ppp_batch(window, lam, reps, rng)
         return cls(points, rep_ids, reps)
 
+    @classmethod
+    def bpp(cls, window: Window, n: int, reps: int,
+            rng: np.random.Generator) -> "ReplicateBatch":
+        """reps samples of n uniform points: uniform_in_window(window, reps * n)."""
+        return cls(uniform_in_window(window, reps * n, rng),
+                   np.repeat(np.arange(reps), n), reps)
+
     def cached(self, key, compute) -> np.ndarray:
         """compute(), evaluated once per batch and key, as a read-only array."""
         if key not in self._cache:

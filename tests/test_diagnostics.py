@@ -230,7 +230,7 @@ class TestMecke:
             assert check([mf], arg, WINDOW, 2_000, rng_for(19)) == [family[i]]
 
     def test_bpp_single_point(self):
-        # N = 1: Phi_{N-1} is empty, so F(x, Phi_0 + x) only sees x itself
+        # N = 1: the Palm side Phi_0 is empty, so h sees nothing
         results = mecke_check_bpp(mecke_functionals(WINDOW), 1, WINDOW, 20_000, rng_for(20))
         for res in results:
             assert res.passed, res
@@ -263,7 +263,8 @@ class TestMecke:
         expected = {
             "F=1": float(N),
             "F=1{x in A}": N * mu_half,
-            "F=1{x in A}|w∩A|": N * mu_half * (1 + (N - 1) * mu_half),
+            # reduced form: x in A and one of the other N - 1 points in A
+            "F=1{x in A}|w∩A|": N * (N - 1) * mu_half ** 2,
             "F=1{x in A}1{|w∩B|>=1}": N * mu_half * (1 - (1 - mu_half) ** (N - 1)),
         }
         for mf in mecke_functionals(WINDOW):
@@ -311,8 +312,8 @@ class TestContainsBudget:
         check_mecke(0, 2000)
         per_pair = Counter((region, id(pts)) for region, pts in calls)
         assert max(per_pair.values()) <= 2
-        # A and B memberships and counts on Phi (ppp), A on Phi_N (bpp);
-        # counts: ppp A on x, A and B on Phi2; bpp A and B on Phi_N, x, Phi_{N-1}
+        # A and B memberships and counts on Phi (ppp) and on Phi_N (bpp);
+        # counts: A on x and A and B on the Palm batch, for each kind
         assert len(calls) == 14
 
     def test_wasserstein_counts_window_once_per_batch(self, monkeypatch):

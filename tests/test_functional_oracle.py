@@ -12,8 +12,8 @@ from coxsim import diagnostics
 from coxsim.diagnostics import (_max_pair_dot, glauber_functionals, mecke_functionals,
                                 planar_functional_family, sphere_functional_family)
 from coxsim.geometry import Disk, Rect
-from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
-                            semigroup_sample)
+from coxsim.glauber import (BIRTH_PAIRS, GlauberSpec, contraction_estimate,
+                            generator_apply, semigroup_sample)
 from coxsim.pointprocess import (ReplicateBatch, RngStream, sample_uniform_sphere,
                                  uniform_in_window)
 from oracles import count_in, plane_points, plus, sphere_points, split
@@ -76,6 +76,27 @@ def test_planar_presets(window, boundary):
     functionals = (planar_functional_family(window) + glauber_functionals(window)
                    + [mf.h for mf in mecke_functionals(window)])
     assert_batch_matches(functionals, planar_configs(window, boundary, rng_for(0)))
+
+
+@pytest.mark.parametrize("window,boundary", [(RECT, RECT_BOUNDARY), (DISK, DISK_BOUNDARY)])
+def test_moved_matches_plus_and_delete(window, boundary):
+    # every count preset, each point of a ragged batch removed from its own
+    # replicate (sign -1) and boundary and inside points added to replicates
+    # that may be empty (sign 1)
+    functionals = (planar_functional_family(window) + glauber_functionals(window)
+                   + [F for mf in mecke_functionals(window) for F in (mf.g, mf.h)])
+    configs = planar_configs(window, boundary, rng_for(0))
+    base = ReplicateBatch.stack(configs)
+    extra = [plane_points(boundary[:k % 3]) for k in range(len(configs))]
+    extra[5] = uniform_in_window(window, 4, rng_for(1))
+    added = ReplicateBatch.stack(extra)
+    minus_one = [np.delete(c, i, axis=0) for c in configs for i in range(len(c))]
+    plus_one = [plus(configs[j], x) for j, pts in enumerate(extra) for x in pts]
+    for F in functionals:
+        for got, expect_configs in ((F.moved(base, base, -1), minus_one),
+                                    (F.moved(base, added), plus_one)):
+            expect = np.array([scalar_value(F, c) for c in expect_configs])
+            assert got.dtype == np.float64 and np.array_equal(got, expect), F.name
 
 
 def test_sphere_preset_with_pairs_at_threshold():
@@ -166,17 +187,17 @@ GENERATOR_FAMILY = glauber_functionals(RECT) + planar_functional_family(RECT)
 
 @pytest.fixture(scope="module")
 def generator_values():
-    return generator_apply(GENERATOR_FAMILY, OMEGA_BATCH, SPEC, 16, rng_for(10))
+    return generator_apply(GENERATOR_FAMILY, OMEGA_BATCH, SPEC, rng_for(10))
 
 
 @pytest.mark.parametrize("k", range(len(OMEGAS)))
 def test_generator_matches_oracle(k, generator_values):
     # replicate k of one batch against the per-configuration formula on the
-    # antithetic pairs it was given: rows 16k to 16k + 15 of the shared draw
-    omega = OMEGAS[k]
-    pts = uniform_in_window(RECT, 16 * len(OMEGAS), rng_for(10))[16 * k:16 * (k + 1)]
+    # antithetic pairs it was given: rows m k to m (k + 1) - 1 of the shared
+    # draw, m = BIRTH_PAIRS
+    omega, m = OMEGAS[k], BIRTH_PAIRS
+    pts = uniform_in_window(RECT, m * len(OMEGAS), rng_for(10))[m * k:m * (k + 1)]
     mirrored = np.column_stack([1.0 - pts[:, 0], 1.0 - pts[:, 1]])
-    values, stderrs = generator_values
     for j, F in enumerate(GENERATOR_FAMILY):
         f0 = scalar_value(F, omega)
         death = 0.0
@@ -186,8 +207,7 @@ def test_generator_matches_oracle(k, generator_values):
                                       + (scalar_value(F, plus(omega, b)) - f0))
                                for a, b in zip(pts, mirrored)])
         expect = death + SPEC.birth_rate * pair_means.mean()
-        expect_se = SPEC.birth_rate * pair_means.std(ddof=1) / math.sqrt(16)
-        assert (values[k, j], stderrs[k, j]) == (expect, expect_se), F.name
+        assert generator_values[k, j] == expect, F.name
 
 
 def test_contraction_matches_oracle():

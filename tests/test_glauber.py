@@ -296,16 +296,14 @@ class TestSemigroup:
 class TestGenerator:
     def test_constant_functional(self):
         F = Functional("const", (), lambda c: np.full(len(c), 2.5))
-        [[val]], [[se]] = generator_apply([F], batch([OMEGA0]), SPEC, 16, rng_for(11))
+        [[val]] = generator_apply([F], batch([OMEGA0]), SPEC, rng_for(11))
         assert val == 0.0
-        assert se == 0.0
 
     def test_count_functional_exact(self):
         # F = |w|: death sum -|w|, birth integral lam|W| (integrand constant 1)
         F = raw_count(WINDOW)
-        [[val]], [[se]] = generator_apply([F], batch([OMEGA0]), SPEC, 8, rng_for(12))
+        [[val]] = generator_apply([F], batch([OMEGA0]), SPEC, rng_for(12))
         assert val == pytest.approx(SPEC.birth_rate - len(OMEGA0), abs=1e-12)
-        assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_mean_at_stationarity(self):
         # E[L F(Phi)] = 0 for the stationary PPP
@@ -315,7 +313,7 @@ class TestGenerator:
                        count_at_least((Rect(0, 0, 0.5, 1), 2)))
         n = 6000
         phi = ReplicateBatch.ppp(WINDOW, SPEC.lam, n, rng)
-        for vals in generator_apply(functionals, phi, SPEC, 24, rng)[0].T:
+        for vals in generator_apply(functionals, phi, SPEC, rng).T:
             se = vals.std(ddof=1) / math.sqrt(n)
             assert abs(vals.mean()) < 3 * se
 

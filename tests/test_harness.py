@@ -533,3 +533,34 @@ class TestCli:
         ini = tmp_path / "exp.ini"
         ini.write_text("[experiment]\nmodel = satellites\nsweep = 4 6 9 14\n")
         assert main(["experiment", "converge-cox", "--config", str(ini)]) == 2
+
+    @pytest.mark.parametrize("body", [
+        "[experiment]\nmodel = satellites\nmodel = cox-line\n",
+        "[experiment]\nmodel = satellites\n[experiment]\nreps = 1000\n",
+        "model = satellites\nsweep = 4 6 9 14\n",
+        "[experiment]\nmodel = satellites\nsweep\n",
+        "[experiment]\nmodel = satellites\nsweep = 4 6 9 14\nout = run%\n",
+    ], ids=["duplicate-key", "duplicate-section", "no-section-header", "no-equals",
+            "lone-percent"])
+    def test_experiment_malformed_ini_exit_2(self, tmp_path, capsys, body):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(body)
+        assert main(["experiment", "converge-sat", "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    def test_experiment_plots_need_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        # --plots or the INI plots key with no output directory: nothing runs
+        monkeypatch.chdir(tmp_path)
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nmodel = satellites\nsweep = 4 6 9 14\n"
+                       "reps = 1000\nplots = true\n")
+        for argv in (["--reps", "1000", "--plots"], ["--config", str(ini)]):
+            assert main(["experiment", "converge-sat", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert list(tmp_path.iterdir()) == [ini]

@@ -238,6 +238,15 @@ class TestBpp:
                 assert pts.shape == (n, 2)
                 assert window.contains(pts).all()
 
+    @pytest.mark.parametrize("n, reps", [(0, 4), (1, 50), (3, 50), (6, 7)])
+    def test_batch_is_one_uniform_draw(self, n, reps):
+        # ReplicateBatch.bpp draws exactly uniform_in_window(window, reps * n)
+        for k, window in enumerate((Rect(0, 0, 1, 1), Disk((0.5, -1.0), 2.0))):
+            b = ReplicateBatch.bpp(window, n, reps, rng_for(19 + k))
+            pts = uniform_in_window(window, reps * n, rng_for(19 + k))
+            assert np.array_equal(b.points, pts) and len(b) == reps
+            assert np.array_equal(b.rep_ids, np.repeat(np.arange(reps), n))
+
     def test_requires_positive(self):
         window = Rect(0, 0, 1, 1)
         with pytest.raises(ValueError):
