@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .coxmodels import MODELS, Model
 from .harness import (CHECK_GROUPS, DEFAULT_CHECK_REPS, ConfigError,
@@ -121,37 +120,31 @@ def _cmd_bound(args) -> int:
     value = model.bound(params, window)
     # param is lambda_n, or n as a float, printed like any float column
     row = csv_line([model.name, params.c, params.lambda_n, model.describe(window), value])
-    print(f"{model.name} bound with c={params.c:g}, "
-          f"{model.param_text.format(getattr(args, model.dest))}: {value:.8g}")
-    sys.stdout.write(csv_line(BOUND_COLUMNS) + row)
     if args.out:
         new = not os.path.exists(args.out)
         with open(args.out, "a", encoding="utf-8") as fh:
             if new:
                 fh.write(csv_header(BOUND_COLUMNS))
             fh.write(row)
+    print(f"{model.name} bound with c={params.c:g}, "
+          f"{model.param_text.format(getattr(args, model.dest))}: {value:.8g}")
+    sys.stdout.write(csv_line(BOUND_COLUMNS) + row)
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
     model = MODELS[args.model]
-    extras = {"out": None, "plots": False}
-    if args.config:
-        cfg, extras = config_from_ini(args.config)
-        if cfg.model != model.name:
-            raise ConfigError(f"config file is for model {cfg.model!r}, "
-                              f"but the subcommand expects {model.name!r}")
-    else:
-        cfg = ExperimentConfig(model=model.name)
-    # CLI flags override config file values and the defaults
+    # CLI flags override config file values, which override the defaults
     window = getattr(args, "window", None)
-    flags = {"c": args.c, "sweep": args.sweep, "reps": args.reps, "seed": args.seed,
-             "window": None if window is None else parse_window(window)}
-    updates = {k: v for k, v in flags.items() if v is not None}
-    if updates:
-        cfg = replace(cfg, **updates)
-    out_dir = args.out or extras.get("out")
-    plots = args.plots or extras.get("plots", False)
+    flags = {"model": model.name, "c": args.c, "sweep": args.sweep, "reps": args.reps,
+             "seed": args.seed, "window": None if window is None else parse_window(window)}
+    flags = {k: v for k, v in flags.items() if v is not None}
+    if args.config:
+        cfg, extras = config_from_ini(args.config, flags)
+    else:
+        cfg, extras = ExperimentConfig(**flags), {"out": None, "plots": False}
+    out_dir = args.out or extras["out"]
+    plots = args.plots or extras["plots"]
     if plots and not out_dir:
         raise ConfigError("plots need an output directory: give --out or the INI out key")
     result = run_experiment(cfg, out_dir=out_dir, plots=plots)
@@ -175,10 +168,11 @@ def _cmd_experiment(args) -> int:
 def _cmd_check(args) -> int:
     if args.reps < 1:
         raise ConfigError(f"--reps must be at least 1, got {args.reps}")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     rows = run_validation_suite(args.seed, args.reps, which=args.which)
     print(format_check_table(rows))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "validation.csv")
         write_validation_csv(path, rows)
         print(f"wrote {path}")
@@ -199,6 +193,12 @@ def main(argv=None) -> int:
             return _cmd_check(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # the only paths coxsim opens are its outputs, --out or the INI out key
+        if exc.filename is None:
+            raise
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG
 

@@ -306,19 +306,6 @@ class MeckeFunctional:
     oracle_bpp: Callable[[int, Window], float] | None = None
 
 
-@dataclass(frozen=True)
-class MeckeResult:
-    name: str
-    lhs: float
-    rhs: float
-    stderr: float            # combined stderr of lhs - rhs
-    oracle: float | None
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.lhs - self.rhs) <= 3.0 * self.stderr
-
-
 def _point_sums(mfs, phi: ReplicateBatch) -> list:
     """Per replicate, sum_{x in Phi} F(x, Phi - x), for each F in mfs.  h's
     per-point values are made first, so g's are not held while they are."""
@@ -326,41 +313,35 @@ def _point_sums(mfs, phi: ReplicateBatch) -> list:
                         len(phi)) for mf in mfs]
 
 
-def _palm_side(mfs, lhs: list, mass: float, x: ReplicateBatch, palm: ReplicateBatch,
-               oracles: list, *args) -> list[MeckeResult]:
-    """One result per F in mfs: its left side against mass * F(x, Palm), x one
-    point per replicate; its oracle, if any, is evaluated at args."""
-    rhs = [mass * mf.g(x) * mf.h(palm) for mf in mfs]
-    return [MeckeResult(mf.name, float(lv.mean()), float(rv.mean()),
-                        math.sqrt(lv.var(ddof=1) / lv.size + rv.var(ddof=1) / rv.size),
-                        oracle and oracle(*args))
-            for mf, lv, rv, oracle in zip(mfs, lhs, rhs, oracles)]
+def _palm_side(mfs, mass: float, x: ReplicateBatch, palm: ReplicateBatch) -> list:
+    """Per replicate, mass * F(x, Palm) for each F in mfs, x one point each."""
+    return [mass * mf.g(x) * mf.h(palm) for mf in mfs]
 
 
 def mecke_check_ppp(mfs: Sequence[MeckeFunctional], lam: float, window: Window,
-                    reps: int, rng: np.random.Generator) -> list[MeckeResult]:
-    """Check E[sum_{x in Phi} F(x, Phi - x)] = lam |K| E[F(x, Phi')] for each F in
-    mfs, x uniform on the window K and Phi' a fresh PPP, the reduced Palm law
-    (Slivnyak).  All on one draw: Phi, then Phi' and x once Phi is dropped."""
+                    reps: int, rng: np.random.Generator) -> list[tuple]:
+    """Per-replicate sides of E[sum_{x in Phi} F(x, Phi - x)] = lam |K| E[F(x, Phi')],
+    one (left, right) pair of arrays per F in mfs, x uniform on the window K
+    and Phi' a fresh PPP, the reduced Palm law (Slivnyak).  All on one draw:
+    Phi, then Phi' and x once Phi is dropped."""
     lhs = _point_sums(mfs, ReplicateBatch.ppp(window, lam, reps, rng))
     palm = ReplicateBatch.ppp(window, lam, reps, rng)
     x = ReplicateBatch.bpp(window, 1, reps, rng)
-    return _palm_side(mfs, lhs, lam * window.area, x, palm,
-                      [mf.oracle_ppp for mf in mfs], lam, window)
+    return list(zip(lhs, _palm_side(mfs, lam * window.area, x, palm)))
 
 
 def mecke_check_bpp(mfs: Sequence[MeckeFunctional], n_points: int, window: Window,
-                    reps: int, rng: np.random.Generator) -> list[MeckeResult]:
-    """Check E[sum_{x in Phi_N} F(x, Phi_N - x)] = N E[F(x, Phi_{N-1})] for each F
-    in mfs, Phi_N a BPP of N uniform points and x uniform on the window.  All
-    on one draw: Phi_N, then x and Phi_{N-1} once Phi_N is dropped."""
+                    reps: int, rng: np.random.Generator) -> list[tuple]:
+    """Per-replicate sides of E[sum_{x in Phi_N} F(x, Phi_N - x)] = N E[F(x, Phi_{N-1})],
+    one (left, right) pair of arrays per F in mfs, Phi_N a BPP of N uniform
+    points and x uniform on the window.  All on one draw: Phi_N, then x and
+    Phi_{N-1} once Phi_N is dropped."""
     if n_points < 1:
         raise ValueError("BPP needs at least one point")
     lhs = _point_sums(mfs, ReplicateBatch.bpp(window, n_points, reps, rng))
     x = ReplicateBatch.bpp(window, 1, reps, rng)
     palm = ReplicateBatch.bpp(window, n_points - 1, reps, rng)
-    return _palm_side(mfs, lhs, n_points, x, palm,
-                      [mf.oracle_bpp for mf in mfs], n_points, window)
+    return list(zip(lhs, _palm_side(mfs, n_points, x, palm)))
 
 
 # ---------------------------------------------------------------------------

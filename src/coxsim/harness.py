@@ -17,7 +17,8 @@ is the model's closed-form mean measure, c/2 per unit area for cox-line
 and c per unit nu-measure for satellites; it is derived, not configured.
 eff_intensity is measured from the sweep's own samples.
 The validation suite takes one replicate count, reps, and every check
-section derives its own size from it.
+section derives its own size from it.  The check kernels return
+per-replicate values; mc_row makes them rows, and within_3se judges every row.
 Wall-clock metadata is kept out of all CSV files on purpose.
 """
 
@@ -27,7 +28,7 @@ import configparser
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -128,9 +129,12 @@ _CONFIG_KEYS = {"model", *_CONFIG_PARSERS, "target_intensity", "calibration_reps
                 "out", "plots"}
 
 
-def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
+def config_from_ini(path: str, flags: dict | None = None) -> tuple[ExperimentConfig, dict]:
     """Read an INI experiment config; unknown keys and unparsable files are
-    one-line errors.  Returns the config plus the extra options (out, plots)."""
+    one-line errors.  Returns the config plus the extra options (out, plots).
+    The config is built once from the defaults, the file, then flags (fields
+    by name, model included), so a file value a flag replaces is not checked."""
+    flags = flags or {}
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -148,9 +152,14 @@ def config_from_ini(path: str) -> tuple[ExperimentConfig, dict]:
         model = section.get("model")
         if model is None:
             raise ConfigError("missing required key: model")
-        cfg = ExperimentConfig(model=model, **{key: parse(section[key])
-                                               for key, parse in _CONFIG_PARSERS.items()
-                                               if key in section})
+        if flags.get("model", model) != model:
+            raise ConfigError(f"config file is for model {model!r}, "
+                              f"but the subcommand expects {flags['model']!r}")
+        cfg = ExperimentConfig(**{"model": model,
+                                  **{key: parse(section[key])
+                                     for key, parse in _CONFIG_PARSERS.items()
+                                     if key in section and key not in flags},
+                                  **flags})
         extras = {"out": section.get("out", fallback=None),
                   "plots": section.getboolean("plots", fallback=False)}
     except ConfigError:
@@ -216,7 +225,7 @@ def _stream(seed: int, lane: int, point: int = 0, replicate: int = 0):
 
 
 def _bound_respected(estimates: list[DistanceEstimate], bound: float) -> bool:
-    return all(e.value <= bound + 3.0 * e.stderr for e in estimates)
+    return all(within_3se(e.value, bound, e.stderr, one_sided=True) for e in estimates)
 
 
 def model_blocks(seed: int, point_idx: int, reps: int, draw) -> list:
@@ -313,32 +322,43 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 # Validation suite
 # ---------------------------------------------------------------------------
 
+def within_3se(lhs: float, rhs: float, stderr: float, one_sided: bool = False) -> bool:
+    """The one pass rule, |lhs - rhs| <= 3 stderr or, one-sided, lhs <= rhs +
+    3 stderr, as gap / 3 <= stderr: 3 * (t / 3) can round below t, and a
+    threshold row (value, 0, t / 3) must pass at value == t."""
+    gap = lhs - rhs if one_sided else abs(lhs - rhs)
+    return gap / 3.0 <= stderr
+
+
 @dataclass(frozen=True)
 class CheckRow:
     name: str
     lhs: float
     rhs: float
     stderr: float
-    passed: bool
     seed: int
+    one_sided: bool = False   # a bound-type check, suffixed _le
+
+    @property
+    def passed(self) -> bool:
+        return within_3se(self.lhs, self.rhs, self.stderr, self.one_sided)
 
 
 VALIDATION_COLUMNS = ["check_name", "lhs", "rhs", "stderr", "pass", "seed"]
 
 
-def _two_sided(name, lhs, rhs, stderr, seed) -> CheckRow:
-    return CheckRow(name, lhs, rhs, stderr, abs(lhs - rhs) <= 3.0 * stderr, seed)
-
-
-def _one_sided(name, lhs, rhs, stderr, seed) -> CheckRow:
-    # pass when lhs <= rhs + 3 stderr (bound-type checks, suffixed _le)
-    return CheckRow(name, lhs, rhs, stderr, lhs <= rhs + 3.0 * stderr, seed)
-
-
-def _threshold_row(name, value, threshold, seed) -> CheckRow:
-    # encode an absolute threshold in the stderr column as threshold/3 so the
-    # uniform rule |lhs - rhs| <= 3 stderr applies to every row
-    return CheckRow(name, value, 0.0, threshold / 3.0, value <= threshold, seed)
+def mc_row(name: str, values: np.ndarray, target, seed: int,
+           one_sided: bool = False) -> CheckRow:
+    """The row of a Monte Carlo check: the mean of per-replicate values against
+    target, the mean of an independent sample or a constant, and the stderr
+    of the difference (infinite for one value against a constant)."""
+    if np.ndim(target):
+        rhs = float(target.mean())
+        se = math.sqrt(values.var(ddof=1) / values.size + target.var(ddof=1) / target.size)
+    else:
+        rhs = float(target)
+        se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else math.inf
+    return CheckRow(name, float(values.mean()), rhs, se, seed, one_sided)
 
 
 # Every check section sizes itself from one replicate count, reps: Mecke and
@@ -348,21 +368,28 @@ def _threshold_row(name, value, threshold, seed) -> CheckRow:
 DEFAULT_CHECK_REPS = 100_000
 
 
+def _mecke_rows(kind: str, mfs, sides, arg, window, seed: int) -> list:
+    """Per functional, the row of its (left, right) sides, then, if it has a
+    closed form at (arg, window), the same row against that as rhs."""
+    groups = []
+    for mf, (lhs, rhs) in zip(mfs, sides):
+        row = mc_row(f"mecke_{kind}[{mf.name}]", lhs, rhs, seed)
+        oracle = getattr(mf, f"oracle_{kind}")
+        groups.append([row] if oracle is None else
+                      [row, replace(row, name=f"{row.name}_oracle", rhs=oracle(arg, window))])
+    return groups
+
+
 def check_mecke(seed: int, reps: int) -> list[CheckRow]:
     window = Rect(0.0, 0.0, 1.0, 1.0)
     mfs, reps = mecke_functionals(window), max(2000, reps)
-    # one draw per kind, shared by the whole family
+    # one draw per kind, shared by the whole family; each kind's per-replicate
+    # sides become its rows, and are dropped, before the next kind draws
     ppp = mecke_check_ppp(mfs, 3.0, window, reps, _stream(seed, LANE_CHECKS, 0, 1))
+    ppp = _mecke_rows("ppp", mfs, ppp, 3.0, window, seed)
     bpp = mecke_check_bpp(mfs, 6, window, reps, _stream(seed, LANE_CHECKS, 0, 2))
-    rows = []
-    for pair in zip(ppp, bpp):
-        for kind, res in zip(("ppp", "bpp"), pair):
-            name = f"mecke_{kind}[{res.name}]"
-            rows.append(_two_sided(name, res.lhs, res.rhs, res.stderr, seed))
-            if res.oracle is not None:
-                rows.append(_two_sided(f"{name}_oracle", res.lhs, res.oracle,
-                                       res.stderr, seed))
-    return rows
+    bpp = _mecke_rows("bpp", mfs, bpp, 6, window, seed)
+    return [row for pair in zip(ppp, bpp) for group in pair for row in group]
 
 
 def _check_regions(window: Rect):
@@ -382,7 +409,7 @@ def check_invariance(seed: int, reps: int) -> list[CheckRow]:
         rng = _stream(seed, LANE_CHECKS, point=16 + k)
         for name, tv, thr in invariance_check(lam, window, t,
                                               regions, max(2000, reps), rng):
-            rows.append(_threshold_row(f"invariance[t={t:g},{name}]", tv, thr, seed))
+            rows.append(CheckRow(f"invariance[t={t:g},{name}]", tv, 0.0, thr / 3.0, seed))
     return rows
 
 
@@ -400,7 +427,7 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
         rng = _stream(seed, LANE_CHECKS, point=32 + k)
         for name, tv, thr in semigroup_trajectory_consistency(
                 omega0, spec, t, regions, max(1000, reps // 10), rng):
-            rows.append(_threshold_row(f"glauber_traj[t={t:g},{name}]", tv, thr, seed))
+            rows.append(CheckRow(f"glauber_traj[t={t:g},{name}]", tv, 0.0, thr / 3.0, seed))
     # 2. stationarity: E[P_t F(Phi)] = E[F(Phi)], one batch triple for all F
     rng = _stream(seed, LANE_CHECKS, point=40)
     n = max(500, reps // 30)
@@ -408,28 +435,23 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
     evolved = semigroup_sample(phi, 1.0, spec, rng)
     fresh = ReplicateBatch.ppp(window, spec.lam, n, rng)
     for F in functionals:
-        a, b = F(evolved), F(fresh)
-        se = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
-        rows.append(_two_sided(f"glauber_stationary[{F.name}]",
-                               float(a.mean()), float(b.mean()), se, seed))
+        rows.append(mc_row(f"glauber_stationary[{F.name}]", F(evolved), F(fresh), seed))
     # 3. generator null at stationarity: E[L F(Phi)] = 0, one batch for all F
     rng = _stream(seed, LANE_CHECKS, point=41)
     n = max(300, reps // 100)
     values = generator_apply(functionals, ReplicateBatch.ppp(window, spec.lam, n, rng), spec, rng)
     for F, vals in zip(functionals, values.T):
-        se = float(vals.std(ddof=1) / math.sqrt(n))
-        rows.append(_two_sided(f"glauber_generator_null[{F.name}]",
-                               float(vals.mean()), 0.0, se, seed))
+        rows.append(mc_row(f"glauber_generator_null[{F.name}]", vals, 0.0, seed))
     # 4. contraction: |P_t F(w+z) - P_t F(w)| <= e^-t, one base batch per t
     omega_c = np.array([[0.25, 0.4], [0.7, 0.6]])
     z = (0.6, 0.35)
     rng = _stream(seed, LANE_CHECKS, point=42)
     for t in (0.5, 1.0, 2.0):
-        estimates = contraction_estimate(functionals, omega_c, z, t, spec,
-                                         max(500, reps // 30), rng)
-        for F, (est, se) in zip(functionals, estimates):
-            rows.append(_one_sided(f"glauber_contraction_le[t={t:g},{F.name}]",
-                                   est, math.exp(-t), se, seed))
+        diffs = contraction_estimate(functionals, omega_c, z, t, spec,
+                                     max(500, reps // 30), rng)
+        for F, d in zip(functionals, diffs):
+            rows.append(mc_row(f"glauber_contraction_le[t={t:g},{F.name}]", d,
+                               math.exp(-t), seed, one_sided=True))
     return rows
 
 
@@ -444,29 +466,29 @@ def check_coarea(seed: int) -> list[CheckRow]:
     ]
     for name, f, win, theta, expect in cases:
         res = coarea_check(f, win, theta)
-        rows.append(_two_sided(name, res.ratio, expect, tol / 3.0, seed))
+        rows.append(CheckRow(name, res.ratio, expect, tol / 3.0, seed))
     return rows
 
 
 def check_bounds(seed: int) -> list[CheckRow]:
     disk = Disk((0.0, 0.0), 1.0)
     val, err = chord_square_integral(disk)
-    rows = [_two_sided("bound[chord_sq_unit_disk]", val, 16.0 / 3.0, 1e-8 / 3.0, seed)]
+    rows = [CheckRow("bound[chord_sq_unit_disk]", val, 16.0 / 3.0, 1e-8 / 3.0, seed)]
     # the rect and origin-outside disk closed forms; c = lambda = 1 bounds G(K)
     for name, window in (("unit_square", Rect(0.0, 0.0, 1.0, 1.0)),
                          ("offset_disk", Disk((3.0, 1.0), 0.7))):
-        rows.append(_two_sided(f"bound[chord_sq_{name}]", chord_square_integral(window)[0],
-                               cox_bound(ModelParams.planar(1.0, 1.0), window), 1e-8 / 3.0,
-                               seed))
+        rows.append(CheckRow(f"bound[chord_sq_{name}]", chord_square_integral(window)[0],
+                             cox_bound(ModelParams.planar(1.0, 1.0), window), 1e-8 / 3.0,
+                             seed))
     # quadrature-based bound against the closed form cox_bound reports
     params = ModelParams.planar(1.0, 10.0)
     scale = params.c ** 2 / params.lambda_n
-    rows.append(_two_sided("bound[cox_closed_form]", scale * val,
-                           cox_bound(params, disk),
-                           max(scale * err, 1e-12) / 3.0, seed))
+    rows.append(CheckRow("bound[cox_closed_form]", scale * val,
+                         cox_bound(params, disk),
+                         max(scale * err, 1e-12) / 3.0, seed))
     sat = satellite_bound(ModelParams.spherical(2.0, 100))
-    rows.append(_two_sided("bound[satellite_c2_n100]", sat, 0.08,
-                           1e-15, seed))
+    rows.append(CheckRow("bound[satellite_c2_n100]", sat, 0.08,
+                         1e-15, seed))
     return rows
 
 

@@ -33,12 +33,8 @@ def composite_index(lane: int, point: int, replicate: int) -> int:
     """Pack (lane, sweep point, replicate) into one 64-bit stream index.
 
     Layout: lane in the top 8 bits, sweep-point index in the next 16,
-    replicate (or block) index in the low 40.  Harness lanes: 0 = model
-    samples and their twins, one stream per block of replicates (replicate j
-    in block j // harness.BLOCK_REPS), 3 = validation checks, 4 = bootstrap,
-    one stream per (sweep point, region index);
-    lanes 1 (the retired intensity calibration) and 2 (the retired uncoupled
-    reference samples) are not reused.
+    replicate (or block) index in the low 40.  The harness module docstring
+    says what each lane holds.
     """
     if not (0 <= lane < 2 ** LANE_BITS):
         raise ValueError(f"lane out of range: {lane}")

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -17,7 +18,7 @@ from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 sphere_functional_family, sphere_region_set,
                                 tv_vs_poisson, wasserstein_lower_bound)
 from coxsim.geometry import Disk, LatitudeBand, Rect, halves
-from coxsim.harness import check_mecke
+from coxsim.harness import check_mecke, mc_row
 from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
                                  RngStream, sample_ppp_window, sample_uniform_sphere,
                                  uniform_in_window)
@@ -203,22 +204,39 @@ class TestCoupled:
         assert est.value == pytest.approx(0.25, abs=0.05)
 
 
+def mecke_rows(check, arg, window, reps, rng, mfs=None) -> list:
+    """(row, closed form or None) per functional: the harness row of the
+    kernel's per-replicate sides, and the functional's oracle at arg."""
+    mfs = mecke_functionals(window) if mfs is None else mfs
+    oracle = "oracle_ppp" if check is mecke_check_ppp else "oracle_bpp"
+    sides = check(mfs, arg, window, reps, rng)
+    assert len(sides) == len(mfs)
+    out = []
+    for mf, (lhs, rhs) in zip(mfs, sides):
+        assert lhs.shape == rhs.shape == (reps,)
+        closed_form = getattr(mf, oracle)
+        out.append((mc_row(mf.name, lhs, rhs, 0),
+                    closed_form and closed_form(arg, window)))
+    return out
+
+
 class TestMecke:
+    @staticmethod
+    def assert_rows_pass(rows):
+        for row, oracle in rows:
+            assert row.passed, row
+            if oracle is not None:
+                assert replace(row, rhs=oracle).passed, (row, oracle)
+
     def test_ppp_all_registry(self):
-        results = mecke_check_ppp(mecke_functionals(WINDOW), 3.0, WINDOW, 30_000, rng_for(16))
-        assert [r.name for r in results] == [mf.name for mf in mecke_functionals(WINDOW)]
-        for res in results:
-            assert res.passed, res
-            if res.oracle is not None:
-                assert abs(res.lhs - res.oracle) <= 3 * res.stderr
+        rows = mecke_rows(mecke_check_ppp, 3.0, WINDOW, 30_000, rng_for(16))
+        assert [r.name for r, _ in rows] == [mf.name for mf in mecke_functionals(WINDOW)]
+        self.assert_rows_pass(rows)
 
     def test_bpp_all_registry(self):
-        results = mecke_check_bpp(mecke_functionals(WINDOW), 6, WINDOW, 30_000, rng_for(17))
-        assert [r.name for r in results] == [mf.name for mf in mecke_functionals(WINDOW)]
-        for res in results:
-            assert res.passed, res
-            if res.oracle is not None:
-                assert abs(res.lhs - res.oracle) <= 3 * res.stderr
+        rows = mecke_rows(mecke_check_bpp, 6, WINDOW, 30_000, rng_for(17))
+        assert [r.name for r, _ in rows] == [mf.name for mf in mecke_functionals(WINDOW)]
+        self.assert_rows_pass(rows)
 
     @pytest.mark.parametrize("check, arg", [(mecke_check_ppp, 3.0), (mecke_check_bpp, 6)])
     def test_draw_does_not_depend_on_family(self, check, arg):
@@ -227,20 +245,19 @@ class TestMecke:
         mfs = mecke_functionals(WINDOW)
         family = check(mfs, arg, WINDOW, 2_000, rng_for(19))
         for i, mf in enumerate(mfs):
-            assert check([mf], arg, WINDOW, 2_000, rng_for(19)) == [family[i]]
+            [(lhs, rhs)] = check([mf], arg, WINDOW, 2_000, rng_for(19))
+            np.testing.assert_array_equal(lhs, family[i][0])
+            np.testing.assert_array_equal(rhs, family[i][1])
 
     def test_bpp_single_point(self):
         # N = 1: the Palm side Phi_0 is empty, so h sees nothing
-        results = mecke_check_bpp(mecke_functionals(WINDOW), 1, WINDOW, 20_000, rng_for(20))
-        for res in results:
-            assert res.passed, res
-            if res.oracle is not None:
-                assert abs(res.lhs - res.oracle) <= 3 * res.stderr, res
-        one = results[0]
-        assert one.name == "F=1" and one.lhs == one.rhs == one.oracle == 1.0
+        rows = mecke_rows(mecke_check_bpp, 1, WINDOW, 20_000, rng_for(20))
+        self.assert_rows_pass(rows)
+        one, oracle = rows[0]
+        assert one.name == "F=1" and one.lhs == one.rhs == oracle == 1.0
         # x in A and some point of Phi_1 in B cannot both hold
-        disjoint = results[3]
-        assert disjoint.lhs == disjoint.rhs == disjoint.oracle == 0.0
+        disjoint, oracle = rows[3]
+        assert disjoint.lhs == disjoint.rhs == oracle == 0.0
 
     def test_ppp_oracles_with_independent_formulas(self):
         # freeze the analytic values independently of the registry lambdas
@@ -286,8 +303,8 @@ class TestMecke:
     def test_disk_window_halves(self):
         rng = rng_for(18)
         disk = Disk((0.0, 0.0), 1.0)
-        for res in mecke_check_ppp(mecke_functionals(disk)[:3], 2.0, disk, 20_000, rng):
-            assert res.passed, res
+        rows = mecke_rows(mecke_check_ppp, 2.0, disk, 20_000, rng, mecke_functionals(disk)[:3])
+        self.assert_rows_pass(rows)
 
 
 class TestContainsBudget:

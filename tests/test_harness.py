@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,8 +14,9 @@ import coxsim.harness as harness
 from coxsim.cli import main
 from coxsim.coxmodels import MODELS, sample_cox_line, sample_cox_line_batch
 from coxsim.geometry import Disk, Rect
-from coxsim.harness import (ConfigError, ExperimentConfig, config_from_ini,
-                            format_check_table, parse_window, run_experiment,
+from coxsim.diagnostics import DistanceEstimate
+from coxsim.harness import (CheckRow, ConfigError, ExperimentConfig, config_from_ini,
+                            format_check_table, mc_row, parse_window, run_experiment,
                             run_validation_suite, write_validation_csv)
 from coxsim.pointprocess import ModelParams, RngStream
 
@@ -391,6 +393,68 @@ class TestValidationSuite:
         assert "checks passed" in table
 
 
+class TestCheckRow:
+    """mc_row builds every Monte Carlo row; within_3se is every row's verdict."""
+
+    RNG = np.random.default_rng(7)
+    A, B = RNG.random(997), RNG.integers(0, 4, 1013).astype(float)
+    MATRIX = RNG.random((500, 3))
+
+    def test_two_sample_stderr_bit_for_bit(self):
+        a, b = self.A, self.B
+        row = mc_row("r", a, b, 0)
+        # the Mecke Palm side's expression, and the stationarity section's at
+        # equal sizes
+        assert row.stderr == math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+        n = 500
+        x, y = self.MATRIX[:, 0], self.MATRIX[:, 1]
+        assert (mc_row("r", x, y, 0).stderr
+                == math.sqrt(x.var(ddof=1) / n + y.var(ddof=1) / n))
+        assert (row.lhs, row.rhs) == (float(a.mean()), float(b.mean()))
+        assert not row.one_sided
+
+    def test_constant_target_stderr_bit_for_bit(self):
+        # the generator-null section passes strided columns of a (reps x F)
+        # matrix, the contraction section whole arrays
+        for vals in (*self.MATRIX.T, self.A):
+            n = vals.size
+            row = mc_row("r", vals, 0.25, 0)
+            assert row.stderr == float(vals.std(ddof=1) / math.sqrt(n))
+            assert (row.lhs, row.rhs) == (float(vals.mean()), 0.25)
+        assert mc_row("r", np.array([0.5]), 1.0, 0, one_sided=True).stderr == math.inf
+
+    @pytest.mark.parametrize("lhs, one_sided, passed", [
+        (1.75, False, True), (0.25, False, True),
+        (1.75, True, True), (0.25, True, True), (-100.0, True, True),
+        (-100.0, False, False),
+        (np.nextafter(1.75, 2.0), False, False), (np.nextafter(1.75, 2.0), True, False),
+        (0.25 - 2.0 ** -52, False, False)])
+    def test_boundaries(self, lhs, one_sided, passed):
+        # rhs 1 and stderr 1/4 make 1 +- 3 stderr exact
+        assert CheckRow("r", float(lhs), 1.0, 0.25, 0, one_sided).passed is passed
+        assert harness.within_3se(float(lhs), 1.0, 0.25, one_sided) is passed
+
+    def test_infinite_stderr_passes_nan_fails(self):
+        assert CheckRow("r", 5.0, 0.0, math.inf, 0, True).passed
+        assert not CheckRow("r", 5.0, 0.0, math.nan, 0).passed
+
+    def test_tv_at_threshold_passes(self):
+        # a threshold row is (tv, 0, threshold / 3); 3 * (threshold / 3) rounds
+        # below threshold at some reps (20000 among them), and the rule still
+        # passes a TV exactly at its threshold
+        for reps in (*range(1, 2001), 10_000, 20_000, 100_000):
+            threshold = 2.0 / math.sqrt(reps)
+            assert CheckRow("tv", threshold, 0.0, threshold / 3.0, 0).passed, reps
+            assert not CheckRow("tv", threshold * (1 + 1e-9), 0.0, threshold / 3.0,
+                                0).passed, reps
+
+    def test_bound_respected_is_the_one_sided_rule(self):
+        estimates = [DistanceEstimate(1.75, 0.25, "a"), DistanceEstimate(0.0, 0.0, "b")]
+        assert harness._bound_respected(estimates, 1.0)
+        above = DistanceEstimate(float(np.nextafter(1.75, 2.0)), 0.25, "c")
+        assert not harness._bound_respected(estimates + [above], 1.0)
+
+
 class TestCli:
     def test_bound_satellites(self, capsys):
         assert main(["bound", "satellites", "--c", "2", "--n", "100"]) == 0
@@ -550,6 +614,44 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    @pytest.mark.parametrize("key, value, flag, flag_value", [
+        ("reps", "500", ["--reps", "1000"], 1000),
+        ("sweep", "4 6", ["--sweep", "4,6,9,14"], (4.0, 6.0, 9.0, 14.0)),
+        ("c", "0", ["--c", "1"], 1.0)], ids=["reps", "sweep", "c"])
+    def test_flag_replaces_invalid_ini_value(self, tmp_path, monkeypatch, key, value, flag,
+                                             flag_value):
+        # defaults, then the file, then the flags, built once: a file value a
+        # flag replaces is never checked on its own
+        keys = {"model": "satellites", "c": "2", "sweep": "10 20 40 80", "reps": "1500",
+                "seed": "3", key: value}
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg, **kw: seen.append(cfg) or harness.ExperimentResult(cfg))
+        assert main(["experiment", "converge-sat", "--config", str(ini), *flag]) == 0
+        expect = ExperimentConfig("satellites", 2.0, (10.0, 20.0, 40.0, 80.0), 1500, 3)
+        assert seen == [dataclasses.replace(expect, **{key: flag_value})]
+
+    @pytest.mark.parametrize("argv, taken_by", [
+        (["bound", "satellites", "--n", "100"], "directory"),
+        (["check", "bounds"], "file"),
+        (["simulate", "satellites", "--n", "10"], "file"),
+        (["experiment", "converge-sat", "--reps", "1000"], "file")],
+        ids=["bound", "check", "simulate", "experiment"])
+    def test_unusable_out_exit_2(self, tmp_path, capsys, argv, taken_by):
+        # an --out that cannot be written is a config error, reported before
+        # any output
+        out = tmp_path / "taken"
+        out.mkdir() if taken_by == "directory" else out.write_text("keep\n")
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert str(out) in lines[0]
+        assert out.is_dir() if taken_by == "directory" else out.read_text() == "keep\n"
 
     def test_experiment_plots_need_out_exit_2(self, tmp_path, capsys, monkeypatch):
         # --plots or the INI plots key with no output directory: nothing runs
