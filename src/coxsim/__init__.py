@@ -9,8 +9,8 @@ O(1/lambda_n) and O(1/n) rates by Monte Carlo.
 """
 
 from .geometry import Annulus, Disk, LatitudeBand, Rect, SphericalCap
-from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, RngStream,
-                           sample_ppp_window, sample_uniform_sphere)
+from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, sample_ppp_window,
+                           sample_uniform_sphere)
 from .coxmodels import (CoxLineSample, SatelliteSample, effective_intensity,
                         sample_cox_line, sample_cox_line_batch, sample_satellites_batch,
                         sample_satellites_with_twin)
@@ -23,6 +23,6 @@ from .diagnostics import (DistanceEstimate, Functional, RateFit,
                           invariance_check, mecke_check_bpp, mecke_check_ppp,
                           rate_regression, wasserstein_lower_bound)
 from .harness import (ExperimentConfig, ExperimentResult, run_experiment,
-                      run_validation_suite)
+                      run_validation_suite, stream)
 
 __version__ = "0.1.0"

@@ -13,11 +13,10 @@ import os
 import sys
 
 from .coxmodels import MODELS, Model
-from .harness import (CHECK_GROUPS, DEFAULT_CHECK_REPS, ConfigError,
+from .harness import (CHECK_GROUPS, DEFAULT_CHECK_REPS, LANE_SAMPLES, ConfigError,
                       ExperimentConfig, config_from_ini, csv_header, csv_line,
                       format_check_table, parse_sweep, parse_window, run_experiment,
-                      run_validation_suite, write_validation_csv)
-from .pointprocess import RngStream
+                      run_validation_suite, stream, write_validation_csv)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -79,16 +78,16 @@ def _add_size_flags(p, model: Model, help=None):
 def _model_args(args):
     """(model, params, window) from the flags; bad values are config errors."""
     model = MODELS[args.model]
+    text = getattr(args, "window", None)
+    window = model.window if text is None else parse_window(text)
     try:
-        params = model.params(args.c, getattr(args, model.dest))
+        return model, model.finite_params(args.c, getattr(args, model.dest), window), window
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    text = getattr(args, "window", None)
-    return model, params, model.window if text is None else parse_window(text)
 
 
 def _cmd_simulate(args) -> int:
-    rng = RngStream(args.seed, 0).generator()
+    rng = stream(args.seed, LANE_SAMPLES)
     model, params, window = _model_args(args)
     lines, pair = model.sample(params, window, 1, rng)
     points = pair.model.points

@@ -34,6 +34,7 @@ so a wrapper installed in the module's namespace sees every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,6 +218,19 @@ class Model:
 
     def describe(self, window) -> str:   # the window column of a bound row
         return "sphere" if window is None else window.describe()
+
+    def finite_params(self, c: float, value, window) -> ModelParams:
+        """params(c, value), checked to give a finite bound.  The bound grows as
+        c ** 2 and as the cube of the window's size, so it also overflows
+        wherever the window measure does.  Raises ValueError."""
+        params = self.params(c, value)
+        try:
+            finite = math.isfinite(self.bound(params, window))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("the bound or the window measure is beyond float range")
+        return params
 
 
 # in this order, the CLI's model choices

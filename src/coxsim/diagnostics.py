@@ -7,6 +7,9 @@ Mecke checks: F(w) = h(counts of w in its regions), with h vectorized over a
 ReplicateBatch; the close-pair indicator is the one non-count exception.
 Region counts, memberships and the close-pair scan run once per batch.
 
+The thinning-invariance kernel returns its two batches, and harness.tv_rows
+makes their threshold rows; the Mecke kernels return per-replicate sides.
+
 Every distance reported here is a LOWER bound on the Wasserstein distance
 between the model law and the target PPP, in the metric induced by the
 configuration total-variation distance: any {0,1}-valued functional (and any
@@ -81,14 +84,6 @@ def empirical_count_tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     """TV distance between the empirical pmfs of two integer samples."""
     counts_b = np.asarray(counts_b, dtype=np.int64)
     return float(_tv(*_pmfs(counts_a, np.bincount(counts_b) / counts_b.size)))
-
-
-def tv_rows(a: ReplicateBatch, b: ReplicateBatch, regions) -> list:
-    """Per-region (name, empirical count TV, threshold) rows for two batches
-    of the same law; threshold 2/sqrt(reps) is the Monte Carlo noise floor."""
-    threshold = 2.0 / math.sqrt(len(a))
-    return [(name, empirical_count_tv(a.counts(region), b.counts(region)), threshold)
-            for name, region in regions]
 
 
 def tv_vs_poisson(counts: np.ndarray, mean: float) -> float:
@@ -348,18 +343,16 @@ def mecke_check_bpp(mfs: Sequence[MeckeFunctional], n_points: int, window: Windo
 # Thinning invariance
 # ---------------------------------------------------------------------------
 
-def invariance_check(lam: float, window: Window, t: float, regions, reps: int,
+def invariance_check(lam: float, window: Window, t: float, reps: int,
                      rng: np.random.Generator):
-    """Per-region TV between counts of thin(Phi1, t) + thin(Phi2, 1-t) and a
-    fresh PPP; returns a list of (region name, tv, threshold) rows with
-    threshold 2/sqrt(reps)."""
+    """(thin(Phi1, t) + thin(Phi2, 1 - t), a fresh PPP), reps replicates of
+    each, Phi1 and Phi2 PPP(lam): two batches of one law."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("thinning level t must lie in [0, 1]")
     phi1 = ReplicateBatch.ppp(window, lam, reps, rng)
     phi2 = ReplicateBatch.ppp(window, lam, reps, rng)
     thinned = phi1.thin(t, rng).superpose(phi2.thin(1.0 - t, rng))
-    fresh = ReplicateBatch.ppp(window, lam, reps, rng)
-    return tv_rows(thinned, fresh, regions)
+    return thinned, ReplicateBatch.ppp(window, lam, reps, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Experiment orchestration: parameter sweeps, replicate scheduling, seed
 management, the validation suite, and CSV/SVG emission.
 
-Determinism contract: every random draw comes from a counter-based stream
-keyed by (master seed, composite_index(lane, sweep point, index)), so a
-(config, seed) pair maps to byte-identical CSV output on any machine.
-Lanes: 0 model samples and their twins, drawn in blocks of BLOCK_REPS
-replicates with one stream per block (replicate j comes from block
-j // BLOCK_REPS); 3 validation checks; 4 bootstrap, one stream per
-(sweep point, region index).  Lanes 1 (the retired intensity calibration)
-and 2 (the retired uncoupled reference samples) stay unused so the others
-keep their streams.
+Determinism contract: every random draw comes from stream(seed, lane,
+point, index), the one maker of generators, keyed by (master seed,
+composite_index(lane, point, index)), so a (config, seed) pair maps to
+byte-identical CSV output on any machine.  Lanes: 0 model samples and their
+twins, drawn in blocks of BLOCK_REPS replicates with one stream per block
+(replicate j comes from block j // BLOCK_REPS); 3 validation checks; 4
+bootstrap, one stream per (sweep point, region index).  Lanes 1 (the retired
+intensity calibration) and 2 (the retired uncoupled reference samples) stay
+unused so the others keep their streams.
 Each sweep point makes one Wasserstein estimate, coupled: model against its
 exact-PPP twin (see coxmodels); the rate fit reads it as w_distance.
 Every per-model piece comes from coxmodels.MODELS.  The count-law target
@@ -17,8 +17,10 @@ is the model's closed-form mean measure, c/2 per unit area for cox-line
 and c per unit nu-measure for satellites; it is derived, not configured.
 eff_intensity is measured from the sweep's own samples.
 The validation suite takes one replicate count, reps, and every check
-section derives its own size from it.  The check kernels return
-per-replicate values; mc_row makes them rows, and within_3se judges every row.
+section derives its own size from it.  The check kernels take a generator
+and return draws: per-replicate values, which mc_row makes rows, or two
+batches of one law, whose per-region count TVs tv_rows makes threshold rows;
+within_3se judges every row.
 Wall-clock metadata is kept out of all CSV files on purpose.
 """
 
@@ -36,13 +38,13 @@ import numpy as np
 from .coxmodels import MODELS, effective_intensity
 from .diagnostics import (DistanceEstimate, RateFit,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
-                          glauber_functionals, invariance_check, mecke_check_bpp,
-                          mecke_check_ppp, mecke_functionals, rate_regression, tv_vs_poisson)
+                          empirical_count_tv, glauber_functionals, invariance_check,
+                          mecke_check_bpp, mecke_check_ppp, mecke_functionals,
+                          rate_regression, tv_vs_poisson)
 from .geometry import Disk, Rect, Window, halves
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       semigroup_sample, semigroup_trajectory_consistency)
-from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, RngStream,
-                           composite_index)
+from .pointprocess import CoupledBatch, ModelParams, ReplicateBatch
 from .steinbound import chord_square_integral, coarea_check, cox_bound, satellite_bound
 
 # the schema line of results.csv, bumped when its columns change; the other
@@ -56,6 +58,30 @@ LANE_BOOTSTRAP = 4
 # model replicates per stream: a constant, so a (config, seed) pair gives the
 # same output on any machine, and the size of the largest sampler temporaries
 BLOCK_REPS = 256
+
+LANE_BITS = 8
+POINT_BITS = 16
+REP_BITS = 40
+
+
+def composite_index(lane: int, point: int, replicate: int) -> int:
+    """Pack (lane, sweep point, replicate or block) into one 64-bit stream
+    index: the lane in the top 8 bits, the point in the next 16, the
+    replicate in the low 40."""
+    if not (0 <= lane < 2 ** LANE_BITS):
+        raise ValueError(f"lane out of range: {lane}")
+    if not (0 <= point < 2 ** POINT_BITS):
+        raise ValueError(f"point index out of range: {point}")
+    if not (0 <= replicate < 2 ** REP_BITS):
+        raise ValueError(f"replicate index out of range: {replicate}")
+    return (lane << (POINT_BITS + REP_BITS)) | (point << REP_BITS) | replicate
+
+
+def stream(seed: int, lane: int, point: int = 0, replicate: int = 0) -> np.random.Generator:
+    """The Philox generator keyed by (seed, composite_index(lane, point,
+    replicate)): distinct keys give independent streams, equal keys equal draws."""
+    key = np.array([seed % 2 ** 64, composite_index(lane, point, replicate)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class ConfigError(ValueError):
@@ -94,7 +120,7 @@ class ExperimentConfig:
             raise ConfigError(f"model {self.model!r} lives on the sphere and takes no window")
         try:
             for v in self.sweep:
-                model.params(self.c, v)
+                model.finite_params(self.c, v, self.window)
         except ValueError as exc:
             raise ConfigError(f"{exc}; got c={self.c:g}, sweep value {v:g}") from exc
 
@@ -220,10 +246,6 @@ def _write_csv(path, columns, rows, version: int = 1):
             fh.flush()
 
 
-def _stream(seed: int, lane: int, point: int = 0, replicate: int = 0):
-    return RngStream(seed, composite_index(lane, point, replicate)).generator()
-
-
 def _bound_respected(estimates: list[DistanceEstimate], bound: float) -> bool:
     return all(within_3se(e.value, bound, e.stderr, one_sided=True) for e in estimates)
 
@@ -232,7 +254,7 @@ def model_blocks(seed: int, point_idx: int, reps: int, draw) -> list:
     """draw(size, rng) for each block of BLOCK_REPS model replicates (the
     last one smaller); block b uses stream (LANE_SAMPLES, point_idx, b)."""
     return [draw(min(BLOCK_REPS, reps - start),
-                 _stream(seed, LANE_SAMPLES, point_idx, start // BLOCK_REPS))
+                 stream(seed, LANE_SAMPLES, point_idx, start // BLOCK_REPS))
             for start in range(0, reps, BLOCK_REPS)]
 
 
@@ -264,7 +286,7 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
     # its stderr, so only the reported region and those above the bound are
     # bootstrapped, region k on stream (LANE_BOOTSTRAP, point_idx, k)
     boot = {k: count_tv_lower_bound(samples, region, target * region.measure,
-                                    rng=_stream(seed, LANE_BOOTSTRAP, point_idx, k),
+                                    rng=stream(seed, LANE_BOOTSTRAP, point_idx, k),
                                     region_name=name)
             for k, (name, region) in enumerate(regions) if k == best or tvs[k] > bound}
     tv_best, tv_estimates = boot[best], list(boot.values())
@@ -299,6 +321,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         list(sweep())
     else:
         os.makedirs(out_dir, exist_ok=True)
+        # an earlier run's fit or plot must not outlive this run's results
+        for name in ("fit.csv", "results.svg"):
+            if os.path.exists(f"{out_dir}/{name}"):
+                os.remove(f"{out_dir}/{name}")
         _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, sweep(),
                    SCHEMA_VERSION)
     try:
@@ -361,6 +387,19 @@ def mc_row(name: str, values: np.ndarray, target, seed: int,
     return CheckRow(name, float(values.mean()), rhs, se, seed, one_sided)
 
 
+def tv_rows(name: str, a: ReplicateBatch, b: ReplicateBatch, regions,
+            seed: int) -> list[CheckRow]:
+    """The threshold rows of two batches of one law, one per region: the
+    empirical count TV against 0, with stderr threshold / 3 for the Monte
+    Carlo noise floor 2/sqrt(reps).  name opens the bracket that each row
+    closes with its region name: f"{name},{region name}]"."""
+    threshold = 2.0 / math.sqrt(len(a))
+    return [CheckRow(f"{name},{label}]",
+                     empirical_count_tv(a.counts(region), b.counts(region)),
+                     0.0, threshold / 3.0, seed)
+            for label, region in regions]
+
+
 # Every check section sizes itself from one replicate count, reps: Mecke and
 # invariance draw max(2000, reps) replicates; the Glauber trajectory,
 # stationarity, generator-null and contraction sections draw reps // 10,
@@ -385,9 +424,9 @@ def check_mecke(seed: int, reps: int) -> list[CheckRow]:
     mfs, reps = mecke_functionals(window), max(2000, reps)
     # one draw per kind, shared by the whole family; each kind's per-replicate
     # sides become its rows, and are dropped, before the next kind draws
-    ppp = mecke_check_ppp(mfs, 3.0, window, reps, _stream(seed, LANE_CHECKS, 0, 1))
+    ppp = mecke_check_ppp(mfs, 3.0, window, reps, stream(seed, LANE_CHECKS, 0, 1))
     ppp = _mecke_rows("ppp", mfs, ppp, 3.0, window, seed)
-    bpp = mecke_check_bpp(mfs, 6, window, reps, _stream(seed, LANE_CHECKS, 0, 2))
+    bpp = mecke_check_bpp(mfs, 6, window, reps, stream(seed, LANE_CHECKS, 0, 2))
     bpp = _mecke_rows("bpp", mfs, bpp, 6, window, seed)
     return [row for pair in zip(ppp, bpp) for group in pair for row in group]
 
@@ -406,10 +445,9 @@ def check_invariance(seed: int, reps: int) -> list[CheckRow]:
     regions = _check_regions(window)
     rows = []
     for k, t in enumerate((0.25, 0.5, 0.75)):
-        rng = _stream(seed, LANE_CHECKS, point=16 + k)
-        for name, tv, thr in invariance_check(lam, window, t,
-                                              regions, max(2000, reps), rng):
-            rows.append(CheckRow(f"invariance[t={t:g},{name}]", tv, 0.0, thr / 3.0, seed))
+        batches = invariance_check(lam, window, t, max(2000, reps),
+                                   stream(seed, LANE_CHECKS, point=16 + k))
+        rows += tv_rows(f"invariance[t={t:g}", *batches, regions, seed)
     return rows
 
 
@@ -422,14 +460,14 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
     regions = _check_regions(window)[:2]
     functionals = glauber_functionals(window)
     rows = []
-    # 1. trajectory vs thinning representation
+    # 1. trajectory vs thinning representation, at least 1000 replicates so
+    # the TV noise floor sits under the 2/sqrt(reps) tolerance
     for k, t in enumerate((0.5, 2.0, 20.0)):
-        rng = _stream(seed, LANE_CHECKS, point=32 + k)
-        for name, tv, thr in semigroup_trajectory_consistency(
-                omega0, spec, t, regions, max(1000, reps // 10), rng):
-            rows.append(CheckRow(f"glauber_traj[t={t:g},{name}]", tv, 0.0, thr / 3.0, seed))
+        batches = semigroup_trajectory_consistency(omega0, spec, t, max(1000, reps // 10),
+                                                   stream(seed, LANE_CHECKS, point=32 + k))
+        rows += tv_rows(f"glauber_traj[t={t:g}", *batches, regions, seed)
     # 2. stationarity: E[P_t F(Phi)] = E[F(Phi)], one batch triple for all F
-    rng = _stream(seed, LANE_CHECKS, point=40)
+    rng = stream(seed, LANE_CHECKS, point=40)
     n = max(500, reps // 30)
     phi = ReplicateBatch.ppp(window, spec.lam, n, rng)
     evolved = semigroup_sample(phi, 1.0, spec, rng)
@@ -437,7 +475,7 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
     for F in functionals:
         rows.append(mc_row(f"glauber_stationary[{F.name}]", F(evolved), F(fresh), seed))
     # 3. generator null at stationarity: E[L F(Phi)] = 0, one batch for all F
-    rng = _stream(seed, LANE_CHECKS, point=41)
+    rng = stream(seed, LANE_CHECKS, point=41)
     n = max(300, reps // 100)
     values = generator_apply(functionals, ReplicateBatch.ppp(window, spec.lam, n, rng), spec, rng)
     for F, vals in zip(functionals, values.T):
@@ -445,7 +483,7 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
     # 4. contraction: |P_t F(w+z) - P_t F(w)| <= e^-t, one base batch per t
     omega_c = np.array([[0.25, 0.4], [0.7, 0.6]])
     z = (0.6, 0.35)
-    rng = _stream(seed, LANE_CHECKS, point=42)
+    rng = stream(seed, LANE_CHECKS, point=42)
     for t in (0.5, 1.0, 2.0):
         diffs = contraction_estimate(functionals, omega_c, z, t, spec,
                                      max(500, reps // 30), rng)

@@ -1,15 +1,9 @@
-"""Exact point process samplers, replicate batches and RNG streams.
+"""Exact point process samplers and replicate batches.
 
 A point set is an (n, 2) array in the plane or an (n, 3) array on the unit
 sphere.  Replicates of a sampler are stored flat, as one ReplicateBatch whose
 column count is its space, and counted per region by region_counts.  Model
 parameters store lambda_n, c and n; mu_n = c / lambda_n is derived.
-
-Randomness is organized as counter-based streams: a (master seed, stream
-index) pair keys a Philox generator, so distinct indices give independent
-streams and identical pairs reproduce bit-identical output.  Stream j of
-sweep point i in lane k is composite_index(k, i, j); see that function for
-the exact layout.
 """
 
 from __future__ import annotations
@@ -19,43 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Disk, Window
-
-# ---------------------------------------------------------------------------
-# Reproducible streams
-# ---------------------------------------------------------------------------
-
-LANE_BITS = 8
-POINT_BITS = 16
-REP_BITS = 40
-
-
-def composite_index(lane: int, point: int, replicate: int) -> int:
-    """Pack (lane, sweep point, replicate) into one 64-bit stream index.
-
-    Layout: lane in the top 8 bits, sweep-point index in the next 16,
-    replicate (or block) index in the low 40.  The harness module docstring
-    says what each lane holds.
-    """
-    if not (0 <= lane < 2 ** LANE_BITS):
-        raise ValueError(f"lane out of range: {lane}")
-    if not (0 <= point < 2 ** POINT_BITS):
-        raise ValueError(f"point index out of range: {point}")
-    if not (0 <= replicate < 2 ** REP_BITS):
-        raise ValueError(f"replicate index out of range: {replicate}")
-    return (lane << (POINT_BITS + REP_BITS)) | (point << REP_BITS) | replicate
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Counter-based random stream keyed by (master seed, stream index)."""
-
-    seed: int
-    index: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % 2 ** 64, self.index % 2 ** 64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
 
 # ---------------------------------------------------------------------------
 # Model parameters

@@ -12,14 +12,14 @@ from coxsim.coxmodels import (effective_intensity, sample_cox_line, sample_cox_l
 from coxsim.diagnostics import (close_pair_indicator, empirical_count_tv, poisson_pmf,
                                 sphere_region_set)
 from coxsim.geometry import Disk, Rect, chord_intervals, orbit_frame
-from coxsim.pointprocess import (ModelParams, ReplicateBatch, RngStream,
-                                 composite_index, sample_uniform_sphere)
+from coxsim.harness import stream
+from coxsim.pointprocess import ModelParams, ReplicateBatch, sample_uniform_sphere
 from coxsim.steinbound import cox_bound
 from oracles import multiset, oracle_cox_line, support_radius
 
 
 def rng_for(idx, seed=4242):
-    return RngStream(seed, idx).generator()
+    return stream(seed, 0, 0, idx)
 
 
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
@@ -514,7 +514,7 @@ def blocks_by_hand(seed, point, reps, draw):
     """Blocks of BLOCK_REPS replicates, block b from stream (0, point, b)."""
     size = harness.BLOCK_REPS
     return [draw(min(size, reps - start),
-                 RngStream(seed, composite_index(0, point, start // size)).generator())
+                 stream(seed, 0, point, start // size))
             for start in range(0, reps, size)]
 
 

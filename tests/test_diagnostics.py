@@ -18,17 +18,16 @@ from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 sphere_functional_family, sphere_region_set,
                                 tv_vs_poisson, wasserstein_lower_bound)
 from coxsim.geometry import Disk, LatitudeBand, Rect, halves
-from coxsim.harness import check_mecke, mc_row
+from coxsim.harness import check_mecke, mc_row, stream
 from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
-                                 RngStream, sample_ppp_window, sample_uniform_sphere,
-                                 uniform_in_window)
+                                 sample_ppp_window, sample_uniform_sphere, uniform_in_window)
 from oracles import batch, count_in, plane_points, sphere_points
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 
 
 def rng_for(idx, seed=31415):
-    return RngStream(seed, idx).generator()
+    return stream(seed, 0, 0, idx)
 
 
 def ppp_samples(lam, reps, rng):
@@ -347,11 +346,12 @@ class TestInvariance:
     def test_endpoints_and_middle(self):
         # region means kept below ~1 so the empirical-TV noise floor sits
         # well under the 2/sqrt(reps) tolerance
-        regions = [("window", WINDOW), ("left", Rect(0, 0, 0.5, 1))]
+        threshold = 2.0 / math.sqrt(20_000)
         for k, t in enumerate((0.0, 0.5, 1.0)):
-            rows = invariance_check(0.5, WINDOW, t, regions, 20_000, rng_for(20 + k))
-            for name, tv, threshold in rows:
-                assert tv <= threshold, (t, name, tv, threshold)
+            thinned, fresh = invariance_check(0.5, WINDOW, t, 20_000, rng_for(20 + k))
+            for region in (WINDOW, Rect(0, 0, 0.5, 1)):
+                tv = empirical_count_tv(thinned.counts(region), fresh.counts(region))
+                assert tv <= threshold, (t, region, tv)
 
     def test_joint_two_region_product(self):
         # joint occupancy of two disjoint regions also matches a fresh PPP:
@@ -380,7 +380,7 @@ class TestInvariance:
 
     def test_invalid_t(self):
         with pytest.raises(ValueError):
-            invariance_check(2.0, WINDOW, 1.5, [("w", WINDOW)], 1000, rng_for(23))
+            invariance_check(2.0, WINDOW, 1.5, 1000, rng_for(23))
 
 
 class TestRateRegression:

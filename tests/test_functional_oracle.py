@@ -14,8 +14,8 @@ from coxsim.diagnostics import (_max_pair_dot, glauber_functionals, mecke_functi
 from coxsim.geometry import Disk, Rect
 from coxsim.glauber import (BIRTH_PAIRS, GlauberSpec, contraction_estimate,
                             generator_apply, semigroup_sample)
-from coxsim.pointprocess import (ReplicateBatch, RngStream, sample_uniform_sphere,
-                                 uniform_in_window)
+from coxsim.harness import stream
+from coxsim.pointprocess import ReplicateBatch, sample_uniform_sphere, uniform_in_window
 from oracles import count_in, plane_points, plus, sphere_points, split
 
 RECT = Rect(0.0, 0.0, 1.0, 1.0)
@@ -23,7 +23,7 @@ DISK = Disk((0.0, 0.0), 1.0)
 
 
 def rng_for(idx, seed=4242):
-    return RngStream(seed, idx).generator()
+    return stream(seed, 0, 0, idx)
 
 
 def scalar_value(F, pts: np.ndarray) -> float:

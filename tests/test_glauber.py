@@ -8,12 +8,12 @@ from coxsim.diagnostics import (Functional, close_pair_indicator,
                                 empirical_count_tv, glauber_functionals,
                                 poisson_pmf, raw_count, truncated_count)
 from coxsim.geometry import Rect
-from coxsim.harness import mc_row
+from coxsim.harness import mc_row, stream
 from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
                             glauber_simulate, semigroup_sample,
                             semigroup_trajectory_consistency)
-from coxsim.pointprocess import (ReplicateBatch, RngStream, sample_ppp_window,
-                                 sample_uniform_sphere, uniform_in_window)
+from coxsim.pointprocess import (ReplicateBatch, sample_ppp_window, sample_uniform_sphere,
+                                 uniform_in_window)
 from oracles import batch, multiset, plane_points, plus, replicate, sphere_points
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
@@ -22,7 +22,7 @@ OMEGA0 = plane_points([[0.2, 0.2], [0.8, 0.3], [0.5, 0.7], [0.3, 0.9]])
 
 
 def rng_for(idx, seed=2025):
-    return RngStream(seed, idx).generator()
+    return stream(seed, 0, 0, idx)
 
 
 def repeat(points, reps):
@@ -274,15 +274,13 @@ class TestSemigroup:
         assert abs(a.mean() - b.mean()) < 3 * se
 
     def test_trajectory_consistency_t0(self):
-        rows = semigroup_trajectory_consistency(
-            OMEGA0, SPEC, 0.0, [("window", WINDOW)], 1000, rng_for(8))
-        assert rows[0][1] == 0.0
+        traj, thinned = semigroup_trajectory_consistency(OMEGA0, SPEC, 0.0, 1000, rng_for(8))
+        assert empirical_count_tv(traj.counts(WINDOW), thinned.counts(WINDOW)) == 0.0
 
     def test_trajectory_consistency_intermediate(self):
-        rows = semigroup_trajectory_consistency(
-            OMEGA0, SPEC, 0.5, [("window", WINDOW)], 4000, rng_for(9))
-        name, tv, threshold = rows[0]
-        assert tv <= threshold
+        traj, thinned = semigroup_trajectory_consistency(OMEGA0, SPEC, 0.5, 4000, rng_for(9))
+        tv = empirical_count_tv(traj.counts(WINDOW), thinned.counts(WINDOW))
+        assert tv <= 2.0 / math.sqrt(4000)
 
     def test_semigroup_composition(self):
         # iterating s then t matches a single step of s + t in law

@@ -18,7 +18,7 @@ from coxsim.diagnostics import DistanceEstimate
 from coxsim.harness import (CheckRow, ConfigError, ExperimentConfig, config_from_ini,
                             format_check_table, mc_row, parse_window, run_experiment,
                             run_validation_suite, write_validation_csv)
-from coxsim.pointprocess import ModelParams, RngStream
+from coxsim.pointprocess import ModelParams, ReplicateBatch
 
 SMALL = 2000
 
@@ -193,6 +193,20 @@ class TestRunExperiment:
         assert (tmp_path / "fit.csv").exists()
         assert (tmp_path / "results.svg").exists()
 
+    def test_rerun_removes_stale_fit_and_plot(self, tmp_path, monkeypatch):
+        # a rerun into the same directory that writes no fit.csv or
+        # results.svg leaves none from the earlier run
+        cfg = ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 3)
+        run_experiment(cfg, out_dir=str(tmp_path), plots=True)
+        assert (tmp_path / "fit.csv").exists() and (tmp_path / "results.svg").exists()
+
+        def no_fit(points):
+            raise ValueError("rate regression requires positive distances")
+        monkeypatch.setattr(harness, "rate_regression", no_fit)
+        res = run_experiment(cfg, out_dir=str(tmp_path))
+        assert res.fit is None and res.fit_error
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
     def test_cox_smoke_fixed_target(self, tmp_path):
         # the target is the model's mean measure c/2, which the sweep's own
         # samples measure
@@ -215,7 +229,7 @@ class TestRunExperiment:
         block = harness.BLOCK_REPS
 
         def block_points(start):
-            rng = harness._stream(3, harness.LANE_SAMPLES, 1, start // block)
+            rng = harness.stream(3, harness.LANE_SAMPLES, 1, start // block)
             _, pair = sample_cox_line_batch(params, window, min(block, cfg.reps - start), rng)
             return pair.model.points.shape[0]
 
@@ -351,7 +365,7 @@ class TestSweepPointBootstrap:
         regions = spy_region_tvs(monkeypatch)
         row = sweep_point(model, point_idx, value, seed)
         eager = [diagnostics._bootstrap_tv(
-                     counts, mean, harness._stream(seed, harness.LANE_BOOTSTRAP, point_idx, k))
+                     counts, mean, harness.stream(seed, harness.LANE_BOOTSTRAP, point_idx, k))
                  for k, (counts, mean, _) in enumerate(regions)]
         bound, w = row["bound"], row["_w_est"]
         respected = (w.value <= bound + 3.0 * w.stderr
@@ -442,11 +456,14 @@ class TestCheckRow:
         # a threshold row is (tv, 0, threshold / 3); 3 * (threshold / 3) rounds
         # below threshold at some reps (20000 among them), and the rule still
         # passes a TV exactly at its threshold
+        square = Rect(0.0, 0.0, 1.0, 1.0)
         for reps in (*range(1, 2001), 10_000, 20_000, 100_000):
+            empty = ReplicateBatch.tile(np.empty((0, 2)), reps)
+            [row] = harness.tv_rows("tv[t=0", empty, empty, [("window", square)], 0)
+            assert row.name == "tv[t=0,window]" and row.lhs == 0.0 and row.passed
             threshold = 2.0 / math.sqrt(reps)
-            assert CheckRow("tv", threshold, 0.0, threshold / 3.0, 0).passed, reps
-            assert not CheckRow("tv", threshold * (1 + 1e-9), 0.0, threshold / 3.0,
-                                0).passed, reps
+            assert dataclasses.replace(row, lhs=threshold).passed, reps
+            assert not dataclasses.replace(row, lhs=threshold * (1 + 1e-9)).passed, reps
 
     def test_bound_respected_is_the_one_sided_rule(self):
         estimates = [DistanceEstimate(1.75, 0.25, "a"), DistanceEstimate(0.0, 0.0, "b")]
@@ -505,6 +522,25 @@ class TestCli:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "cox-line", "--lam", "10", "--c", "1e200"],
+        ["bound", "satellites", "--c", "1e200", "--n", "10"],
+        ["experiment", "converge-cox", "--c", "1e200", "--reps", "1000"],
+        ["bound", "cox-line", "--lam", "10", "--window", "disk:0,0,1e200"],
+        ["bound", "cox-line", "--lam", "10", "--window", "rect:0,0,1e200,1"],
+        ["simulate", "cox-line", "--c", "1e200", "--lam", "10"],
+        ["bound", "cox-line", "--lam", "1e-320"],
+    ], ids=["bound-c", "bound-sat-c", "experiment-c", "disk", "rect", "simulate-c",
+            "bound-inf"])
+    def test_bound_beyond_float_range_exit_2(self, argv, capsys):
+        # an input whose bound or window measure overflows a float is a
+        # config error, not a traceback (exit 1) or an inf bound (exit 0)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+
     def test_simulate_to_dir(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "cox-line", "--c", "2", "--lam", "10",
@@ -512,9 +548,9 @@ class TestCli:
         text = (out / "points.csv").read_text()
         assert text.startswith("x,y\n")
         points = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1, ndmin=2)
-        # the same draw as the command: stream (seed 3, index 0), default window
+        # the same draw as the command: seed 3, lane 0, default window
         expect = sample_cox_line(ModelParams.planar(2.0, 10.0), Disk((0.0, 0.0), 1.0),
-                                 RngStream(3, 0).generator()).points
+                                 harness.stream(3, harness.LANE_SAMPLES)).points
         assert len(expect) > 0 and np.array_equal(points, expect)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_points"] == len(expect)

@@ -8,11 +8,9 @@ import pytest
 
 from coxsim.diagnostics import mecke_check_bpp, mecke_functionals
 from coxsim.geometry import Disk, Rect
-from coxsim.harness import csv_line
-from coxsim.pointprocess import (ModelParams, ReplicateBatch, RngStream,
-                                 composite_index, ppp_batch,
-                                 region_counts, sample_ppp_window, sample_uniform_sphere,
-                                 uniform_in_window)
+from coxsim.harness import composite_index, csv_line, stream
+from coxsim.pointprocess import (ModelParams, ReplicateBatch, ppp_batch, region_counts,
+                                 sample_ppp_window, sample_uniform_sphere, uniform_in_window)
 from oracles import batch, count_in, multiset, plane_points, replicate, sphere_points
 
 # chi-square 0.999 quantile at 15 degrees of freedom (fixed table value)
@@ -20,7 +18,7 @@ CHI2_999_DF15 = 37.697
 
 
 def rng_for(idx=0, seed=777):
-    return RngStream(seed, idx).generator()
+    return stream(seed, 0, 0, idx)
 
 
 def config_tv_distance(a, b) -> int:
@@ -327,13 +325,13 @@ class TestCompressMatchesMaskIndexing:
 
 class TestReproducibility:
     def test_identical_streams(self):
-        a = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, RngStream(42, 9).generator())
-        b = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, RngStream(42, 9).generator())
+        a = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, stream(42, 0, 0, 9))
+        b = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, stream(42, 0, 0, 9))
         assert np.array_equal(a, b)
 
     def test_distinct_streams(self):
-        a = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, RngStream(42, 9).generator())
-        b = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, RngStream(42, 10).generator())
+        a = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, stream(42, 0, 0, 9))
+        b = sample_ppp_window(Rect(0, 0, 1, 1), 5.0, stream(42, 0, 0, 10))
         assert not (len(a) == len(b) and np.array_equal(a, b))
 
     def test_composite_index(self):

@@ -16,9 +16,8 @@ import pytest
 from coxsim.cli import main
 from coxsim.diagnostics import sphere_functional_family
 from coxsim.geometry import Disk, Rect
-from coxsim.harness import run_validation_suite
-from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
-                                 RngStream, sample_uniform_sphere)
+from coxsim.harness import run_validation_suite, stream
+from coxsim.pointprocess import CoupledBatch, ModelParams, ReplicateBatch, sample_uniform_sphere
 
 # run_path compiles the file without importing it as a module, so no
 # bytecode cache is written next to it
@@ -32,7 +31,7 @@ def test_layer_resolves(module, func):
 
 
 def _rng(idx=0):
-    return RngStream(99, idx).generator()
+    return stream(99, 0, 0, idx)
 
 
 def _sphere_batch(reps, rng):
