@@ -1,4 +1,4 @@
-"""Seed-0 regression: the in-memory rows of two small sweeps and of the
+"""Seed-0 regression: the in-memory rows of three small sweeps and of the
 validation suite at reps 2000 must match tests/data/golden_seed0.json.
 
 Text and integer fields match exactly, floats to 1e-12 relative.  A change
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from coxsim.geometry import Disk
+from coxsim.geometry import Disk, Rect
 from coxsim.harness import ExperimentConfig, run_experiment, run_validation_suite
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_seed0.json"
@@ -24,6 +24,10 @@ DATA = Path(__file__).resolve().parent / "data" / "golden_seed0.json"
 SWEEPS = {
     "cox-line": ExperimentConfig("cox-line", 1.0, (5.0, 10.0, 20.0, 40.0), 1000, 0,
                                  window=Disk((0.0, 0.0), 1.0)),
+    # a window neither square nor at the origin pins the Rect sampler, chord
+    # and region grid
+    "cox-line-rect": ExperimentConfig("cox-line", 1.0, (5.0, 10.0, 20.0, 40.0), 1000, 0,
+                                      window=Rect(-0.5, 0.0, 1.5, 1.0)),
     "satellites": ExperimentConfig("satellites", 2.0, (10.0, 20.0, 40.0, 80.0),
                                    1000, 0),
 }
@@ -69,9 +73,9 @@ def golden():
     return json.loads(DATA.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("model", sorted(SWEEPS))
-def test_experiment_seed0(golden, model):
-    _assert_same(_experiment(SWEEPS[model]), golden[model])
+@pytest.mark.parametrize("key", sorted(SWEEPS))
+def test_experiment_seed0(golden, key):
+    _assert_same(_experiment(SWEEPS[key]), golden[key])
 
 
 def test_validation_seed0(golden):
@@ -79,7 +83,7 @@ def test_validation_seed0(golden):
 
 
 if __name__ == "__main__":
-    data = {model: _experiment(cfg) for model, cfg in SWEEPS.items()}
+    data = {key: _experiment(cfg) for key, cfg in SWEEPS.items()}
     data["validation"] = _validation()
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(data, indent=1, ensure_ascii=False) + "\n",
