@@ -43,9 +43,11 @@ import numpy as np
 from .diagnostics import (planar_functional_family, planar_region_set,
                           sphere_functional_family, sphere_region_set)
 from .geometry import Disk, Window, chord_intervals, orbit_frame
-from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, sample_uniform_sphere,
-                           uniform_in_window)
+from .pointprocess import CoupledBatch, ModelParams, ReplicateBatch, sample_uniform_sphere
 from .steinbound import cox_bound, satellite_bound
+
+# the largest mean numpy's Generator.poisson accepts
+POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,13 @@ def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
     """
     params.check_kind("planar")
     per_rep = rng.poisson(0.5 * params.c * window.area, reps)
-    x = uniform_in_window(window, int(per_rep.sum()), rng)
+    x = window.uniform(int(per_rep.sum()), rng)
     alpha = rng.uniform(0.0, 2.0 * np.pi, x.shape[0])
     # the line through x with unit normal at angle alpha, as (r >= 0, theta)
     r = x[:, 0] * np.cos(alpha) + x[:, 1] * np.sin(alpha)
     theta = np.where(r < 0.0, np.mod(alpha + np.pi, 2.0 * np.pi), alpha)
     r = np.abs(r)
-    s_lo, s_hi, _ = chord_intervals(window, r, theta)
+    s_lo, s_hi = chord_intervals(window, r, theta)
     lengths = s_hi - s_lo
     m = params.mu_n * lengths
     p_hit = -np.expm1(-m)                  # P(the line carries a point)
@@ -220,9 +222,10 @@ class Model:
         return "sphere" if window is None else window.describe()
 
     def finite_params(self, c: float, value, window) -> ModelParams:
-        """params(c, value), checked to give a finite bound.  The bound grows as
-        c ** 2 and as the cube of the window's size, so it also overflows
-        wherever the window measure does.  Raises ValueError."""
+        """params(c, value), checked to give a finite bound and a mean count that
+        numpy's Poisson sampler accepts.  The bound grows as c ** 2 and as the
+        cube of the window's size, so it also overflows wherever the window
+        measure does.  Raises ValueError."""
         params = self.params(c, value)
         try:
             finite = math.isfinite(self.bound(params, window))
@@ -230,6 +233,10 @@ class Model:
             finite = False
         if not finite:
             raise ValueError("the bound or the window measure is beyond float range")
+        count = self.mean * c * self.regions(window)[0][1].measure
+        if count > POISSON_MAX_MEAN:
+            raise ValueError(f"the expected point count {count:g} is beyond the "
+                             f"largest Poisson mean numpy draws, {POISSON_MAX_MEAN:g}")
         return params
 
 

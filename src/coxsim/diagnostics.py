@@ -28,8 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap, Window,
-                       halves)
+from .geometry import Annulus, LatitudeBand, Rect, SphericalCap, Window
 from .pointprocess import CoupledBatch, ReplicateBatch
 
 BOOTSTRAP_RESAMPLES = 200
@@ -86,18 +85,17 @@ def empirical_count_tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     return float(_tv(*_pmfs(counts_a, np.bincount(counts_b) / counts_b.size)))
 
 
-def tv_vs_poisson(counts: np.ndarray, mean: float) -> float:
-    """TV between the empirical count pmf and the Poisson(mean) pmf."""
+def count_pmfs(counts: np.ndarray, mean: float) -> tuple:
+    """(p_hat, q, tail): the empirical pmf of an integer sample and the
+    Poisson(mean) pmf, zero-padded to one length, and the Poisson mass beyond
+    it.  tv_vs_poisson and count_tv_lower_bound take these arrays."""
     q, tail = poisson_pmf(mean)
-    return float(_tv(*_pmfs(counts, q), tail))
+    return (*_pmfs(counts, q), tail)
 
 
-def _bootstrap_tv(counts: np.ndarray, mean: float, rng: np.random.Generator) -> tuple:
-    """tv_vs_poisson and its bootstrap stderr, from one pair of pmfs."""
-    q, tail = poisson_pmf(mean)
-    p_hat, q = _pmfs(counts, q)
-    draws = rng.multinomial(counts.size, p_hat, size=BOOTSTRAP_RESAMPLES) / counts.size
-    return float(_tv(p_hat, q, tail)), float(_tv(draws, q, tail).std(ddof=1))
+def tv_vs_poisson(pmfs: tuple) -> float:
+    """TV between the empirical count pmf and the Poisson pmf of count_pmfs."""
+    return float(_tv(*pmfs))
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +225,20 @@ class DistanceEstimate:
             raise ValueError("distance estimates are nonnegative")
 
 
-def count_tv_lower_bound(samples: ReplicateBatch, region, target_mean: float,
-                         rng: np.random.Generator,
-                         region_name: str | None = None) -> DistanceEstimate:
-    """TV between the empirical law of the region count and Poisson(target_mean),
-    with a bootstrap stderr drawn from rng.
+def count_tv_lower_bound(pmfs: tuple, reps: int, rng: np.random.Generator,
+                         region_name: str) -> DistanceEstimate:
+    """tv_vs_poisson of a region's count_pmfs over reps replicates, with a
+    bootstrap stderr drawn from rng.
 
     A lower bound on the configuration Wasserstein distance: indicators of
     count level sets are {0,1}-valued and hence 1-Lipschitz.
     """
-    counts = samples.counts(region)
-    if counts.size < 1000:
+    if reps < 1000:
         raise ValueError("TV lower bound needs at least 1000 samples")
-    value, stderr = _bootstrap_tv(counts, target_mean, rng)
-    name = region_name or region.describe()
-    return DistanceEstimate(value=value, stderr=stderr, regions=name)
+    p_hat, q, tail = pmfs
+    draws = rng.multinomial(reps, p_hat, size=BOOTSTRAP_RESAMPLES) / reps
+    return DistanceEstimate(value=tv_vs_poisson(pmfs), regions=region_name,
+                            stderr=float(_tv(draws, q, tail).std(ddof=1)))
 
 
 def _max_gap(gaps: np.ndarray, ses: np.ndarray, names: Sequence[str]) -> DistanceEstimate:
@@ -401,14 +398,7 @@ def planar_region_set(window: Window):
     anisotropy: line-generated points show up as collinear clusters."""
     regions = [("window", window)]
     cx, cy = window.center
-    if isinstance(window, Disk):
-        half = window.radius / math.sqrt(2.0)
-        x0, y0, side = cx - half, cy - half, 2.0 * half
-        rho = window.radius
-    else:
-        x0, y0 = window.x0, window.y0
-        side = min(window.x1 - window.x0, window.y1 - window.y0)
-        rho = side / 2.0
+    x0, y0, side, rho = window.grid_frame()
     step = side / 4.0
     for i in range(4):
         for j in range(4):
@@ -480,7 +470,7 @@ def planar_functional_family(window: Window) -> list[Functional]:
 def glauber_functionals(window: Window) -> list[Functional]:
     """Family for the Glauber property checks; left and right are the window
     halves (inscribed-square halves for a disk)."""
-    left, right = halves(window)
+    left, right = window.halves()
     return [
         truncated_count(window, 3),
         raw_count(window),
@@ -495,7 +485,7 @@ def glauber_functionals(window: Window) -> list[Functional]:
 def mecke_functionals(window: Window) -> list[MeckeFunctional]:
     """Family for the Campbell-Mecke checks on a window; A and B are the two
     halves of the window (inscribed-square halves for a disk)."""
-    A, B = halves(window)
+    A, B = window.halves()
     aA, aB = A.area, B.area
     one, in_A = count_at_least(name="1"), count_at_least((A, 1))
     return [

@@ -52,6 +52,65 @@ class Disk:
     def describe(self) -> str:
         return f"disk(c=({self.center[0]:g},{self.center[1]:g}),R={self.radius:g})"
 
+    def uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n i.i.d. uniform points (a binomial point process), by inverse transform."""
+        rho = self.radius * np.sqrt(rng.random(n))
+        ang = rng.uniform(0.0, 2.0 * np.pi, n)
+        cx, cy = self.center
+        return np.column_stack([cx + rho * np.cos(ang), cy + rho * np.sin(ang)])
+
+    def chord(self, r: np.ndarray, theta: np.ndarray):
+        cx, cy = self.center
+        ct, st = np.cos(theta), np.sin(theta)
+        h = r - (cx * ct + cy * st)
+        ok = np.abs(h) < self.radius
+        half = np.zeros_like(h)
+        half[ok] = np.sqrt(self.radius ** 2 - h[ok] ** 2)
+        s_c = cy * ct - cx * st
+        return s_c - half, s_c + half
+
+    def halves(self) -> tuple["Rect", "Rect"]:
+        """Halves of the inscribed square, so both lie inside the disk and
+        region areas stay exact for the Mecke oracles."""
+        cx, cy = self.center
+        r = self.radius / math.sqrt(2.0)
+        return (Rect(cx - r, cy - r, cx, cy + r), Rect(cx, cy - r, cx + r, cy + r))
+
+    def grid_frame(self) -> tuple:
+        """(x0, y0, side, rho): the corner and side of the square that the
+        region grid tiles, here the inscribed one, and the annuli's radius."""
+        half = self.radius / math.sqrt(2.0)
+        return self.center[0] - half, self.center[1] - half, 2.0 * half, self.radius
+
+    def radial_pieces(self, theta: np.ndarray):
+        """Edges of the chords' smooth pieces in r >= 0 at angles theta (last
+        axis of length 1), in a variable v, and the map taking Gauss nodes and
+        weights in v to r: r = cu + R sin(v), so the chord is 2 R cos(v)
+        between the tangency radii; the r >= 0 clip moves the lower end only."""
+        R = self.radius
+        cu = self.center[0] * np.cos(theta) + self.center[1] * np.sin(theta)
+        v_lo = np.arcsin(np.clip(-cu / R, -1.0, 1.0))
+        edges = np.concatenate([v_lo, np.full_like(v_lo, 0.5 * math.pi)], axis=-1)
+        return edges, lambda v, wv: (cu + R * np.sin(v), wv * R * np.cos(v))
+
+    def angular_breaks(self) -> list:
+        """Angles, modulo 2 pi, where a tangency radius cu -+ R crosses 0."""
+        (cx, cy), R = self.center, self.radius
+        dist = math.hypot(cx, cy)
+        return [] if dist < R else [
+            math.atan2(cy, cx) + k * math.pi + s * math.acos(R / dist)
+            for k in (0, 1) for s in (-1, 1)]
+
+    def closed_form_g(self) -> float:
+        """G(K) in closed form.  G is motion-invariant and, by Crofton's
+        chord-power formula, equals (1/pi) int int_{K x K} |x - y|^-1 dx dy
+        (Santalo, Integral Geometry and Geometric Probability, 1976)."""
+        return 16.0 * self.radius ** 3 / 3.0
+
+    def area_xsq(self) -> float:
+        """int_K x^2 dx."""
+        return self.area * (self.center[0] ** 2 + self.radius ** 2 / 4.0)
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -85,8 +144,70 @@ class Rect:
     def describe(self) -> str:
         return f"rect({self.x0:g},{self.y0:g},{self.x1:g},{self.y1:g})"
 
+    def uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return np.column_stack([rng.uniform(self.x0, self.x1, n),
+                                rng.uniform(self.y0, self.y1, n)])
+
+    def chord(self, r: np.ndarray, theta: np.ndarray):
+        ct, st = np.cos(theta), np.sin(theta)
+        shape = np.broadcast(r, theta).shape
+        base_x, base_y = r * ct, r * st
+        lo = np.full(shape, -np.inf)
+        hi = np.full(shape, np.inf)
+        ok = np.ones(shape, dtype=bool)
+        for coef, base, b0, b1 in ((-st, base_x, self.x0, self.x1),
+                                   (ct, base_y, self.y0, self.y1)):
+            deg = np.abs(coef) < 1e-300
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t0 = np.where(deg, -np.inf, (b0 - base) / np.where(deg, 1.0, coef))
+                t1 = np.where(deg, np.inf, (b1 - base) / np.where(deg, 1.0, coef))
+            swap = t0 > t1
+            t0, t1 = np.where(swap, t1, t0), np.where(swap, t0, t1)
+            lo, hi = np.maximum(lo, t0), np.minimum(hi, t1)
+            # degenerate direction: the fixed coordinate must be inside the slab
+            ok &= ~(deg & ((base < b0) | (base > b1)))
+        ok &= (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
+        return np.where(ok, lo, 0.0), np.where(ok, hi, 0.0)
+
+    def halves(self) -> tuple["Rect", "Rect"]:
+        """Left and right halves, split at the center's x."""
+        mx = 0.5 * (self.x0 + self.x1)
+        return (Rect(self.x0, self.y0, mx, self.y1), Rect(mx, self.y0, self.x1, self.y1))
+
+    def grid_frame(self) -> tuple:
+        side = min(self.x1 - self.x0, self.y1 - self.y0)
+        return self.x0, self.y0, side, side / 2.0
+
+    def radial_pieces(self, theta: np.ndarray):
+        # the chord is linear in r between the sorted corner projections
+        ct, st = np.cos(theta), np.sin(theta)
+        proj = np.concatenate([x * ct + y * st for x in (self.x0, self.x1)
+                               for y in (self.y0, self.y1)], axis=-1)
+        return np.sort(np.maximum(0.0, proj), axis=-1), lambda r, w: (r, w)
+
+    def angular_breaks(self) -> list:
+        """Angles, modulo 2 pi, where a corner's projection crosses 0 (theta
+        normal to the corner) or two corners' projections tie (theta normal
+        to their difference)."""
+        a, b = self.x1 - self.x0, self.y1 - self.y0
+        vectors = [(x, y) for x in (self.x0, self.x1) for y in (self.y0, self.y1)]
+        vectors += [(a, 0.0), (0.0, b), (a, b), (a, -b)]
+        return [math.atan2(y, x) + k * math.pi / 2.0 for x, y in vectors for k in (1, 3)]
+
+    def closed_form_g(self) -> float:
+        """G(K) in closed form, as in Disk.closed_form_g."""
+        a, b = self.x1 - self.x0, self.y1 - self.y0
+        return ((2.0 / 3.0) * (a ** 3 + b ** 3 - (a * a + b * b) ** 1.5)
+                + 2.0 * a * b * (a * math.asinh(b / a) + b * math.asinh(a / b))) / math.pi
+
+    def area_xsq(self) -> float:
+        return (self.x1 ** 3 - self.x0 ** 3) * (self.y1 - self.y0) / 3.0
+
 
 Window = Disk | Rect
+
+# window kind -> its constructor, as 'kind:v1,v2,...' gives the values
+WINDOW_KINDS = {"disk": lambda cx, cy, radius: Disk((cx, cy), radius), "rect": Rect}
 
 
 @dataclass(frozen=True)
@@ -117,55 +238,10 @@ class Annulus:
 
 
 def chord_intervals(window: Window, r, theta):
-    """Vectorized chord intervals for broadcastable arrays of (r, theta).
-
-    Returns (s_lo, s_hi, nonempty mask); s_hi - s_lo is 0 where the line
-    misses the window.  The quadrature passes r of shape (m, k) with theta (m, 1).
-    """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    ct, st = np.cos(theta), np.sin(theta)
-    if isinstance(window, Disk):
-        cx, cy = window.center
-        h = r - (cx * ct + cy * st)
-        ok = np.abs(h) < window.radius
-        half = np.zeros_like(h)
-        half[ok] = np.sqrt(window.radius ** 2 - h[ok] ** 2)
-        s_c = cy * ct - cx * st
-        return s_c - half, s_c + half, ok
-    shape = np.broadcast(r, theta).shape
-    base_x, base_y = r * ct, r * st
-    lo = np.full(shape, -np.inf)
-    hi = np.full(shape, np.inf)
-    ok = np.ones(shape, dtype=bool)
-    for coef, base, b0, b1 in ((-st, base_x, window.x0, window.x1),
-                               (ct, base_y, window.y0, window.y1)):
-        deg = np.abs(coef) < 1e-300
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t0 = np.where(deg, -np.inf, (b0 - base) / np.where(deg, 1.0, coef))
-            t1 = np.where(deg, np.inf, (b1 - base) / np.where(deg, 1.0, coef))
-        swap = t0 > t1
-        t0, t1 = np.where(swap, t1, t0), np.where(swap, t0, t1)
-        lo, hi = np.maximum(lo, t0), np.minimum(hi, t1)
-        # degenerate direction: the fixed coordinate must be inside the slab
-        ok &= ~(deg & ((base < b0) | (base > b1)))
-    ok &= (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
-    return np.where(ok, lo, 0.0), np.where(ok, hi, 0.0), ok
-
-
-def halves(window: Window) -> tuple[Rect, Rect]:
-    """Left and right halves of the window, split at the center's x.
-
-    A disk is halved through its inscribed square, so both halves lie inside
-    the disk and region areas stay exact for the Mecke oracles.
-    """
-    if isinstance(window, Rect):
-        mx = 0.5 * (window.x0 + window.x1)
-        return (Rect(window.x0, window.y0, mx, window.y1),
-                Rect(mx, window.y0, window.x1, window.y1))
-    cx, cy = window.center
-    r = window.radius / math.sqrt(2.0)
-    return (Rect(cx - r, cy - r, cx, cy + r), Rect(cx, cy - r, cx + r, cy + r))
+    """Vectorized chord intervals (s_lo, s_hi) for broadcastable arrays of
+    (r, theta); s_hi - s_lo is 0 where the line misses the window.  The
+    quadrature passes r of shape (m, k) with theta (m, 1)."""
+    return window.chord(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
 
 
 # ---------------------------------------------------------------------------

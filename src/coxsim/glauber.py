@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Window
-from .pointprocess import ReplicateBatch, uniform_in_window
+from .pointprocess import ReplicateBatch
 
 BIRTH_PAIRS = 32  # antithetic birth pairs per replicate in generator_apply
 
@@ -87,7 +87,7 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
         born = live[u < b]
         if size[born].max(initial=0) >= buf.shape[1]:
             buf = np.concatenate([buf, np.empty_like(buf)], axis=1)
-        buf[born, size[born]] = uniform_in_window(spec.window, born.size, rng)
+        buf[born, size[born]] = spec.window.uniform(born.size, rng)
         size[born] += 1
         # given a death, u - b is uniform on [0, size); clipped for b + size rounding up
         dead = live[u >= b]

@@ -36,12 +36,12 @@ from functools import partial
 import numpy as np
 
 from .coxmodels import MODELS, effective_intensity
-from .diagnostics import (DistanceEstimate, RateFit,
+from .diagnostics import (DistanceEstimate, RateFit, count_pmfs,
                           count_tv_lower_bound, coupled_wasserstein_lower_bound,
                           empirical_count_tv, glauber_functionals, invariance_check,
                           mecke_check_bpp, mecke_check_ppp, mecke_functionals,
                           rate_regression, tv_vs_poisson)
-from .geometry import Disk, Rect, Window, halves
+from .geometry import WINDOW_KINDS, Disk, Rect, Window
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       semigroup_sample, semigroup_trajectory_consistency)
 from .pointprocess import CoupledBatch, ModelParams, ReplicateBatch
@@ -129,12 +129,8 @@ def parse_window(text: str) -> Window:
     """Parse 'disk:cx,cy,R' or 'rect:x0,y0,x1,y1'."""
     try:
         kind, rest = text.split(":", 1)
-        vals = [float(v) for v in rest.split(",")]
-        if kind == "disk" and len(vals) == 3:
-            return Disk((vals[0], vals[1]), vals[2])
-        if kind == "rect" and len(vals) == 4:
-            return Rect(*vals)
-    except (ValueError, TypeError):
+        return WINDOW_KINDS[kind](*[float(v) for v in rest.split(",")])
+    except (KeyError, ValueError, TypeError):
         pass
     raise ConfigError(f"cannot parse window {text!r}; use disk:cx,cy,R or rect:x0,y0,x1,y1")
 
@@ -279,16 +275,16 @@ def run_sweep_point(cfg: ExperimentConfig, point_idx: int, value: float) -> dict
 
     whole = regions[0][1]   # the whole window or sphere
     eff, eff_se = effective_intensity(samples.counts(whole), whole.measure)
-    tvs = [tv_vs_poisson(samples.counts(region), target * region.measure)
-           for _, region in regions]
+    pmfs = [count_pmfs(samples.counts(region), target * region.measure)
+            for _, region in regions]
+    tvs = [tv_vs_poisson(p) for p in pmfs]
     best = tvs.index(max(tvs))
     # a region at or below the bound passes value <= bound + 3 stderr whatever
     # its stderr, so only the reported region and those above the bound are
     # bootstrapped, region k on stream (LANE_BOOTSTRAP, point_idx, k)
-    boot = {k: count_tv_lower_bound(samples, region, target * region.measure,
-                                    rng=stream(seed, LANE_BOOTSTRAP, point_idx, k),
-                                    region_name=name)
-            for k, (name, region) in enumerate(regions) if k == best or tvs[k] > bound}
+    boot = {k: count_tv_lower_bound(pmfs[k], len(samples),
+                                    stream(seed, LANE_BOOTSTRAP, point_idx, k), name)
+            for k, (name, _) in enumerate(regions) if k == best or tvs[k] > bound}
     tv_best, tv_estimates = boot[best], list(boot.values())
 
     return {
@@ -432,7 +428,7 @@ def check_mecke(seed: int, reps: int) -> list[CheckRow]:
 
 
 def _check_regions(window: Rect):
-    left = halves(window)[0]
+    left = window.halves()[0]
     return [("window", window), ("left", left),
             ("cell", Rect(left.x0, left.y0, left.x1, 0.5 * (window.y0 + window.y1)))]
 

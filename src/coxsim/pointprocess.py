@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Disk, Window
+from .geometry import Window
 
 # ---------------------------------------------------------------------------
 # Model parameters
@@ -57,25 +57,12 @@ class ModelParams:
 # Samplers
 # ---------------------------------------------------------------------------
 
-def uniform_in_window(window: Window, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. uniform points in the window (a binomial point process), by
-    inverse transform."""
-    if isinstance(window, Disk):
-        rho = window.radius * np.sqrt(rng.random(n))
-        ang = rng.uniform(0.0, 2.0 * np.pi, n)
-        cx, cy = window.center
-        return np.column_stack([cx + rho * np.cos(ang), cy + rho * np.sin(ang)])
-    x = rng.uniform(window.x0, window.x1, n)
-    y = rng.uniform(window.y0, window.y1, n)
-    return np.column_stack([x, y])
-
-
 def sample_ppp_window(window: Window, lam: float, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous PPP of intensity lam restricted to the window, as an
     (n, 2) array."""
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
-    return uniform_in_window(window, rng.poisson(lam * window.area), rng)
+    return window.uniform(rng.poisson(lam * window.area), rng)
 
 
 def sample_uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -139,8 +126,8 @@ class ReplicateBatch:
     @classmethod
     def bpp(cls, window: Window, n: int, reps: int,
             rng: np.random.Generator) -> "ReplicateBatch":
-        """reps samples of n uniform points: uniform_in_window(window, reps * n)."""
-        return cls(uniform_in_window(window, reps * n, rng),
+        """reps samples of n uniform points: window.uniform(reps * n)."""
+        return cls(window.uniform(reps * n, rng),
                    np.repeat(np.arange(reps), n), reps)
 
     def cached(self, key, compute) -> np.ndarray:
@@ -194,7 +181,7 @@ def ppp_batch(window: Window, lam: float, reps: int, rng: np.random.Generator):
     """
     counts = rng.poisson(lam * window.area, reps)
     total = int(counts.sum())
-    points = uniform_in_window(window, total, rng)
+    points = window.uniform(total, rng)
     rep_ids = np.repeat(np.arange(reps), counts)
     return counts, points, rep_ids
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Disk, Window, chord_intervals
+from .geometry import Window, chord_intervals
 from .pointprocess import ModelParams
 
 
@@ -75,43 +75,8 @@ def _piecewise_gauss(edges, n: int):
 def _radial_rule(window: Window, theta, n: int):
     """Nodes and weights in r >= 0 for integrals along the chords at angle(s)
     theta, n per smooth piece of the chord; shapes theta.shape + (k,)."""
-    theta = np.asarray(theta, dtype=float)[..., None]
-    ct, st = np.cos(theta), np.sin(theta)
-    if isinstance(window, Disk):
-        # r = cu + R sin(v): the chord is 2 R cos(v) between the tangency
-        # radii, smooth in v; the r >= 0 clip moves the lower end only
-        R = window.radius
-        cu = window.center[0] * ct + window.center[1] * st
-        v_lo = np.arcsin(np.clip(-cu / R, -1.0, 1.0))
-        v, wv = _piecewise_gauss(
-            np.concatenate([v_lo, np.full_like(v_lo, 0.5 * math.pi)], axis=-1), n)
-        return cu + R * np.sin(v), wv * R * np.cos(v)
-    # the chord is linear in r between the sorted corner projections
-    proj = np.concatenate([x * ct + y * st for x in (window.x0, window.x1)
-                           for y in (window.y0, window.y1)], axis=-1)
-    return _piecewise_gauss(np.sort(np.maximum(0.0, proj), axis=-1), n)
-
-
-def _angular_breaks(window: Window) -> list[float]:
-    """Sorted angles in [0, 2 pi], ends included, between which the radial
-    pieces of _radial_rule keep their order: where a disk's tangency radius
-    or a rect corner's projection crosses 0, or two corners' projections tie."""
-    if isinstance(window, Disk):
-        (cx, cy), R = window.center, window.radius
-        dist = math.hypot(cx, cy)
-        # the tangency radii cu -+ R cross 0 at atan2(cy, cx) + k pi +- acos(R / dist)
-        angles = [] if dist < R else [
-            math.atan2(cy, cx) + k * math.pi + s * math.acos(R / dist)
-            for k in (0, 1) for s in (-1, 1)]
-    else:
-        a, b = window.x1 - window.x0, window.y1 - window.y0
-        # theta normal to a corner: its projection crosses 0; normal to the
-        # difference of two corners: their projections tie
-        vectors = [(x, y) for x in (window.x0, window.x1) for y in (window.y0, window.y1)]
-        vectors += [(a, 0.0), (0.0, b), (a, b), (a, -b)]
-        angles = [math.atan2(y, x) + k * math.pi / 2.0 for x, y in vectors for k in (1, 3)]
-    # sorted(set()) rather than np.unique, which imports numpy.ma
-    return sorted({0.0, 2.0 * math.pi} | {t % (2.0 * math.pi) for t in angles})
+    edges, to_r = window.radial_pieces(np.asarray(theta, dtype=float)[..., None])
+    return to_r(*_piecewise_gauss(edges, n))
 
 
 def _refine(evaluate):
@@ -133,32 +98,24 @@ def chord_square_integral(window: Window):
     angular rule doubles: NODES points integrate each radial piece, a
     quadratic (rect) or 4 R^3 cos^3(v) (disk), to rounding, and a fixed
     radial count keeps the top level's grid near 10^6 nodes."""
-    breaks = _angular_breaks(window)
+    # the radial pieces keep their order between the window's angular breaks;
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    breaks = sorted({0.0, 2.0 * math.pi}
+                    | {t % (2.0 * math.pi) for t in window.angular_breaks()})
 
     def evaluate(level: int) -> float:
         th, wt = _piecewise_gauss(breaks, NODES * 2 ** level)
         r, wr = _radial_rule(window, th, NODES)
-        s_lo, s_hi, _ = chord_intervals(window, r, th[:, None])
+        s_lo, s_hi = chord_intervals(window, r, th[:, None])
         return float(wt @ np.sum(wr * (s_hi - s_lo) ** 2, axis=1) / math.pi)
 
     return _refine(evaluate)
 
 
-def _closed_form_g(window: Window) -> float:
-    """G(K) in closed form.  G is motion-invariant and, by Crofton's
-    chord-power formula, equals (1/pi) int int_{K x K} |x - y|^-1 dx dy
-    (Santalo, Integral Geometry and Geometric Probability, 1976)."""
-    if isinstance(window, Disk):
-        return 16.0 * window.radius ** 3 / 3.0
-    a, b = window.x1 - window.x0, window.y1 - window.y0
-    return ((2.0 / 3.0) * (a ** 3 + b ** 3 - (a * a + b * b) ** 1.5)
-            + 2.0 * a * b * (a * math.asinh(b / a) + b * math.asinh(a / b))) / math.pi
-
-
 def cox_bound(params: ModelParams, window: Window) -> float:
     """Planar bound (c^2 / lambda_n) * G(K), from the closed form of G."""
     params.check_kind("planar")
-    return params.c ** 2 / params.lambda_n * _closed_form_g(window)
+    return params.c ** 2 / params.lambda_n * window.closed_form_g()
 
 
 def satellite_bound(params: ModelParams) -> float:
@@ -171,12 +128,6 @@ def satellite_bound(params: ModelParams) -> float:
 # Coarea check
 # ---------------------------------------------------------------------------
 
-def _area_xsq(window: Window) -> float:
-    if isinstance(window, Disk):
-        return window.area * (window.center[0] ** 2 + window.radius ** 2 / 4.0)
-    return (window.x1 ** 3 - window.x0 ** 3) * (window.y1 - window.y0) / 3.0
-
-
 def _chord_xsq(a, b, s_lo, s_hi):
     def antiderivative(s):
         return s * (a * a - a * b * s + b * b * s * s / 3.0)
@@ -188,7 +139,7 @@ def _chord_xsq(a, b, s_lo, s_hi):
 # closed form, so the radial rule is the check's only numerical step
 INTEGRANDS = {
     "one": (lambda window: window.area, lambda a, b, s_lo, s_hi: s_hi - s_lo),
-    "xsq": (_area_xsq, _chord_xsq),
+    "xsq": (lambda window: window.area_xsq(), _chord_xsq),
 }
 
 
@@ -214,7 +165,7 @@ def coarea_check(integrand: str, window: Window, theta: float) -> CoareaResult:
 
     def eval_rhs(level: int) -> float:
         r, w = _radial_rule(window, theta, NODES * 2 ** level)
-        s_lo, s_hi, _ = chord_intervals(window, r, theta)
+        s_lo, s_hi = chord_intervals(window, r, theta)
         return float(np.sum(w * chord_integral(r * ct, st, s_lo, s_hi)))
 
     rhs, err = _refine(eval_rhs)

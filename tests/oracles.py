@@ -159,7 +159,7 @@ def oracle_cox_line(params, window: Window, rng, r_max=None):
     m = rng.poisson(params.lambda_n * r_max)
     r = rng.uniform(0.0, r_max, m)
     theta = rng.uniform(0.0, TAU, m)
-    s_lo, s_hi, _ = chord_intervals(window, r, theta)
+    s_lo, s_hi = chord_intervals(window, r, theta)
     lengths = s_hi - s_lo
     marks = rng.poisson(params.mu_n * lengths)
     idx = np.repeat(np.arange(m), marks)

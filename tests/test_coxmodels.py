@@ -183,7 +183,7 @@ class TestCoxLine:
             on = line_of_each_point(lines, batch.points)
             marks = np.bincount(on, minlength=len(lines))
             assert marks.min() >= 1
-            s_lo, s_hi, _ = chord_intervals(UNIT_DISK, lines[:, 0], lines[:, 1])
+            s_lo, s_hi = chord_intervals(UNIT_DISK, lines[:, 0], lines[:, 1])
             lengths = s_hi - s_lo
             # independent counts with known pmfs: expect the sum of the pmfs
             pmf = zero_truncated_poisson_pmf(params.mu_n * lengths, 40).mean(axis=0)

@@ -8,7 +8,7 @@ import pytest
 
 from coxsim.coxmodels import sample_satellites_with_twin
 from coxsim.diagnostics import (DistanceEstimate, Functional,
-                                count_indicator, count_tv_lower_bound,
+                                count_indicator, count_pmfs, count_tv_lower_bound,
                                 coupled_wasserstein_lower_bound,
                                 empirical_count_tv, glauber_functionals,
                                 invariance_check, mecke_check_bpp,
@@ -17,10 +17,10 @@ from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 poisson_pmf, rate_regression,
                                 sphere_functional_family, sphere_region_set,
                                 tv_vs_poisson, wasserstein_lower_bound)
-from coxsim.geometry import Disk, LatitudeBand, Rect, halves
+from coxsim.geometry import Disk, LatitudeBand, Rect
 from coxsim.harness import check_mecke, mc_row, stream
 from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
-                                 sample_ppp_window, sample_uniform_sphere, uniform_in_window)
+                                 sample_ppp_window, sample_uniform_sphere)
 from oracles import batch, count_in, plane_points, sphere_points
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
@@ -94,15 +94,15 @@ class TestTv:
         pmf, tail = poisson_pmf(1.0)
         expect = 0.5 * (abs(0.5 - pmf[0]) + abs(0.5 - pmf[1])
                         + pmf[2:].sum() + tail)
-        assert tv_vs_poisson(counts, 1.0) == pytest.approx(expect, abs=1e-12)
+        assert tv_vs_poisson(count_pmfs(counts, 1.0)) == pytest.approx(expect, abs=1e-12)
 
     def test_zero_target_mean(self):
         counts = np.array([0] * 900 + [1] * 100)
-        assert tv_vs_poisson(counts, 0.0) == pytest.approx(0.1)
+        assert tv_vs_poisson(count_pmfs(counts, 0.0)) == pytest.approx(0.1)
 
     def test_exact_law_goes_to_zero(self):
         rng = rng_for(1)
-        tv_small = tv_vs_poisson(rng.poisson(1.5, 40_000), 1.5)
+        tv_small = tv_vs_poisson(count_pmfs(rng.poisson(1.5, 40_000), 1.5))
         assert tv_small < 0.02
 
 
@@ -125,16 +125,16 @@ class TestCountTvLowerBound:
         samples = batch([sample_satellites_with_twin(params, rng)[0].points
                          for _ in range(6000)])
         band = LatitudeBand(-1 / 6, 1 / 6)
-        est = count_tv_lower_bound(samples, band, 2.0 * band.measure,
-                                   rng=rng_for(4))
+        est = count_tv_lower_bound(count_pmfs(samples.counts(band), 2.0 * band.measure),
+                                   len(samples), rng_for(4), band.describe())
         assert est.value - est.stderr > 0
         assert est.value < 1.6
         assert est.regions == band.describe()
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError, match="at least 1000"):
-            count_tv_lower_bound(batch([sphere_points([])] * 10),
-                                 LatitudeBand(-1, 1), 1.0, rng_for(5))
+            count_tv_lower_bound(count_pmfs(np.zeros(10, dtype=np.int64), 1.0), 10,
+                                 rng_for(5), "sphere")
 
 
 class TestWassersteinLowerBound:
@@ -166,7 +166,7 @@ class TestWassersteinLowerBound:
         est = wasserstein_lower_bound(samples, ref, fam, rng_for(12),
                                       ref_factor=8)
         counts = samples.counts(WINDOW)
-        tv = tv_vs_poisson(counts, 2.0)
+        tv = tv_vs_poisson(count_pmfs(counts, 2.0))
         assert est.value + 4 * est.stderr >= tv - 0.01
 
     def test_detects_rate_mismatch(self):
@@ -291,7 +291,7 @@ class TestMecke:
         # Mecke regions A, B and the Glauber left/right regions are the same
         # window halves, for a rect and (inscribed-square halves) a disk
         for window in (WINDOW, Disk((0.3, -0.2), 0.8)):
-            A, B = halves(window)
+            A, B = window.halves()
             regions = {(mf.g.regions, mf.h.regions) for mf in mecke_functionals(window)}
             assert regions == {((), ()), ((A,), ()), ((A,), (A,)), ((A,), (B,))}
             names = [F.name for F in glauber_functionals(window)]
@@ -455,17 +455,14 @@ class TestPresets:
         sphere = partial(sample_uniform_sphere, rng_for(40))
         for family, draw in (
                 (sphere_functional_family(), sphere),
-                (planar_functional_family(disk), partial(uniform_in_window, disk,
-                                                         rng=rng_for(41))),
-                (planar_functional_family(rect), partial(uniform_in_window, rect,
-                                                         rng=rng_for(42))),
+                (planar_functional_family(disk), partial(disk.uniform, rng=rng_for(41))),
+                (planar_functional_family(rect), partial(rect.uniform, rng=rng_for(42))),
                 # check_glauber passes this family to contraction_estimate
-                (glauber_functionals(WINDOW), partial(uniform_in_window, WINDOW,
-                                                      rng=rng_for(43)))):
+                (glauber_functionals(WINDOW), partial(WINDOW.uniform, rng=rng_for(43)))):
             assert max_one_point_change(family, draw, rng_for(44)) <= 1.0
         # the check has power: a doubled count moves by 2
         doubled = Functional("2count", (disk,), lambda c: 2.0 * c[:, 0])
-        draw = partial(uniform_in_window, disk, rng=rng_for(45))
+        draw = partial(disk.uniform, rng=rng_for(45))
         assert max_one_point_change([doubled], draw, rng_for(46)) == 2.0
 
 

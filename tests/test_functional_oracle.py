@@ -15,7 +15,7 @@ from coxsim.geometry import Disk, Rect
 from coxsim.glauber import (BIRTH_PAIRS, GlauberSpec, contraction_estimate,
                             generator_apply, semigroup_sample)
 from coxsim.harness import stream
-from coxsim.pointprocess import ReplicateBatch, sample_uniform_sphere, uniform_in_window
+from coxsim.pointprocess import ReplicateBatch, sample_uniform_sphere
 from oracles import count_in, plane_points, plus, sphere_points, split
 
 RECT = Rect(0.0, 0.0, 1.0, 1.0)
@@ -56,7 +56,7 @@ def assert_batch_matches(functionals, configs):
 
 def planar_configs(window, boundary, rng):
     """Empty replicates (one trailing), duplicates, boundary points, random."""
-    inside = uniform_in_window(window, 40, rng)
+    inside = window.uniform(40, rng)
     empty = plane_points([])
     configs = [empty, plane_points(boundary), plane_points([boundary[0]] * 3), empty]
     configs += [np.vstack([boundary[k % len(boundary)], inside[k:k + k % 7]])
@@ -88,7 +88,7 @@ def test_moved_matches_plus_and_delete(window, boundary):
     configs = planar_configs(window, boundary, rng_for(0))
     base = ReplicateBatch.stack(configs)
     extra = [plane_points(boundary[:k % 3]) for k in range(len(configs))]
-    extra[5] = uniform_in_window(window, 4, rng_for(1))
+    extra[5] = window.uniform(4, rng_for(1))
     added = ReplicateBatch.stack(extra)
     minus_one = [np.delete(c, i, axis=0) for c in configs for i in range(len(c))]
     plus_one = [plus(configs[j], x) for j, pts in enumerate(extra) for x in pts]
@@ -196,7 +196,7 @@ def test_generator_matches_oracle(k, generator_values):
     # antithetic pairs it was given: rows m k to m (k + 1) - 1 of the shared
     # draw, m = BIRTH_PAIRS
     omega, m = OMEGAS[k], BIRTH_PAIRS
-    pts = uniform_in_window(RECT, m * len(OMEGAS), rng_for(10))[m * k:m * (k + 1)]
+    pts = RECT.uniform(m * len(OMEGAS), rng_for(10))[m * k:m * (k + 1)]
     mirrored = np.column_stack([1.0 - pts[:, 0], 1.0 - pts[:, 1]])
     for j, F in enumerate(GENERATOR_FAMILY):
         f0 = scalar_value(F, omega)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coxsim.geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap,
-                             chord_intervals, halves)
+                             chord_intervals)
 from oracles import (LineParams, chord_interval, chord_length, line_point,
                      orbit_point, rotation_to, support_radius)
 
@@ -111,7 +111,7 @@ class TestChords:
         for window in (Disk((0.3, 0.1), 0.9), Rect(-1, 0, 1, 2)):
             r = 2.0 * RNG.random(50)
             theta = 2.0 * math.pi * RNG.random(50)
-            s_lo, s_hi, _ = chord_intervals(window, r, theta)
+            s_lo, s_hi = chord_intervals(window, r, theta)
             vec = s_hi - s_lo
             for k in range(50):
                 assert vec[k] == pytest.approx(
@@ -133,13 +133,13 @@ class TestChords:
 
 class TestHalves:
     def test_rect_halves_tile(self):
-        left, right = halves(Rect(-1.0, 0.5, 3.0, 2.0))
+        left, right = Rect(-1.0, 0.5, 3.0, 2.0).halves()
         assert left == Rect(-1.0, 0.5, 1.0, 2.0)
         assert right == Rect(1.0, 0.5, 3.0, 2.0)
 
     def test_disk_halves_inside(self):
         disk = Disk((0.4, -0.3), 1.5)
-        for half in halves(disk):
+        for half in disk.halves():
             corners = np.array([(x, y) for x in (half.x0, half.x1)
                                 for y in (half.y0, half.y1)])
             # the outer corners lie on the circle, up to rounding

@@ -12,8 +12,7 @@ from coxsim.harness import mc_row, stream
 from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
                             glauber_simulate, semigroup_sample,
                             semigroup_trajectory_consistency)
-from coxsim.pointprocess import (ReplicateBatch, sample_ppp_window, sample_uniform_sphere,
-                                 uniform_in_window)
+from coxsim.pointprocess import ReplicateBatch, sample_ppp_window, sample_uniform_sphere
 from oracles import batch, multiset, plane_points, plus, replicate, sphere_points
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
@@ -59,7 +58,7 @@ def scalar_glauber(omega0, spec, rng, horizon):
             break
         u = unis[k] * rate
         if u < b:
-            pts.append(uniform_in_window(spec.window, 1, rng)[0])
+            pts.append(spec.window.uniform(1, rng)[0])
         else:
             pts.pop(int(u - b))
         k += 1
@@ -200,7 +199,7 @@ class TestLockstepLaw:
     def test_high_intensity_start_grows(self):
         # 60 starting points at lam = 300: replicates reach more than twice
         # their starting size
-        omega = uniform_in_window(WINDOW, 60, rng_for(33))
+        omega = WINDOW.uniform(60, rng_for(33))
         spec = GlauberSpec(WINDOW, lam=300.0)
         out = glauber_simulate(repeat(omega, 4000), spec, rng_for(34), horizon=0.5)
         assert WINDOW.contains(out.points).all()
@@ -358,8 +357,8 @@ class TestFunctionalRegistry:
         functionals = glauber_functionals(WINDOW)
         for _ in range(300):
             n = int(rng.integers(0, 6))
-            omega = uniform_in_window(WINDOW, n, rng)
-            x = uniform_in_window(WINDOW, 1, rng)[0]
+            omega = WINDOW.uniform(n, rng)
+            x = WINDOW.uniform(1, rng)[0]
             for F in functionals:
                 assert abs(value(F, plus(omega, x)) - value(F, omega)) <= 1.0 + 1e-12
 

@@ -12,7 +12,7 @@ import coxsim.cli as cli
 import coxsim.diagnostics as diagnostics
 import coxsim.harness as harness
 from coxsim.cli import main
-from coxsim.coxmodels import MODELS, sample_cox_line, sample_cox_line_batch
+from coxsim.coxmodels import MODELS, POISSON_MAX_MEAN, sample_cox_line, sample_cox_line_batch
 from coxsim.geometry import Disk, Rect
 from coxsim.diagnostics import DistanceEstimate
 from coxsim.harness import (CheckRow, ConfigError, ExperimentConfig, config_from_ini,
@@ -306,27 +306,28 @@ def sweep_point(model: str, point_idx: int, value: float, seed: int = 0) -> dict
 
 
 def spy_bootstrap(monkeypatch) -> list:
-    """Record the target mean of every diagnostics._bootstrap_tv call."""
-    calls, original = [], diagnostics._bootstrap_tv
+    """Record the region name of every bootstrap run_sweep_point runs."""
+    calls, original = [], harness.count_tv_lower_bound
 
-    def spy(counts, mean, rng):
-        calls.append(mean)
-        return original(counts, mean, rng)
+    def spy(pmfs, reps, rng, region_name):
+        calls.append(region_name)
+        return original(pmfs, reps, rng, region_name)
 
-    monkeypatch.setattr(diagnostics, "_bootstrap_tv", spy)
+    monkeypatch.setattr(harness, "count_tv_lower_bound", spy)
     return calls
 
 
 def spy_region_tvs(monkeypatch) -> list:
     """Record (counts, mean, tv) of every region run_sweep_point measures, in
     region order."""
-    regions, original = [], harness.tv_vs_poisson
+    regions, original = [], harness.count_pmfs
 
     def spy(counts, mean):
-        regions.append((counts, mean, original(counts, mean)))
-        return regions[-1][2]
+        pmfs = original(counts, mean)
+        regions.append((counts, mean, diagnostics.tv_vs_poisson(pmfs)))
+        return pmfs
 
-    monkeypatch.setattr(harness, "tv_vs_poisson", spy)
+    monkeypatch.setattr(harness, "count_pmfs", spy)
     return regions
 
 
@@ -356,6 +357,16 @@ class TestSweepPointBootstrap:
         assert above <= {e.regions for e in row["_tv_estimates"]}
         assert len(calls) == len(row["_tv_estimates"])
 
+    @pytest.mark.parametrize("model", ["cox-line", "satellites"])
+    def test_pmfs_built_once_per_region(self, monkeypatch, model):
+        # the region pick and every bootstrap share one (p_hat, q, tail)
+        calls, original = [], diagnostics._pmfs
+        monkeypatch.setattr(diagnostics, "_pmfs",
+                            lambda counts, q: calls.append(q.size) or original(counts, q))
+        row = sweep_point(model, 0, 1e6)
+        assert len(row["_tv_estimates"]) > 1
+        assert len(calls) == len(MODELS[model].regions(MODELS[model].window))
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("model, point_idx, value", [
         ("cox-line", 4, 80.0), ("cox-line", 0, 1e6),
@@ -364,9 +375,11 @@ class TestSweepPointBootstrap:
         # eager: every region bootstrapped, region k on stream (4, point, k)
         regions = spy_region_tvs(monkeypatch)
         row = sweep_point(model, point_idx, value, seed)
-        eager = [diagnostics._bootstrap_tv(
-                     counts, mean, harness.stream(seed, harness.LANE_BOOTSTRAP, point_idx, k))
+        eager = [diagnostics.count_tv_lower_bound(
+                     diagnostics.count_pmfs(counts, mean), counts.size,
+                     harness.stream(seed, harness.LANE_BOOTSTRAP, point_idx, k), "")
                  for k, (counts, mean, _) in enumerate(regions)]
+        eager = [(e.value, e.stderr) for e in eager]
         bound, w = row["bound"], row["_w_est"]
         respected = (w.value <= bound + 3.0 * w.stderr
                      and all(v <= bound + 3.0 * se for v, se in eager))
@@ -540,6 +553,32 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "cox-line", "--c", "1e150", "--lam", "1e150"],
+        ["simulate", "satellites", "--c", "1e150", "--n", "10"],
+        ["experiment", "converge-sat", "--c", "1e150", "--reps", "1000"],
+    ], ids=["simulate-cox", "simulate-sat", "experiment-sat"])
+    def test_count_beyond_poisson_range_exit_2(self, argv, capsys):
+        # the bound is finite, but numpy's Poisson sampler rejects the mean
+        # count: a config error, not the traceback "lam value too large"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "Poisson mean" in lines[0]
+
+    @pytest.mark.parametrize("name", ["cox-line", "satellites"])
+    def test_poisson_range_edge(self, name):
+        # a c just inside the range draws its expected count; just outside, refused
+        model = MODELS[name]
+        measure = model.regions(model.window)[0][1].measure
+        c = POISSON_MAX_MEAN / (model.mean * measure)
+        params = model.finite_params(c * (1.0 - 1e-9), model.sweep[0], model.window)
+        np.random.default_rng(0).poisson(model.mean * params.c * measure)
+        with pytest.raises(ValueError, match="Poisson mean"):
+            model.finite_params(c * (1.0 + 1e-9), model.sweep[0], model.window)
 
     def test_simulate_to_dir(self, tmp_path):
         out = tmp_path / "sim"

@@ -10,7 +10,7 @@ from coxsim.diagnostics import mecke_check_bpp, mecke_functionals
 from coxsim.geometry import Disk, Rect
 from coxsim.harness import composite_index, csv_line, stream
 from coxsim.pointprocess import (ModelParams, ReplicateBatch, ppp_batch, region_counts,
-                                 sample_ppp_window, sample_uniform_sphere, uniform_in_window)
+                                 sample_ppp_window, sample_uniform_sphere)
 from oracles import batch, count_in, multiset, plane_points, replicate, sphere_points
 
 # chi-square 0.999 quantile at 15 degrees of freedom (fixed table value)
@@ -102,13 +102,13 @@ class TestSuperposeCount:
     def test_count_full_window(self):
         rng = rng_for(2)
         window = Rect(0, 0, 1, 1)
-        pts = uniform_in_window(window, 40, rng)
+        pts = window.uniform(40, rng)
         assert count_in(pts, window) == 40
 
     def test_count_additive_disjoint(self):
         rng = rng_for(3)
         window = Rect(0, 0, 1, 1)
-        pts = uniform_in_window(window, 200, rng)
+        pts = window.uniform(200, rng)
         left = Rect(0, 0, 0.5, 1)
         right = Rect(0.5, 0, 1, 1)
         # the shared edge has probability 0 under the continuous law
@@ -227,21 +227,21 @@ class TestUniformSphere:
 
 
 class TestBpp:
-    # the binomial point process of n points is uniform_in_window(window, n)
+    # the binomial point process of n points is window.uniform(n)
 
     def test_exact_size(self):
         for window in (Rect(0, 0, 1, 1), Disk((0.5, -1.0), 2.0)):
             for n in (1, 5, 64):
-                pts = uniform_in_window(window, n, rng_for(16))
+                pts = window.uniform(n, rng_for(16))
                 assert pts.shape == (n, 2)
                 assert window.contains(pts).all()
 
     @pytest.mark.parametrize("n, reps", [(0, 4), (1, 50), (3, 50), (6, 7)])
     def test_batch_is_one_uniform_draw(self, n, reps):
-        # ReplicateBatch.bpp draws exactly uniform_in_window(window, reps * n)
+        # ReplicateBatch.bpp draws exactly window.uniform(reps * n)
         for k, window in enumerate((Rect(0, 0, 1, 1), Disk((0.5, -1.0), 2.0))):
             b = ReplicateBatch.bpp(window, n, reps, rng_for(19 + k))
-            pts = uniform_in_window(window, reps * n, rng_for(19 + k))
+            pts = window.uniform(reps * n, rng_for(19 + k))
             assert np.array_equal(b.points, pts) and len(b) == reps
             assert np.array_equal(b.rep_ids, np.repeat(np.arange(reps), n))
 
@@ -252,7 +252,7 @@ class TestBpp:
 
     def test_marginal_chi_square(self):
         # goodness of fit of the uniform marginal on a 4x4 cell grid
-        pts = uniform_in_window(Rect(0, 0, 1, 1), 16_000, rng_for(18))
+        pts = Rect(0, 0, 1, 1).uniform(16_000, rng_for(18))
         ix = np.minimum((pts[:, 0] * 4).astype(int), 3)
         iy = np.minimum((pts[:, 1] * 4).astype(int), 3)
         observed = np.bincount(ix * 4 + iy, minlength=16)

@@ -7,7 +7,7 @@ from coxsim.geometry import Disk, Rect
 from coxsim.pointprocess import ModelParams
 from coxsim.steinbound import (INTEGRANDS, QuadratureError, chord_square_integral,
                                coarea_check, cox_bound, satellite_bound)
-from coxsim.steinbound import _closed_form_g, _leggauss, _piecewise_gauss, _refine
+from coxsim.steinbound import _leggauss, _piecewise_gauss, _refine
 
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
 
@@ -113,7 +113,7 @@ class TestChordSquareIntegral:
     def test_random_windows_match_closed_form(self, kind, placement):
         for window in _random_windows(kind, placement):
             val, err = chord_square_integral(window)
-            assert val == pytest.approx(_closed_form_g(window), rel=1e-12), window
+            assert val == pytest.approx(window.closed_form_g(), rel=1e-12), window
             assert err <= 1e-8, window
 
     @pytest.mark.parametrize("height", [1e-4, 1e-3])
@@ -126,7 +126,7 @@ class TestChordSquareIntegral:
             val, _ = chord_square_integral(window)
         except QuadratureError:
             return
-        assert val == pytest.approx(_closed_form_g(window), rel=1e-6)
+        assert val == pytest.approx(window.closed_form_g(), rel=1e-6)
 
     def test_non_convergent_reported(self):
         # Gauss-Legendre on int_0^1 x^-1/2 dx = 2 gains about one digit per
