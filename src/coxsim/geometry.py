@@ -69,7 +69,7 @@ class Disk:
         s_c = cy * ct - cx * st
         return s_c - half, s_c + half
 
-    def halves(self) -> tuple["Rect", "Rect"]:
+    def halves(self) -> tuple[Rect, Rect]:
         """Halves of the inscribed square, so both lie inside the disk and
         region areas stay exact for the Mecke oracles."""
         cx, cy = self.center
@@ -169,7 +169,7 @@ class Rect:
         ok &= (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
         return np.where(ok, lo, 0.0), np.where(ok, hi, 0.0)
 
-    def halves(self) -> tuple["Rect", "Rect"]:
+    def halves(self) -> tuple[Rect, Rect]:
         """Left and right halves, split at the center's x."""
         mx = 0.5 * (self.x0 + self.x1)
         return (Rect(self.x0, self.y0, mx, self.y1), Rect(mx, self.y0, self.x1, self.y1))
