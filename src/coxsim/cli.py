@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: simulate cox-line|satellites, bound cox-line|satellites,
-experiment converge-cox|converge-sat, check mecke|invariance|glauber|
-coarea|bounds|all.  Exit codes: 0 success, 1 check failure, 2 config error.
+Subcommands: simulate, bound and experiment per model of MODELS, and check
+per group of CHECKS or all; each sets run, the handler main calls.  Exit
+codes: 0 success, 1 check failure, 2 config error.
 """
 
 from __future__ import annotations
@@ -30,10 +30,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="draw one realization of a model")
+    sim.set_defaults(run=_cmd_simulate)
     sim_sub = sim.add_subparsers(dest="model", required=True)
     bnd = sub.add_parser("bound", help="evaluate the theoretical bound")
+    bnd.set_defaults(run=_cmd_bound)
     bnd_sub = bnd.add_subparsers(dest="model", required=True)
     exp = sub.add_parser("experiment", help="run a convergence-rate sweep")
+    exp.set_defaults(run=_cmd_experiment)
     exp_sub = exp.add_subparsers(dest="kind", required=True)
     for name, model in MODELS.items():
         p = sim_sub.add_parser(name)
@@ -59,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--window", default=None)
 
     chk = sub.add_parser("check", help="run validation checks")
+    chk.set_defaults(run=_cmd_check)
     chk.add_argument("which", choices=(*CHECK_GROUPS, "all"))
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--reps", type=int, default=DEFAULT_CHECK_REPS,
@@ -179,17 +183,9 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "check":
-            return _cmd_check(args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -199,7 +195,6 @@ def main(argv=None) -> int:
             raise
         print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -16,11 +16,11 @@ Every per-model piece comes from coxmodels.MODELS.  The count-law target
 is the model's closed-form mean measure, c/2 per unit area for cox-line
 and c per unit nu-measure for satellites; it is derived, not configured.
 eff_intensity is measured from the sweep's own samples.
-The validation suite takes one replicate count, reps, and every check
-section derives its own size from it.  The check kernels take a generator
-and return draws: per-replicate values, which mc_row makes rows, or two
-batches of one law, whose per-region count TVs tv_rows makes threshold rows;
-within_3se judges every row.
+The validation suite runs the groups of CHECKS on one replicate count, reps,
+and every check section derives its own size from it.  The check kernels
+take a generator and return draws: per-replicate values, which mc_row makes
+rows, or two batches of one law, whose per-region count TVs tv_rows makes
+threshold rows; within_3se judges every row.
 Wall-clock metadata is kept out of all CSV files on purpose.
 """
 
@@ -403,57 +403,55 @@ def tv_rows(name: str, a: ReplicateBatch, b: ReplicateBatch, regions,
 DEFAULT_CHECK_REPS = 100_000
 
 
-def _mecke_rows(kind: str, mfs, sides, arg, window, seed: int) -> list:
+# The geometry of the Monte Carlo checks: the unit square, and the regions
+# their TV rows count in, the window, its left half and the lower-left cell.
+CHECK_WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
+CHECK_REGIONS = (("window", CHECK_WINDOW), ("left", Rect(0.0, 0.0, 0.5, 1.0)),
+                 ("cell", Rect(0.0, 0.0, 0.5, 0.5)))
+# The PPP intensity of the invariance and Glauber checks.  Their TV rows
+# compare two exact samplers, and region means below ~1 keep the empirical-TV
+# noise floor a safe factor under the 2/sqrt(reps) tolerance.
+CHECK_LAM = 0.5
+
+
+def _mecke_rows(kind: str, mfs, sides, oracles, seed: int) -> list:
     """Per functional, the row of its (left, right) sides, then, if it has a
-    closed form at (arg, window), the same row against that as rhs."""
+    closed form (its oracle value, else None), the same row against that."""
     groups = []
-    for mf, (lhs, rhs) in zip(mfs, sides):
+    for mf, (lhs, rhs), oracle in zip(mfs, sides, oracles):
         row = mc_row(f"mecke_{kind}[{mf.name}]", lhs, rhs, seed)
-        oracle = getattr(mf, f"oracle_{kind}")
         groups.append([row] if oracle is None else
-                      [row, replace(row, name=f"{row.name}_oracle", rhs=oracle(arg, window))])
+                      [row, replace(row, name=f"{row.name}_oracle", rhs=oracle)])
     return groups
 
 
 def check_mecke(seed: int, reps: int) -> list[CheckRow]:
-    window = Rect(0.0, 0.0, 1.0, 1.0)
+    window = CHECK_WINDOW
     mfs, reps = mecke_functionals(window), max(2000, reps)
     # one draw per kind, shared by the whole family; each kind's per-replicate
     # sides become its rows, and are dropped, before the next kind draws
     ppp = mecke_check_ppp(mfs, 3.0, window, reps, stream(seed, LANE_CHECKS, 0, 1))
-    ppp = _mecke_rows("ppp", mfs, ppp, 3.0, window, seed)
+    ppp = _mecke_rows("ppp", mfs, ppp, [mf.oracle_ppp and mf.oracle_ppp(3.0, window)
+                                        for mf in mfs], seed)
     bpp = mecke_check_bpp(mfs, 6, window, reps, stream(seed, LANE_CHECKS, 0, 2))
-    bpp = _mecke_rows("bpp", mfs, bpp, 6, window, seed)
+    bpp = _mecke_rows("bpp", mfs, bpp, [mf.oracle_bpp and mf.oracle_bpp(6, window)
+                                        for mf in mfs], seed)
     return [row for pair in zip(ppp, bpp) for group in pair for row in group]
 
 
-def _check_regions(window: Rect):
-    left = window.halves()[0]
-    return [("window", window), ("left", left),
-            ("cell", Rect(left.x0, left.y0, left.x1, 0.5 * (window.y0 + window.y1)))]
-
-
 def check_invariance(seed: int, reps: int) -> list[CheckRow]:
-    window = Rect(0.0, 0.0, 1.0, 1.0)
-    # region means below ~1 keep the empirical-TV noise floor a safe factor
-    # under the 2/sqrt(reps) tolerance
-    lam = 0.5
-    regions = _check_regions(window)
     rows = []
     for k, t in enumerate((0.25, 0.5, 0.75)):
-        batches = invariance_check(lam, window, t, max(2000, reps),
+        batches = invariance_check(CHECK_LAM, CHECK_WINDOW, t, max(2000, reps),
                                    stream(seed, LANE_CHECKS, point=16 + k))
-        rows += tv_rows(f"invariance[t={t:g}", *batches, regions, seed)
+        rows += tv_rows(f"invariance[t={t:g}", *batches, CHECK_REGIONS, seed)
     return rows
 
 
 def check_glauber(seed: int, reps: int) -> list[CheckRow]:
-    window = Rect(0.0, 0.0, 1.0, 1.0)
-    # same noise-floor consideration as the invariance check: the TV rows
-    # compare two exact samplers, so counts are kept small
-    spec = GlauberSpec(window=window, lam=0.5)
+    window = CHECK_WINDOW
+    spec = GlauberSpec(window=window, lam=CHECK_LAM)
     omega0 = np.array([[0.3, 0.4], [0.7, 0.6]])
-    regions = _check_regions(window)[:2]
     functionals = glauber_functionals(window)
     rows = []
     # 1. trajectory vs thinning representation, at least 1000 replicates so
@@ -461,7 +459,7 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
     for k, t in enumerate((0.5, 2.0, 20.0)):
         batches = semigroup_trajectory_consistency(omega0, spec, t, max(1000, reps // 10),
                                                    stream(seed, LANE_CHECKS, point=32 + k))
-        rows += tv_rows(f"glauber_traj[t={t:g}", *batches, regions, seed)
+        rows += tv_rows(f"glauber_traj[t={t:g}", *batches, CHECK_REGIONS[:2], seed)
     # 2. stationarity: E[P_t F(Phi)] = E[F(Phi)], one batch triple for all F
     rng = stream(seed, LANE_CHECKS, point=40)
     n = max(500, reps // 30)
@@ -526,28 +524,25 @@ def check_bounds(seed: int) -> list[CheckRow]:
     return rows
 
 
-CHECK_GROUPS = ("mecke", "invariance", "glauber", "coarea", "bounds")
+# every check group by name, in the order check all runs it; each lambda looks
+# its check up at call time, so a wrapper installed in this module sees the call
+CHECKS = {"mecke": lambda seed, reps: check_mecke(seed, reps),
+          "invariance": lambda seed, reps: check_invariance(seed, reps),
+          "glauber": lambda seed, reps: check_glauber(seed, reps),
+          "coarea": lambda seed, reps: check_coarea(seed),
+          "bounds": lambda seed, reps: check_bounds(seed)}
+CHECK_GROUPS = tuple(CHECKS)
 
 
 def run_validation_suite(seed: int, reps: int = DEFAULT_CHECK_REPS,
                          which: str = "all") -> list[CheckRow]:
-    """Run one of CHECK_GROUPS, or all of them, each sized from reps;
-    individual failures are recorded and the suite continues."""
+    """Run one of CHECK_GROUPS, or all of them in that order, each sized from
+    reps; individual failures are recorded and the suite continues."""
     if which != "all" and which not in CHECK_GROUPS:
         raise ValueError(f"unknown check group {which!r}; choose from "
                          f"{', '.join(CHECK_GROUPS)} or all")
-    rows: list[CheckRow] = []
-    if which in ("all", "mecke"):
-        rows += check_mecke(seed, reps)
-    if which in ("all", "invariance"):
-        rows += check_invariance(seed, reps)
-    if which in ("all", "glauber"):
-        rows += check_glauber(seed, reps)
-    if which in ("all", "coarea"):
-        rows += check_coarea(seed)
-    if which in ("all", "bounds"):
-        rows += check_bounds(seed)
-    return rows
+    return [row for name, check in CHECKS.items() if which in ("all", name)
+            for row in check(seed, reps)]
 
 
 def write_validation_csv(path: str, rows: list[CheckRow]):

@@ -400,6 +400,13 @@ class TestValidationSuite:
                                              "bounds or all"):
             run_validation_suite(0, SMALL, which="Mecke")
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_all_is_each_group_in_order(self, seed):
+        # a group's rows do not depend on which other groups run
+        alone = [row for group in harness.CHECK_GROUPS
+                 for row in run_validation_suite(seed, SMALL, which=group)]
+        assert run_validation_suite(seed, SMALL) == alone
+
     def test_deterministic(self):
         a = run_validation_suite(5, SMALL, which="invariance")
         b = run_validation_suite(5, SMALL, which="invariance")
