@@ -79,20 +79,20 @@ def _add_size_flags(p, model: Model, help=None):
         p.add_argument("--window")
 
 
-def _model_args(args):
-    """(model, params, window) from the flags; bad values are config errors."""
+def _model_args(args, reps: int = 0):
+    """(model, params, window) for a run holding reps replicates; bad values are config errors."""
     model = MODELS[args.model]
     text = getattr(args, "window", None)
     window = model.window if text is None else parse_window(text)
     try:
-        return model, model.finite_params(args.c, getattr(args, model.dest), window), window
+        return model, model.finite_params(args.c, getattr(args, model.dest), window, reps), window
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _cmd_simulate(args) -> int:
     rng = stream(args.seed, LANE_SAMPLES)
-    model, params, window = _model_args(args)
+    model, params, window = _model_args(args, 1)
     lines, pair = model.sample(params, window, 1, rng)
     points = pair.model.points
     summary = {"model": model.name, "c": args.c, model.key: getattr(args, model.dest),

@@ -35,6 +35,7 @@ so a wrapper installed in the module's namespace sees every call.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +49,10 @@ from .steinbound import cox_bound, satellite_bound
 
 # the largest mean numpy's Generator.poisson accepts
 POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+# peak bytes per point held, model and twin apart: tracemalloc reads 64-173 for
+# simulate and run_sweep_point of either model at 1e5 to 1e6 points
+BYTES_PER_POINT = 200
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -221,11 +226,11 @@ class Model:
     def describe(self, window) -> str:   # the window column of a bound row
         return "sphere" if window is None else window.describe()
 
-    def finite_params(self, c: float, value, window) -> ModelParams:
-        """params(c, value), checked to give a finite bound and a mean count that
-        numpy's Poisson sampler accepts.  The bound grows as c ** 2 and as the
-        cube of the window's size, so it also overflows wherever the window
-        measure does.  Raises ValueError."""
+    def finite_params(self, c: float, value, window, reps: int = 0) -> ModelParams:
+        """params(c, value), checked to give a finite bound (it grows as c ** 2 and
+        the cube of the window's size, so it overflows wherever the window measure
+        does), a mean count numpy's Poisson sampler accepts, and, for a run holding
+        reps replicates at once, points that fit in physical memory.  Raises ValueError."""
         params = self.params(c, value)
         try:
             finite = math.isfinite(self.bound(params, window))
@@ -237,6 +242,10 @@ class Model:
         if count > POISSON_MAX_MEAN:
             raise ValueError(f"the expected point count {count:g} is beyond the "
                              f"largest Poisson mean numpy draws, {POISSON_MAX_MEAN:g}")
+        need = 2 * reps * count * BYTES_PER_POINT   # model and twin points held at once
+        if need > PHYSICAL_MEMORY:
+            raise ValueError(f"holding {2 * reps * count:.3g} points at once needs about "
+                             f"{need:.3g} bytes, above {PHYSICAL_MEMORY:.3g} of physical memory")
         return params
 
 

@@ -35,8 +35,9 @@ class Disk:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(self.center))   # hashable: a cache key
-        if not (self.radius > 0.0 and all(map(math.isfinite, (*self.center, self.radius)))):
-            raise ValueError(f"disk needs a finite center and a positive radius, got {self}")
+        if not (self.radius > 0.0 and all(map(math.isfinite, (*self.center, self.radius)))
+                and (self.radius > 1.0 or self.area > 0.0)):   # radius ** 2 may underflow
+            raise ValueError(f"disk needs a finite center, a positive radius and area: {self}")
 
     @property
     def area(self) -> float:
@@ -122,9 +123,9 @@ class Rect:
     y1: float
 
     def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1
+        if not (self.x0 < self.x1 and self.y0 < self.y1 and self.area > 0.0
                 and all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1)))):
-            raise ValueError("rectangle requires finite x0 < x1 and y0 < y1")
+            raise ValueError("rectangle requires finite x0 < x1 and y0 < y1 and a positive area")
 
     @property
     def area(self) -> float:

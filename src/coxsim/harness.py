@@ -120,7 +120,7 @@ class ExperimentConfig:
             raise ConfigError(f"model {self.model!r} lives on the sphere and takes no window")
         try:
             for v in self.sweep:
-                model.finite_params(self.c, v, self.window)
+                model.finite_params(self.c, v, self.window, self.reps)
         except ValueError as exc:
             raise ConfigError(f"{exc}; got c={self.c:g}, sweep value {v:g}") from exc
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import coxsim.cli as cli
+import coxsim.coxmodels as coxmodels
 import coxsim.diagnostics as diagnostics
 import coxsim.harness as harness
 from coxsim.cli import main
@@ -575,6 +576,46 @@ class TestCli:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
         assert "Poisson mean" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "satellites", "--c", "9.2e18", "--n", "10"],
+        ["simulate", "satellites", "--c", "2e4", "--n", "10"],
+        ["simulate", "cox-line", "--c", "2e4", "--lam", "10"],
+        ["experiment", "converge-sat", "--c", "20", "--reps", "1000"],
+        ["experiment", "converge-cox", "--c", "20", "--reps", "1000"],
+    ], ids=["simulate-sat-poisson-edge", "simulate-sat", "simulate-cox", "experiment-sat",
+            "experiment-cox"])
+    def test_points_beyond_memory_exit_2(self, argv, capsys, monkeypatch):
+        # physical memory read as 4 MiB holds about 21,000 points; each run
+        # would hold 40,000 to 63,000 (per replicate, model and twin, times
+        # reps for a sweep point), a few MB if it ran.  At c = 9.2e18 the
+        # count is inside numpy's Poisson range but no array can hold it.
+        monkeypatch.setattr(coxmodels, "PHYSICAL_MEMORY", 4 * 2 ** 20)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: holding")
+        assert "bytes, above 4.19e+06 of physical memory" in lines[0]
+
+    def test_bound_draws_nothing_whatever_memory(self, capsys, monkeypatch):
+        monkeypatch.setattr(coxmodels, "PHYSICAL_MEMORY", 4 * 2 ** 20)
+        assert main(["bound", "satellites", "--c", "1e9", "--n", "10"]) == 0
+        assert "2e+17" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "converge-cox", "--reps", "1000", "--window", "disk:0,0,1e-200"],
+        ["experiment", "converge-cox", "--reps", "1000", "--window", "rect:0,0,1e-200,1e-200"],
+        ["bound", "cox-line", "--lam", "10", "--window", "disk:0,0,1e-200"],
+    ], ids=["experiment-disk", "experiment-rect", "bound-disk"])
+    def test_window_area_underflow_exit_2(self, argv, capsys):
+        # a positive radius or side whose area underflows to 0 is no window:
+        # a config error, not a traceback or a bound of 0
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: cannot parse window")
 
     @pytest.mark.parametrize("name", ["cox-line", "satellites"])
     def test_poisson_range_edge(self, name):
