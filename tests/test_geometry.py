@@ -261,14 +261,12 @@ class TestRegions:
             Disk((0, 0), 0.0)
         with pytest.raises(ValueError):
             Rect(1, 0, 0, 1)
-
-    def test_window_area_underflow(self):
-        # a positive radius or side is not enough: the area must not underflow
+        # a positive radius or side whose area underflows to 0 is no window; a
+        # subnormal area is positive, and an overflowing one is left to the
+        # bound's float-range check
         with pytest.raises(ValueError, match="positive radius and area"):
             Disk((0, 0), 1e-200)
         with pytest.raises(ValueError, match="positive area"):
             Rect(0, 0, 1e-200, 1e-200)
-        # a subnormal area is positive, and an overflowing one is left to the
-        # bound's float-range check
         assert Disk((0, 0), 1e-160).area > 0.0 and Rect(0, 0, 1e-200, 1e-120).area > 0.0
         assert Disk((0, 0), 1e200).radius == 1e200

@@ -551,11 +551,16 @@ class TestCli:
         ["bound", "cox-line", "--lam", "10", "--window", "rect:0,0,1e200,1"],
         ["simulate", "cox-line", "--c", "1e200", "--lam", "10"],
         ["bound", "cox-line", "--lam", "1e-320"],
+        ["experiment", "converge-cox", "--reps", "1000", "--window", "disk:0,0,1e-200"],
+        ["experiment", "converge-cox", "--reps", "1000", "--window", "rect:0,0,1e-200,1e-200"],
+        ["bound", "cox-line", "--lam", "10", "--window", "disk:0,0,1e-200"],
     ], ids=["bound-c", "bound-sat-c", "experiment-c", "disk", "rect", "simulate-c",
-            "bound-inf"])
+            "bound-inf", "experiment-disk-underflow", "experiment-rect-underflow",
+            "bound-disk-underflow"])
     def test_bound_beyond_float_range_exit_2(self, argv, capsys):
-        # an input whose bound or window measure overflows a float is a
-        # config error, not a traceback (exit 1) or an inf bound (exit 0)
+        # an input whose bound or window measure overflows a float, or whose
+        # window area underflows to 0, is a config error, not a traceback
+        # (exit 1) or an inf or 0 bound (exit 0)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -602,20 +607,6 @@ class TestCli:
         monkeypatch.setattr(coxmodels, "PHYSICAL_MEMORY", 4 * 2 ** 20)
         assert main(["bound", "satellites", "--c", "1e9", "--n", "10"]) == 0
         assert "2e+17" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("argv", [
-        ["experiment", "converge-cox", "--reps", "1000", "--window", "disk:0,0,1e-200"],
-        ["experiment", "converge-cox", "--reps", "1000", "--window", "rect:0,0,1e-200,1e-200"],
-        ["bound", "cox-line", "--lam", "10", "--window", "disk:0,0,1e-200"],
-    ], ids=["experiment-disk", "experiment-rect", "bound-disk"])
-    def test_window_area_underflow_exit_2(self, argv, capsys):
-        # a positive radius or side whose area underflows to 0 is no window:
-        # a config error, not a traceback or a bound of 0
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: cannot parse window")
 
     @pytest.mark.parametrize("name", ["cox-line", "satellites"])
     def test_poisson_range_edge(self, name):
