@@ -4,8 +4,9 @@ bounds, and the log-log rate regression.
 
 One Functional type serves the experiments, the Glauber checks and the
 Mecke checks: F(w) = h(counts of w in its regions), with h vectorized over a
-ReplicateBatch; the close-pair indicator is the one non-count exception.
-Region counts, memberships and the close-pair scan run once per batch.
+ReplicateBatch.  The satellite family's close-pair indicator, the one
+statistic that is not a count, is a ClosePair.  Region counts, memberships
+and the close-pair scan run once per batch.
 
 The thinning-invariance kernel returns its two batches, and harness.tv_rows
 makes their threshold rows; the Mecke kernels return per-replicate sides.
@@ -109,22 +110,18 @@ def _columns(cols, rows: int, dtype=np.int64) -> np.ndarray:
 @dataclass(frozen=True)
 class Functional:
     """F(w) = h(counts of w in regions), h mapping a (reps x len(regions))
-    count matrix to reps float values.  The close-pair indicator sets
-    pair_threshold instead of h.  The distance estimates need F to move by
-    at most 1 when one point is added or removed; every preset does."""
+    count matrix to reps float values.  The distance estimates need F to move
+    by at most 1 when one point is added or removed; every preset does."""
 
     name: str
     regions: tuple
-    h: Callable[[np.ndarray], np.ndarray] | None
-    pair_threshold: float | None = None
+    h: Callable[[np.ndarray], np.ndarray]
 
     def counts(self, batch: ReplicateBatch) -> np.ndarray:
         return _columns([batch.counts(r) for r in self.regions], len(batch))
 
     def membership(self, batch: ReplicateBatch) -> np.ndarray:
         """(points x len(regions)) 0/1 int8 matrix of the batch's region masks."""
-        if self.h is None:
-            raise ValueError(f"{self.name} is not a count functional")
         return _columns([batch.membership(r) for r in self.regions], len(batch.points), np.int8)
 
     def moved(self, batch: ReplicateBatch, points: ReplicateBatch, sign: int = 1) -> np.ndarray:
@@ -133,8 +130,6 @@ class Functional:
         return self.h(self.counts(batch)[points.rep_ids] + sign * self.membership(points))
 
     def __call__(self, batch: ReplicateBatch) -> np.ndarray:
-        if self.pair_threshold is not None:
-            return (_max_pair_dot(batch) >= self.pair_threshold).astype(float)
         return self.h(self.counts(batch))
 
 
@@ -155,9 +150,8 @@ def truncated_count(region, cap: int, name: str | None = None) -> Functional:
     return Functional(label, (region,), partial(_capped, cap=cap))
 
 
-def raw_count(region, name: str | None = None) -> Functional:
-    label = name or f"count[{region.describe()}]"
-    return Functional(label, (region,), partial(_capped, cap=math.inf))
+def raw_count(region) -> Functional:
+    return Functional(f"count[{region.describe()}]", (region,), partial(_capped, cap=math.inf))
 
 
 def count_indicator(region, values, name: str | None = None) -> Functional:
@@ -174,13 +168,22 @@ def count_at_least(*levels, name: str | None = None) -> Functional:
                       partial(_at_least, ks=tuple(k for _, k in levels)))
 
 
-def close_pair_indicator(threshold: float, name: str | None = None) -> Functional:
+@dataclass(frozen=True)
+class ClosePair:
     """1 iff some pair of sphere points has |dot| >= threshold, i.e. the
     configuration contains a nearly coincident or nearly antipodal pair.
     Points sharing an orbit have arcsine-distributed mutual angles, so such
-    pairs are strongly enriched relative to independent uniform points."""
-    return Functional(name or f"1{{close-pair|dot|>={threshold:g}}}", (), None,
-                      pair_threshold=threshold)
+    pairs are strongly enriched relative to independent uniform points.  Not
+    a count functional: it has no regions and no point move."""
+
+    threshold: float
+
+    @property
+    def name(self) -> str:
+        return f"1{{close-pair|dot|>={self.threshold:g}}}"
+
+    def __call__(self, batch: ReplicateBatch) -> np.ndarray:
+        return (_max_pair_dot(batch) >= self.threshold).astype(float)
 
 
 def _max_pair_dot(batch: ReplicateBatch) -> np.ndarray:
@@ -249,7 +252,7 @@ def _max_gap(gaps: np.ndarray, ses: np.ndarray, names: Sequence[str]) -> Distanc
 
 
 def wasserstein_lower_bound(samples: ReplicateBatch, reference_sampler,
-                            functionals: Sequence[Functional],
+                            functionals: Sequence[Functional | ClosePair],
                             rng: np.random.Generator,
                             ref_factor: int = 4) -> DistanceEstimate:
     """Max over a 1-Lipschitz family of |mean F(samples) - mean F(reference)|.
@@ -268,7 +271,8 @@ def wasserstein_lower_bound(samples: ReplicateBatch, reference_sampler,
 
 
 def coupled_wasserstein_lower_bound(pairs: CoupledBatch,
-                                    functionals: Sequence[Functional]) -> DistanceEstimate:
+                                    functionals: Sequence[Functional | ClosePair]
+                                    ) -> DistanceEstimate:
     """Same certified lower bound from coupled (model, exact-PPP twin) pairs.
 
     The per-pair difference F(model) - F(twin) is an unbiased estimate of the
@@ -289,13 +293,13 @@ def coupled_wasserstein_lower_bound(pairs: CoupledBatch,
 class MeckeFunctional:
     """Two-argument test functional F(x, w) = g({x}) * h(w), g and h count
     Functionals.  Oracles, when present, give the closed-form common value of
-    both sides."""
+    both sides on the window the family was built on, from lambda or N."""
 
     name: str
     g: Functional
     h: Functional
-    oracle_ppp: Callable[[float, Window], float] | None = None
-    oracle_bpp: Callable[[int, Window], float] | None = None
+    oracle_ppp: Callable[[float], float] | None = None
+    oracle_bpp: Callable[[int], float] | None = None
 
 
 def _point_sums(mfs, phi: ReplicateBatch) -> list:
@@ -422,7 +426,7 @@ def sphere_region_set():
     return regions
 
 
-def sphere_functional_family() -> list[Functional]:
+def sphere_functional_family() -> list[Functional | ClosePair]:
     """Curated 1-Lipschitz family for the satellite experiments.
 
     Same-orbit satellites produce (a) count overdispersion in bands and caps,
@@ -438,9 +442,7 @@ def sphere_functional_family() -> list[Functional]:
     for h in ("05", "08"):
         fams.append(count_at_least((regions[f"cap_n{h}"], 1), (regions[f"cap_s{h}"], 1),
                                    name=f"1{{cap_n{h}>=1}}1{{cap_s{h}>=1}}"))
-    fams.append(close_pair_indicator(0.99))
-    fams.append(close_pair_indicator(0.999))
-    return fams
+    return [*fams, ClosePair(0.99), ClosePair(0.999)]
 
 
 def planar_functional_family(window: Window) -> list[Functional]:
@@ -486,25 +488,24 @@ def mecke_functionals(window: Window) -> list[MeckeFunctional]:
     """Family for the Campbell-Mecke checks on a window; A and B are the two
     halves of the window (inscribed-square halves for a disk)."""
     A, B = window.halves()
-    aA, aB = A.area, B.area
+    aA, aB, aK = A.area, B.area, window.area
     one, in_A = count_at_least(name="1"), count_at_least((A, 1))
     return [
         MeckeFunctional(
             "F=1", one, one,
-            oracle_ppp=lambda lam, K: lam * K.area,
-            oracle_bpp=lambda N, K: float(N)),
+            oracle_ppp=lambda lam: lam * aK,
+            oracle_bpp=lambda N: float(N)),
         MeckeFunctional(
             "F=1{x in A}", in_A, one,
-            oracle_ppp=lambda lam, K: lam * aA,
-            oracle_bpp=lambda N, K: N * aA / K.area),
+            oracle_ppp=lambda lam: lam * aA,
+            oracle_bpp=lambda N: N * aA / aK),
         MeckeFunctional(
             "F=1{x in A}|w∩A|", in_A, raw_count(A),
-            oracle_ppp=lambda lam, K: (lam * aA) ** 2,
-            oracle_bpp=lambda N, K: N * (N - 1) * (aA / K.area) ** 2),
+            oracle_ppp=lambda lam: (lam * aA) ** 2,
+            oracle_bpp=lambda N: N * (N - 1) * (aA / aK) ** 2),
         MeckeFunctional(
             "F=1{x in A}1{|w∩B|>=1}", in_A, count_at_least((B, 1)),
-            oracle_ppp=lambda lam, K: lam * aA * (1.0 - math.exp(-lam * aB)),
-            oracle_bpp=lambda N, K: N * (aA / K.area)
-            * (1.0 - (1.0 - aB / K.area) ** (N - 1))),
+            oracle_ppp=lambda lam: lam * aA * (1.0 - math.exp(-lam * aB)),
+            oracle_bpp=lambda N: N * (aA / aK) * (1.0 - (1.0 - aB / aK) ** (N - 1))),
         MeckeFunctional("F=1{x in A}min(|w∩A|,2)", in_A, truncated_count(A, 2)),
     ]

@@ -431,10 +431,10 @@ def check_mecke(seed: int, reps: int) -> list[CheckRow]:
     # one draw per kind, shared by the whole family; each kind's per-replicate
     # sides become its rows, and are dropped, before the next kind draws
     ppp = mecke_check_ppp(mfs, 3.0, window, reps, stream(seed, LANE_CHECKS, 0, 1))
-    ppp = _mecke_rows("ppp", mfs, ppp, [mf.oracle_ppp and mf.oracle_ppp(3.0, window)
+    ppp = _mecke_rows("ppp", mfs, ppp, [mf.oracle_ppp and mf.oracle_ppp(3.0)
                                         for mf in mfs], seed)
     bpp = mecke_check_bpp(mfs, 6, window, reps, stream(seed, LANE_CHECKS, 0, 2))
-    bpp = _mecke_rows("bpp", mfs, bpp, [mf.oracle_bpp and mf.oracle_bpp(6, window)
+    bpp = _mecke_rows("bpp", mfs, bpp, [mf.oracle_bpp and mf.oracle_bpp(6)
                                         for mf in mfs], seed)
     return [row for pair in zip(ppp, bpp) for group in pair for row in group]
 
@@ -503,20 +503,18 @@ def check_coarea(seed: int) -> list[CheckRow]:
 
 
 def check_bounds(seed: int) -> list[CheckRow]:
-    disk = Disk((0.0, 0.0), 1.0)
-    val, err = chord_square_integral(disk)
-    rows = [CheckRow("bound[chord_sq_unit_disk]", val, 16.0 / 3.0, 1e-8 / 3.0, seed)]
-    # the rect and origin-outside disk closed forms; c = lambda = 1 bounds G(K)
-    for name, window in (("unit_square", Rect(0.0, 0.0, 1.0, 1.0)),
-                         ("offset_disk", Disk((3.0, 1.0), 0.7))):
-        rows.append(CheckRow(f"bound[chord_sq_{name}]", chord_square_integral(window)[0],
-                             cox_bound(ModelParams.planar(1.0, 1.0), window), 1e-8 / 3.0,
-                             seed))
-    # quadrature-based bound against the closed form cox_bound reports
+    windows = {"unit_disk": Disk((0.0, 0.0), 1.0), "unit_square": Rect(0.0, 0.0, 1.0, 1.0),
+               "offset_disk": Disk((3.0, 1.0), 0.7)}
+    quad = {name: chord_square_integral(window) for name, window in windows.items()}
+    # the quadrature G(K) of each window against its closed form
+    rows = [CheckRow(f"bound[chord_sq_{name}]", quad[name][0], window.closed_form_g(),
+                     1e-8 / 3.0, seed) for name, window in windows.items()]
+    # the unit disk's quadrature bound against the closed form cox_bound reports
     params = ModelParams.planar(1.0, 10.0)
     scale = params.c ** 2 / params.lambda_n
+    val, err = quad["unit_disk"]
     rows.append(CheckRow("bound[cox_closed_form]", scale * val,
-                         cox_bound(params, disk),
+                         cox_bound(params, windows["unit_disk"]),
                          max(scale * err, 1e-12) / 3.0, seed))
     sat = satellite_bound(ModelParams.spherical(2.0, 100))
     rows.append(CheckRow("bound[satellite_c2_n100]", sat, 0.08,

@@ -9,7 +9,7 @@ from coxsim import harness
 from coxsim.cli import main
 from coxsim.coxmodels import (effective_intensity, sample_cox_line, sample_cox_line_batch,
                               sample_satellites_batch, sample_satellites_with_twin)
-from coxsim.diagnostics import (close_pair_indicator, empirical_count_tv, poisson_pmf,
+from coxsim.diagnostics import (ClosePair, empirical_count_tv, poisson_pmf,
                                 sphere_region_set)
 from coxsim.geometry import Disk, Rect, chord_intervals, orbit_frame
 from coxsim.harness import stream
@@ -432,7 +432,7 @@ class TestSatelliteBatchLaw:
         for name in BANDS + CAPS:
             assert two_sample_passes(pair.model.counts(REGIONS[name]),
                                      oracle.counts(REGIONS[name])), name
-        close = close_pair_indicator(0.99)
+        close = ClosePair(0.99)
         assert same_rate(close(pair.model), close(oracle))
 
     def test_twin_replaces_only_multi_orbit_points(self):

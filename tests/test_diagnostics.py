@@ -215,7 +215,7 @@ def mecke_rows(check, arg, window, reps, rng, mfs=None) -> list:
         assert lhs.shape == rhs.shape == (reps,)
         closed_form = getattr(mf, oracle)
         out.append((mc_row(mf.name, lhs, rhs, 0),
-                    closed_form and closed_form(arg, window)))
+                    closed_form and closed_form(arg)))
     return out
 
 
@@ -271,7 +271,7 @@ class TestMecke:
         }
         for mf in mecke_functionals(WINDOW):
             if mf.name in expected:
-                assert mf.oracle_ppp(lam, WINDOW) == pytest.approx(expected[mf.name])
+                assert mf.oracle_ppp(lam) == pytest.approx(expected[mf.name])
 
     def test_bpp_oracles_with_independent_formulas(self):
         N = 6
@@ -285,7 +285,7 @@ class TestMecke:
         }
         for mf in mecke_functionals(WINDOW):
             if mf.name in expected:
-                assert mf.oracle_bpp(N, WINDOW) == pytest.approx(expected[mf.name])
+                assert mf.oracle_bpp(N) == pytest.approx(expected[mf.name])
 
     def test_registries_share_halves(self):
         # Mecke regions A, B and the Glauber left/right regions are the same

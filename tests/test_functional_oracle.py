@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from coxsim import diagnostics
-from coxsim.diagnostics import (_max_pair_dot, glauber_functionals, mecke_functionals,
-                                planar_functional_family, sphere_functional_family)
+from coxsim.diagnostics import (ClosePair, Functional, _max_pair_dot, glauber_functionals,
+                                mecke_functionals, planar_functional_family,
+                                sphere_functional_family)
 from coxsim.geometry import Disk, Rect
 from coxsim.glauber import (BIRTH_PAIRS, GlauberSpec, contraction_estimate,
                             generator_apply, semigroup_sample)
@@ -28,12 +29,12 @@ def rng_for(idx, seed=4242):
 
 def scalar_value(F, pts: np.ndarray) -> float:
     """F on one configuration, from count_in and the kernel's definition."""
-    if F.pair_threshold is not None:
+    if isinstance(F, ClosePair):
         if len(pts) < 2:
             return 0.0
         dots = pts @ pts.T
         iu = np.triu_indices(len(pts), k=1)
-        return float(np.any(np.abs(dots[iu]) >= F.pair_threshold))
+        return float(np.any(np.abs(dots[iu]) >= F.threshold))
     counts = [count_in(pts, r) for r in F.regions]
     kind, kw = F.h.func.__name__, F.h.keywords
     if kind == "_capped":
@@ -121,7 +122,40 @@ def test_sphere_preset_with_pairs_at_threshold():
     assert_batch_matches(sphere_functional_family(), configs)
 
 
-CLOSE = [F for F in sphere_functional_family() if F.pair_threshold is not None]
+CLOSE = [F for F in sphere_functional_family() if isinstance(F, ClosePair)]
+
+
+@pytest.mark.parametrize("window", [RECT, DISK])
+def test_every_member_is_a_count_functional_or_a_close_pair(window):
+    members = (planar_functional_family(window) + sphere_functional_family()
+               + glauber_functionals(window)
+               + [F for mf in mecke_functionals(window) for F in (mf.g, mf.h)])
+    for F in members:
+        assert (isinstance(F, Functional) and callable(F.h)) or isinstance(F, ClosePair), F
+    assert [F.name for F in members if isinstance(F, ClosePair)] == [
+        "1{close-pair|dot|>=0.99}", "1{close-pair|dot|>=0.999}"]
+    # a close pair has no point move: one is not a count of regions
+    assert not hasattr(CLOSE[0], "moved") and not hasattr(CLOSE[0], "membership")
+
+
+def test_sphere_moved_matches_plus_and_delete():
+    # every count member of the satellite family, as the planar test above
+    functionals = [F for F in sphere_functional_family() if isinstance(F, Functional)]
+    assert len(functionals) == len(sphere_functional_family()) - len(CLOSE)
+    rng = rng_for(5)
+    configs = [sample_uniform_sphere(rng, int(k)) for k in rng.integers(0, 9, 60)]
+    configs += [sphere_points([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
+                sphere_points([])]
+    base = ReplicateBatch.stack(configs)
+    extra = [sample_uniform_sphere(rng, k % 3) for k in range(len(configs))]
+    added = ReplicateBatch.stack(extra)
+    minus_one = [np.delete(c, i, axis=0) for c in configs for i in range(len(c))]
+    plus_one = [plus(configs[j], x) for j, pts in enumerate(extra) for x in pts]
+    for F in functionals:
+        for got, expect_configs in ((F.moved(base, base, -1), minus_one),
+                                    (F.moved(base, added), plus_one)):
+            expect = np.array([scalar_value(F, c) for c in expect_configs])
+            assert got.dtype == np.float64 and np.array_equal(got, expect), F.name
 
 
 def sphere_configs(rng):
@@ -158,7 +192,7 @@ def test_close_pair_scan_in_small_blocks(monkeypatch):
     assert np.array_equal(whole, expect)
     assert_batch_matches(CLOSE, configs)
     for F in CLOSE:
-        assert np.array_equal(F(blocked), (whole >= F.pair_threshold).astype(float))
+        assert np.array_equal(F(blocked), (whole >= F.threshold).astype(float))
 
 
 def test_close_pair_scan_memory_is_capped(monkeypatch):

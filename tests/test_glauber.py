@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coxsim.diagnostics import (Functional, close_pair_indicator,
+from coxsim.diagnostics import (ClosePair, Functional,
                                 count_at_least, count_indicator,
                                 empirical_count_tv, glauber_functionals,
                                 poisson_pmf, raw_count, truncated_count)
@@ -364,7 +364,7 @@ class TestFunctionalRegistry:
 
     def test_sphere_lipschitz_certification(self):
         rng = rng_for(20)
-        functionals = [close_pair_indicator(0.99), close_pair_indicator(0.999)]
+        functionals = [ClosePair(0.99), ClosePair(0.999)]
         for _ in range(200):
             n = int(rng.integers(0, 6))
             omega = sample_uniform_sphere(rng, n)
@@ -385,7 +385,7 @@ class TestFunctionalRegistry:
         assert value(F, plane_points([[0.2, 0.5]])) == 0.0
 
     def test_close_pair_detects(self):
-        F = close_pair_indicator(0.99)
+        F = ClosePair(0.99)
         near = sphere_points([[1.0, 0.0, 0.0], [0.999, math.sqrt(1 - 0.999 ** 2), 0.0]])
         anti = sphere_points([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         far = sphere_points([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
