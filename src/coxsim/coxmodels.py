@@ -52,7 +52,18 @@ POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).
 # peak bytes per point held, model and twin apart: tracemalloc reads 64-173 for
 # simulate and run_sweep_point of either model at 1e5 to 1e6 points
 BYTES_PER_POINT = 200
+# peak bytes per replicate held whatever its points: tracemalloc reads 343-350
+# (cox-line) and 438-445 (satellites) for run_sweep_point at c = 0.01 and 1e4
+# to 4e4 replicates
+BYTES_PER_REPLICATE = 500
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(need: float, held: str):
+    """Raise ValueError if holding held at once, need bytes, exceeds physical memory."""
+    if need > PHYSICAL_MEMORY:
+        raise ValueError(f"holding {held} at once needs about {need:.3g} bytes, "
+                         f"above {PHYSICAL_MEMORY:.3g} of physical memory")
 
 
 @dataclass(frozen=True)
@@ -227,25 +238,26 @@ class Model:
         return "sphere" if window is None else window.describe()
 
     def finite_params(self, c: float, value, window, reps: int = 0) -> ModelParams:
-        """params(c, value), checked to give a finite bound (it grows as c ** 2 and
-        the cube of the window's size, so it overflows wherever the window measure
-        does), a mean count numpy's Poisson sampler accepts, and, for a run holding
-        reps replicates at once, points that fit in physical memory.  Raises ValueError."""
+        """params(c, value), checked to give a positive finite bound (it grows as
+        c ** 2 and the cube of the window's size, so it overflows wherever the window
+        measure does, and underflows to 0 for a tiny c or window), a mean count
+        numpy's Poisson sampler accepts, and, for a run holding reps replicates at
+        once, replicates and points that fit in physical memory.  Raises ValueError."""
         params = self.params(c, value)
         try:
-            finite = math.isfinite(self.bound(params, window))
+            bound = self.bound(params, window)
         except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError("the bound or the window measure is beyond float range")
+            bound = math.inf
+        if not 0.0 < bound < math.inf:
+            raise ValueError(f"the bound ({bound:g}) or the window measure is "
+                             "outside float range")
         count = self.mean * c * self.regions(window)[0][1].measure
         if count > POISSON_MAX_MEAN:
             raise ValueError(f"the expected point count {count:g} is beyond the "
                              f"largest Poisson mean numpy draws, {POISSON_MAX_MEAN:g}")
-        need = 2 * reps * count * BYTES_PER_POINT   # model and twin points held at once
-        if need > PHYSICAL_MEMORY:
-            raise ValueError(f"holding {2 * reps * count:.3g} points at once needs about "
-                             f"{need:.3g} bytes, above {PHYSICAL_MEMORY:.3g} of physical memory")
+        # each replicate, and its model and twin points
+        check_memory(reps * (BYTES_PER_REPLICATE + 2 * count * BYTES_PER_POINT),
+                     f"{2 * reps * count:.3g} points in {reps} replicates")
         return params
 
 

@@ -554,13 +554,18 @@ class TestCli:
         ["experiment", "converge-cox", "--reps", "1000", "--window", "disk:0,0,1e-200"],
         ["experiment", "converge-cox", "--reps", "1000", "--window", "rect:0,0,1e-200,1e-200"],
         ["bound", "cox-line", "--lam", "10", "--window", "disk:0,0,1e-200"],
+        ["bound", "cox-line", "--lam", "10", "--window", "disk:0,0,1e-160"],
+        ["bound", "cox-line", "--c", "1e-200", "--lam", "10"],
+        ["bound", "satellites", "--c", "1e-200", "--n", "10"],
     ], ids=["bound-c", "bound-sat-c", "experiment-c", "disk", "rect", "simulate-c",
             "bound-inf", "experiment-disk-underflow", "experiment-rect-underflow",
-            "bound-disk-underflow"])
+            "bound-disk-underflow", "bound-underflow-disk", "bound-underflow-c",
+            "bound-underflow-sat-c"])
     def test_bound_beyond_float_range_exit_2(self, argv, capsys):
         # an input whose bound or window measure overflows a float, or whose
-        # window area underflows to 0, is a config error, not a traceback
-        # (exit 1) or an inf or 0 bound (exit 0)
+        # window area or bound underflows to 0 (a disk of area 3e-320 is still
+        # a window), is a config error, not a traceback (exit 1) or an inf or
+        # 0 bound (exit 0)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -602,6 +607,55 @@ class TestCli:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: holding")
         assert "bytes, above 4.19e+06 of physical memory" in lines[0]
+
+    def test_underflowing_bound_is_refused_before_plots(self, tmp_path, capsys):
+        # a zero bound has no log10: the sweep must stop before its first row,
+        # not write results.csv and then fail in the rate plot
+        out = tmp_path / "run"
+        assert main(["experiment", "converge-cox", "--reps", "1000", "--window",
+                     "disk:0,0,1e-160", "--out", str(out), "--plots"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: the bound (0)")
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "converge-cox", "--c", "0.01", "--reps", "10000"],
+        ["experiment", "converge-sat", "--c", "0.01", "--reps", "10000"],
+    ], ids=["experiment-cox", "experiment-sat"])
+    def test_replicates_beyond_memory_exit_2(self, argv, capsys, monkeypatch):
+        # 4 MiB of physical memory holds about 8,300 replicates at 500 bytes
+        # each; the points alone (about 300 of them) would fit, so a points-only
+        # rule runs these sweeps, about 4 MiB each by tracemalloc
+        monkeypatch.setattr(coxmodels, "PHYSICAL_MEMORY", 4 * 2 ** 20)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: holding")
+        assert "in 10000 replicates at once" in lines[0]
+        assert "bytes, above 4.19e+06 of physical memory" in lines[0]
+
+    @pytest.mark.parametrize("which", ["mecke", "invariance", "glauber", "all"])
+    def test_check_replicates_beyond_memory_exit_2(self, which, tmp_path, capsys,
+                                                   monkeypatch):
+        # 2 MiB of physical memory against 40,000 replicates at 100 (glauber) to
+        # 400 (mecke) bytes each; unguarded, each run holds at most about 12 MiB
+        monkeypatch.setattr(coxmodels, "PHYSICAL_MEMORY", 2 * 2 ** 20)
+        assert main(["check", which, "--reps", "40000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: holding 40000 check replicates at once")
+        with pytest.raises(ConfigError, match="physical memory"):
+            harness.run_validation_suite(0, 40000, which)
+
+    @pytest.mark.parametrize("which", ["coarea", "bounds"])
+    def test_checks_that_draw_nothing_take_any_reps(self, which, capsys, monkeypatch):
+        monkeypatch.setattr(coxmodels, "PHYSICAL_MEMORY", 2 * 2 ** 20)
+        assert main(["check", which, "--reps", "1000000000"]) == 0
+        assert "checks passed" in capsys.readouterr().out
 
     def test_bound_draws_nothing_whatever_memory(self, capsys, monkeypatch):
         monkeypatch.setattr(coxmodels, "PHYSICAL_MEMORY", 4 * 2 ** 20)
