@@ -1,11 +1,12 @@
 """Pass counts of acceptance criteria 2, 3 and 4, or false alarms of
 `check all`, over a range of seeds.
 
-By default, runs the two acceptance sweeps of tests/test_acceptance.py at
-every seed of the range and prints, per criterion, how many seeds pass, the
-mean and standard deviation of the rate-fit slope, the seeds without a fit
-and the failing seeds.  The wall-time budgets are left out: they do not
-depend on the seed.
+By default, runs the two acceptance sweeps at every seed of the range and
+prints, per criterion, how many seeds pass, the mean and standard deviation
+of the rate-fit slope, the seeds without a fit and the failing seeds.  The
+sweeps and pass rules come from tests/acceptance_criteria.py, which
+tests/test_acceptance.py applies at one seed; its wall-time budgets are left
+out here: they do not depend on the seed.
 
 With --validation, runs the validation suite (`check all`) at every seed
 instead and prints how many seeds fail it, the failing seeds, and the
@@ -24,49 +25,8 @@ import argparse
 import statistics
 from collections import Counter
 
-from coxsim.geometry import Disk
-from coxsim.harness import (DEFAULT_CHECK_REPS, ExperimentConfig, run_experiment,
-                            run_validation_suite)
-
-SLOPE_BAND = (-1.3, -0.7)
-
-
-def _in_band(fit) -> bool:
-    return fit is not None and SLOPE_BAND[0] <= fit.slope <= SLOPE_BAND[1]
-
-
-def _within(row) -> bool:
-    """Every estimate of the row within bound + 3 stderr."""
-    return all(e.value <= row["bound"] + 3.0 * e.stderr
-               for e in [row["_w_est"]] + row["_tv_estimates"])
-
-
-def criterion_2(result) -> bool:
-    """Every satellite estimate within bound + 3 stderr, and bound_respected."""
-    return all(_within(row) and row["bound_respected"] for row in result.rows)
-
-
-def criterion_3(result) -> bool:
-    """Satellite slope in the band with r^2 >= 0.9."""
-    return _in_band(result.fit) and result.fit.r_squared >= 0.9
-
-
-def criterion_4(result) -> bool:
-    """Every cox-line estimate within bound + 3 stderr, slope in the band and
-    eff_intensity within 0.05 of c/2."""
-    within = all(_within(row) for row in result.rows)
-    effs = all(abs(row["eff_intensity"] - 0.5) < 0.05 for row in result.rows)
-    return within and effs and _in_band(result.fit)
-
-
-# the acceptance sweeps, run once per seed and shared by their criteria
-SWEEPS = {
-    "satellites": lambda seed, reps: ExperimentConfig(
-        "satellites", 2.0, (10, 20, 40, 80, 160), reps=reps, seed=seed),
-    "cox-line": lambda seed, reps: ExperimentConfig(
-        "cox-line", 1.0, (5, 10, 20, 40, 80), reps=reps, seed=seed,
-        window=Disk((0.0, 0.0), 1.0)),
-}
+from acceptance_criteria import ACCEPT_REPS, SWEEPS, criterion_2, criterion_3, criterion_4
+from coxsim.harness import DEFAULT_CHECK_REPS, run_experiment, run_validation_suite
 
 CRITERIA = {
     "2 (satellites, bound)": ("satellites", criterion_2),
@@ -108,7 +68,7 @@ def main(argv=None):
     if args.validation:
         validation_sweep(args.seeds, args.reps or DEFAULT_CHECK_REPS)
         return
-    args.reps = args.reps or 10_000
+    args.reps = args.reps or ACCEPT_REPS
     results = {model: [run_experiment(config(seed, args.reps)) for seed in args.seeds]
                for model, config in SWEEPS.items()}
     n = len(args.seeds)

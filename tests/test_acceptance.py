@@ -11,10 +11,11 @@ import time
 
 import pytest
 
+from acceptance_criteria import (R2_FLOOR, SLOPE_BAND, SWEEPS, criterion_2, criterion_3,
+                                 criterion_4, worst_margin)
 from coxsim.cli import main
 from coxsim.geometry import Disk
-from coxsim.harness import (ExperimentConfig, check_mecke, run_experiment,
-                            run_validation_suite)
+from coxsim.harness import check_mecke, run_experiment, run_validation_suite
 from coxsim.steinbound import chord_square_integral
 
 SEED = 0
@@ -28,24 +29,21 @@ def report(criterion: str, passed: bool, detail: str) -> bool:
     return passed
 
 
-@pytest.fixture(scope="module")
-def satellite_result():
-    cfg = ExperimentConfig("satellites", 2.0, (10, 20, 40, 80, 160),
-                           reps=10_000, seed=SEED)
+def timed_sweep(model: str):
     t0 = time.perf_counter()
-    res = run_experiment(cfg)
+    res = run_experiment(SWEEPS[model](SEED))
     res.wall_seconds = time.perf_counter() - t0
     return res
+
+
+@pytest.fixture(scope="module")
+def satellite_result():
+    return timed_sweep("satellites")
 
 
 @pytest.fixture(scope="module")
 def cox_result():
-    cfg = ExperimentConfig("cox-line", 1.0, (5, 10, 20, 40, 80),
-                           reps=10_000, seed=SEED, window=Disk((0.0, 0.0), 1.0))
-    t0 = time.perf_counter()
-    res = run_experiment(cfg)
-    res.wall_seconds = time.perf_counter() - t0
-    return res
+    return timed_sweep("cox-line")
 
 
 def test_criterion_1_disk_geometric_constant():
@@ -59,57 +57,32 @@ def test_criterion_1_disk_geometric_constant():
 
 
 def test_criterion_2_satellite_bound_respected(satellite_result):
-    worst = math.inf
-    ok = True
-    for row in satellite_result.rows:
-        bound = row["bound"]
-        assert bound == pytest.approx(2.0 * 4.0 / row["param"])
-        estimates = [row["_w_est"]] + row["_tv_estimates"]
-        for est in estimates:
-            margin = bound + 3.0 * est.stderr - est.value
-            worst = min(worst, margin)
-            ok &= est.value <= bound + 3.0 * est.stderr
-        ok &= bool(row["bound_respected"])
-    ok &= satellite_result.wall_seconds < 300.0
+    ok = criterion_2(satellite_result) and satellite_result.wall_seconds < 300.0
     assert report("2 (Theorem-10 bound respected)", ok,
-                  f"worst margin {worst:.4f} >= 0 across "
+                  f"worst margin {worst_margin(satellite_result):.4f} >= 0 across "
                   f"{len(satellite_result.rows)} sweep points, "
                   f"{satellite_result.wall_seconds:.0f}s (< 300s)")
 
 
 def test_criterion_3_satellite_rate(satellite_result):
     fit = satellite_result.fit
-    ok = fit is not None and -1.3 <= fit.slope <= -0.7 and fit.r_squared >= 0.9
     detail = ("no fit: " + satellite_result.fit_error if fit is None else
-              f"slope {fit.slope:.3f} in [-1.3,-0.7], r2 {fit.r_squared:.3f} >= 0.9")
-    assert report("3 (satellite 1/n rate)", ok, detail)
+              f"slope {fit.slope:.3f} in [{SLOPE_BAND[0]},{SLOPE_BAND[1]}], "
+              f"r2 {fit.r_squared:.3f} >= {R2_FLOOR}")
+    assert report("3 (satellite 1/n rate)", criterion_3(satellite_result), detail)
 
 
 def test_criterion_4_cox_bound_and_rate(cox_result):
-    geom = 16.0 / 3.0
-    worst = math.inf
-    ok = True
-    for row in cox_result.rows:
-        bound = geom / row["param"]
-        assert row["bound"] == pytest.approx(bound, rel=1e-7)
-        estimates = [row["_w_est"]] + row["_tv_estimates"]
-        for est in estimates:
-            margin = bound + 3.0 * est.stderr - est.value
-            worst = min(worst, margin)
-            ok &= est.value <= bound + 3.0 * est.stderr
-    fit = cox_result.fit
-    ok &= fit is not None and -1.3 <= fit.slope <= -0.7
-    ok &= cox_result.wall_seconds < 600.0
+    ok = criterion_4(cox_result) and cox_result.wall_seconds < 600.0
     # the c-vs-c/2 intensity convention is reported, not hidden: the rows
     # carry the nominal c, the closed-form target c/2 and the intensity
     # measured from the sweep's own samples
-    effs = [row["eff_intensity"] for row in cox_result.rows]
-    ok &= all(abs(e - 0.5) < 0.05 for e in effs)
+    fit = cox_result.fit
     slope_txt = "none" if fit is None else f"{fit.slope:.3f}"
     assert report("4 (Theorem-9 bound with matched target)", ok,
-                  f"worst margin {worst:.4f}, slope {slope_txt}, "
-                  f"eff intensity {effs[-1]:.4f} vs c=1 (c/2 convention "
-                  f"reported), {cox_result.wall_seconds:.0f}s (< 600s)")
+                  f"worst margin {worst_margin(cox_result):.4f}, slope {slope_txt}, "
+                  f"eff intensity {cox_result.rows[-1]['eff_intensity']:.4f} vs c=1 "
+                  f"(c/2 convention reported), {cox_result.wall_seconds:.0f}s (< 600s)")
 
 
 def test_criterion_5_campbell_mecke():
