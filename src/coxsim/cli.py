@@ -14,7 +14,7 @@ import sys
 
 from .coxmodels import MODELS, Model
 from .harness import (CHECK_GROUPS, DEFAULT_CHECK_REPS, LANE_SAMPLES, ConfigError,
-                      ExperimentConfig, config_from_ini, csv_header, csv_line,
+                      ExperimentConfig, check_groups, config_from_ini, csv_header, csv_line,
                       format_check_table, parse_sweep, parse_window, run_experiment,
                       run_validation_suite, stream, write_validation_csv)
 
@@ -171,6 +171,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_check(args) -> int:
     if args.reps < 1:
         raise ConfigError(f"--reps must be at least 1, got {args.reps}")
+    check_groups(args.which, args.reps)   # a config error before --out is made
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     rows = run_validation_suite(args.seed, args.reps, which=args.which)

@@ -535,11 +535,9 @@ CHECK_GROUPS = tuple(CHECKS)
 CHECK_BYTES_PER_REPLICATE = {"mecke": 400, "invariance": 200, "glauber": 100}
 
 
-def run_validation_suite(seed: int, reps: int = DEFAULT_CHECK_REPS,
-                         which: str = "all") -> list[CheckRow]:
-    """Run one of CHECK_GROUPS, or all of them in that order, each sized from
-    reps; individual failures are recorded and the suite continues.  Raises
-    ConfigError, before any group runs, if the largest would not fit in memory."""
+def check_groups(which: str, reps: int) -> list:
+    """The groups of CHECK_GROUPS that which names, one or all, checked to fit in
+    physical memory at reps: raises ConfigError if the largest would not."""
     if which != "all" and which not in CHECK_GROUPS:
         raise ValueError(f"unknown check group {which!r}; choose from "
                          f"{', '.join(CHECK_GROUPS)} or all")
@@ -550,7 +548,14 @@ def run_validation_suite(seed: int, reps: int = DEFAULT_CHECK_REPS,
                      f"{n} check replicates")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return [row for name in groups for row in CHECKS[name](seed, reps)]
+    return groups
+
+
+def run_validation_suite(seed: int, reps: int = DEFAULT_CHECK_REPS,
+                         which: str = "all") -> list[CheckRow]:
+    """Run check_groups(which, reps) in the order of CHECK_GROUPS, each sized
+    from reps; individual failures are recorded and the suite continues."""
+    return [row for name in check_groups(which, reps) for row in CHECKS[name](seed, reps)]
 
 
 def write_validation_csv(path: str, rows: list[CheckRow]):

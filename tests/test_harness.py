@@ -642,9 +642,10 @@ class TestCli:
         # 2 MiB of physical memory against 40,000 replicates at 100 (glauber) to
         # 400 (mecke) bytes each; unguarded, each run holds at most about 12 MiB
         monkeypatch.setattr(coxmodels, "PHYSICAL_MEMORY", 2 * 2 ** 20)
-        assert main(["check", which, "--reps", "40000"]) == 2
+        out = tmp_path / "checks"
+        assert main(["check", which, "--reps", "40000", "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "" and not out.exists()
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("config error: holding 40000 check replicates at once")
