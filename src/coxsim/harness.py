@@ -536,11 +536,13 @@ CHECK_BYTES_PER_REPLICATE = {"mecke": 400, "invariance": 200, "glauber": 100}
 
 
 def check_groups(which: str, reps: int) -> list:
-    """The groups of CHECK_GROUPS that which names, one or all, checked to fit in
-    physical memory at reps: raises ConfigError if the largest would not."""
+    """The groups of CHECK_GROUPS that which names, one or all; raises
+    ConfigError unless reps >= 1 and the largest fits in physical memory."""
     if which != "all" and which not in CHECK_GROUPS:
         raise ValueError(f"unknown check group {which!r}; choose from "
                          f"{', '.join(CHECK_GROUPS)} or all")
+    if reps < 1:
+        raise ConfigError(f"--reps must be at least 1, got {reps}")
     groups = [name for name in CHECK_GROUPS if which in ("all", name)]
     n = max(2000, reps)
     try:
