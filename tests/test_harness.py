@@ -559,8 +559,7 @@ class TestCli:
         ["bound", "satellites", "--c", "1e-200", "--n", "10"],
     ], ids=["bound-c", "bound-sat-c", "experiment-c", "disk", "rect", "simulate-c",
             "bound-inf", "experiment-disk-underflow", "experiment-rect-underflow",
-            "bound-disk-underflow", "bound-underflow-disk", "bound-underflow-c",
-            "bound-underflow-sat-c"])
+            "bound-disk-underflow", "bound-zero-disk", "bound-zero-c", "bound-zero-sat-c"])
     def test_bound_beyond_float_range_exit_2(self, argv, capsys):
         # an input whose bound or window measure overflows a float, or whose
         # window area or bound underflows to 0 (a disk of area 3e-320 is still
@@ -625,7 +624,7 @@ class TestCli:
     ], ids=["experiment-cox", "experiment-sat"])
     def test_replicates_beyond_memory_exit_2(self, argv, capsys, monkeypatch):
         # 4 MiB of physical memory holds about 8,300 replicates at 500 bytes
-        # each; the points alone (about 300 of them) would fit, so a points-only
+        # each; the points alone (a few hundred) would fit, so a points-only
         # rule runs these sweeps, about 4 MiB each by tracemalloc
         monkeypatch.setattr(coxmodels, "PHYSICAL_MEMORY", 4 * 2 ** 20)
         assert main(argv) == 2
