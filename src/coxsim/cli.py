@@ -14,8 +14,8 @@ import sys
 
 from .coxmodels import MODELS, Model
 from .harness import (CHECK_GROUPS, DEFAULT_CHECK_REPS, LANE_SAMPLES, ConfigError,
-                      ExperimentConfig, check_groups, config_from_ini, csv_header, csv_line,
-                      format_check_table, parse_sweep, parse_window, run_experiment,
+                      ExperimentConfig, check_groups, check_seed, config_from_ini, csv_header,
+                      csv_line, format_check_table, parse_sweep, parse_window, run_experiment,
                       run_validation_suite, stream, write_validation_csv)
 
 EXIT_OK = 0
@@ -169,7 +169,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    check_groups(args.which, args.reps)   # a config error before --out is made
+    check_groups(args.which, args.reps)   # config errors before --out is made
+    check_seed(args.seed)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     rows = run_validation_suite(args.seed, args.reps, which=args.which)

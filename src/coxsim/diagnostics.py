@@ -103,10 +103,6 @@ def tv_vs_poisson(pmfs: tuple) -> float:
 # Functionals
 # ---------------------------------------------------------------------------
 
-def _columns(cols, rows: int, dtype=np.int64) -> np.ndarray:
-    return np.array(cols, dtype=dtype).reshape(len(cols), rows).T
-
-
 @dataclass(frozen=True)
 class Functional:
     """F(w) = h(counts of w in regions), h mapping a (reps x len(regions))
@@ -118,16 +114,25 @@ class Functional:
     h: Callable[[np.ndarray], np.ndarray]
 
     def counts(self, batch: ReplicateBatch) -> np.ndarray:
-        return _columns([batch.counts(r) for r in self.regions], len(batch))
+        cols = [batch.counts(r) for r in self.regions]
+        return np.array(cols, dtype=np.int64).reshape(len(cols), len(batch)).T
 
-    def membership(self, batch: ReplicateBatch) -> np.ndarray:
-        """(points x len(regions)) 0/1 int8 matrix of the batch's region masks."""
-        return _columns([batch.membership(r) for r in self.regions], len(batch.points), np.int8)
-
-    def moved(self, batch: ReplicateBatch, points: ReplicateBatch, sign: int = 1) -> np.ndarray:
-        """Per point of points, F of its replicate of batch with the point added
-        (sign 1) or removed (sign -1): h(counts + sign * its membership row)."""
-        return self.h(self.counts(batch)[points.rep_ids] + sign * self.membership(points))
+    def moved(self, batch: ReplicateBatch, points: ReplicateBatch, sign: int = 1,
+              g: Functional | None = None) -> np.ndarray:
+        """Per replicate j, sum over x in points_j of g({x}) * F(batch_j + sign x),
+        x added (sign 1) or removed (sign -1); g defaults to 1.  Both depend on
+        x only through its membership pattern over their regions, so h and g.h
+        run once per pattern, weighted by its point count per replicate: the
+        per-point sum exactly, as h and g are integer-valued (every preset is)."""
+        g, k = g or count_at_least(), len(self.regions)
+        regions = tuple(dict.fromkeys(self.regions + g.regions))
+        out = np.zeros(len(batch))
+        for code in range(1 << len(regions)):
+            bits = np.array([code >> regions.index(r) & 1 for r in self.regions + g.regions])
+            weight = g.h(bits[None, k:])[0]
+            if weight and np.any(n := points.pattern_counts(regions, code)):
+                out += n * self.h(self.counts(batch) + sign * bits[:k]) * weight
+        return out
 
     def __call__(self, batch: ReplicateBatch) -> np.ndarray:
         return self.h(self.counts(batch))
@@ -303,15 +308,20 @@ class MeckeFunctional:
 
 
 def _point_sums(mfs, phi: ReplicateBatch) -> list:
-    """Per replicate, sum_{x in Phi} F(x, Phi - x), for each F in mfs.  h's
-    per-point values are made first, so g's are not held while they are."""
-    return [np.bincount(phi.rep_ids, mf.h.moved(phi, phi, -1) * mf.g.h(mf.g.membership(phi)),
-                        len(phi)) for mf in mfs]
+    """Per replicate, sum_{x in Phi} F(x, Phi - x) = sum_x g({x}) h(Phi - x),
+    for each F in mfs: one Functional.moved each, so g and h are applied once
+    per membership pattern of the points, not once per point."""
+    return [mf.h.moved(phi, phi, -1, mf.g) for mf in mfs]
 
 
-def _palm_side(mfs, mass: float, x: ReplicateBatch, palm: ReplicateBatch) -> list:
-    """Per replicate, mass * F(x, Palm) for each F in mfs, x one point each."""
-    return [mass * mf.g(x) * mf.h(palm) for mf in mfs]
+def _at_x(mfs, mass: float, x: ReplicateBatch) -> dict:
+    """mass * g({x}) per replicate for each g of mfs, x one point each."""
+    return {mf.g: mass * mf.g(x) for mf in mfs}
+
+
+def _palm_side(mfs, at_x: dict, palm: ReplicateBatch) -> list:
+    """Per replicate, mass * F(x, Palm) for each F in mfs, from _at_x."""
+    return [at_x[mf.g] * mf.h(palm) for mf in mfs]
 
 
 def mecke_check_ppp(mfs: Sequence[MeckeFunctional], lam: float, window: Window,
@@ -322,8 +332,8 @@ def mecke_check_ppp(mfs: Sequence[MeckeFunctional], lam: float, window: Window,
     Phi, then Phi' and x once Phi is dropped."""
     lhs = _point_sums(mfs, ReplicateBatch.ppp(window, lam, reps, rng))
     palm = ReplicateBatch.ppp(window, lam, reps, rng)
-    x = ReplicateBatch.bpp(window, 1, reps, rng)
-    return list(zip(lhs, _palm_side(mfs, lam * window.area, x, palm)))
+    at_x = _at_x(mfs, lam * window.area, ReplicateBatch.bpp(window, 1, reps, rng))
+    return list(zip(lhs, _palm_side(mfs, at_x, palm)))
 
 
 def mecke_check_bpp(mfs: Sequence[MeckeFunctional], n_points: int, window: Window,
@@ -331,13 +341,13 @@ def mecke_check_bpp(mfs: Sequence[MeckeFunctional], n_points: int, window: Windo
     """Per-replicate sides of E[sum_{x in Phi_N} F(x, Phi_N - x)] = N E[F(x, Phi_{N-1})],
     one (left, right) pair of arrays per F in mfs, Phi_N a BPP of N uniform
     points and x uniform on the window.  All on one draw: Phi_N, then x and
-    Phi_{N-1} once Phi_N is dropped."""
+    Phi_{N-1}, each once the one before it is dropped."""
     if n_points < 1:
         raise ValueError("BPP needs at least one point")
     lhs = _point_sums(mfs, ReplicateBatch.bpp(window, n_points, reps, rng))
-    x = ReplicateBatch.bpp(window, 1, reps, rng)
+    at_x = _at_x(mfs, n_points, ReplicateBatch.bpp(window, 1, reps, rng))
     palm = ReplicateBatch.bpp(window, n_points - 1, reps, rng)
-    return list(zip(lhs, _palm_side(mfs, n_points, x, palm)))
+    return list(zip(lhs, _palm_side(mfs, at_x, palm)))
 
 
 # ---------------------------------------------------------------------------

@@ -127,17 +127,18 @@ def generator_apply(functionals, omegas: ReplicateBatch, spec: GlauberSpec,
     """Generator L F(omega_j) for every replicate j and functional F, as a (reps x F)
     array: exact death sum plus a birth integral over BIRTH_PAIRS antithetic pairs
     per replicate, shared by all F (a point and its reflection through the window
-    center, halving the variance of near-linear integrands at no bias)."""
-    reps, ids = len(omegas), omegas.rep_ids
+    center, halving the variance of near-linear integrands at no bias).  Each sum
+    is one Functional.moved, so h runs once per membership pattern, not per point."""
+    reps, m = len(omegas), 2 * BIRTH_PAIRS
     births = ReplicateBatch.bpp(spec.window, BIRTH_PAIRS, reps, rng)
     pairs = births.superpose(ReplicateBatch(  # the births, then their reflections
         2.0 * np.asarray(spec.window.center) - births.points, births.rep_ids, reps))
     values = []
     for F in functionals:
+        death = F.moved(omegas, omegas, -1)   # first: F(omegas) then counts from its masks
+        born = F.moved(omegas, pairs)
         f0 = F(omegas)
-        death = np.bincount(ids, F.moved(omegas, omegas, -1) - f0[ids], minlength=reps)
-        born = (F.moved(omegas, pairs) - f0[pairs.rep_ids]).reshape(2, reps, BIRTH_PAIRS)
-        values.append(death + spec.birth_rate * (0.5 * (born[0] + born[1])).mean(axis=1))
+        values.append(death - omegas.counts() * f0 + spec.birth_rate * ((born - m * f0) / m))
     return np.column_stack(values)
 
 

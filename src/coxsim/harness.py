@@ -77,15 +77,22 @@ def composite_index(lane: int, point: int, replicate: int) -> int:
     return (lane << (POINT_BITS + REP_BITS)) | (point << REP_BITS) | replicate
 
 
+class ConfigError(ValueError):
+    """Invalid experiment configuration (CLI exit code 2)."""
+
+
+def check_seed(seed: int) -> int:
+    """The seed, if it is a Philox key word, in [0, 2^64); else a ConfigError."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def stream(seed: int, lane: int, point: int = 0, replicate: int = 0) -> np.random.Generator:
     """The Philox generator keyed by (seed, composite_index(lane, point,
     replicate)): distinct keys give independent streams, equal keys equal draws."""
-    key = np.array([seed % 2 ** 64, composite_index(lane, point, replicate)], dtype=np.uint64)
+    key = np.array([check_seed(seed), composite_index(lane, point, replicate)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration (CLI exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +123,7 @@ class ExperimentConfig:
             raise ConfigError("sweep values must be strictly increasing")
         if self.reps < 1000:
             raise ConfigError("reps per sweep point must be at least 1000")
+        check_seed(self.seed)
         if model.window is None and self.window is not None:
             raise ConfigError(f"model {self.model!r} lives on the sphere and takes no window")
         try:
@@ -530,8 +538,8 @@ CHECKS = {"mecke": lambda seed, reps: check_mecke(seed, reps),
           "coarea": lambda seed, reps: check_coarea(seed),
           "bounds": lambda seed, reps: check_bounds(seed)}
 CHECK_GROUPS = tuple(CHECKS)
-# peak bytes a group holds per max(2000, reps): tracemalloc reads 312-313 (mecke),
-# 136 (invariance) and 56-80 (glauber) at reps 2e4 to 2e5; the others draw nothing
+# peak bytes a group holds per max(2000, reps): tracemalloc reads 245-250 (mecke),
+# 136 (invariance) and 39-52 (glauber) at reps 2e4 to 2e5; the others draw nothing
 CHECK_BYTES_PER_REPLICATE = {"mecke": 400, "invariance": 200, "glauber": 100}
 
 

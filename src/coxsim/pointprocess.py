@@ -2,7 +2,7 @@
 
 A point set is an (n, 2) array in the plane or an (n, 3) array on the unit
 sphere.  Replicates of a sampler are stored flat, as one ReplicateBatch whose
-column count is its space, and counted per region by region_counts.  Model
+column count is its space, and counted per region by mask_counts.  Model
 parameters store lambda_n, c and n; mu_n = c / lambda_n is derived.
 """
 
@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Window
+
+COUNT_BLOCK = 1 << 15  # points per np.compress and np.bincount in mask_counts
 
 # ---------------------------------------------------------------------------
 # Model parameters
@@ -137,14 +139,36 @@ class ReplicateBatch:
             self._cache[key].setflags(write=False)
         return self._cache[key]
 
-    def counts(self, region) -> np.ndarray:
-        """Per-replicate counts in the region (cached)."""
-        return self.cached(("counts", region), lambda: region_counts(
-            self.points, self.rep_ids, region, self.reps))
+    def counts(self, *regions) -> np.ndarray:
+        """Per-replicate counts of the points in all the regions, or the
+        replicate sizes for none (cached); from the cached masks, but for one
+        region without a cached mask, which region_counts counts keeping none."""
+        def count():
+            if len(regions) == 1 and ("membership", regions[0]) not in self._cache:
+                return region_counts(self.points, self.rep_ids, regions[0], self.reps)
+            masks = [self.membership(r) for r in regions]
+            return mask_counts(np.logical_and.reduce(masks) if masks else None,
+                               self.rep_ids, self.reps)
+        return self.cached(("counts", regions), count)
 
     def membership(self, region) -> np.ndarray:
         """Per-point mask: which points lie in the region (cached)."""
         return self.cached(("membership", region), lambda: region.contains(self.points))
+
+    def pattern_counts(self, regions: tuple, code: int) -> np.ndarray:
+        """Per-replicate counts of the points whose membership pattern over the
+        regions is code (bit i set iff in regions[i]), by inclusion-exclusion
+        over the counts in intersections of the regions, all from their masks."""
+        for region in regions:   # the masks first, so no region is tested twice
+            self.membership(region)
+
+        def within(s):
+            return self.counts(*(r for i, r in enumerate(regions) if s >> i & 1))
+        n = within(code)
+        for s in range(code + 1, 1 << len(regions)):
+            if s & code == code:
+                n = n - within(s) if (s ^ code).bit_count() % 2 else n + within(s)
+        return n
 
     def thin(self, p: float, rng: np.random.Generator) -> "ReplicateBatch":
         """Independent p-thinning by np.compress; one uniform per point, even at p = 0, 1."""
@@ -187,6 +211,17 @@ def ppp_batch(window: Window, lam: float, reps: int, rng: np.random.Generator):
 
 
 def region_counts(points: np.ndarray, rep_ids: np.ndarray, region, reps: int) -> np.ndarray:
-    """Per-replicate counts of flattened points inside a region.  np.compress
-    gives what rep_ids[mask] gives, several times faster on batch-sized arrays."""
-    return np.bincount(np.compress(region.contains(points), rep_ids), minlength=reps)
+    """Per-replicate counts of flattened points inside a region."""
+    return mask_counts(region.contains(points), rep_ids, reps)
+
+
+def mask_counts(mask, rep_ids: np.ndarray, reps: int) -> np.ndarray:
+    """Per-replicate counts of the points a mask selects, or of all for None.
+    np.compress gives rep_ids[mask] several times faster; it and np.bincount,
+    which copies a read-only input, run on blocks of COUNT_BLOCK points."""
+    out = np.zeros(reps, np.int64)
+    for lo in range(0, len(rep_ids), COUNT_BLOCK):
+        ids = rep_ids[lo:lo + COUNT_BLOCK]
+        out += np.bincount(ids if mask is None else np.compress(mask[lo:lo + COUNT_BLOCK], ids),
+                           minlength=reps)
+    return out

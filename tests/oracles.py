@@ -4,6 +4,10 @@ Point-set helpers: a point set is an (n, 2) array in the plane or an (n, 3)
 array on the unit sphere, and these build, split, extend and count them one
 replicate at a time.
 
+Point moves: Functional.moved, the Mecke point sums and the Glauber
+generator by the per-point formula, which evaluates h once per point, as
+references for the pattern-grouped kernels.
+
 Scalar geometry: one line or one orbit point at a time, written for clarity
 rather than speed, as oracles for the vectorized kernels in coxsim.geometry.
 """
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coxsim.geometry import Disk, Window, chord_intervals, orbit_frame
+from coxsim.glauber import BIRTH_PAIRS
 from coxsim.pointprocess import ReplicateBatch
 
 TAU = 2.0 * math.pi
@@ -66,6 +71,56 @@ def multiset(points) -> Counter:
 def count_in(points: np.ndarray, region) -> int:
     """Number of points of one point set inside the region."""
     return int(region.contains(points).sum())
+
+
+# ---------------------------------------------------------------------------
+# Point moves, one point at a time
+# ---------------------------------------------------------------------------
+
+def membership_rows(regions, points: np.ndarray) -> np.ndarray:
+    """(points x len(regions)) 0/1 int8 matrix: which regions hold each point,
+    which are also the counts of the one-point configuration {x}."""
+    rows = np.array([r.contains(points) for r in regions], dtype=np.int8)
+    return rows.reshape(len(regions), len(points)).T
+
+
+def point_values(F, batch: ReplicateBatch, points: ReplicateBatch, sign: int = 1):
+    """Per point x of points, F of its replicate of batch with x added (sign
+    1) or removed (sign -1): h of the replicate's counts plus sign times x's
+    membership row, one row per point."""
+    return F.h(F.counts(batch)[points.rep_ids] + sign * membership_rows(F.regions, points.points))
+
+
+def moved_reference(F, batch: ReplicateBatch, points: ReplicateBatch, sign: int = 1,
+                    g=None) -> np.ndarray:
+    """Functional.moved by the per-point formula: per replicate, the sum over
+    its points x of g({x}) * F(batch + sign x)."""
+    values = point_values(F, batch, points, sign)
+    if g is not None:
+        values = values * g.h(membership_rows(g.regions, points.points))
+    return np.bincount(points.rep_ids, values, len(batch))
+
+
+def point_sums_reference(mfs, phi: ReplicateBatch) -> list:
+    """diagnostics._point_sums by the per-point formula."""
+    return [moved_reference(mf.h, phi, phi, -1, mf.g) for mf in mfs]
+
+
+def generator_reference(functionals, omegas: ReplicateBatch, spec, rng) -> np.ndarray:
+    """glauber.generator_apply by the per-point formula: each point's death
+    difference and each birth's difference, then their bincount and mean,
+    on the same draws."""
+    reps, ids = len(omegas), omegas.rep_ids
+    births = ReplicateBatch.bpp(spec.window, BIRTH_PAIRS, reps, rng)
+    pairs = births.superpose(ReplicateBatch(
+        2.0 * np.asarray(spec.window.center) - births.points, births.rep_ids, reps))
+    values = []
+    for F in functionals:
+        f0 = F(omegas)
+        death = np.bincount(ids, point_values(F, omegas, omegas, -1) - f0[ids], minlength=reps)
+        born = (point_values(F, omegas, pairs) - f0[pairs.rep_ids]).reshape(2, reps, BIRTH_PAIRS)
+        values.append(death + spec.birth_rate * (0.5 * (born[0] + born[1])).mean(axis=1))
+    return np.column_stack(values)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,22 @@ out here: they do not depend on the seed.
 With --validation, runs the validation suite (`check all`) at every seed
 instead and prints how many seeds fail it, the failing seeds, and the
 failures per row (a row's name up to its first bracket, such as mecke_ppp).
-On correct code every failure is a false alarm.
+On correct code every failure is a false alarm.  With --digest as well, it
+prints one sha256 per seed over every row's name, lhs, rhs, stderr and pass
+flag (floats at repr precision), so two versions of the code can be checked
+for identical rows over a seed range with one diff of their outputs.
 
 pytest does not collect this file (its name does not start with test_).
 
     PYTHONPATH=src python tests/seed_sweep.py --seeds 0-99
     PYTHONPATH=src python tests/seed_sweep.py --validation --seeds 0-199
+    PYTHONPATH=src python tests/seed_sweep.py --validation --digest --seeds 0-19 --reps 20000
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import statistics
 from collections import Counter
 
@@ -55,19 +60,32 @@ def validation_sweep(seeds: range, reps: int):
         print(f"  {row}: {count}")
 
 
+def validation_digests(seeds: range, reps: int):
+    """Print one sha256 per seed over the rows of `check all`."""
+    for seed in seeds:
+        rows = "".join(f"{r.name},{r.lhs!r},{r.rhs!r},{r.stderr!r},{int(r.passed)}\n"
+                       for r in run_validation_suite(seed, reps))
+        print(f"seed {seed}: {hashlib.sha256(rows.encode()).hexdigest()}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=_seed_range, default=_seed_range("0-99"),
                         help="inclusive range, e.g. 0-99")
     parser.add_argument("--validation", action="store_true",
                         help="count check-all false alarms instead of criteria 2-4")
+    parser.add_argument("--digest", action="store_true",
+                        help="with --validation, print a sha256 of each seed's rows instead")
     parser.add_argument("--reps", type=int, default=None,
                         help=f"replicates per sweep point (default 10000), or with "
                              f"--validation the check size (default {DEFAULT_CHECK_REPS})")
     args = parser.parse_args(argv)
     if args.validation:
-        validation_sweep(args.seeds, args.reps or DEFAULT_CHECK_REPS)
+        sweep = validation_digests if args.digest else validation_sweep
+        sweep(args.seeds, args.reps or DEFAULT_CHECK_REPS)
         return
+    if args.digest:
+        parser.error("--digest needs --validation")
     args.reps = args.reps or ACCEPT_REPS
     results = {model: [run_experiment(config(seed, args.reps)) for seed in args.seeds]
                for model, config in SWEEPS.items()}

@@ -307,8 +307,8 @@ class TestMecke:
 
 
 class TestContainsBudget:
-    """Each (batch, region) pair is tested for containment at most once for
-    its counts and once for its point memberships, however many functionals
+    """Each (batch, region) pair is tested for containment at most once, for
+    its counts and its point memberships together, however many functionals
     share the region."""
 
     @staticmethod
@@ -327,10 +327,10 @@ class TestContainsBudget:
         calls = self.record(monkeypatch)
         check_mecke(0, 2000)
         per_pair = Counter((region, id(pts)) for region, pts in calls)
-        assert max(per_pair.values()) <= 2
-        # A and B memberships and counts on Phi (ppp) and on Phi_N (bpp);
+        assert set(per_pair.values()) == {1}
+        # A and B on Phi (ppp) and on Phi_N (bpp), the counts from the masks;
         # counts: A on x and A and B on the Palm batch, for each kind
-        assert len(calls) == 14
+        assert len(calls) == 10
 
     def test_wasserstein_counts_window_once_per_batch(self, monkeypatch):
         samples = ReplicateBatch.ppp(WINDOW, 3.0, 500, rng_for(40))

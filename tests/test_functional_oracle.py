@@ -55,6 +55,12 @@ def assert_batch_matches(functionals, configs):
         assert np.array_equal(got, expect), F.name
 
 
+def moved_sums(F, moved_configs) -> np.ndarray:
+    """Per replicate, the sum of F over its list of moved configurations."""
+    return np.array([sum(scalar_value(F, c) for c in configs) for configs in moved_configs],
+                    dtype=float)
+
+
 def planar_configs(window, boundary, rng):
     """Empty replicates (one trailing), duplicates, boundary points, random."""
     inside = window.uniform(40, rng)
@@ -81,9 +87,9 @@ def test_planar_presets(window, boundary):
 
 @pytest.mark.parametrize("window,boundary", [(RECT, RECT_BOUNDARY), (DISK, DISK_BOUNDARY)])
 def test_moved_matches_plus_and_delete(window, boundary):
-    # every count preset, each point of a ragged batch removed from its own
-    # replicate (sign -1) and boundary and inside points added to replicates
-    # that may be empty (sign 1)
+    # every count preset, summed over each point of a ragged batch removed
+    # from its own replicate (sign -1) and over boundary and inside points
+    # added to replicates that may be empty (sign 1)
     functionals = (planar_functional_family(window) + glauber_functionals(window)
                    + [F for mf in mecke_functionals(window) for F in (mf.g, mf.h)])
     configs = planar_configs(window, boundary, rng_for(0))
@@ -91,12 +97,12 @@ def test_moved_matches_plus_and_delete(window, boundary):
     extra = [plane_points(boundary[:k % 3]) for k in range(len(configs))]
     extra[5] = window.uniform(4, rng_for(1))
     added = ReplicateBatch.stack(extra)
-    minus_one = [np.delete(c, i, axis=0) for c in configs for i in range(len(c))]
-    plus_one = [plus(configs[j], x) for j, pts in enumerate(extra) for x in pts]
+    minus_one = [[np.delete(c, i, axis=0) for i in range(len(c))] for c in configs]
+    plus_one = [[plus(c, x) for x in pts] for c, pts in zip(configs, extra)]
     for F in functionals:
         for got, expect_configs in ((F.moved(base, base, -1), minus_one),
                                     (F.moved(base, added), plus_one)):
-            expect = np.array([scalar_value(F, c) for c in expect_configs])
+            expect = moved_sums(F, expect_configs)
             assert got.dtype == np.float64 and np.array_equal(got, expect), F.name
 
 
@@ -149,12 +155,12 @@ def test_sphere_moved_matches_plus_and_delete():
     base = ReplicateBatch.stack(configs)
     extra = [sample_uniform_sphere(rng, k % 3) for k in range(len(configs))]
     added = ReplicateBatch.stack(extra)
-    minus_one = [np.delete(c, i, axis=0) for c in configs for i in range(len(c))]
-    plus_one = [plus(configs[j], x) for j, pts in enumerate(extra) for x in pts]
+    minus_one = [[np.delete(c, i, axis=0) for i in range(len(c))] for c in configs]
+    plus_one = [[plus(c, x) for x in pts] for c, pts in zip(configs, extra)]
     for F in functionals:
         for got, expect_configs in ((F.moved(base, base, -1), minus_one),
                                     (F.moved(base, added), plus_one)):
-            expect = np.array([scalar_value(F, c) for c in expect_configs])
+            expect = moved_sums(F, expect_configs)
             assert got.dtype == np.float64 and np.array_equal(got, expect), F.name
 
 

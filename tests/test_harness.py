@@ -821,6 +821,39 @@ class TestCli:
         assert str(out) in lines[0]
         assert out.is_dir() if taken_by == "directory" else out.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "satellites", "--n", "10", "--seed", "-1"],
+        ["simulate", "cox-line", "--lam", "5", "--seed", str(2 ** 64)],
+        ["experiment", "converge-sat", "--reps", "1000", "--seed", "-1"],
+        ["check", "bounds", "--seed", str(2 ** 64)],
+        ["check", "mecke", "--reps", "2000", "--seed", "-1"]],
+        ids=["simulate-negative", "simulate-2^64", "experiment", "check", "check-mecke"])
+    def test_seed_out_of_range_exit_2(self, tmp_path, capsys, argv):
+        # a seed outside [0, 2^64) would alias a valid one modulo 2^64
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: seed must lie in")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_ini_seed_out_of_range_exit_2(self, tmp_path, capsys, seed):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\nmodel = satellites\nsweep = 4 6 9 14\n"
+                       f"reps = 1000\nseed = {seed}\n")
+        assert main(["experiment", "converge-sat", "--config", str(ini)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: seed must lie in")
+
+    def test_stream_refuses_seeds_outside_the_key_word(self):
+        for seed in (-1, 2 ** 64, -(2 ** 64)):
+            with pytest.raises(ValueError, match="seed must lie in"):
+                harness.stream(seed, 0)
+        top = harness.stream(2 ** 64 - 1, 0).random(4)
+        assert not np.array_equal(top, harness.stream(0, 0).random(4))
+
     def test_experiment_plots_need_out_exit_2(self, tmp_path, capsys, monkeypatch):
         # --plots or the INI plots key with no output directory: nothing runs
         monkeypatch.chdir(tmp_path)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from coxsim import pointprocess
 from coxsim.diagnostics import mecke_check_bpp, mecke_functionals
 from coxsim.geometry import Disk, Rect
 from coxsim.harness import composite_index, csv_line, stream
@@ -136,6 +137,21 @@ class TestBatchCache:
         assert b.membership(Rect(0, 0, 0.5, 1)) is mask
         assert np.array_equal(counts, region_counts(b.points, b.rep_ids, self.LEFT, len(b)))
         assert np.array_equal(mask, self.LEFT.contains(b.points))
+
+    def test_counts_of_several_regions_and_of_patterns(self):
+        # counts(A, B) counts the intersection, counts() the replicate sizes,
+        # and the pattern counts over (A, B) split the sizes by membership
+        b = self.fresh(reps=200)
+        top = Rect(0, 0.5, 1, 1)
+        in_a, in_top = self.LEFT.contains(b.points), top.contains(b.points)
+        assert np.array_equal(b.counts(self.LEFT, top),
+                              np.bincount(b.rep_ids[in_a & in_top], minlength=200))
+        assert np.array_equal(b.counts(), np.bincount(b.rep_ids, minlength=200))
+        for code in range(4):
+            exact = (in_a == bool(code & 1)) & (in_top == bool(code & 2))
+            assert np.array_equal(b.pattern_counts((self.LEFT, top), code),
+                                  np.bincount(b.rep_ids[exact], minlength=200))
+        assert np.array_equal(b.pattern_counts((), 0), b.counts())
 
     def test_array_centered_regions_are_keys(self):
         # a region built from arrays is stored with tuple fields, so it hashes
@@ -303,6 +319,17 @@ class TestCompressMatchesMaskIndexing:
         mask = region.contains(b.points)
         assert_same_array(region_counts(b.points, b.rep_ids, region, reps),
                           np.bincount(b.rep_ids[mask], minlength=reps))
+
+    @pytest.mark.parametrize("reps", [0, 1, 40])
+    def test_counts_in_small_blocks(self, reps, monkeypatch):
+        # blocks of 7 points split replicates and leave a short last block
+        monkeypatch.setattr(pointprocess, "COUNT_BLOCK", 7)
+        b = ReplicateBatch.ppp(self.WINDOW, 30.0, reps, rng_for(29))
+        region = Disk((0.5, 0.5), 0.3)
+        mask = region.contains(b.points)
+        assert_same_array(region_counts(b.points, b.rep_ids, region, reps),
+                          np.bincount(b.rep_ids[mask], minlength=reps))
+        assert_same_array(b.counts(), np.bincount(b.rep_ids, minlength=reps))
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_thin(self, p):
