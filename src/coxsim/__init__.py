@@ -8,7 +8,7 @@ models exactly, evaluates the explicit convergence bounds, and verifies the
 O(1/lambda_n) and O(1/n) rates by Monte Carlo.
 """
 
-from .geometry import Annulus, Disk, LatitudeBand, Rect, SphericalCap
+from .geometry import Annulus, Disk, LatitudeBand, Rect
 from .pointprocess import (CoupledBatch, ModelParams, ReplicateBatch, sample_ppp_window,
                            sample_uniform_sphere)
 from .coxmodels import (CoxLineSample, SatelliteSample, effective_intensity,

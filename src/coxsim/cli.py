@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_size_flags(p, model: Model, help=None):
     """The sweep parameter's flag, and --window if the model has one."""
-    p.add_argument(*model.flags, dest=model.dest, type=model.type, required=True, help=help)
+    p.add_argument(*model.flags, type=model.type, required=True, help=help)
     if model.window is not None:
         p.add_argument("--window")
 

@@ -219,8 +219,7 @@ class Model:
     experiment: str          # sweep subcommand
     c: float                 # default c
     sweep: tuple             # default sweep
-    flags: tuple             # the sweep parameter's flags, dest, type and help
-    dest: str
+    flags: tuple             # the sweep parameter's flags, type and help
     type: type
     help: str
     key: str                 # its simulate summary key
@@ -233,6 +232,10 @@ class Model:
     family: Callable         # window -> the functional family
     bound: Callable          # (params, window) -> the explicit bound
     note: str | None = None  # printed after a sweep, formatted with its last row
+
+    @property
+    def dest(self) -> str:   # argparse's dest for the sweep parameter
+        return self.flags[0].removeprefix("--").replace("-", "_")
 
     def describe(self, window) -> str:   # the window column of a bound row
         return "sphere" if window is None else window.describe()
@@ -264,7 +267,7 @@ class Model:
 # in this order, the CLI's model choices
 MODELS = {model.name: model for model in (
     Model("cox-line", "converge-cox", 1.0, (5.0, 10.0, 20.0, 40.0, 80.0),
-          ("--lam", "--lambda"), "lam", float, "line intensity lambda_n", "lambda_n",
+          ("--lam", "--lambda"), float, "line intensity lambda_n", "lambda_n",
           "lambda_n={:g}", Disk((0.0, 0.0), 1.0), 0.5, params=ModelParams.planar,
           sample=lambda p, window, reps, rng: sample_cox_line_batch(p, window, reps, rng),
           regions=planar_region_set, family=planar_functional_family,
@@ -273,7 +276,7 @@ MODELS = {model.name: model for model in (
                "the r >= 0 line construction has mean measure (c/2) Leb2, and "
                "distances are compared against the target {target_intensity:g}."),
     Model("satellites", "converge-sat", 2.0, (10.0, 20.0, 40.0, 80.0, 160.0),
-          ("--n",), "n", int, "orbit count", "n", "n={}", None, 1.0,
+          ("--n",), int, "orbit count", "n", "n={}", None, 1.0,
           params=ModelParams.spherical,
           sample=lambda p, window, reps, rng: sample_satellites_batch(p, reps, rng),
           regions=lambda w: sphere_region_set(), family=lambda w: sphere_functional_family(),

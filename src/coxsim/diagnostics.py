@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Annulus, LatitudeBand, Rect, SphericalCap, Window
+from .geometry import Annulus, LatitudeBand, Rect, Window
 from .pointprocess import CoupledBatch, ReplicateBatch
 
 BOOTSTRAP_RESAMPLES = 200
@@ -199,7 +199,7 @@ def _max_pair_dot(batch: ReplicateBatch) -> np.ndarray:
     match it bit for bit; the diagonal is masked to -inf before the row max."""
     def scan():
         points = batch.points[np.argsort(batch.rep_ids, kind="stable")]
-        sizes = np.bincount(batch.rep_ids, minlength=len(batch))
+        sizes = batch.counts()
         starts = np.cumsum(sizes) - sizes
         out = np.full(len(batch), -np.inf)
         for n in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
@@ -425,15 +425,16 @@ def planar_region_set(window: Window):
 
 
 def sphere_region_set():
-    """Default spherical regions: 6 latitude bands and 4 polar caps."""
-    regions = [("sphere", LatitudeBand(-1.0, 1.0))]
-    cuts = [-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]
-    for k in range(6):
-        regions.append((f"band_{k}", LatitudeBand(cuts[k], cuts[k + 1])))
-    for name, pole, h in (("cap_n05", 1.0, 0.5), ("cap_n08", 1.0, 0.8),
-                          ("cap_s05", -1.0, 0.5), ("cap_s08", -1.0, 0.8)):
-        regions.append((name, SphericalCap((0.0, 0.0, pole), h)))
-    return regions
+    """Default spherical regions, each a LatitudeBand z_lo <= p_z <= z_hi: the
+    sphere, 6 bands of measure 1/3 from south to north, and 4 polar caps, the
+    northern z >= 0.5 and z >= 0.8 and their southern mirrors."""
+    return [(name, LatitudeBand(z_lo, z_hi)) for name, z_lo, z_hi in (
+        ("sphere", -1.0, 1.0),
+        ("band_0", -1.0, -2.0 / 3.0), ("band_1", -2.0 / 3.0, -1.0 / 3.0),
+        ("band_2", -1.0 / 3.0, 0.0), ("band_3", 0.0, 1.0 / 3.0),
+        ("band_4", 1.0 / 3.0, 2.0 / 3.0), ("band_5", 2.0 / 3.0, 1.0),
+        ("cap_n05", 0.5, 1.0), ("cap_n08", 0.8, 1.0),
+        ("cap_s05", -1.0, -0.5), ("cap_s08", -1.0, -0.8))]
 
 
 def sphere_functional_family() -> list[Functional | ClosePair]:

@@ -270,35 +270,6 @@ def orbit_frame(xs: np.ndarray):
 
 
 @dataclass(frozen=True)
-class SphericalCap:
-    """Cap {p : p . axis >= height} on the unit sphere; measure is the
-    normalized surface fraction."""
-
-    axis: tuple[float, float, float]
-    height: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", tuple(self.axis))   # hashable: a cache key
-        if not (-1.0 < self.height < 1.0):
-            raise ValueError("cap height must lie in (-1, 1)")
-        a = np.asarray(self.axis, dtype=float)
-        if abs(a @ a - 1.0) > 1e-6:
-            raise ValueError("cap axis must be a unit vector")
-
-    @property
-    def measure(self) -> float:
-        return (1.0 - self.height) / 2.0
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return pts @ np.asarray(self.axis) >= self.height
-
-    def describe(self) -> str:
-        a = self.axis
-        return f"cap(axis=({a[0]:g},{a[1]:g},{a[2]:g}),h={self.height:g})"
-
-
-@dataclass(frozen=True)
 class LatitudeBand:
     """Band {p : z_lo <= p_z <= z_hi} on the unit sphere."""
 

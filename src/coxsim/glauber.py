@@ -72,7 +72,7 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
         raise ValueError("initial configurations must lie inside the window")
     reps, order = len(omegas), np.argsort(omegas.rep_ids, kind="stable")
     ids = omegas.rep_ids[order]
-    size = np.bincount(ids, minlength=reps)
+    size = omegas.counts().copy()   # the cached counts are read-only
     buf = np.empty((reps, max(8, 2 * int(size.max(initial=0))), 2))
     buf[ids, np.arange(ids.size) - (np.cumsum(size) - size)[ids]] = omegas.points[order]
     b = spec.birth_rate

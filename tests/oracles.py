@@ -2,7 +2,7 @@
 
 Point-set helpers: a point set is an (n, 2) array in the plane or an (n, 3)
 array on the unit sphere, and these build, split, extend and count them one
-replicate at a time.
+replicate at a time; cap_counts counts by the rule of a spherical cap.
 
 Point moves: Functional.moved, the Mecke point sums and the Glauber
 generator by the per-point formula, which evaluates h once per point, as
@@ -71,6 +71,19 @@ def multiset(points) -> Counter:
 def count_in(points: np.ndarray, region) -> int:
     """Number of points of one point set inside the region."""
     return int(region.contains(points).sum())
+
+
+# the polar caps of coxsim.diagnostics.sphere_region_set as (axis, height),
+# each the cap {p : p . axis >= height} about a pole
+POLAR_CAPS = {"cap_n05": ((0.0, 0.0, 1.0), 0.5), "cap_n08": ((0.0, 0.0, 1.0), 0.8),
+              "cap_s05": ((0.0, 0.0, -1.0), 0.5), "cap_s08": ((0.0, 0.0, -1.0), 0.8)}
+
+
+def cap_counts(b: ReplicateBatch, axis, height) -> np.ndarray:
+    """Per-replicate counts of the points p with p . axis >= height, the rule
+    of a spherical cap about any unit axis, one point at a time."""
+    inside = [sum(pi * ai for pi, ai in zip(p, axis)) >= height for p in b.points.tolist()]
+    return np.bincount(b.rep_ids, inside, len(b)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

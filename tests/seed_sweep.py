@@ -6,19 +6,24 @@ prints, per criterion, how many seeds pass, the mean and standard deviation
 of the rate-fit slope, the seeds without a fit and the failing seeds.  The
 sweeps and pass rules come from tests/acceptance_criteria.py, which
 tests/test_acceptance.py applies at one seed; its wall-time budgets are left
-out here: they do not depend on the seed.
+out here: they do not depend on the seed.  With --digest, it prints instead
+one sha256 per seed over both sweeps' result rows at --reps (every
+results.csv column, floats at repr precision).
 
 With --validation, runs the validation suite (`check all`) at every seed
 instead and prints how many seeds fail it, the failing seeds, and the
 failures per row (a row's name up to its first bracket, such as mecke_ppp).
 On correct code every failure is a false alarm.  With --digest as well, it
 prints one sha256 per seed over every row's name, lhs, rhs, stderr and pass
-flag (floats at repr precision), so two versions of the code can be checked
-for identical rows over a seed range with one diff of their outputs.
+flag (floats at repr precision).
+
+Either digest lets two versions of the code be checked for identical rows
+over a seed range with one diff of their outputs.
 
 pytest does not collect this file (its name does not start with test_).
 
     PYTHONPATH=src python tests/seed_sweep.py --seeds 0-99
+    PYTHONPATH=src python tests/seed_sweep.py --digest --seeds 0-19 --reps 1000
     PYTHONPATH=src python tests/seed_sweep.py --validation --seeds 0-199
     PYTHONPATH=src python tests/seed_sweep.py --validation --digest --seeds 0-19 --reps 20000
 """
@@ -31,7 +36,8 @@ import statistics
 from collections import Counter
 
 from acceptance_criteria import ACCEPT_REPS, SWEEPS, criterion_2, criterion_3, criterion_4
-from coxsim.harness import DEFAULT_CHECK_REPS, run_experiment, run_validation_suite
+from coxsim.harness import (DEFAULT_CHECK_REPS, RESULTS_COLUMNS, run_experiment,
+                            run_validation_suite)
 
 CRITERIA = {
     "2 (satellites, bound)": ("satellites", criterion_2),
@@ -60,12 +66,23 @@ def validation_sweep(seeds: range, reps: int):
         print(f"  {row}: {count}")
 
 
+def print_digest(seed: int, lines):
+    print(f"seed {seed}: {hashlib.sha256(''.join(lines).encode()).hexdigest()}")
+
+
 def validation_digests(seeds: range, reps: int):
     """Print one sha256 per seed over the rows of `check all`."""
     for seed in seeds:
-        rows = "".join(f"{r.name},{r.lhs!r},{r.rhs!r},{r.stderr!r},{int(r.passed)}\n"
-                       for r in run_validation_suite(seed, reps))
-        print(f"seed {seed}: {hashlib.sha256(rows.encode()).hexdigest()}")
+        print_digest(seed, (f"{r.name},{r.lhs!r},{r.rhs!r},{r.stderr!r},{int(r.passed)}\n"
+                            for r in run_validation_suite(seed, reps)))
+
+
+def sweep_digests(seeds: range, reps: int):
+    """Print one sha256 per seed over the result rows of both acceptance sweeps."""
+    for seed in seeds:
+        print_digest(seed, (",".join(repr(row[c]) for c in RESULTS_COLUMNS) + "\n"
+                            for config in SWEEPS.values()
+                            for row in run_experiment(config(seed, reps)).rows))
 
 
 def main(argv=None):
@@ -75,7 +92,7 @@ def main(argv=None):
     parser.add_argument("--validation", action="store_true",
                         help="count check-all false alarms instead of criteria 2-4")
     parser.add_argument("--digest", action="store_true",
-                        help="with --validation, print a sha256 of each seed's rows instead")
+                        help="print a sha256 of each seed's rows instead")
     parser.add_argument("--reps", type=int, default=None,
                         help=f"replicates per sweep point (default 10000), or with "
                              f"--validation the check size (default {DEFAULT_CHECK_REPS})")
@@ -84,9 +101,10 @@ def main(argv=None):
         sweep = validation_digests if args.digest else validation_sweep
         sweep(args.seeds, args.reps or DEFAULT_CHECK_REPS)
         return
-    if args.digest:
-        parser.error("--digest needs --validation")
     args.reps = args.reps or ACCEPT_REPS
+    if args.digest:
+        sweep_digests(args.seeds, args.reps)
+        return
     results = {model: [run_experiment(config(seed, args.reps)) for seed in args.seeds]
                for model, config in SWEEPS.items()}
     n = len(args.seeds)

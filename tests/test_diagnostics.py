@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from coxsim.coxmodels import sample_satellites_with_twin
+from coxsim.coxmodels import MODELS, sample_satellites_with_twin
 from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 count_indicator, count_pmfs, count_tv_lower_bound,
                                 coupled_wasserstein_lower_bound,
@@ -21,7 +21,7 @@ from coxsim.geometry import Disk, LatitudeBand, Rect
 from coxsim.harness import check_mecke, mc_row, stream
 from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
                                  sample_ppp_window, sample_uniform_sphere)
-from oracles import batch, count_in, plane_points, sphere_points
+from oracles import POLAR_CAPS, batch, cap_counts, count_in, plane_points, sphere_points
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -447,6 +447,26 @@ class TestPresets:
         assert band_measure == pytest.approx(1.0)
         assert regions["cap_n08"].measure == pytest.approx(0.1)
         assert regions["sphere"].measure == pytest.approx(1.0)
+
+    @staticmethod
+    def assert_caps_match_rule(b: ReplicateBatch):
+        regions = dict(sphere_region_set())
+        for name, (axis, height) in POLAR_CAPS.items():
+            assert np.array_equal(b.counts(regions[name]), cap_counts(b, axis, height)), name
+
+    @pytest.mark.parametrize("n", [10, 160])
+    def test_polar_caps_on_samples(self, n):
+        # each polar cap is a LatitudeBand; it counts exactly the points that
+        # the cap rule p . axis >= h admits
+        model = MODELS["satellites"]
+        _, pair = model.sample(model.params(model.c, n), None, 3000, rng_for(60 + n))
+        self.assert_caps_match_rule(pair.model)
+        self.assert_caps_match_rule(pair.twin)
+
+    def test_polar_caps_on_edges(self):
+        zs = (-1.0, -0.8, -0.5, 0.0, 0.5, 0.8, 1.0)
+        edge = sphere_points([(math.sqrt(1.0 - z * z), 0.0, z) for z in zs])
+        self.assert_caps_match_rule(batch([edge, sphere_points([]), edge[::2], -edge]))
 
     def test_families_are_lipschitz(self):
         # the estimators certify lower bounds only for functionals that move

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coxsim.geometry import (Annulus, Disk, LatitudeBand, Rect, SphericalCap,
-                             chord_intervals)
+from coxsim.geometry import Annulus, Disk, LatitudeBand, Rect, chord_intervals
 from oracles import (LineParams, chord_interval, chord_length, line_point,
                      orbit_point, rotation_to, support_radius)
 
@@ -242,11 +241,15 @@ class TestRegions:
         assert ann.contains(pts).tolist() == [True, False, False, True]
         assert ann.measure == pytest.approx(math.pi * 0.75)
 
-    def test_cap(self):
-        cap = SphericalCap((0, 0, 1), 0.5)
-        pts = np.array([[0, 0, 1.0], [0, 0, -1.0], [1, 0, 0.0]])
-        assert cap.contains(pts).tolist() == [True, False, False]
-        assert cap.measure == pytest.approx(0.25)
+    def test_polar_bands(self):
+        # a polar cap is a band with a closed end at a pole
+        north, south = LatitudeBand(0.5, 1.0), LatitudeBand(-1.0, -0.5)
+        pts = np.array([[0, 0, 1.0], [0, 0, -1.0], [1, 0, 0.0],
+                        [0, math.sqrt(0.75), 0.5], [0, math.sqrt(0.75), -0.5]])
+        assert north.contains(pts).tolist() == [True, False, False, True, False]
+        assert south.contains(pts).tolist() == [False, True, False, False, True]
+        assert north.measure == south.measure == 0.25
+        assert LatitudeBand(-1.0, 1.0).contains(pts).all()
 
     def test_band(self):
         band = LatitudeBand(-1.0 / 3.0, 1.0 / 3.0)
