@@ -135,7 +135,7 @@ def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
     idx = np.repeat(np.arange(m.size), marks)
     s = s_lo[idx] + rng.random(idx.size) * lengths[idx]
     ct, st = np.cos(theta[idx]), np.sin(theta[idx])
-    points = np.column_stack([r[idx] * ct - s * st, r[idx] * st + s * ct])
+    points = np.stack([r[idx] * ct - s * st, r[idx] * st + s * ct]).T
     proposal_reps = np.repeat(np.arange(reps), per_rep)
     x[keep] = points[np.cumsum(marks) - marks]   # each kept line's first point
     return np.column_stack([r, theta]), CoupledBatch(
@@ -184,8 +184,9 @@ def sample_satellites_batch(params: ModelParams, reps: int, rng: np.random.Gener
     orbits = sample_uniform_sphere(rng, int(new.sum()))
     u, w = orbit_frame(orbits)
     phi = rng.uniform(0.0, 2.0 * np.pi, rep_ids.size)
-    points = np.cos(phi)[:, None] * u[orbit_of] + np.sin(phi)[:, None] * w[orbit_of]
-    twin = points.copy()
+    points = (np.cos(phi) * np.take(u.T, orbit_of, axis=1)
+              + np.sin(phi) * np.take(w.T, orbit_of, axis=1)).T
+    twin = points.copy(order="K")
     twin[~lead] = sample_uniform_sphere(rng, int(lead.size - orbits.shape[0]))
     return orbits, CoupledBatch(ReplicateBatch(points, rep_ids, reps),
                                 ReplicateBatch(twin, rep_ids, reps))

@@ -126,12 +126,14 @@ class Functional:
         per-point sum exactly, as h and g are integer-valued (every preset is)."""
         g, k = g or count_at_least(), len(self.regions)
         regions = tuple(dict.fromkeys(self.regions + g.regions))
-        out = np.zeros(len(batch))
+        out, counts = np.zeros(len(batch)), None
         for code in range(1 << len(regions)):
             bits = np.array([code >> regions.index(r) & 1 for r in self.regions + g.regions])
             weight = g.h(bits[None, k:])[0]
             if weight and np.any(n := points.pattern_counts(regions, code)):
-                out += n * self.h(self.counts(batch) + sign * bits[:k]) * weight
+                if counts is None:   # once, and after pattern_counts has cached the masks
+                    counts = self.counts(batch)
+                out += n * self.h(counts + sign * bits[:k]) * weight
         return out
 
     def __call__(self, batch: ReplicateBatch) -> np.ndarray:

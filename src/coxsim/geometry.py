@@ -54,11 +54,16 @@ class Disk:
         return f"disk(c=({self.center[0]:g},{self.center[1]:g}),R={self.radius:g})"
 
     def uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n i.i.d. uniform points (a binomial point process), by inverse transform."""
+        """n i.i.d. uniform points (a binomial point process), by inverse
+        transform, coordinate-major: each coordinate is filled in place."""
         rho = self.radius * np.sqrt(rng.random(n))
         ang = rng.uniform(0.0, 2.0 * np.pi, n)
-        cx, cy = self.center
-        return np.column_stack([cx + rho * np.cos(ang), cy + rho * np.sin(ang)])
+        rows = np.empty((2, n))
+        np.cos(ang, out=rows[0])
+        np.sin(ang, out=rows[1])
+        rows *= rho
+        rows += np.reshape(self.center, (2, 1))
+        return rows.T
 
     def chord(self, r: np.ndarray, theta: np.ndarray):
         cx, cy = self.center
@@ -146,8 +151,14 @@ class Rect:
         return f"rect({self.x0:g},{self.y0:g},{self.x1:g},{self.y1:g})"
 
     def uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.column_stack([rng.uniform(self.x0, self.x1, n),
-                                rng.uniform(self.y0, self.y1, n)])
+        """n i.i.d. uniform points, coordinate-major: each coordinate is drawn
+        in place as lo + (hi - lo) u, which is rng.uniform(lo, hi) bit for bit."""
+        rows = np.empty((2, n))
+        for row, lo, hi in ((rows[0], self.x0, self.x1), (rows[1], self.y0, self.y1)):
+            rng.random(out=row)
+            row *= hi - lo
+            row += lo
+        return rows.T
 
     def chord(self, r: np.ndarray, theta: np.ndarray):
         ct, st = np.cos(theta), np.sin(theta)
@@ -252,18 +263,19 @@ def chord_intervals(window: Window, r, theta):
 def orbit_frame(xs: np.ndarray):
     """Orthonormal frame (u, w) of the planes orthogonal to unit vectors xs.
 
-    For xs of shape (n, 3) returns two (n, 3) arrays with u = R e1, w = R e2
-    where R is the minimal rotation taking e3 to x, about the axis e3 x x; the
-    orbit of x is cos(phi) u + sin(phi) w.  Rows with x essentially antipodal
-    to e3 use the fixed pi-rotation convention u = e1, w = -e2.
+    For xs of shape (n, 3) returns two coordinate-major (n, 3) arrays with
+    u = R e1, w = R e2 where R is the minimal rotation taking e3 to x, about
+    the axis e3 x x; the orbit of x is cos(phi) u + sin(phi) w.  Rows with x
+    essentially antipodal to e3 use the fixed pi-rotation convention u = e1,
+    w = -e2.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
     denom = 1.0 + x3
     safe = denom > ANTIPODE_TOL
     d = np.where(safe, denom, 1.0)
-    u = np.stack([1.0 - x1 ** 2 / d, -x1 * x2 / d, -x1], axis=1)
-    w = np.stack([-x1 * x2 / d, 1.0 - x2 ** 2 / d, -x2], axis=1)
+    u = np.stack([1.0 - x1 ** 2 / d, -x1 * x2 / d, -x1]).T
+    w = np.stack([-x1 * x2 / d, 1.0 - x2 ** 2 / d, -x2]).T
     u[~safe] = (1.0, 0.0, 0.0)
     w[~safe] = (0.0, -1.0, 0.0)
     return u, w

@@ -63,9 +63,10 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
                      horizon: float) -> ReplicateBatch:
     """Exact event-driven simulation up to the horizon, one trajectory per
     replicate.  Each lockstep step advances every live replicate by one event
-    on its own Exp(b + size) clock and freezes those past the horizon; a
-    replicate's points fill a buffer row, a death swaps in the last one, and
-    np.compress gathers the rows' live prefixes at the end."""
+    on its own Exp(b + size) clock and freezes those past the horizon.  The
+    buffer holds each coordinate as a (reps, capacity) block; a replicate's
+    points fill a row of both, a death swaps in the last one, and np.compress
+    gathers the rows' live prefixes, coordinate-major, at the end."""
     if not 0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and nonnegative")
     if omegas.points.shape[1] != 2 or not spec.window.contains(omegas.points).all():
@@ -73,8 +74,9 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
     reps, order = len(omegas), np.argsort(omegas.rep_ids, kind="stable")
     ids = omegas.rep_ids[order]
     size = omegas.counts().copy()   # the cached counts are read-only
-    buf = np.empty((reps, max(8, 2 * int(size.max(initial=0))), 2))
-    buf[ids, np.arange(ids.size) - (np.cumsum(size) - size)[ids]] = omegas.points[order]
+    buf = np.empty((2, reps, max(8, 2 * int(size.max(initial=0)))))
+    buf[:, ids, np.arange(ids.size) - (np.cumsum(size) - size)[ids]] = np.take(
+        omegas.points.T, order, axis=1)
     b = spec.birth_rate
     clock = np.zeros(reps)
     live = np.arange(reps)
@@ -85,17 +87,17 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
         live, rate = live[running], rate[running]
         u = rng.random(live.size) * rate
         born = live[u < b]
-        if size[born].max(initial=0) >= buf.shape[1]:
-            buf = np.concatenate([buf, np.empty_like(buf)], axis=1)
-        buf[born, size[born]] = spec.window.uniform(born.size, rng)
+        if size[born].max(initial=0) >= buf.shape[2]:
+            buf = np.concatenate([buf, np.empty_like(buf)], axis=2)
+        buf[:, born, size[born]] = spec.window.uniform(born.size, rng).T
         size[born] += 1
         # given a death, u - b is uniform on [0, size); clipped for b + size rounding up
         dead = live[u >= b]
         gone = np.minimum((u[u >= b] - b).astype(np.int64), size[dead] - 1)
         size[dead] -= 1
-        buf[dead, gone] = buf[dead, size[dead]]
-    keep = np.arange(buf.shape[1]) < size[:, None]
-    return ReplicateBatch(np.compress(keep.ravel(), buf.reshape(-1, 2), axis=0),
+        buf[:, dead, gone] = buf[:, dead, size[dead]]
+    keep = np.arange(buf.shape[2]) < size[:, None]
+    return ReplicateBatch(np.compress(keep.ravel(), buf.reshape(2, -1), axis=1).T,
                           np.repeat(np.arange(reps), size), reps)
 
 

@@ -99,6 +99,9 @@ def stream(seed: int, lane: int, point: int = 0, replicate: int = 0) -> np.rando
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
+MIN_SWEEP_REPS = 1000   # replicates per sweep point, at least
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep configuration; c, sweep and window default to MODELS[model]'s."""
@@ -121,8 +124,8 @@ class ExperimentConfig:
             raise ConfigError("sweep needs at least 4 values")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError("sweep values must be strictly increasing")
-        if self.reps < 1000:
-            raise ConfigError("reps per sweep point must be at least 1000")
+        if self.reps < MIN_SWEEP_REPS:
+            raise ConfigError(f"reps per sweep point must be at least {MIN_SWEEP_REPS}")
         check_seed(self.seed)
         if model.window is None and self.window is not None:
             raise ConfigError(f"model {self.model!r} lives on the sphere and takes no window")
@@ -538,8 +541,9 @@ CHECKS = {"mecke": lambda seed, reps: check_mecke(seed, reps),
           "coarea": lambda seed, reps: check_coarea(seed),
           "bounds": lambda seed, reps: check_bounds(seed)}
 CHECK_GROUPS = tuple(CHECKS)
-# peak bytes a group holds per max(2000, reps): tracemalloc reads 245-250 (mecke),
-# 136 (invariance) and 39-52 (glauber) at reps 2e4 to 2e5; the others draw nothing
+# peak bytes a group holds per max(2000, reps), after a first call: tracemalloc reads
+# 256 and 253 (mecke), 136 and 136 (invariance), 62 and 40 (glauber) at reps 2e4 and
+# 2e5; the others draw nothing
 CHECK_BYTES_PER_REPLICATE = {"mecke": 400, "invariance": 200, "glauber": 100}
 
 

@@ -2,8 +2,11 @@
 
 A point set is an (n, 2) array in the plane or an (n, 3) array on the unit
 sphere.  Replicates of a sampler are stored flat, as one ReplicateBatch whose
-column count is its space, and counted per region by mask_counts.  Model
-parameters store lambda_n, c and n; mu_n = c / lambda_n is derived.
+column count is its space, and counted per region by mask_counts.  Every
+point array built here is coordinate-major: the transpose of a C-contiguous
+(d, n) block, so each coordinate is one contiguous row and the regions'
+contains tests read contiguous columns.  Model parameters store lambda_n, c
+and n; mu_n = c / lambda_n is derived.
 """
 
 from __future__ import annotations
@@ -69,21 +72,31 @@ def sample_ppp_window(window: Window, lam: float, rng: np.random.Generator) -> n
 
 def sample_uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform points on the unit sphere, as an (n, 3) array, via normalized
-    Gaussians."""
+    Gaussians, drawn point by point and divided into coordinate rows."""
     v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return np.divide(v.T, np.linalg.norm(v, axis=1), out=np.empty((3, n))).T
 
 
 # ---------------------------------------------------------------------------
 # Replicate batches (hot paths for the diagnostics engine)
 # ---------------------------------------------------------------------------
 
+def _joined(point_arrays) -> np.ndarray:
+    """The (n_i, d) point arrays, in order, as one coordinate-major float array."""
+    rows = [np.asarray(a, dtype=float).T for a in point_arrays]
+    out = np.empty((rows[0].shape[0], sum(r.shape[1] for r in rows)))
+    return np.concatenate(rows, axis=1, out=out).T
+
+
 @dataclass(frozen=True)
 class ReplicateBatch:
     """reps replicates stored flat: the points of all replicates and each
     point's replicate id.  The batch takes ownership of both arrays and makes
     them read-only, so derived values can be cached; they must not be views
-    of data that will still change."""
+    of data that will still change.  Its named constructors and its methods
+    build points coordinate-major (points.T is C-contiguous), as does every
+    sampler; plain fancy indexing and ndarray.copy() return row-major arrays,
+    so they use np.compress on points.T and copy(order="K") instead."""
 
     points: np.ndarray
     rep_ids: np.ndarray
@@ -101,20 +114,19 @@ class ReplicateBatch:
     def stack(cls, point_arrays) -> "ReplicateBatch":
         """Batch of per-replicate (n_i, d) point arrays, in the given order."""
         sizes = [a.shape[0] for a in point_arrays]
-        points = np.concatenate(point_arrays, dtype=float)
-        return cls(points, np.repeat(np.arange(len(sizes)), sizes), len(sizes))
+        return cls(_joined(point_arrays), np.repeat(np.arange(len(sizes)), sizes), len(sizes))
 
     @classmethod
     def tile(cls, points: np.ndarray, reps: int) -> "ReplicateBatch":
         """reps replicates of one (n, d) point array, as stack([points] * reps)."""
-        return cls(np.tile(np.asarray(points, dtype=float), (reps, 1)),
-                   np.repeat(np.arange(reps), len(points)), reps)
+        rows = np.tile(np.asarray(points, dtype=float).T, (1, reps))   # at reps 1, in points' layout
+        return cls(np.ascontiguousarray(rows).T, np.repeat(np.arange(reps), len(points)), reps)
 
     @classmethod
     def concat(cls, batches) -> "ReplicateBatch":
         """The replicates of the batches, in order, as one batch."""
         offsets = np.cumsum([0] + [b.reps for b in batches])
-        return cls(np.concatenate([b.points for b in batches]),
+        return cls(_joined([b.points for b in batches]),
                    np.concatenate([b.rep_ids + o for b, o in zip(batches, offsets)]),
                    int(offsets[-1]))
 
@@ -175,14 +187,14 @@ class ReplicateBatch:
         if not 0.0 <= p <= 1.0:
             raise ValueError("retention probability must lie in [0, 1]")
         keep = rng.random(self.points.shape[0]) < p
-        return ReplicateBatch(np.compress(keep, self.points, axis=0),
+        return ReplicateBatch(np.compress(keep, self.points.T, axis=1).T,
                               np.compress(keep, self.rep_ids), self.reps)
 
     def superpose(self, other: "ReplicateBatch") -> "ReplicateBatch":
         """Replicate-wise union: replicate j holds both batches' replicate j."""
         if (self.points.shape[1], self.reps) != (other.points.shape[1], other.reps):
             raise ValueError("can only superpose batches of the same space and size")
-        return ReplicateBatch(np.concatenate([self.points, other.points]),
+        return ReplicateBatch(_joined([self.points, other.points]),
                               np.concatenate([self.rep_ids, other.rep_ids]), self.reps)
 
 

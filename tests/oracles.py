@@ -4,6 +4,9 @@ Point-set helpers: a point set is an (n, 2) array in the plane or an (n, 3)
 array on the unit sphere, and these build, split, extend and count them one
 replicate at a time; cap_counts counts by the rule of a spherical cap.
 
+Uniform draws: the window and sphere samplers as row-major formulas, on the
+same draws as the coordinate-major samplers that fill coordinates in place.
+
 Point moves: Functional.moved, the Mecke point sums and the Glauber
 generator by the per-point formula, which evaluates h once per point, as
 references for the pattern-grouped kernels.
@@ -84,6 +87,29 @@ def cap_counts(b: ReplicateBatch, axis, height) -> np.ndarray:
     of a spherical cap about any unit axis, one point at a time."""
     inside = [sum(pi * ai for pi, ai in zip(p, axis)) >= height for p in b.points.tolist()]
     return np.bincount(b.rep_ids, inside, len(b)).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Uniform draws, row-major
+# ---------------------------------------------------------------------------
+
+def rect_uniform(rect, n: int, rng) -> np.ndarray:
+    """Rect.uniform as two stacked rng.uniform columns."""
+    return np.column_stack([rng.uniform(rect.x0, rect.x1, n), rng.uniform(rect.y0, rect.y1, n)])
+
+
+def disk_uniform(disk, n: int, rng) -> np.ndarray:
+    """Disk.uniform as stacked columns: the radii, then the angles."""
+    rho = disk.radius * np.sqrt(rng.random(n))
+    ang = rng.uniform(0.0, TAU, n)
+    cx, cy = disk.center
+    return np.column_stack([cx + rho * np.cos(ang), cy + rho * np.sin(ang)])
+
+
+def uniform_sphere(rng, n: int) -> np.ndarray:
+    """pointprocess.sample_uniform_sphere as normalized Gaussian rows."""
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

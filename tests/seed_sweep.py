@@ -36,8 +36,8 @@ import statistics
 from collections import Counter
 
 from acceptance_criteria import ACCEPT_REPS, SWEEPS, criterion_2, criterion_3, criterion_4
-from coxsim.harness import (DEFAULT_CHECK_REPS, RESULTS_COLUMNS, run_experiment,
-                            run_validation_suite)
+from coxsim.harness import (DEFAULT_CHECK_REPS, MIN_SWEEP_REPS, RESULTS_COLUMNS,
+                            run_experiment, run_validation_suite)
 
 CRITERIA = {
     "2 (satellites, bound)": ("satellites", criterion_2),
@@ -94,14 +94,21 @@ def main(argv=None):
     parser.add_argument("--digest", action="store_true",
                         help="print a sha256 of each seed's rows instead")
     parser.add_argument("--reps", type=int, default=None,
-                        help=f"replicates per sweep point (default 10000), or with "
-                             f"--validation the check size (default {DEFAULT_CHECK_REPS})")
+                        help=f"replicates per sweep point (default {ACCEPT_REPS}, at least "
+                             f"{MIN_SWEEP_REPS}), or with --validation the check size "
+                             f"(default {DEFAULT_CHECK_REPS}, at least 1)")
     args = parser.parse_args(argv)
+    floor = 1 if args.validation else MIN_SWEEP_REPS
+    if args.reps is None:
+        args.reps = DEFAULT_CHECK_REPS if args.validation else ACCEPT_REPS
+    elif args.reps < floor:
+        parser.error(f"--reps must be at least {floor}"
+                     f"{' with --validation' if args.validation else ' per sweep point'}, "
+                     f"got {args.reps}")
     if args.validation:
         sweep = validation_digests if args.digest else validation_sweep
-        sweep(args.seeds, args.reps or DEFAULT_CHECK_REPS)
+        sweep(args.seeds, args.reps)
         return
-    args.reps = args.reps or ACCEPT_REPS
     if args.digest:
         sweep_digests(args.seeds, args.reps)
         return

@@ -223,8 +223,8 @@ class TestLockstepLaw:
 class TestFinalGather:
     @pytest.mark.parametrize("lam, horizon", [(0.5, 1.0), (300.0, 0.5)])
     def test_matches_mask_indexing_of_the_buffer(self, monkeypatch, lam, horizon):
-        # the (reps, width, 2) buffer's live prefixes, gathered as buf[keep];
-        # at lam 300 the buffer grows past its first width of 8
+        # the (2, reps, width) buffer's live prefixes, gathered as buf[:, keep]
+        # and coordinate-major; at lam 300 the buffer grows past its first width of 8
         calls, compress = [], np.compress
 
         def spy(condition, a, axis=None):
@@ -237,9 +237,9 @@ class TestFinalGather:
         monkeypatch.undo()
         (flat_keep, flat_buf), = calls
         buf = flat_buf.base
-        keep = flat_keep.reshape(buf.shape[:2])
-        assert buf.shape[0] == len(starts) and (buf.shape[1] > 8) == (lam > 1)
-        assert np.array_equal(out.points, buf[keep])
+        keep = flat_keep.reshape(buf.shape[1:])
+        assert buf.shape[:2] == (2, len(starts)) and (buf.shape[2] > 8) == (lam > 1)
+        assert np.array_equal(out.points, buf[:, keep].T) and out.points.T.flags.c_contiguous
         assert np.array_equal(out.rep_ids, np.nonzero(keep)[0])
 
 
