@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,6 +44,7 @@ from .diagnostics import (planar_functional_family, planar_region_set,
                           sphere_functional_family, sphere_region_set)
 from .geometry import Disk, Window, chord_intervals, orbit_frame
 from .pointprocess import CoupledBatch, ModelParams, ReplicateBatch, sample_uniform_sphere
+from .record import Record
 from .steinbound import cox_bound, satellite_bound
 
 # the largest mean numpy's Generator.poisson accepts
@@ -66,8 +66,7 @@ def check_memory(need: float, held: str):
                          f"above {PHYSICAL_MEMORY:.3g} of physical memory")
 
 
-@dataclass(frozen=True)
-class CoxLineSample:
+class CoxLineSample(Record):
     """One realization of the line-based Cox process clipped to a window;
     lines has shape (m, 2) with columns (r, theta) and holds only the lines
     that carry a point in the window, points (n, 2)."""
@@ -76,8 +75,7 @@ class CoxLineSample:
     points: np.ndarray
 
 
-@dataclass(frozen=True)
-class SatelliteSample:
+class SatelliteSample(Record):
     """One realization of the satellite model: the base points of its
     occupied orbits and the (n, 3) satellites."""
 
@@ -212,8 +210,7 @@ def effective_intensity(counts, measure: float):
     return float(value), float(stderr)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """One model as the CLI and the harness see it; see MODELS."""
 
     name: str                # simulate/bound subcommand, INI model key

@@ -23,7 +23,6 @@ with the stated confidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from .geometry import Annulus, LatitudeBand, Rect, Window
 from .pointprocess import CoupledBatch, ReplicateBatch
+from .record import Record
 
 BOOTSTRAP_RESAMPLES = 200
 PAIR_BLOCK = 1 << 22  # dot products per block of the close-pair scan
@@ -103,8 +103,7 @@ def tv_vs_poisson(pmfs: tuple) -> float:
 # Functionals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Record):
     """F(w) = h(counts of w in regions), h mapping a (reps x len(regions))
     count matrix to reps float values.  The distance estimates need F to move
     by at most 1 when one point is added or removed; every preset does."""
@@ -175,8 +174,7 @@ def count_at_least(*levels, name: str | None = None) -> Functional:
                       partial(_at_least, ks=tuple(k for _, k in levels)))
 
 
-@dataclass(frozen=True)
-class ClosePair:
+class ClosePair(Record):
     """1 iff some pair of sphere points has |dot| >= threshold, i.e. the
     configuration contains a nearly coincident or nearly antipodal pair.
     Points sharing an orbit have arcsine-distributed mutual angles, so such
@@ -200,7 +198,7 @@ def _max_pair_dot(batch: ReplicateBatch) -> np.ndarray:
     alone) and multiplied with the P @ P.T product one replicate uses, so dots
     match it bit for bit; the diagonal is masked to -inf before the row max."""
     def scan():
-        points = batch.points[np.argsort(batch.rep_ids, kind="stable")]
+        points, _ = batch.by_replicate()
         sizes = batch.counts()
         starts = np.cumsum(sizes) - sizes
         out = np.full(len(batch), -np.inf)
@@ -221,8 +219,7 @@ def _max_pair_dot(batch: ReplicateBatch) -> np.ndarray:
 # Distance estimates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistanceEstimate:
+class DistanceEstimate(Record):
     """A certified lower-bound style distance value with its standard error;
     regions describes the region or functional that produced the value."""
 
@@ -296,8 +293,7 @@ def coupled_wasserstein_lower_bound(pairs: CoupledBatch,
 # Campbell-Mecke checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeckeFunctional:
+class MeckeFunctional(Record):
     """Two-argument test functional F(x, w) = g({x}) * h(w), g and h count
     Functionals.  Oracles, when present, give the closed-form common value of
     both sides on the window the family was built on, from lambda or N."""
@@ -372,8 +368,7 @@ def invariance_check(lam: float, window: Window, t: float, reps: int,
 # Rate regression
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(Record):
     params: tuple
     distances: tuple
     slope: float

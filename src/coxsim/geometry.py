@@ -15,9 +15,10 @@ minimal rotation taking the north pole e3 to x (see orbit_frame).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .record import Record
 
 ANTIPODE_TOL = 1e-12   # switch to the fixed antipodal convention below this
 
@@ -26,8 +27,7 @@ ANTIPODE_TOL = 1e-12   # switch to the fixed antipodal convention below this
 # Windows and planar regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(Record):
     """Closed disk; usable both as an observation window and a count region."""
 
     center: tuple[float, float]
@@ -118,8 +118,7 @@ class Disk:
         return self.area * (self.center[0] ** 2 + self.radius ** 2 / 4.0)
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(Record):
     """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
 
     x0: float
@@ -222,8 +221,7 @@ Window = Disk | Rect
 WINDOW_KINDS = {"disk": lambda cx, cy, radius: Disk((cx, cy), radius), "rect": Rect}
 
 
-@dataclass(frozen=True)
-class Annulus:
+class Annulus(Record):
     """Closed annulus r_inner <= |p - center| <= r_outer (r_inner = 0 gives a disk)."""
 
     center: tuple[float, float]
@@ -281,8 +279,7 @@ def orbit_frame(xs: np.ndarray):
     return u, w
 
 
-@dataclass(frozen=True)
-class LatitudeBand:
+class LatitudeBand(Record):
     """Band {p : z_lo <= p_z <= z_hi} on the unit sphere."""
 
     z_lo: float

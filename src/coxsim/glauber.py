@@ -29,18 +29,17 @@ batches, which harness.tv_rows judges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Window
 from .pointprocess import ReplicateBatch
+from .record import Record
 
 BIRTH_PAIRS = 32  # antithetic birth pairs per replicate in generator_apply
 
 
-@dataclass(frozen=True)
-class GlauberSpec:
+class GlauberSpec(Record):
     """Birth-death dynamics targeting PPP(lam) on the window."""
 
     window: Window
@@ -71,12 +70,10 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
         raise ValueError("horizon must be finite and nonnegative")
     if omegas.points.shape[1] != 2 or not spec.window.contains(omegas.points).all():
         raise ValueError("initial configurations must lie inside the window")
-    reps, order = len(omegas), np.argsort(omegas.rep_ids, kind="stable")
-    ids = omegas.rep_ids[order]
+    reps, (points, ids) = len(omegas), omegas.by_replicate()
     size = omegas.counts().copy()   # the cached counts are read-only
     buf = np.empty((2, reps, max(8, 2 * int(size.max(initial=0)))))
-    buf[:, ids, np.arange(ids.size) - (np.cumsum(size) - size)[ids]] = np.take(
-        omegas.points.T, order, axis=1)
+    buf[:, ids, np.arange(ids.size) - (np.cumsum(size) - size)[ids]] = points.T
     b = spec.birth_rate
     clock = np.zeros(reps)
     live = np.arange(reps)

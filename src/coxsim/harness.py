@@ -30,7 +30,6 @@ import configparser
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -45,6 +44,7 @@ from .geometry import WINDOW_KINDS, Disk, Rect, Window
 from .glauber import (GlauberSpec, contraction_estimate, generator_apply,
                       semigroup_sample, semigroup_trajectory_consistency)
 from .pointprocess import CoupledBatch, ModelParams, ReplicateBatch
+from .record import Record
 from .steinbound import chord_square_integral, coarea_check, cox_bound, satellite_bound
 
 # the schema line of results.csv, bumped when its columns change; the other
@@ -102,8 +102,7 @@ def stream(seed: int, lane: int, point: int = 0, replicate: int = 0) -> np.rando
 MIN_SWEEP_REPS = 1000   # replicates per sweep point, at least
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """A sweep configuration; c, sweep and window default to MODELS[model]'s."""
 
     model: str                       # a key of MODELS
@@ -206,10 +205,12 @@ def config_from_ini(path: str, flags: dict | None = None) -> tuple[ExperimentCon
 # Experiment runner
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(Record):
+    """A finished sweep, built once by run_experiment: one row per sweep point,
+    and the rate fit, or None and the reason in fit_error."""
+
     config: ExperimentConfig
-    rows: list = field(default_factory=list)
+    rows: tuple = ()
     fit: RateFit | None = None
     fit_error: str = ""
     wall_seconds: float = 0.0
@@ -317,12 +318,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     """Run the sweep, flushing one results row per point as it completes,
     then fit the convergence rate on the coupled distances w_distance."""
     t0 = time.perf_counter()
-    result = ExperimentResult(config=cfg)
+    rows = []
 
     def sweep():
         for i, value in enumerate(cfg.sweep):
-            result.rows.append(run_sweep_point(cfg, i, value))
-            yield result.rows[-1]
+            rows.append(run_sweep_point(cfg, i, value))
+            yield rows[-1]
 
     if out_dir is None:
         list(sweep())
@@ -334,18 +335,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 os.remove(f"{out_dir}/{name}")
         _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, sweep(),
                    SCHEMA_VERSION)
+    fit, fit_error = None, ""
     try:
-        points = [(row["param"], row["w_distance"]) for row in result.rows]
-        result.fit = rate_regression(points)
+        fit = rate_regression([(row["param"], row["w_distance"]) for row in rows])
     except ValueError as exc:
-        result.fit_error = str(exc)
-    result.wall_seconds = time.perf_counter() - t0
-    if out_dir is not None and result.fit is not None:
+        fit_error = str(exc)
+    result = ExperimentResult(cfg, tuple(rows), fit, fit_error, time.perf_counter() - t0)
+    if out_dir is not None and fit is not None:
         _write_csv(f"{out_dir}/fit.csv",
                    ["model", "c", "n_points", "slope", "intercept", "r_squared"],
-                   [{"model": cfg.model, "c": cfg.c, "n_points": len(result.rows),
-                     "slope": result.fit.slope, "intercept": result.fit.intercept,
-                     "r_squared": result.fit.r_squared}])
+                   [{"model": cfg.model, "c": cfg.c, "n_points": len(rows),
+                     "slope": fit.slope, "intercept": fit.intercept,
+                     "r_squared": fit.r_squared}])
     if out_dir is not None and plots:
         write_rate_plot(f"{out_dir}/results.svg", result)
     return result
@@ -363,8 +364,7 @@ def within_3se(lhs: float, rhs: float, stderr: float, one_sided: bool = False) -
     return gap / 3.0 <= stderr
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(Record):
     name: str
     lhs: float
     rhs: float
@@ -432,7 +432,7 @@ def _mecke_rows(kind: str, mfs, sides, oracles, seed: int) -> list:
     for mf, (lhs, rhs), oracle in zip(mfs, sides, oracles):
         row = mc_row(f"mecke_{kind}[{mf.name}]", lhs, rhs, seed)
         groups.append([row] if oracle is None else
-                      [row, replace(row, name=f"{row.name}_oracle", rhs=oracle)])
+                      [row, row.replace(name=f"{row.name}_oracle", rhs=oracle)])
     return groups
 
 

@@ -11,11 +11,10 @@ and n; mu_n = c / lambda_n is derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .geometry import Window
+from .record import Record
 
 COUNT_BLOCK = 1 << 15  # points per np.compress and np.bincount in mask_counts
 
@@ -23,8 +22,7 @@ COUNT_BLOCK = 1 << 15  # points per np.compress and np.bincount in mask_counts
 # Model parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Intensity bookkeeping: lambda_n (line intensity, or the orbit count n as
     a float in the spherical model), c, and orbit count n (1 in the plane);
     kind records which model the params were built for.  Build them with the
@@ -88,22 +86,22 @@ def _joined(point_arrays) -> np.ndarray:
     return np.concatenate(rows, axis=1, out=out).T
 
 
-@dataclass(frozen=True)
-class ReplicateBatch:
+class ReplicateBatch(Record):
     """reps replicates stored flat: the points of all replicates and each
     point's replicate id.  The batch takes ownership of both arrays and makes
     them read-only, so derived values can be cached; they must not be views
     of data that will still change.  Its named constructors and its methods
     build points coordinate-major (points.T is C-contiguous), as does every
     sampler; plain fancy indexing and ndarray.copy() return row-major arrays,
-    so they use np.compress on points.T and copy(order="K") instead."""
+    so they use np.compress on points.T and copy(order="K") instead.  The
+    cache, set in __post_init__, is no field: ==, hash and repr ignore it."""
 
     points: np.ndarray
     rep_ids: np.ndarray
     reps: int
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_cache", {})
         self.points.setflags(write=False)
         self.rep_ids.setflags(write=False)
 
@@ -143,6 +141,14 @@ class ReplicateBatch:
         """reps samples of n uniform points: window.uniform(reps * n)."""
         return cls(window.uniform(reps * n, rng),
                    np.repeat(np.arange(reps), n), reps)
+
+    def by_replicate(self) -> tuple:
+        """(points, rep_ids) stably sorted by replicate; the batch's own arrays if
+        they are, as samplers and concat leave them (superpose interleaves)."""
+        if (self.rep_ids[:-1] <= self.rep_ids[1:]).all():
+            return self.points, self.rep_ids
+        order = np.argsort(self.rep_ids, kind="stable")
+        return np.take(self.points.T, order, axis=1).T, self.rep_ids[order]
 
     def cached(self, key, compute) -> np.ndarray:
         """compute(), evaluated once per batch and key, as a read-only array."""
@@ -198,8 +204,7 @@ class ReplicateBatch:
                               np.concatenate([self.rep_ids, other.rep_ids]), self.reps)
 
 
-@dataclass(frozen=True)
-class CoupledBatch:
+class CoupledBatch(Record):
     """Replicate-aligned model and twin batches; len() is the replicate count."""
 
     model: ReplicateBatch

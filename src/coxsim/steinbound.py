@@ -34,13 +34,13 @@ are in closed form; only the outer integral over r is numerical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .geometry import Window, chord_intervals
 from .pointprocess import ModelParams
+from .record import Record
 
 
 class QuadratureError(RuntimeError):
@@ -143,8 +143,7 @@ INTEGRANDS = {
 }
 
 
-@dataclass(frozen=True)
-class CoareaResult:
+class CoareaResult(Record):
     lhs: float
     rhs: float
     error_estimate: float

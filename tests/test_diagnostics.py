@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -225,7 +224,7 @@ class TestMecke:
         for row, oracle in rows:
             assert row.passed, row
             if oracle is not None:
-                assert replace(row, rhs=oracle).passed, (row, oracle)
+                assert row.replace(rhs=oracle).passed, (row, oracle)
 
     def test_ppp_all_registry(self):
         rows = mecke_rows(mecke_check_ppp, 3.0, WINDOW, 30_000, rng_for(16))

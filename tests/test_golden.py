@@ -9,7 +9,6 @@ that moves random draws on purpose regenerates the data with
 and says so in CHANGES.md.
 """
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -46,7 +45,7 @@ def _experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _validation() -> list:
-    return [{**dataclasses.asdict(r), "passed": bool(r.passed)}
+    return [{**vars(r), "passed": bool(r.passed)}
             for r in run_validation_suite(0, 2000)]
 
 

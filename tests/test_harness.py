@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -483,8 +482,8 @@ class TestCheckRow:
             [row] = harness.tv_rows("tv[t=0", empty, empty, [("window", square)], 0)
             assert row.name == "tv[t=0,window]" and row.lhs == 0.0 and row.passed
             threshold = 2.0 / math.sqrt(reps)
-            assert dataclasses.replace(row, lhs=threshold).passed, reps
-            assert not dataclasses.replace(row, lhs=threshold * (1 + 1e-9)).passed, reps
+            assert row.replace(lhs=threshold).passed, reps
+            assert not row.replace(lhs=threshold * (1 + 1e-9)).passed, reps
 
     def test_bound_respected_is_the_one_sided_rule(self):
         estimates = [DistanceEstimate(1.75, 0.25, "a"), DistanceEstimate(0.0, 0.0, "b")]
@@ -800,7 +799,7 @@ class TestCli:
                             lambda cfg, **kw: seen.append(cfg) or harness.ExperimentResult(cfg))
         assert main(["experiment", "converge-sat", "--config", str(ini), *flag]) == 0
         expect = ExperimentConfig("satellites", 2.0, (10.0, 20.0, 40.0, 80.0), 1500, 3)
-        assert seen == [dataclasses.replace(expect, **{key: flag_value})]
+        assert seen == [expect.replace(**{key: flag_value})]
 
     @pytest.mark.parametrize("argv, taken_by", [
         (["bound", "satellites", "--n", "100"], "directory"),

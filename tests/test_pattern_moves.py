@@ -3,7 +3,6 @@ tests/oracles.py: Functional.moved, the Mecke point sums and the Glauber
 generator give the same arrays, bit for bit, while h sees at most one row per
 replicate and check_mecke's peak allocation stays bounded."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -83,13 +82,13 @@ def test_generator_equals_per_point_formula(batches):
 def spied(F, rows):
     """F with h recording the row count of every matrix it is given."""
     h = F.h
-    return dataclasses.replace(F, h=lambda counts: rows.append(len(counts)) or h(counts))
+    return F.replace(h=lambda counts: rows.append(len(counts)) or h(counts))
 
 
 def test_h_sees_at_most_one_row_per_replicate():
     # the per-point formula gives h one row per point: 3 per replicate here
     reps, rows = 300, []
-    mfs = [dataclasses.replace(mf, g=spied(mf.g, rows), h=spied(mf.h, rows))
+    mfs = [mf.replace(g=spied(mf.g, rows), h=spied(mf.h, rows))
            for mf in mecke_functionals(RECT)]
     _point_sums(mfs, ReplicateBatch.ppp(RECT, 3.0, reps, rng_for(6)))
     family = [spied(F, rows) for F in glauber_functionals(RECT)]

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import warnings
@@ -7,8 +6,9 @@ import numpy as np
 import pytest
 
 from coxsim import pointprocess
-from coxsim.diagnostics import mecke_check_bpp, mecke_functionals
+from coxsim.diagnostics import _max_pair_dot, mecke_check_bpp, mecke_functionals
 from coxsim.geometry import Disk, Rect
+from coxsim.glauber import GlauberSpec, glauber_simulate
 from coxsim.harness import composite_index, csv_line, stream
 from coxsim.pointprocess import (ModelParams, ReplicateBatch, ppp_batch, region_counts,
                                  sample_ppp_window, sample_uniform_sphere)
@@ -167,7 +167,7 @@ class TestBatchCache:
                    ReplicateBatch.concat([b, other]),
                    ReplicateBatch.stack([b.points]),
                    ReplicateBatch.ppp(self.WINDOW, 4.0, 50, rng_for(0)),
-                   dataclasses.replace(b)]
+                   b.replace()]
         for d in derived:
             assert d._cache == {}
 
@@ -182,10 +182,49 @@ class TestBatchCache:
 
     def test_equality_ignores_cache(self):
         b = self.fresh()
-        same = dataclasses.replace(b)
+        same = b.replace()
         b.counts(self.LEFT)
         assert b == same and b._cache != same._cache
         assert "_cache" not in repr(same)
+
+
+class TestByReplicate:
+    """The sort by replicate is skipped for a grouped batch; its two users give
+    the same arrays on a superposed batch, whose replicate ids interleave, as
+    on the same replicates stably sorted."""
+
+    @staticmethod
+    def stably_sorted(b):
+        order = np.argsort(b.rep_ids, kind="stable")
+        return ReplicateBatch(b.points[order], b.rep_ids[order], b.reps)
+
+    def test_grouped_batch_is_returned_as_is(self):
+        for b in (ReplicateBatch.ppp(Rect(0, 0, 1, 1), 4.0, 50, rng_for(30)),
+                  ReplicateBatch.tile(np.empty((0, 2)), 3)):
+            points, ids = b.by_replicate()
+            assert points is b.points and ids is b.rep_ids
+
+    def test_close_pair_scan_of_a_superposed_batch(self):
+        rng = rng_for(31)
+        a, b = (ReplicateBatch.stack([sample_uniform_sphere(rng, k)
+                                      for k in rng.integers(0, 7, 300)]) for _ in range(2))
+        mixed = a.superpose(b)
+        assert np.any(np.diff(mixed.rep_ids) < 0)
+        points, ids = mixed.by_replicate()
+        assert np.array_equal(points, self.stably_sorted(mixed).points)
+        assert np.all(np.diff(ids) >= 0)
+        assert np.array_equal(_max_pair_dot(mixed), _max_pair_dot(self.stably_sorted(mixed)))
+
+    def test_glauber_of_a_superposed_batch(self):
+        window = Rect(0, 0, 1, 1)
+        mixed = ReplicateBatch.ppp(window, 3.0, 300, rng_for(32)).superpose(
+            ReplicateBatch.ppp(window, 2.0, 300, rng_for(33)))
+        assert np.any(np.diff(mixed.rep_ids) < 0)
+        spec = GlauberSpec(window, 3.0)
+        got = glauber_simulate(mixed, spec, rng_for(34), horizon=1.5)
+        want = glauber_simulate(self.stably_sorted(mixed), spec, rng_for(34), horizon=1.5)
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.rep_ids, want.rep_ids)
 
 
 class TestPppWindow:
