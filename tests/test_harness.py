@@ -44,6 +44,24 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig("satellites", 1.0, (10, 20, 20, 40), 1000, 0)
 
+    def test_sweep_longer_than_point_index(self, monkeypatch, capsys):
+        # refused before any value is checked or drawn: point 2^16 has no stream
+        checked = []
+        monkeypatch.setattr(coxmodels.Model, "finite_params",
+                            lambda self, c, value, *args: checked.append(value))
+        monkeypatch.setattr(harness, "stream", None)
+        longest = tuple(range(10, 10 + 2 ** harness.POINT_BITS))
+        ExperimentConfig("satellites", 1.0, longest, 1000, 0)
+        assert len(checked) == 2 ** 16
+        checked.clear()
+        with pytest.raises(ConfigError, match="more than 65536"):
+            ExperimentConfig("satellites", 1.0, longest + (longest[-1] + 1,), 1000, 0)
+        sweep = " ".join(map(str, range(10, 11 + 2 ** harness.POINT_BITS)))
+        assert main(["experiment", "converge-sat", "--sweep", sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and checked == []
+        assert captured.err.startswith("config error: sweep has 65537 values")
+
     def test_low_reps(self):
         with pytest.raises(ConfigError):
             ExperimentConfig("satellites", 1.0, (10, 20, 40, 80), 500, 0)

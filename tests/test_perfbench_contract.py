@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from coxsim.cli import main
-from coxsim.harness import config_from_ini, run_experiment
+from coxsim.harness import config_from_ini, run_experiment, run_validation_suite
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 NAMES = ("COX_INI", "SAT_INI", "SIZES", "GROUP_PREFIXES", "TEXT_COLUMNS")
@@ -60,3 +60,19 @@ def test_check_all_covers_every_group(tmp_path, capsys):
     names = [line.rsplit(",", 5)[0] for line in lines]
     for group, prefixes in BENCH["GROUP_PREFIXES"].items():
         assert any(n.startswith(prefixes) for n in names), group
+
+
+# the rows of check all that read the same value at every seed, each with what
+# reads it; tests/test_steinbound.py asserts every such identity at the same
+# tolerance or tighter, so any other deterministic row would only repeat it
+DETERMINISTIC_ROWS = {
+    "coarea[square,one,theta=0]": "acceptance criterion 8 reads the square's ratio",
+    "coarea[disk,one,theta=0]": "acceptance criterion 8 reads the disk's ratio",
+    "bound[chord_sq_unit_disk]": "check_validation fails the bounds group without a row",
+}
+
+
+def test_deterministic_rows_are_the_ones_read_outside_tests():
+    prefixes = BENCH["GROUP_PREFIXES"]["coarea"] + BENCH["GROUP_PREFIXES"]["bounds"]
+    names = [r.name for r in run_validation_suite(0, 2000) if r.name.startswith(prefixes)]
+    assert names == list(DETERMINISTIC_ROWS)
