@@ -369,8 +369,6 @@ def invariance_check(lam: float, window: Window, t: float, reps: int,
 # ---------------------------------------------------------------------------
 
 class RateFit(Record):
-    params: tuple
-    distances: tuple
     slope: float
     intercept: float
     r_squared: float
@@ -396,7 +394,7 @@ def rate_regression(points) -> RateFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(tuple(params), tuple(dists), float(slope), float(intercept), r2)
+    return RateFit(float(slope), float(intercept), r2)
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,6 @@ class Disk(Record):
         (Santalo, Integral Geometry and Geometric Probability, 1976)."""
         return 16.0 * self.radius ** 3 / 3.0
 
-    def area_xsq(self) -> float:
-        """int_K x^2 dx."""
-        return self.area * (self.center[0] ** 2 + self.radius ** 2 / 4.0)
-
 
 class Rect(Record):
     """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
@@ -206,13 +202,12 @@ class Rect(Record):
         return [math.atan2(y, x) + k * math.pi / 2.0 for x, y in vectors for k in (1, 3)]
 
     def closed_form_g(self) -> float:
-        """G(K) in closed form, as in Disk.closed_form_g."""
-        a, b = self.x1 - self.x0, self.y1 - self.y0
-        return ((2.0 / 3.0) * (a ** 3 + b ** 3 - (a * a + b * b) ** 1.5)
+        """G(K) in closed form, as in Disk.closed_form_g.  With a <= b and h =
+        hypot(a, b), b^3 - h^3 = -a^2 (h^2 + h b + b^2) / (h + b) keeps thin rects' digits."""
+        a, b = sorted((self.x1 - self.x0, self.y1 - self.y0))
+        h = math.hypot(a, b)
+        return ((2.0 / 3.0) * (a ** 3 - a * a * (h * h + h * b + b * b) / (h + b))
                 + 2.0 * a * b * (a * math.asinh(b / a) + b * math.asinh(a / b))) / math.pi
-
-    def area_xsq(self) -> float:
-        return (self.x1 ** 3 - self.x0 ** 3) * (self.y1 - self.y0) / 3.0
 
 
 Window = Disk | Rect

@@ -503,8 +503,8 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
 
 def check_coarea(seed: int) -> list[CheckRow]:
     # the half-plane square (ratio 1) and the origin disk (ratio 1/2);
-    # tests/test_steinbound.py checks the other windows and the x^2 integrand
-    return [CheckRow(name, coarea_check("one", win, 0.0).ratio, expect, 1e-6 / 3.0, seed)
+    # tests/test_steinbound.py checks the other windows and angles
+    return [CheckRow(name, coarea_check(win, 0.0).ratio, expect, 1e-6 / 3.0, seed)
             for name, win, expect in (
                 ("coarea[square,one,theta=0]", Rect(0.0, 0.0, 1.0, 1.0), 1.0),
                 ("coarea[disk,one,theta=0]", Disk((0.0, 0.0), 1.0), 0.5))]

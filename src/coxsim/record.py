@@ -22,6 +22,7 @@ class Record:
             values = {**self._defaults, **given}
             if len(given) < len(args) + len(kwargs) or values.keys() != set(self._fields):
                 raise TypeError(f"{type(self).__name__} takes {self._fields}, got {args}, {kwargs}")
+            values = {f: values[f] for f in self._fields}   # vars() in field order
         self.__dict__.update(values)
         self.__post_init__()
 

@@ -19,16 +19,16 @@ clipped at 0; a disk's is 2 R cos(v) after r = cu + R sin(v), between its
 tangency radii.  In theta the pieces change only where a corner projection
 or a tangency radius crosses 0, or two corner projections tie.
 
-The coarea check evaluates both sides of the identity
+The coarea check evaluates both sides of the identity (f = 1)
 
-    int_A f dx  vs  int_{r >= 0} ( int_{A ∩ D(r, theta)} f ds ) dr
+    area(A)  vs  int_{r >= 0} length(A ∩ D(r, theta)) dr
 
 at fixed theta and reports their ratio: the identity holds with ratio 1 only
 when A lies in the half-plane {x cos(theta) + y sin(theta) >= 0}; for the
 origin-centered disk the r >= 0 family sweeps exactly half of A and the
 ratio is 1/2.  The check reports ratios rather than asserting equality.
-For its integrands f = 1 and f = x^2 the left side and every chord integral
-are in closed form; only the outer integral over r is numerical.
+The area and every chord length are in closed form; only the outer
+integral over r is numerical.
 """
 
 from __future__ import annotations
@@ -128,21 +128,6 @@ def satellite_bound(params: ModelParams) -> float:
 # Coarea check
 # ---------------------------------------------------------------------------
 
-def _chord_xsq(a, b, s_lo, s_hi):
-    def antiderivative(s):
-        return s * (a * a - a * b * s + b * b * s * s / 3.0)
-    return antiderivative(s_hi) - antiderivative(s_lo)
-
-
-# integrand name -> (int_K f dx, int_{s_lo}^{s_hi} f ds along a chord whose
-# x coordinate is x(s) = a - b s, a = r cos(theta), b = sin(theta)); both in
-# closed form, so the radial rule is the check's only numerical step
-INTEGRANDS = {
-    "one": (lambda window: window.area, lambda a, b, s_lo, s_hi: s_hi - s_lo),
-    "xsq": (lambda window: window.area_xsq(), _chord_xsq),
-}
-
-
 class CoareaResult(Record):
     lhs: float
     rhs: float
@@ -153,19 +138,14 @@ class CoareaResult(Record):
         return self.rhs / self.lhs
 
 
-def coarea_check(integrand: str, window: Window, theta: float) -> CoareaResult:
-    """Compare the area integral of f over the window, in closed form, with
-    the iterated chord integral over r in [0, inf) at fixed theta."""
-    if integrand not in INTEGRANDS:
-        raise ValueError(f"unknown integrand {integrand!r}; "
-                         f"choose from {sorted(INTEGRANDS)}")
-    area_integral, chord_integral = INTEGRANDS[integrand]
-    ct, st = math.cos(theta), math.sin(theta)
+def coarea_check(window: Window, theta: float) -> CoareaResult:
+    """Compare the window's area with the integral of its chord lengths over
+    r in [0, inf) at fixed theta."""
 
     def eval_rhs(level: int) -> float:
         r, w = _radial_rule(window, theta, NODES * 2 ** level)
         s_lo, s_hi = chord_intervals(window, r, theta)
-        return float(np.sum(w * chord_integral(r * ct, st, s_lo, s_hi)))
+        return float(np.sum(w * (s_hi - s_lo)))
 
     rhs, err = _refine(eval_rhs)
-    return CoareaResult(lhs=float(area_integral(window)), rhs=rhs, error_estimate=err)
+    return CoareaResult(lhs=float(window.area), rhs=rhs, error_estimate=err)

@@ -107,14 +107,22 @@ class TestChords:
                 assert not window.contains(out2.reshape(1, 2))[0]
 
     def test_vectorized_matches_scalar(self):
-        for window in (Disk((0.3, 0.1), 0.9), Rect(-1, 0, 1, 2)):
-            r = 2.0 * RNG.random(50)
-            theta = 2.0 * math.pi * RNG.random(50)
+        # both chord ends where the line meets the window, and zero length
+        # where it misses, on windows at and away from the origin
+        for window in (Disk((0.3, 0.1), 0.9), Rect(-1, 0, 1, 2),
+                       Rect(0.3, -1.2, 1.5, 0.4), Disk((3.0, 0.0), 0.7)):
+            r = 4.0 * RNG.random(200)
+            theta = 2.0 * math.pi * RNG.random(200)
             s_lo, s_hi = chord_intervals(window, r, theta)
-            vec = s_hi - s_lo
-            for k in range(50):
-                assert vec[k] == pytest.approx(
-                    chord_length(window, LineParams(r[k], theta[k])), abs=1e-12)
+            hits = 0
+            for k in range(200):
+                iv = chord_interval(window, LineParams(r[k], theta[k]))
+                if iv is None:
+                    assert s_hi[k] - s_lo[k] == 0.0
+                else:
+                    hits += 1
+                    assert (s_lo[k], s_hi[k]) == pytest.approx(iv, abs=1e-12)
+            assert 0 < hits < 200
 
     def test_grid_broadcast_matches_flat(self):
         # the quadrature passes an (n, 1) x (1, m) grid; entries must match

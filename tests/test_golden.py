@@ -38,7 +38,8 @@ def _experiment(cfg: ExperimentConfig) -> dict:
             for row in res.rows]
     # a sweep with a zero headline distance has no rate fit, only its error
     fit = None if res.fit is None else {
-        "params": list(res.fit.params), "distances": list(res.fit.distances),
+        "params": [float(row["param"]) for row in rows],
+        "distances": [float(row["w_distance"]) for row in rows],
         "slope": res.fit.slope, "intercept": res.fit.intercept,
         "r_squared": res.fit.r_squared}
     return {"rows": rows, "fit": fit, "fit_error": res.fit_error}
@@ -77,8 +78,18 @@ def test_experiment_seed0(golden, key):
     _assert_same(_experiment(SWEEPS[key]), golden[key])
 
 
-def test_validation_seed0(golden):
-    _assert_same(_validation(), golden["validation"])
+@pytest.fixture(scope="module")
+def validation():
+    return _validation()
+
+
+def test_validation_seed0(golden, validation):
+    _assert_same(validation, golden["validation"])
+
+
+def test_validation_seed0_key_order(golden, validation):
+    # regenerating the data must not reorder the committed keys
+    assert [list(row) for row in validation] == [list(row) for row in golden["validation"]]
 
 
 if __name__ == "__main__":

@@ -39,6 +39,19 @@ class TestFields:
         assert (Pair(1.0).a, Pair(1.0).b) == (1.0, 2.0)
         assert Pair._fields == ("a", "b")
 
+    @pytest.mark.parametrize("make", [
+        lambda: Pair(1.0), lambda: Pair(b=3.0, a=1.0), lambda: Pair(a=1.0),
+        lambda: CheckRow("a", 1.0, 2.0, 0.5, 3),
+        lambda: CheckRow(seed=3, stderr=0.5, rhs=2.0, lhs=1.0, name="a"),
+        lambda: CheckRow("a", 1.0, 2.0, 0.5, 3).replace(rhs=1.0),
+        lambda: ExperimentConfig("cox-line").replace(seed=4)],
+        ids=["positional-default", "keyword", "keyword-default", "row-positional",
+             "row-keyword", "row-replace", "config-replace"])
+    def test_vars_in_field_order(self, make):
+        # vars() feeds the golden data's key order, however a record is built
+        record = make()
+        assert list(vars(record)) == list(type(record)._fields)
+
     @pytest.mark.parametrize("args, kwargs", [
         ((), {}), ((1.0, 2.0, 3.0), {}), ((1.0,), {"a": 1.0}), ((1.0,), {"c": 3.0})],
         ids=["missing", "too-many", "twice", "unknown"])

@@ -78,7 +78,7 @@ CASES = {
         (Disk((0.0, 0.0), 1.0),),
         lambda r: {"steinbound.quad_error_max": r[1]}),
     ("steinbound", "coarea_check"): (
-        ("one", Rect(0.0, 0.0, 1.0, 1.0), 0.0),
+        (Rect(0.0, 0.0, 1.0, 1.0), 0.0),
         lambda r: {"steinbound.quad_error_max": r.error_estimate}),
     ("harness", "check_mecke"): ((0, TINY), _failed),
     ("harness", "check_invariance"): ((0, TINY), _failed),
