@@ -9,7 +9,8 @@ statistic that is not a count, is a ClosePair.  Region counts, memberships
 and the close-pair scan run once per batch.
 
 The thinning-invariance kernel returns its two batches, and harness.tv_rows
-makes their threshold rows; the Mecke kernels return per-replicate sides.
+makes their threshold rows; the Mecke kernels return the per-replicate left
+sides of the Mecke identity, whose right sides are closed forms.
 
 Every distance reported here is a LOWER bound on the Wasserstein distance
 between the model law and the target PPP, in the metric induced by the
@@ -295,57 +296,36 @@ def coupled_wasserstein_lower_bound(pairs: CoupledBatch,
 
 class MeckeFunctional(Record):
     """Two-argument test functional F(x, w) = g({x}) * h(w), g and h count
-    Functionals.  Oracles, when present, give the closed-form common value of
-    both sides on the window the family was built on, from lambda or N."""
+    Functionals.  The oracles give the closed-form right side of the Mecke
+    identity on the window the family was built on, from lambda or N."""
 
     name: str
     g: Functional
     h: Functional
-    oracle_ppp: Callable[[float], float] | None = None
-    oracle_bpp: Callable[[int], float] | None = None
-
-
-def _point_sums(mfs, phi: ReplicateBatch) -> list:
-    """Per replicate, sum_{x in Phi} F(x, Phi - x) = sum_x g({x}) h(Phi - x),
-    for each F in mfs: one Functional.moved each, so g and h are applied once
-    per membership pattern of the points, not once per point."""
-    return [mf.h.moved(phi, phi, -1, mf.g) for mf in mfs]
-
-
-def _at_x(mfs, mass: float, x: ReplicateBatch) -> dict:
-    """mass * g({x}) per replicate for each g of mfs, x one point each."""
-    return {mf.g: mass * mf.g(x) for mf in mfs}
-
-
-def _palm_side(mfs, at_x: dict, palm: ReplicateBatch) -> list:
-    """Per replicate, mass * F(x, Palm) for each F in mfs, from _at_x."""
-    return [at_x[mf.g] * mf.h(palm) for mf in mfs]
+    oracle_ppp: Callable[[float], float]
+    oracle_bpp: Callable[[int], float]
 
 
 def mecke_check_ppp(mfs: Sequence[MeckeFunctional], lam: float, window: Window,
-                    reps: int, rng: np.random.Generator) -> list[tuple]:
-    """Per-replicate sides of E[sum_{x in Phi} F(x, Phi - x)] = lam |K| E[F(x, Phi')],
-    one (left, right) pair of arrays per F in mfs, x uniform on the window K
-    and Phi' a fresh PPP, the reduced Palm law (Slivnyak).  All on one draw:
-    Phi, then Phi' and x once Phi is dropped."""
-    lhs = _point_sums(mfs, ReplicateBatch.ppp(window, lam, reps, rng))
-    palm = ReplicateBatch.ppp(window, lam, reps, rng)
-    at_x = _at_x(mfs, lam * window.area, ReplicateBatch.bpp(window, 1, reps, rng))
-    return list(zip(lhs, _palm_side(mfs, at_x, palm)))
+                    reps: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Per-replicate left sides of E[sum_{x in Phi} F(x, Phi - x)] = lam |K| E[F(x, Phi)],
+    Phi a PPP(lam) on the window K and x uniform on K (Slivnyak), one array per
+    F in mfs; the right side is F's oracle_ppp(lam).  All on one draw of Phi,
+    and one Functional.moved per F."""
+    phi = ReplicateBatch.ppp(window, lam, reps, rng)
+    return [mf.h.moved(phi, phi, -1, mf.g) for mf in mfs]
 
 
 def mecke_check_bpp(mfs: Sequence[MeckeFunctional], n_points: int, window: Window,
-                    reps: int, rng: np.random.Generator) -> list[tuple]:
-    """Per-replicate sides of E[sum_{x in Phi_N} F(x, Phi_N - x)] = N E[F(x, Phi_{N-1})],
-    one (left, right) pair of arrays per F in mfs, Phi_N a BPP of N uniform
-    points and x uniform on the window.  All on one draw: Phi_N, then x and
-    Phi_{N-1}, each once the one before it is dropped."""
+                    reps: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Per-replicate left sides of E[sum_{x in Phi_N} F(x, Phi_N - x)] = N E[F(x, Phi_{N-1})],
+    Phi_N a BPP of N uniform points on the window and x uniform on it, one
+    array per F in mfs; the right side is F's oracle_bpp(N).  All on one draw
+    of Phi_N, and one Functional.moved per F."""
     if n_points < 1:
         raise ValueError("BPP needs at least one point")
-    lhs = _point_sums(mfs, ReplicateBatch.bpp(window, n_points, reps, rng))
-    at_x = _at_x(mfs, n_points, ReplicateBatch.bpp(window, 1, reps, rng))
-    palm = ReplicateBatch.bpp(window, n_points - 1, reps, rng)
-    return list(zip(lhs, _palm_side(mfs, at_x, palm)))
+    phi = ReplicateBatch.bpp(window, n_points, reps, rng)
+    return [mf.h.moved(phi, phi, -1, mf.g) for mf in mfs]
 
 
 # ---------------------------------------------------------------------------
@@ -513,5 +493,11 @@ def mecke_functionals(window: Window) -> list[MeckeFunctional]:
             "F=1{x in A}1{|w∩B|>=1}", in_A, count_at_least((B, 1)),
             oracle_ppp=lambda lam: lam * aA * (1.0 - math.exp(-lam * aB)),
             oracle_bpp=lambda N: N * (aA / aK) * (1.0 - (1.0 - aB / aK) ** (N - 1))),
-        MeckeFunctional("F=1{x in A}min(|w∩A|,2)", in_A, truncated_count(A, 2)),
+        MeckeFunctional(
+            "F=1{x in A}min(|w∩A|,2)", in_A, truncated_count(A, 2),
+            # E min(M, 2) = 2 - 2 P(M = 0) - P(M = 1), M the count of w in A
+            oracle_ppp=lambda lam: lam * aA * (2.0 - (2.0 + lam * aA) * math.exp(-lam * aA)),
+            oracle_bpp=lambda N: N * (aA / aK) * (
+                2.0 - 2.0 * (1.0 - aA / aK) ** (N - 1)
+                - (N - 1) * (aA / aK) * (1.0 - aA / aK) ** (N - 2))),
     ]

@@ -428,29 +428,16 @@ CHECK_REGIONS = (("window", CHECK_WINDOW), ("left", Rect(0.0, 0.0, 0.5, 1.0)),
 CHECK_LAM = 0.5
 
 
-def _mecke_rows(kind: str, mfs, sides, oracles, seed: int) -> list:
-    """Per functional, the row of its (left, right) sides, then, if it has a
-    closed form (its oracle value, else None), the same row against that."""
-    groups = []
-    for mf, (lhs, rhs), oracle in zip(mfs, sides, oracles):
-        row = mc_row(f"mecke_{kind}[{mf.name}]", lhs, rhs, seed)
-        groups.append([row] if oracle is None else
-                      [row, row.replace(name=f"{row.name}_oracle", rhs=oracle)])
-    return groups
-
-
 def check_mecke(seed: int, reps: int) -> list[CheckRow]:
     window = CHECK_WINDOW
     mfs, reps = mecke_functionals(window), max(2000, reps)
-    # one draw per kind, shared by the whole family; each kind's per-replicate
-    # sides become its rows, and are dropped, before the next kind draws
-    ppp = mecke_check_ppp(mfs, 3.0, window, reps, stream(seed, LANE_CHECKS, 0, 1))
-    ppp = _mecke_rows("ppp", mfs, ppp, [mf.oracle_ppp and mf.oracle_ppp(3.0)
-                                        for mf in mfs], seed)
-    bpp = mecke_check_bpp(mfs, 6, window, reps, stream(seed, LANE_CHECKS, 0, 2))
-    bpp = _mecke_rows("bpp", mfs, bpp, [mf.oracle_bpp and mf.oracle_bpp(6)
-                                        for mf in mfs], seed)
-    return [row for pair in zip(ppp, bpp) for group in pair for row in group]
+    # one draw per kind, shared by the whole family; each kind's left sides
+    # become its rows, against their closed forms, before the next kind draws
+    ppp = [mc_row(f"mecke_ppp[{mf.name}]", lhs, mf.oracle_ppp(3.0), seed) for mf, lhs in
+           zip(mfs, mecke_check_ppp(mfs, 3.0, window, reps, stream(seed, LANE_CHECKS, 0, 1)))]
+    bpp = [mc_row(f"mecke_bpp[{mf.name}]", lhs, mf.oracle_bpp(6), seed) for mf, lhs in
+           zip(mfs, mecke_check_bpp(mfs, 6, window, reps, stream(seed, LANE_CHECKS, 0, 2)))]
+    return [row for pair in zip(ppp, bpp) for row in pair]
 
 
 def check_invariance(seed: int, reps: int) -> list[CheckRow]:
@@ -527,7 +514,7 @@ CHECKS = {"mecke": lambda seed, reps: check_mecke(seed, reps),
           "bounds": lambda seed, reps: check_bounds(seed)}
 CHECK_GROUPS = tuple(CHECKS)
 # peak bytes a group holds per max(2000, reps), after a first call: tracemalloc reads
-# 256 and 253 (mecke), 136 and 136 (invariance), 62 and 40 (glauber) at reps 2e4 and
+# 256 and 253 (mecke), 136 and 136 (invariance), 62 and 37 (glauber) at reps 2e4 and
 # 2e5; the others draw nothing
 CHECK_BYTES_PER_REPLICATE = {"mecke": 400, "invariance": 200, "glauber": 100}
 

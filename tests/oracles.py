@@ -141,7 +141,8 @@ def moved_reference(F, batch: ReplicateBatch, points: ReplicateBatch, sign: int 
 
 
 def point_sums_reference(mfs, phi: ReplicateBatch) -> list:
-    """diagnostics._point_sums by the per-point formula."""
+    """The left sides of diagnostics.mecke_check_ppp and mecke_check_bpp, on
+    their draw phi, by the per-point formula."""
     return [moved_reference(mf.h, phi, phi, -1, mf.g) for mf in mfs]
 
 

@@ -14,8 +14,9 @@ import pytest
 from acceptance_criteria import (R2_FLOOR, SLOPE_BAND, SWEEPS, criterion_2, criterion_3,
                                  criterion_4, worst_margin)
 from coxsim.cli import main
+from coxsim.diagnostics import mecke_functionals
 from coxsim.geometry import Disk
-from coxsim.harness import check_mecke, run_experiment, run_validation_suite
+from coxsim.harness import CHECK_WINDOW, check_mecke, run_experiment, run_validation_suite
 from coxsim.steinbound import chord_square_integral
 
 SEED = 0
@@ -87,12 +88,16 @@ def test_criterion_4_cox_bound_and_rate(cox_result):
 def test_criterion_5_campbell_mecke():
     rows = check_mecke(SEED, ACCEPT_REPS)
     bad = [r for r in rows if not r.passed]
-    oracle_rows = [r for r in rows if r.name.endswith("_oracle")]
-    ok = not bad and len(oracle_rows) == 8
+    # every row's right side is its functional's closed form, at check_mecke's
+    # PPP intensity 3 and BPP size 6
+    closed_forms = {f"mecke_{kind}[{mf.name}]": value
+                    for mf in mecke_functionals(CHECK_WINDOW)
+                    for kind, value in (("ppp", mf.oracle_ppp(3.0)), ("bpp", mf.oracle_bpp(6)))}
+    ok = not bad and {r.name: r.rhs for r in rows} == closed_forms and len(rows) == 10
+    worst = max(abs(r.lhs - r.rhs) / r.stderr for r in rows if r.stderr > 0)
     assert report("5 (Campbell-Mecke identities)", ok,
-                  f"{len(rows)} checks at reps=1e5, "
-                  f"{len(oracle_rows)} analytic-oracle matches, failures: "
-                  f"{[r.name for r in bad] or 'none'}")
+                  f"{len(rows)} checks at reps=1e5 against closed forms, "
+                  f"max |z| {worst:.2f}, failures: {[r.name for r in bad] or 'none'}")
 
 
 def test_criterion_6_thinning_invariance():

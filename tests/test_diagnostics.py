@@ -203,37 +203,33 @@ class TestCoupled:
 
 
 def mecke_rows(check, arg, window, reps, rng, mfs=None) -> list:
-    """(row, closed form or None) per functional: the harness row of the
-    kernel's per-replicate sides, and the functional's oracle at arg."""
+    """The harness row of each functional: the kernel's per-replicate left
+    sides against the functional's closed form at arg."""
     mfs = mecke_functionals(window) if mfs is None else mfs
     oracle = "oracle_ppp" if check is mecke_check_ppp else "oracle_bpp"
     sides = check(mfs, arg, window, reps, rng)
     assert len(sides) == len(mfs)
     out = []
-    for mf, (lhs, rhs) in zip(mfs, sides):
-        assert lhs.shape == rhs.shape == (reps,)
-        closed_form = getattr(mf, oracle)
-        out.append((mc_row(mf.name, lhs, rhs, 0),
-                    closed_form and closed_form(arg)))
+    for mf, lhs in zip(mfs, sides):
+        assert lhs.shape == (reps,)
+        out.append(mc_row(mf.name, lhs, getattr(mf, oracle)(arg), 0))
     return out
 
 
 class TestMecke:
     @staticmethod
     def assert_rows_pass(rows):
-        for row, oracle in rows:
+        for row in rows:
             assert row.passed, row
-            if oracle is not None:
-                assert row.replace(rhs=oracle).passed, (row, oracle)
 
     def test_ppp_all_registry(self):
         rows = mecke_rows(mecke_check_ppp, 3.0, WINDOW, 30_000, rng_for(16))
-        assert [r.name for r, _ in rows] == [mf.name for mf in mecke_functionals(WINDOW)]
+        assert [r.name for r in rows] == [mf.name for mf in mecke_functionals(WINDOW)]
         self.assert_rows_pass(rows)
 
     def test_bpp_all_registry(self):
         rows = mecke_rows(mecke_check_bpp, 6, WINDOW, 30_000, rng_for(17))
-        assert [r.name for r, _ in rows] == [mf.name for mf in mecke_functionals(WINDOW)]
+        assert [r.name for r in rows] == [mf.name for mf in mecke_functionals(WINDOW)]
         self.assert_rows_pass(rows)
 
     @pytest.mark.parametrize("check, arg", [(mecke_check_ppp, 3.0), (mecke_check_bpp, 6)])
@@ -243,48 +239,52 @@ class TestMecke:
         mfs = mecke_functionals(WINDOW)
         family = check(mfs, arg, WINDOW, 2_000, rng_for(19))
         for i, mf in enumerate(mfs):
-            [(lhs, rhs)] = check([mf], arg, WINDOW, 2_000, rng_for(19))
-            np.testing.assert_array_equal(lhs, family[i][0])
-            np.testing.assert_array_equal(rhs, family[i][1])
+            [lhs] = check([mf], arg, WINDOW, 2_000, rng_for(19))
+            np.testing.assert_array_equal(lhs, family[i])
 
     def test_bpp_single_point(self):
-        # N = 1: the Palm side Phi_0 is empty, so h sees nothing
+        # N = 1: Phi_1 - x is empty, so h sees nothing
         rows = mecke_rows(mecke_check_bpp, 1, WINDOW, 20_000, rng_for(20))
         self.assert_rows_pass(rows)
-        one, oracle = rows[0]
-        assert one.name == "F=1" and one.lhs == one.rhs == oracle == 1.0
-        # x in A and some point of Phi_1 in B cannot both hold
-        disjoint, oracle = rows[3]
-        assert disjoint.lhs == disjoint.rhs == oracle == 0.0
+        one = rows[0]
+        assert one.name == "F=1" and one.lhs == one.rhs == 1.0
+        # x in A and a point of the empty Phi_1 - x in A or B cannot both hold
+        for row in rows[2:]:
+            assert row.lhs == row.rhs == 0.0, row
 
     def test_ppp_oracles_with_independent_formulas(self):
         # freeze the analytic values independently of the registry lambdas
         lam = 3.0
         A = Rect(0, 0, 0.5, 1)
         B = Rect(0.5, 0, 1, 1)
+        mu = lam * A.area
+        # P(M = k) of the PPP count M in A, k = 0 and 1
+        p0, p1 = math.exp(-mu), mu * math.exp(-mu)
         expected = {
             "F=1": lam * WINDOW.area,
             "F=1{x in A}": lam * A.area,
             "F=1{x in A}|w∩A|": (lam * A.area) ** 2,
             "F=1{x in A}1{|w∩B|>=1}": lam * A.area * (1 - math.exp(-lam * B.area)),
+            "F=1{x in A}min(|w∩A|,2)": mu * (p1 + 2 * (1 - p0 - p1)),
         }
-        for mf in mecke_functionals(WINDOW):
-            if mf.name in expected:
-                assert mf.oracle_ppp(lam) == pytest.approx(expected[mf.name])
+        got = {mf.name: mf.oracle_ppp(lam) for mf in mecke_functionals(WINDOW)}
+        assert got == pytest.approx(expected)
 
     def test_bpp_oracles_with_independent_formulas(self):
         N = 6
         mu_half = 0.5
+        # E min(M, 2), M ~ Binomial(N - 1, 1/2) the other points in A
+        capped = sum(min(k, 2) * math.comb(N - 1, k) for k in range(N)) / 2 ** (N - 1)
         expected = {
             "F=1": float(N),
             "F=1{x in A}": N * mu_half,
             # reduced form: x in A and one of the other N - 1 points in A
             "F=1{x in A}|w∩A|": N * (N - 1) * mu_half ** 2,
             "F=1{x in A}1{|w∩B|>=1}": N * mu_half * (1 - (1 - mu_half) ** (N - 1)),
+            "F=1{x in A}min(|w∩A|,2)": N * mu_half * capped,
         }
-        for mf in mecke_functionals(WINDOW):
-            if mf.name in expected:
-                assert mf.oracle_bpp(N) == pytest.approx(expected[mf.name])
+        got = {mf.name: mf.oracle_bpp(N) for mf in mecke_functionals(WINDOW)}
+        assert got == pytest.approx(expected)
 
     def test_registries_share_halves(self):
         # Mecke regions A, B and the Glauber left/right regions are the same
@@ -327,9 +327,8 @@ class TestContainsBudget:
         check_mecke(0, 2000)
         per_pair = Counter((region, id(pts)) for region, pts in calls)
         assert set(per_pair.values()) == {1}
-        # A and B on Phi (ppp) and on Phi_N (bpp), the counts from the masks;
-        # counts: A on x and A and B on the Palm batch, for each kind
-        assert len(calls) == 10
+        # A and B on Phi (ppp) and on Phi_N (bpp), the counts from the masks
+        assert len(calls) == 4
 
     def test_wasserstein_counts_window_once_per_batch(self, monkeypatch):
         samples = ReplicateBatch.ppp(WINDOW, 3.0, 500, rng_for(40))

@@ -455,8 +455,8 @@ class TestCheckRow:
     def test_two_sample_stderr_bit_for_bit(self):
         a, b = self.A, self.B
         row = mc_row("r", a, b, 0)
-        # the Mecke Palm side's expression, and the stationarity section's at
-        # equal sizes
+        # the two-sample expression at unequal sizes, and the stationarity
+        # section's at equal sizes
         assert row.stderr == math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
         n = 500
         x, y = self.MATRIX[:, 0], self.MATRIX[:, 1]

@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coxsim.diagnostics import (_point_sums, count_at_least, glauber_functionals,
-                                mecke_functionals, planar_functional_family, raw_count,
-                                truncated_count)
+from coxsim.diagnostics import (count_at_least, glauber_functionals, mecke_check_bpp,
+                                mecke_check_ppp, mecke_functionals, planar_functional_family,
+                                raw_count, truncated_count)
 from coxsim.geometry import Disk, Rect
 from coxsim.glauber import GlauberSpec, generator_apply
 from coxsim.harness import check_mecke, stream
@@ -62,10 +62,18 @@ def test_moved_equals_per_point_formula(batches, F, g, sign):
 
 
 @pytest.mark.parametrize("window", [RECT, Disk((0.0, 0.0), 1.0)], ids=["rect", "disk"])
-def test_point_sums_equal_per_point_formula(window):
+def test_point_sums_equal_per_point_formula(window, monkeypatch):
+    # the left sides of both Mecke kernels, Phi their first draw, then of the
+    # PPP kernel with the ragged batch in place of its draw
     mfs = mecke_functionals(window)
-    for phi in (ReplicateBatch.ppp(window, 3.0, 300, rng_for(2)), ragged_batch(rng_for(3))):
-        got, expect = _point_sums(mfs, phi), point_sums_reference(mfs, phi)
+    ragged = ragged_batch(rng_for(3))
+    cases = [(mecke_check_ppp, 3.0, ReplicateBatch.ppp(window, 3.0, 300, rng_for(2))),
+             (mecke_check_bpp, 4, ReplicateBatch.bpp(window, 4, 300, rng_for(2))),
+             (mecke_check_ppp, 3.0, ragged)]
+    for check, arg, phi in cases:
+        if phi is ragged:
+            monkeypatch.setattr(ReplicateBatch, "ppp", lambda *args: ragged)
+        got, expect = check(mfs, arg, window, len(phi), rng_for(2)), point_sums_reference(mfs, phi)
         for mf, a, b in zip(mfs, got, expect):
             assert np.array_equal(a, b), mf.name
 
@@ -90,7 +98,7 @@ def test_h_sees_at_most_one_row_per_replicate():
     reps, rows = 300, []
     mfs = [mf.replace(g=spied(mf.g, rows), h=spied(mf.h, rows))
            for mf in mecke_functionals(RECT)]
-    _point_sums(mfs, ReplicateBatch.ppp(RECT, 3.0, reps, rng_for(6)))
+    mecke_check_ppp(mfs, 3.0, RECT, reps, rng_for(6))
     family = [spied(F, rows) for F in glauber_functionals(RECT)]
     generator_apply(family, ReplicateBatch.ppp(RECT, 3.0, reps, rng_for(7)),
                     GlauberSpec(RECT, lam=3.0), rng_for(8))
