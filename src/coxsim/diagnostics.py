@@ -117,12 +117,12 @@ class Functional(Record):
         cols = [batch.counts(r) for r in self.regions]
         return np.array(cols, dtype=np.int64).reshape(len(cols), len(batch)).T
 
-    def moved(self, batch: ReplicateBatch, points: ReplicateBatch, sign: int = 1,
+    def moved(self, batch: ReplicateBatch, points, sign: int = 1,
               g: Functional | None = None) -> np.ndarray:
-        """Per replicate j, sum over x in points_j of g({x}) * F(batch_j + sign x),
-        x added (sign 1) or removed (sign -1); g defaults to 1.  Both depend on
-        x only through its membership pattern over their regions, so h and g.h
-        run once per pattern, weighted by its point count per replicate: the
+        """Per replicate j, the sum over x in points_j of g({x}) * F(batch_j + sign x),
+        x added (sign 1) or removed (sign -1), g defaulting to 1; points may also be a
+        GlauberSpec, whose sum is the integral against lam * Leb(W).  h and g.h run
+        once per membership pattern, weighted by its point count (or mass): the
         per-point sum exactly, as h and g are integer-valued (every preset is)."""
         g, k = g or count_at_least(), len(self.regions)
         regions = tuple(dict.fromkeys(self.regions + g.regions))

@@ -13,17 +13,18 @@ The module also evaluates the infinitesimal generator
 
     L F(w) = sum_{x in w} (F(w - x) - F(w)) + lambda * int_W (F(w + x) - F(w)) dx
 
-(death sum exact, birth integral by antithetic Monte Carlo), and estimates
-the semigroup's Lipschitz contraction |P_t F(w + z) - P_t F(w)| <= e^-t with
-a coupled estimator.
+exactly, without draws: the birth integral moves F by the intensity measure
+lambda * Leb(W) that GlauberSpec gives Functional.moved.  The module also
+estimates the semigroup's Lipschitz contraction |P_t F(w + z) - P_t F(w)| <= e^-t
+with a coupled estimator.
 
 The samplers map a ReplicateBatch of starts to one draw per replicate (the
 trajectory simulator to a horizon each call names), and the consistency and
 contraction checks tile one (n, 2) start array across their replicates;
-the generator and the contraction estimate share their draws across a list
-of count Functionals, each moved by one point with Functional.moved.  Every
-kernel takes a generator and returns draws: the consistency check its two
-batches, which harness.tv_rows judges.
+the generator and the contraction estimate serve a list of count Functionals,
+each moved by one point with Functional.moved.  Every random kernel takes a
+generator and returns draws: the consistency check its two batches, which
+harness.tv_rows judges.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ import numpy as np
 from .geometry import Window
 from .pointprocess import ReplicateBatch
 from .record import Record
-
-BIRTH_PAIRS = 32  # antithetic birth pairs per replicate in generator_apply
 
 
 class GlauberSpec(Record):
@@ -52,6 +51,17 @@ class GlauberSpec(Record):
     @property
     def birth_rate(self) -> float:
         return self.lam * self.window.area
+
+    def pattern_counts(self, regions: tuple, code: int) -> float:
+        """ReplicateBatch.pattern_counts for the measure lam * Leb(W), regions pairwise
+        disjoint and inside W: lam |R_i| for the one bit i of code, lam times the rest
+        of W for none, 0 for two or more; regions overfilling W raise ValueError."""
+        rest = self.window.area - sum(r.measure for r in regions)
+        if rest < -1e-12 * self.window.area:
+            raise ValueError("the birth integral needs each functional's regions "
+                             "pairwise disjoint and inside the window")
+        sizes = (max(rest, 0.0),) + tuple(r.measure for r in regions)
+        return self.lam * sizes[code.bit_length()] if code & (code - 1) == 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +131,14 @@ def semigroup_trajectory_consistency(omega0: np.ndarray, spec: GlauberSpec, t: f
 # Generator and contraction
 # ---------------------------------------------------------------------------
 
-def generator_apply(functionals, omegas: ReplicateBatch, spec: GlauberSpec,
-                    rng: np.random.Generator) -> np.ndarray:
+def generator_apply(functionals, omegas: ReplicateBatch, spec: GlauberSpec) -> np.ndarray:
     """Generator L F(omega_j) for every replicate j and functional F, as a (reps x F)
-    array: exact death sum plus a birth integral over BIRTH_PAIRS antithetic pairs
-    per replicate, shared by all F (a point and its reflection through the window
-    center, halving the variance of near-linear integrands at no bias).  Each sum
-    is one Functional.moved, so h runs once per membership pattern, not per point."""
-    reps, m = len(omegas), 2 * BIRTH_PAIRS
-    births = ReplicateBatch.bpp(spec.window, BIRTH_PAIRS, reps, rng)
-    pairs = births.superpose(ReplicateBatch(  # the births, then their reflections
-        2.0 * np.asarray(spec.window.center) - births.points, births.rep_ids, reps))
-    values = []
-    for F in functionals:
-        death = F.moved(omegas, omegas, -1)   # first: F(omegas) then counts from its masks
-        born = F.moved(omegas, pairs)
-        f0 = F(omegas)
-        values.append(death - omegas.counts() * f0 + spec.birth_rate * ((born - m * f0) / m))
-    return np.column_stack(values)
+    array, exactly: the death sum moves F by the points of omega_j, the birth integral
+    by spec's intensity measure, each one Functional.moved, so h runs once per pattern."""
+    # the death sum first: its F(omegas) caches the masks that the counts read
+    return np.column_stack([F.moved(omegas, omegas, -1) + F.moved(omegas, spec)
+                            - (omegas.counts() + spec.birth_rate) * F(omegas)
+                            for F in functionals])
 
 
 def contraction_estimate(functionals, omega: np.ndarray, z, t: float,

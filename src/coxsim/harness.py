@@ -472,7 +472,7 @@ def check_glauber(seed: int, reps: int) -> list[CheckRow]:
     # 3. generator null at stationarity: E[L F(Phi)] = 0, one batch for all F
     rng = stream(seed, LANE_CHECKS, point=41)
     n = max(300, reps // 100)
-    values = generator_apply(functionals, ReplicateBatch.ppp(window, spec.lam, n, rng), spec, rng)
+    values = generator_apply(functionals, ReplicateBatch.ppp(window, spec.lam, n, rng), spec)
     for F, vals in zip(functionals, values.T):
         rows.append(mc_row(f"glauber_generator_null[{F.name}]", vals, 0.0, seed))
     # 4. contraction: |P_t F(w+z) - P_t F(w)| <= e^-t, one base batch per t
@@ -514,7 +514,7 @@ CHECKS = {"mecke": lambda seed, reps: check_mecke(seed, reps),
           "bounds": lambda seed, reps: check_bounds(seed)}
 CHECK_GROUPS = tuple(CHECKS)
 # peak bytes a group holds per max(2000, reps), after a first call: tracemalloc reads
-# 256 and 253 (mecke), 136 and 136 (invariance), 62 and 37 (glauber) at reps 2e4 and
+# 256 and 253 (mecke), 136 and 136 (invariance), 38 and 36 (glauber) at reps 2e4 and
 # 2e5; the others draw nothing
 CHECK_BYTES_PER_REPLICATE = {"mecke": 400, "invariance": 200, "glauber": 100}
 

@@ -7,9 +7,10 @@ replicate at a time; cap_counts counts by the rule of a spherical cap.
 Uniform draws: the window and sphere samplers as row-major formulas, on the
 same draws as the coordinate-major samplers that fill coordinates in place.
 
-Point moves: Functional.moved, the Mecke point sums and the Glauber
-generator by the per-point formula, which evaluates h once per point, as
-references for the pattern-grouped kernels.
+Point moves: Functional.moved and the Mecke point sums by the per-point
+formula, which evaluates h once per point, and the Glauber generator by the
+per-configuration formula, one birth point per region, as references for the
+pattern-grouped kernels.
 
 Scalar geometry: one line or one orbit point at a time, written for clarity
 rather than speed, as oracles for the vectorized kernels in coxsim.geometry.
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from coxsim.geometry import Disk, Window, chord_intervals, orbit_frame
-from coxsim.glauber import BIRTH_PAIRS
 from coxsim.pointprocess import ReplicateBatch
 
 TAU = 2.0 * math.pi
@@ -146,20 +146,28 @@ def point_sums_reference(mfs, phi: ReplicateBatch) -> list:
     return [moved_reference(mf.h, phi, phi, -1, mf.g) for mf in mfs]
 
 
-def generator_reference(functionals, omegas: ReplicateBatch, spec, rng) -> np.ndarray:
-    """glauber.generator_apply by the per-point formula: each point's death
-    difference and each birth's difference, then their bincount and mean,
-    on the same draws."""
+def region_point(region) -> np.ndarray:
+    """One point of a Rect, Disk or Annulus: its center, or for an annulus the
+    point at mid-radius right of its center."""
+    cx, cy = region.center
+    return np.array([cx + 0.5 * (region.r_inner + region.r_outer), cy]
+                    if hasattr(region, "r_inner") else [cx, cy])
+
+
+def generator_reference(functionals, omegas: ReplicateBatch, spec) -> np.ndarray:
+    """glauber.generator_apply by the per-configuration formula: each point's
+    death difference, then the birth integral lam * sum_R |R| (F(omega + x_R) -
+    F(omega)) over F's distinct regions R, x_R = region_point(R), for regions
+    pairwise disjoint and inside the window (a birth outside them leaves F as it is)."""
     reps, ids = len(omegas), omegas.rep_ids
-    births = ReplicateBatch.bpp(spec.window, BIRTH_PAIRS, reps, rng)
-    pairs = births.superpose(ReplicateBatch(
-        2.0 * np.asarray(spec.window.center) - births.points, births.rep_ids, reps))
     values = []
     for F in functionals:
         f0 = F(omegas)
         death = np.bincount(ids, point_values(F, omegas, omegas, -1) - f0[ids], minlength=reps)
-        born = (point_values(F, omegas, pairs) - f0[pairs.rep_ids]).reshape(2, reps, BIRTH_PAIRS)
-        values.append(death + spec.birth_rate * (0.5 * (born[0] + born[1])).mean(axis=1))
+        birth = sum(spec.lam * R.measure
+                    * (point_values(F, omegas, ReplicateBatch.tile(region_point(R)[None], reps)) - f0)
+                    for R in dict.fromkeys(F.regions))
+        values.append(death + birth)
     return np.column_stack(values)
 
 

@@ -13,11 +13,10 @@ from coxsim.diagnostics import (ClosePair, Functional, _max_pair_dot, glauber_fu
                                 mecke_functionals, planar_functional_family,
                                 sphere_functional_family)
 from coxsim.geometry import Disk, Rect
-from coxsim.glauber import (BIRTH_PAIRS, GlauberSpec, contraction_estimate,
-                            generator_apply, semigroup_sample)
+from coxsim.glauber import GlauberSpec, contraction_estimate, generator_apply, semigroup_sample
 from coxsim.harness import stream
 from coxsim.pointprocess import ReplicateBatch, sample_uniform_sphere
-from oracles import count_in, plane_points, plus, sphere_points, split
+from oracles import count_in, plane_points, plus, region_point, sphere_points, split
 
 RECT = Rect(0.0, 0.0, 1.0, 1.0)
 DISK = Disk((0.0, 0.0), 1.0)
@@ -227,27 +226,23 @@ GENERATOR_FAMILY = glauber_functionals(RECT) + planar_functional_family(RECT)
 
 @pytest.fixture(scope="module")
 def generator_values():
-    return generator_apply(GENERATOR_FAMILY, OMEGA_BATCH, SPEC, rng_for(10))
+    return generator_apply(GENERATOR_FAMILY, OMEGA_BATCH, SPEC)
 
 
 @pytest.mark.parametrize("k", range(len(OMEGAS)))
 def test_generator_matches_oracle(k, generator_values):
-    # replicate k of one batch against the per-configuration formula on the
-    # antithetic pairs it was given: rows m k to m (k + 1) - 1 of the shared
-    # draw, m = BIRTH_PAIRS
-    omega, m = OMEGAS[k], BIRTH_PAIRS
-    pts = RECT.uniform(m * len(OMEGAS), rng_for(10))[m * k:m * (k + 1)]
-    mirrored = np.column_stack([1.0 - pts[:, 0], 1.0 - pts[:, 1]])
+    # replicate k of one batch against the per-configuration formula: each
+    # point's death, then one birth per distinct region R, at region_point(R),
+    # weighted by lam |R| (each functional's regions are disjoint, in RECT)
+    omega = OMEGAS[k]
     for j, F in enumerate(GENERATOR_FAMILY):
         f0 = scalar_value(F, omega)
         death = 0.0
         for i in range(len(omega)):
             death += scalar_value(F, np.delete(omega, i, axis=0)) - f0
-        pair_means = np.array([0.5 * ((scalar_value(F, plus(omega, a)) - f0)
-                                      + (scalar_value(F, plus(omega, b)) - f0))
-                               for a, b in zip(pts, mirrored)])
-        expect = death + SPEC.birth_rate * pair_means.mean()
-        assert generator_values[k, j] == expect, F.name
+        birth = sum(SPEC.lam * R.measure * (scalar_value(F, plus(omega, region_point(R))) - f0)
+                    for R in dict.fromkeys(F.regions))
+        assert generator_values[k, j] == pytest.approx(death + birth, rel=0, abs=1e-12), F.name
 
 
 def test_contraction_matches_oracle():

@@ -294,26 +294,42 @@ class TestSemigroup:
 class TestGenerator:
     def test_constant_functional(self):
         F = Functional("const", (), lambda c: np.full(len(c), 2.5))
-        [[val]] = generator_apply([F], batch([OMEGA0]), SPEC, rng_for(11))
+        [[val]] = generator_apply([F], batch([OMEGA0]), SPEC)
         assert val == 0.0
 
     def test_count_functional_exact(self):
         # F = |w|: death sum -|w|, birth integral lam|W| (integrand constant 1)
         F = raw_count(WINDOW)
-        [[val]] = generator_apply([F], batch([OMEGA0]), SPEC, rng_for(12))
-        assert val == pytest.approx(SPEC.birth_rate - len(OMEGA0), abs=1e-12)
+        [[val]] = generator_apply([F], batch([OMEGA0]), SPEC)
+        assert val == SPEC.birth_rate - len(OMEGA0)
+
+    def test_draws_nothing(self):
+        family = glauber_functionals(WINDOW)
+        omegas = ReplicateBatch.ppp(WINDOW, SPEC.lam, 50, rng_for(13))
+        assert np.array_equal(generator_apply(family, omegas, SPEC),
+                              generator_apply(family, omegas, SPEC))
 
     def test_zero_mean_at_stationarity(self):
-        # E[L F(Phi)] = 0 for the stationary PPP
-        rng = rng_for(13)
-        functionals = (truncated_count(WINDOW, 3),
-                       count_indicator(WINDOW, {0, 1}),
-                       count_at_least((Rect(0, 0, 0.5, 1), 2)))
-        n = 6000
-        phi = ReplicateBatch.ppp(WINDOW, SPEC.lam, n, rng)
-        for vals in generator_apply(functionals, phi, SPEC, rng).T:
-            se = vals.std(ddof=1) / math.sqrt(n)
-            assert abs(vals.mean()) < 3 * se
+        # E[L F(Phi)] = 0 for the stationary PPP, as an identity: a points in
+        # the left half and b in the right, weighted by the Poisson(lam/2) law of
+        # each half's count over its truncated support
+        left, right = WINDOW.halves()
+        functionals = glauber_functionals(WINDOW) + [
+            truncated_count(WINDOW, 3), count_indicator(WINDOW, {0, 1}),
+            count_at_least((left, 2))]
+        pmf, _ = poisson_pmf(SPEC.lam * left.area)
+        ys = (np.arange(pmf.size) + 0.5) / pmf.size
+        configs = [np.vstack([np.column_stack([np.full(a, 0.25), ys[:a]]),
+                              np.column_stack([np.full(b, 0.75), ys[:b]])])
+                   for a in range(pmf.size) for b in range(pmf.size)]
+        weights = np.outer(pmf, pmf).ravel()
+        sums = weights @ generator_apply(functionals, batch(configs), SPEC)
+        assert np.all(np.abs(sums) < 1e-10), sums
+
+    def test_overlapping_regions_raise(self):
+        F = count_at_least((WINDOW, 1), (WINDOW.halves()[0], 1))
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            generator_apply([F], batch([OMEGA0]), SPEC)
 
 
 class TestContraction:
