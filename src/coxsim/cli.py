@@ -124,9 +124,8 @@ def _cmd_bound(args) -> int:
     # param is lambda_n, or n as a float, printed like any float column
     row = csv_line([model.name, params.c, params.lambda_n, model.describe(window), value])
     if args.out:
-        new = not os.path.exists(args.out)
         with open(args.out, "a", encoding="utf-8") as fh:
-            if new:
+            if fh.tell() == 0:
                 fh.write(csv_header(BOUND_COLUMNS))
             fh.write(row)
     print(f"{model.name} bound with c={params.c:g}, "

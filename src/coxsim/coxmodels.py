@@ -49,12 +49,13 @@ from .steinbound import cox_bound, satellite_bound
 
 # the largest mean numpy's Generator.poisson accepts
 POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-# peak bytes per point held, model and twin apart: tracemalloc reads 64-173 for
-# simulate and run_sweep_point of either model at 1e5 to 1e6 points
+# peak bytes per point held, model and twin apart: tracemalloc reads 68-69
+# (cox-line) and 104-111 (satellites) for run_sweep_point at 1000 reps and c = 100
+# to 1000, and 132-148 for simulate of either model at 1e5 to 1e6 points
 BYTES_PER_POINT = 200
-# peak bytes per replicate held whatever its points: tracemalloc reads 343-350
-# (cox-line) and 438-445 (satellites) for run_sweep_point at c = 0.01 and 1e4
-# to 4e4 replicates
+# peak bytes per replicate held whatever its points: tracemalloc reads 345-353
+# (cox-line) and 456-463 (satellites) for run_sweep_point at c = 0.01, lambda_n
+# or n = 10, and 1e4 to 4e4 replicates
 BYTES_PER_REPLICATE = 500
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -115,7 +116,7 @@ def sample_cox_line_batch(params: ModelParams, window: Window, reps: int,
     chords; at reps = 1 this is the sample_cox_line draw.
     """
     params.check_kind("planar")
-    per_rep = rng.poisson(0.5 * params.c * window.area, reps)
+    per_rep = rng.poisson(0.5 * params.c * window.measure, reps)
     x = window.uniform(int(per_rep.sum()), rng)
     alpha = rng.uniform(0.0, 2.0 * np.pi, x.shape[0])
     # the line through x with unit normal at angle alpha, as (r >= 0, theta)

@@ -122,22 +122,33 @@ class Functional(Record):
         """Per replicate j, the sum over x in points_j of g({x}) * F(batch_j + sign x),
         x added (sign 1) or removed (sign -1), g defaulting to 1; points may also be a
         GlauberSpec, whose sum is the integral against lam * Leb(W).  h and g.h run
-        once per membership pattern, weighted by its point count (or mass): the
-        per-point sum exactly, as h and g are integer-valued (every preset is)."""
+        once per membership pattern, weighted by its pattern_counts: the per-point
+        sum exactly, as h and g are integer-valued (every preset is)."""
         g, k = g or count_at_least(), len(self.regions)
         regions = tuple(dict.fromkeys(self.regions + g.regions))
-        out, counts = np.zeros(len(batch)), None
+        out, counts = np.zeros(len(batch)), self.counts(batch)
         for code in range(1 << len(regions)):
             bits = np.array([code >> regions.index(r) & 1 for r in self.regions + g.regions])
             weight = g.h(bits[None, k:])[0]
-            if weight and np.any(n := points.pattern_counts(regions, code)):
-                if counts is None:   # once, and after pattern_counts has cached the masks
-                    counts = self.counts(batch)
+            if weight and np.any(n := pattern_counts(points, regions, code)):
                 out += n * self.h(counts + sign * bits[:k]) * weight
         return out
 
     def __call__(self, batch: ReplicateBatch) -> np.ndarray:
         return self.h(self.counts(batch))
+
+
+def pattern_counts(points, regions: tuple, code: int):
+    """Per-replicate counts of the points of a batch (or the mass of a GlauberSpec)
+    whose membership pattern over the regions is code, bit i set iff in regions[i],
+    by inclusion-exclusion over points.counts in intersections of the regions."""
+    def within(s):
+        return points.counts(*(r for i, r in enumerate(regions) if s >> i & 1))
+    n = within(code)
+    for s in range(code + 1, 1 << len(regions)):
+        if s & code == code:
+            n = n - within(s) if (s ^ code).bit_count() % 2 else n + within(s)
+    return n
 
 
 def _capped(counts, cap):
@@ -474,7 +485,7 @@ def mecke_functionals(window: Window) -> list[MeckeFunctional]:
     """Family for the Campbell-Mecke checks on a window; A and B are the two
     halves of the window (inscribed-square halves for a disk)."""
     A, B = window.halves()
-    aA, aB, aK = A.area, B.area, window.area
+    aA, aB, aK = A.measure, B.measure, window.measure
     one, in_A = count_at_least(name="1"), count_at_least((A, 1))
     return [
         MeckeFunctional(

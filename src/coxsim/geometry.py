@@ -36,14 +36,12 @@ class Disk(Record):
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(self.center))   # hashable: a cache key
         if not (self.radius > 0.0 and all(map(math.isfinite, (*self.center, self.radius)))
-                and (self.radius > 1.0 or self.area > 0.0)):   # radius ** 2 may underflow
+                and (self.radius > 1.0 or self.measure > 0.0)):   # radius ** 2 may underflow
             raise ValueError(f"disk needs a finite center, a positive radius and area: {self}")
 
     @property
-    def area(self) -> float:
+    def measure(self) -> float:
         return math.pi * self.radius ** 2
-
-    measure = area
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -123,19 +121,17 @@ class Rect(Record):
     y1: float
 
     def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1 and self.area > 0.0
+        if not (self.x0 < self.x1 and self.y0 < self.y1 and self.measure > 0.0
                 and all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1)))):
             raise ValueError("rectangle requires finite x0 < x1 and y0 < y1 and a positive area")
 
     @property
-    def area(self) -> float:
+    def measure(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
     @property
     def center(self) -> tuple[float, float]:
         return 0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)
-
-    measure = area
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)

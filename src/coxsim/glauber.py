@@ -13,10 +13,11 @@ The module also evaluates the infinitesimal generator
 
     L F(w) = sum_{x in w} (F(w - x) - F(w)) + lambda * int_W (F(w + x) - F(w)) dx
 
-exactly, without draws: the birth integral moves F by the intensity measure
-lambda * Leb(W) that GlauberSpec gives Functional.moved.  The module also
-estimates the semigroup's Lipschitz contraction |P_t F(w + z) - P_t F(w)| <= e^-t
-with a coupled estimator.
+exactly, without draws: the birth integral moves F by GlauberSpec, the
+intensity measure lambda * Leb(W), whose counts in regions Functional.moved
+reads as it reads a batch's.  The module also estimates the semigroup's
+Lipschitz contraction |P_t F(w + z) - P_t F(w)| <= e^-t with a coupled
+estimator.
 
 The samplers map a ReplicateBatch of starts to one draw per replicate (the
 trajectory simulator to a horizon each call names), and the consistency and
@@ -39,29 +40,26 @@ from .record import Record
 
 
 class GlauberSpec(Record):
-    """Birth-death dynamics targeting PPP(lam) on the window."""
+    """Birth-death dynamics targeting PPP(lam) on the window; also its birth
+    measure lam * Leb(W), which answers counts as a ReplicateBatch does."""
 
     window: Window
     lam: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.window.area > 0):
+        if not (self.lam > 0 and self.window.measure > 0):
             raise ValueError("birth rate lam * area must be positive")
 
-    @property
-    def birth_rate(self) -> float:
-        return self.lam * self.window.area
-
-    def pattern_counts(self, regions: tuple, code: int) -> float:
-        """ReplicateBatch.pattern_counts for the measure lam * Leb(W), regions pairwise
-        disjoint and inside W: lam |R_i| for the one bit i of code, lam times the rest
-        of W for none, 0 for two or more; regions overfilling W raise ValueError."""
-        rest = self.window.area - sum(r.measure for r in regions)
-        if rest < -1e-12 * self.window.area:
+    def counts(self, *regions) -> float:
+        """The mass of lam * Leb(W) in all the regions, regions pairwise disjoint
+        and inside W: lam |W| for none (the birth rate), lam |R| for one, 0 for
+        two or more; regions whose measures sum above |W| raise ValueError."""
+        if sum(r.measure for r in regions) > (1.0 + 1e-12) * self.window.measure:
             raise ValueError("the birth integral needs each functional's regions "
                              "pairwise disjoint and inside the window")
-        sizes = (max(rest, 0.0),) + tuple(r.measure for r in regions)
-        return self.lam * sizes[code.bit_length()] if code & (code - 1) == 0 else 0.0
+        if len(regions) > 1:
+            return 0.0
+        return self.lam * (regions[0] if regions else self.window).measure
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +76,13 @@ def glauber_simulate(omegas: ReplicateBatch, spec: GlauberSpec, rng: np.random.G
     gathers the rows' live prefixes, coordinate-major, at the end."""
     if not 0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and nonnegative")
-    if omegas.points.shape[1] != 2 or not spec.window.contains(omegas.points).all():
+    if omegas.points.shape[1] != 2 or not omegas.membership(spec.window).all():
         raise ValueError("initial configurations must lie inside the window")
     reps, (points, ids) = len(omegas), omegas.by_replicate()
     size = omegas.counts().copy()   # the cached counts are read-only
     buf = np.empty((2, reps, max(8, 2 * int(size.max(initial=0)))))
     buf[:, ids, np.arange(ids.size) - (np.cumsum(size) - size)[ids]] = points.T
-    b = spec.birth_rate
+    b = spec.counts()
     clock = np.zeros(reps)
     live = np.arange(reps)
     while live.size:
@@ -135,9 +133,8 @@ def generator_apply(functionals, omegas: ReplicateBatch, spec: GlauberSpec) -> n
     """Generator L F(omega_j) for every replicate j and functional F, as a (reps x F)
     array, exactly: the death sum moves F by the points of omega_j, the birth integral
     by spec's intensity measure, each one Functional.moved, so h runs once per pattern."""
-    # the death sum first: its F(omegas) caches the masks that the counts read
     return np.column_stack([F.moved(omegas, omegas, -1) + F.moved(omegas, spec)
-                            - (omegas.counts() + spec.birth_rate) * F(omegas)
+                            - (omegas.counts() + spec.counts()) * F(omegas)
                             for F in functionals])
 
 

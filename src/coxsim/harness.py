@@ -514,7 +514,7 @@ CHECKS = {"mecke": lambda seed, reps: check_mecke(seed, reps),
           "bounds": lambda seed, reps: check_bounds(seed)}
 CHECK_GROUPS = tuple(CHECKS)
 # peak bytes a group holds per max(2000, reps), after a first call: tracemalloc reads
-# 256 and 253 (mecke), 136 and 136 (invariance), 38 and 36 (glauber) at reps 2e4 and
+# 256 and 253 (mecke), 139 and 139 (invariance), 39 and 37 (glauber) at reps 2e4 and
 # 2e5; the others draw nothing
 CHECK_BYTES_PER_REPLICATE = {"mecke": 400, "invariance": 200, "glauber": 100}
 

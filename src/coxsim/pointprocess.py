@@ -2,21 +2,24 @@
 
 A point set is an (n, 2) array in the plane or an (n, 3) array on the unit
 sphere.  Replicates of a sampler are stored flat, as one ReplicateBatch whose
-column count is its space, and counted per region by mask_counts.  Every
-point array built here is coordinate-major: the transpose of a C-contiguous
-(d, n) block, so each coordinate is one contiguous row and the regions'
-contains tests read contiguous columns.  Model parameters store lambda_n, c
-and n; mu_n = c / lambda_n is derived.
+column count is its space; a batch tests each region once and counts from the
+cached masks with region_counts.  Every point array built here is
+coordinate-major: the transpose of a C-contiguous (d, n) block, so each
+coordinate is one contiguous row and the regions' contains tests read
+contiguous columns.  Model parameters store lambda_n, c and n; mu_n = c /
+lambda_n is derived.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
 from .geometry import Window
 from .record import Record
 
-COUNT_BLOCK = 1 << 15  # points per np.compress and np.bincount in mask_counts
+COUNT_BLOCK = 1 << 15  # points per np.compress and np.bincount in region_counts
 
 # ---------------------------------------------------------------------------
 # Model parameters
@@ -65,7 +68,7 @@ def sample_ppp_window(window: Window, lam: float, rng: np.random.Generator) -> n
     (n, 2) array."""
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
-    return window.uniform(rng.poisson(lam * window.area), rng)
+    return window.uniform(rng.poisson(lam * window.measure), rng)
 
 
 def sample_uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -152,41 +155,24 @@ class ReplicateBatch(Record):
 
     def cached(self, key, compute) -> np.ndarray:
         """compute(), evaluated once per batch and key, as a read-only array."""
-        if key not in self._cache:
-            self._cache[key] = compute()
-            self._cache[key].setflags(write=False)
-        return self._cache[key]
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = compute()
+            value.setflags(write=False)
+        return value
 
     def counts(self, *regions) -> np.ndarray:
         """Per-replicate counts of the points in all the regions, or the
-        replicate sizes for none (cached); from the cached masks, but for one
-        region without a cached mask, which region_counts counts keeping none."""
+        replicate sizes for none; cached, and counted from the cached masks."""
         def count():
-            if len(regions) == 1 and ("membership", regions[0]) not in self._cache:
-                return region_counts(self.points, self.rep_ids, regions[0], self.reps)
             masks = [self.membership(r) for r in regions]
-            return mask_counts(np.logical_and.reduce(masks) if masks else None,
-                               self.rep_ids, self.reps)
+            return region_counts(reduce(np.logical_and, masks) if masks else None,
+                                 self.rep_ids, self.reps)
         return self.cached(("counts", regions), count)
 
     def membership(self, region) -> np.ndarray:
         """Per-point mask: which points lie in the region (cached)."""
         return self.cached(("membership", region), lambda: region.contains(self.points))
-
-    def pattern_counts(self, regions: tuple, code: int) -> np.ndarray:
-        """Per-replicate counts of the points whose membership pattern over the
-        regions is code (bit i set iff in regions[i]), by inclusion-exclusion
-        over the counts in intersections of the regions, all from their masks."""
-        for region in regions:   # the masks first, so no region is tested twice
-            self.membership(region)
-
-        def within(s):
-            return self.counts(*(r for i, r in enumerate(regions) if s >> i & 1))
-        n = within(code)
-        for s in range(code + 1, 1 << len(regions)):
-            if s & code == code:
-                n = n - within(s) if (s ^ code).bit_count() % 2 else n + within(s)
-        return n
 
     def thin(self, p: float, rng: np.random.Generator) -> "ReplicateBatch":
         """Independent p-thinning by np.compress; one uniform per point, even at p = 0, 1."""
@@ -220,19 +206,14 @@ def ppp_batch(window: Window, lam: float, reps: int, rng: np.random.Generator):
     Returns (counts, points, rep_ids): counts has shape (reps,), points is the
     concatenation of all replicates, rep_ids labels each point's replicate.
     """
-    counts = rng.poisson(lam * window.area, reps)
+    counts = rng.poisson(lam * window.measure, reps)
     total = int(counts.sum())
     points = window.uniform(total, rng)
     rep_ids = np.repeat(np.arange(reps), counts)
     return counts, points, rep_ids
 
 
-def region_counts(points: np.ndarray, rep_ids: np.ndarray, region, reps: int) -> np.ndarray:
-    """Per-replicate counts of flattened points inside a region."""
-    return mask_counts(region.contains(points), rep_ids, reps)
-
-
-def mask_counts(mask, rep_ids: np.ndarray, reps: int) -> np.ndarray:
+def region_counts(mask, rep_ids: np.ndarray, reps: int) -> np.ndarray:
     """Per-replicate counts of the points a mask selects, or of all for None.
     np.compress gives rep_ids[mask] several times faster; it and np.bincount,
     which copies a read-only input, run on blocks of COUNT_BLOCK points."""

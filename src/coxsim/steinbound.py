@@ -148,4 +148,4 @@ def coarea_check(window: Window, theta: float) -> CoareaResult:
         return float(np.sum(w * (s_hi - s_lo)))
 
     rhs, err = _refine(eval_rhs)
-    return CoareaResult(lhs=float(window.area), rhs=rhs, error_estimate=err)
+    return CoareaResult(lhs=float(window.measure), rhs=rhs, error_estimate=err)

@@ -146,7 +146,7 @@ class TestCoxLine:
         ns = np.array([len(sample_cox_line(params, window, rng).points)
                        for _ in range(4000)])
         se = ns.std(ddof=1) / math.sqrt(ns.size)
-        assert abs(ns.mean() - 2.0 * window.area / 2.0) < 3 * se
+        assert abs(ns.mean() - 2.0 * window.measure / 2.0) < 3 * se
 
     def test_doubling_c_doubles_counts(self):
         rng = rng_for(23)
@@ -239,7 +239,7 @@ class TestCoxLineBatchLaw:
         mean, var = x.mean(), x.var(ddof=1)
         d = x - mean
         excess_se = float(np.std(d ** 2 - d, ddof=1)) / math.sqrt(reps)
-        assert abs(mean - 0.5 * window.area) < 4 * math.sqrt(var / reps)
+        assert abs(mean - 0.5 * window.measure) < 4 * math.sqrt(var / reps)
         assert abs(var - mean - cox_bound(params, window) / 2.0) < 4 * excess_se
 
     def test_points_carry_their_lines_replicate(self):
@@ -284,7 +284,7 @@ class TestCoxLineTwin:
         # planted defects that the same test rejects
         pair = pairs[window]
         batch = {"twin": pair.twin, "model": pair.model, "kept only": kept_only(pair)}[side]
-        pmf, _ = poisson_pmf(0.5 * region.area)
+        pmf, _ = poisson_pmf(0.5 * region.measure)
         assert g_test_passes(batch.counts(region), pmf) == (side == "twin")
 
     def test_twin_shares_one_point_per_line(self):
@@ -630,7 +630,7 @@ class TestClosedFormMeanMeasure:
         ns = np.array([len(sample_cox_line(params, window, rng).points)
                        for _ in range(4000)])
         se = ns.std(ddof=1) / math.sqrt(ns.size)
-        assert abs(ns.mean() - 0.5 * window.area) < 4 * se
+        assert abs(ns.mean() - 0.5 * window.measure) < 4 * se
 
 
 class TestEffectiveIntensity:
@@ -646,7 +646,7 @@ class TestEffectiveIntensity:
         rng = rng_for(81)
         counts = [len(sample_cox_line(params, UNIT_DISK, rng).points)
                   for _ in range(5000)]
-        val, se = effective_intensity(counts, UNIT_DISK.area)
+        val, se = effective_intensity(counts, UNIT_DISK.measure)
         assert abs(val - 0.5) < 3 * se
 
     def test_zero_marks(self):

@@ -16,8 +16,9 @@ from coxsim.diagnostics import (DistanceEstimate, Functional,
                                 poisson_pmf, rate_regression,
                                 sphere_functional_family, sphere_region_set,
                                 tv_vs_poisson, wasserstein_lower_bound)
-from coxsim.geometry import Disk, LatitudeBand, Rect
-from coxsim.harness import check_mecke, mc_row, stream
+from coxsim.geometry import Annulus, Disk, LatitudeBand, Rect
+from coxsim.glauber import GlauberSpec, generator_apply
+from coxsim.harness import ExperimentConfig, check_mecke, mc_row, run_sweep_point, stream
 from coxsim.pointprocess import (CoupledBatch, ModelParams, ReplicateBatch,
                                  sample_ppp_window, sample_uniform_sphere)
 from oracles import POLAR_CAPS, batch, cap_counts, count_in, plane_points, sphere_points
@@ -257,14 +258,14 @@ class TestMecke:
         lam = 3.0
         A = Rect(0, 0, 0.5, 1)
         B = Rect(0.5, 0, 1, 1)
-        mu = lam * A.area
+        mu = lam * A.measure
         # P(M = k) of the PPP count M in A, k = 0 and 1
         p0, p1 = math.exp(-mu), mu * math.exp(-mu)
         expected = {
-            "F=1": lam * WINDOW.area,
-            "F=1{x in A}": lam * A.area,
-            "F=1{x in A}|w∩A|": (lam * A.area) ** 2,
-            "F=1{x in A}1{|w∩B|>=1}": lam * A.area * (1 - math.exp(-lam * B.area)),
+            "F=1": lam * WINDOW.measure,
+            "F=1{x in A}": lam * A.measure,
+            "F=1{x in A}|w∩A|": (lam * A.measure) ** 2,
+            "F=1{x in A}1{|w∩B|>=1}": lam * A.measure * (1 - math.exp(-lam * B.measure)),
             "F=1{x in A}min(|w∩A|,2)": mu * (p1 + 2 * (1 - p0 - p1)),
         }
         got = {mf.name: mf.oracle_ppp(lam) for mf in mecke_functionals(WINDOW)}
@@ -311,15 +312,13 @@ class TestContainsBudget:
     share the region."""
 
     @staticmethod
-    def record(monkeypatch):
+    def record(monkeypatch, classes=(Rect,)):
         calls = []
-        contains = Rect.contains
-
-        def spy(region, pts):
-            calls.append((region, pts))   # holding pts keeps its id unique
-            return contains(region, pts)
-
-        monkeypatch.setattr(Rect, "contains", spy)
+        for cls in classes:
+            def spy(region, pts, contains=cls.contains):
+                calls.append((region, pts))   # holding pts keeps its id unique
+                return contains(region, pts)
+            monkeypatch.setattr(cls, "contains", spy)
         return calls
 
     def test_check_mecke(self, monkeypatch):
@@ -329,6 +328,21 @@ class TestContainsBudget:
         assert set(per_pair.values()) == {1}
         # A and B on Phi (ppp) and on Phi_N (bpp), the counts from the masks
         assert len(calls) == 4
+
+    def test_generator_apply(self, monkeypatch):
+        omegas = ReplicateBatch.ppp(WINDOW, 1.5, 200, rng_for(42))
+        calls = self.record(monkeypatch)
+        generator_apply(glauber_functionals(WINDOW), omegas, GlauberSpec(WINDOW, 1.5))
+        per_pair = Counter((region, id(pts)) for region, pts in calls)
+        assert set(per_pair.values()) == {1}
+        # the window and its halves, on omegas alone: the birth measure tests nothing
+        assert {id(pts) for _, pts in calls} == {id(omegas.points)} and len(calls) == 3
+
+    def test_run_sweep_point(self, monkeypatch):
+        calls = self.record(monkeypatch, (Disk, Rect, Annulus))
+        run_sweep_point(ExperimentConfig("cox-line", reps=1000), 0, 10.0)
+        per_pair = Counter((region, id(pts)) for region, pts in calls)
+        assert calls and set(per_pair.values()) == {1}
 
     def test_wasserstein_counts_window_once_per_batch(self, monkeypatch):
         samples = ReplicateBatch.ppp(WINDOW, 3.0, 500, rng_for(40))
@@ -364,16 +378,16 @@ class TestInvariance:
         k1 = rng.random(p1.shape[0]) < t
         k2 = rng.random(p2.shape[0]) < (1.0 - t)
         _, p3, i3 = ppp_batch(WINDOW, lam, reps, rng)
-        ca = (region_counts(p1[k1], i1[k1], A, reps)
-              + region_counts(p2[k2], i2[k2], A, reps))
-        cb = (region_counts(p1[k1], i1[k1], B, reps)
-              + region_counts(p2[k2], i2[k2], B, reps))
+        ca = (region_counts(A.contains(p1[k1]), i1[k1], reps)
+              + region_counts(A.contains(p2[k2]), i2[k2], reps))
+        cb = (region_counts(B.contains(p1[k1]), i1[k1], reps)
+              + region_counts(B.contains(p2[k2]), i2[k2], reps))
         prod_thin = ((ca >= 1) & (cb >= 1)).astype(float)
-        prod_fresh = ((region_counts(p3, i3, A, reps) >= 1)
-                      & (region_counts(p3, i3, B, reps) >= 1)).astype(float)
+        prod_fresh = ((region_counts(A.contains(p3), i3, reps) >= 1)
+                      & (region_counts(B.contains(p3), i3, reps) >= 1)).astype(float)
         se = math.sqrt(prod_thin.var(ddof=1) / reps + prod_fresh.var(ddof=1) / reps)
         assert abs(prod_thin.mean() - prod_fresh.mean()) <= 3 * se
-        oracle = (1 - math.exp(-lam * A.area)) * (1 - math.exp(-lam * B.area))
+        oracle = (1 - math.exp(-lam * A.measure)) * (1 - math.exp(-lam * B.measure))
         assert abs(prod_thin.mean() - oracle) <= 4 * se
 
     def test_invalid_t(self):

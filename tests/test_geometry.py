@@ -152,7 +152,7 @@ class TestHalves:
             # the outer corners lie on the circle, up to rounding
             dist = np.hypot(*(corners - np.array(disk.center)).T)
             assert dist.max() <= disk.radius * (1.0 + 1e-12)
-            assert half.area == pytest.approx(disk.radius ** 2)
+            assert half.measure == pytest.approx(disk.radius ** 2)
 
 
 class TestSupportRadius:
@@ -266,8 +266,8 @@ class TestRegions:
         assert band.contains(pts).tolist() == [True, False]
 
     def test_window_areas(self):
-        assert Disk((1, 2), 2.0).area == pytest.approx(4 * math.pi)
-        assert Rect(0, 0, 2, 3).area == pytest.approx(6.0)
+        assert Disk((1, 2), 2.0).measure == pytest.approx(4 * math.pi)
+        assert Rect(0, 0, 2, 3).measure == pytest.approx(6.0)
         with pytest.raises(ValueError):
             Disk((0, 0), 0.0)
         with pytest.raises(ValueError):
@@ -279,5 +279,5 @@ class TestRegions:
             Disk((0, 0), 1e-200)
         with pytest.raises(ValueError, match="positive area"):
             Rect(0, 0, 1e-200, 1e-200)
-        assert Disk((0, 0), 1e-160).area > 0.0 and Rect(0, 0, 1e-200, 1e-120).area > 0.0
+        assert Disk((0, 0), 1e-160).measure > 0.0 and Rect(0, 0, 1e-200, 1e-120).measure > 0.0
         assert Disk((0, 0), 1e200).radius == 1e200

@@ -6,7 +6,7 @@ import pytest
 from coxsim.diagnostics import (ClosePair, Functional,
                                 count_at_least, count_indicator,
                                 empirical_count_tv, glauber_functionals,
-                                poisson_pmf, raw_count, truncated_count)
+                                pattern_counts, poisson_pmf, raw_count, truncated_count)
 from coxsim.geometry import Rect
 from coxsim.harness import mc_row, stream
 from coxsim.glauber import (GlauberSpec, contraction_estimate, generator_apply,
@@ -41,7 +41,7 @@ def scalar_glauber(omega0, spec, rng, horizon):
     """Reference event loop: one trajectory, one event at a time, with the
     randomness consumed in blocks of 256."""
     pts = [row.copy() for row in omega0]
-    b = spec.birth_rate
+    b = spec.counts()
     t = 0.0
     block = 256
     exps = rng.exponential(size=block)
@@ -77,7 +77,7 @@ class TestTrajectory:
         for t in (0.3, 1.0):
             ns = sizes(glauber_simulate(repeat(plane_points([]), 4000),
                                         SPEC, rng, horizon=t))
-            expect = SPEC.birth_rate * (1.0 - math.exp(-t))
+            expect = SPEC.counts() * (1.0 - math.exp(-t))
             se = ns.std(ddof=1) / math.sqrt(ns.size)
             assert abs(ns.mean() - expect) < 3 * se
 
@@ -161,7 +161,7 @@ def law_pmf(omega, region, spec, t):
     n_in, p = int(region.contains(omega).sum()), math.exp(-t)
     binom = np.array([math.comb(n_in, k) * p ** k * (1.0 - p) ** (n_in - k)
                       for k in range(n_in + 1)])
-    return np.convolve(binom, poisson_pmf(spec.lam * region.area * (1.0 - p))[0])
+    return np.convolve(binom, poisson_pmf(spec.lam * region.measure * (1.0 - p))[0])
 
 
 class TestLockstepLaw:
@@ -291,6 +291,33 @@ class TestSemigroup:
         assert empirical_count_tv(na, nb) < 2.0 / math.sqrt(reps)
 
 
+class TestBirthMeasure:
+    """GlauberSpec answers counts with the mass of lam * Leb(W); on the unit
+    square these masses are exact binary fractions."""
+
+    CORNERS = (Rect(0.0, 0.0, 0.5, 0.5), Rect(0.5, 0.5, 1.0, 1.0))
+
+    def test_counts(self):
+        assert SPEC.counts() == SPEC.lam * WINDOW.measure
+        assert SPEC.counts(self.CORNERS[0]) == SPEC.lam * 0.25
+        assert SPEC.counts(*self.CORNERS) == 0.0
+
+    def test_pattern_counts_are_the_closed_masses(self):
+        lam, (a, b) = SPEC.lam, self.CORNERS
+        masses = [lam * (WINDOW.measure - a.measure - b.measure),
+                  lam * a.measure, lam * b.measure, 0.0]
+        assert [pattern_counts(SPEC, self.CORNERS, code) for code in range(4)] == masses
+        assert [pattern_counts(SPEC, (WINDOW,), code) for code in range(2)] == [0.0, lam]
+        assert pattern_counts(SPEC, (), 0) == lam * WINDOW.measure
+
+    @pytest.mark.parametrize("regions", [
+        (Rect(-0.5, 0.0, 1.0, 1.0),),              # one region larger than W
+        (WINDOW, WINDOW.halves()[0])])             # W and its left half
+    def test_overfilled_window_raises(self, regions):
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            SPEC.counts(*regions)
+
+
 class TestGenerator:
     def test_constant_functional(self):
         F = Functional("const", (), lambda c: np.full(len(c), 2.5))
@@ -301,7 +328,7 @@ class TestGenerator:
         # F = |w|: death sum -|w|, birth integral lam|W| (integrand constant 1)
         F = raw_count(WINDOW)
         [[val]] = generator_apply([F], batch([OMEGA0]), SPEC)
-        assert val == SPEC.birth_rate - len(OMEGA0)
+        assert val == SPEC.counts() - len(OMEGA0)
 
     def test_draws_nothing(self):
         family = glauber_functionals(WINDOW)
@@ -317,7 +344,7 @@ class TestGenerator:
         functionals = glauber_functionals(WINDOW) + [
             truncated_count(WINDOW, 3), count_indicator(WINDOW, {0, 1}),
             count_at_least((left, 2))]
-        pmf, _ = poisson_pmf(SPEC.lam * left.area)
+        pmf, _ = poisson_pmf(SPEC.lam * left.measure)
         ys = (np.arange(pmf.size) + 0.5) / pmf.size
         configs = [np.vstack([np.column_stack([np.full(a, 0.25), ys[:a]]),
                               np.column_stack([np.full(b, 0.75), ys[:b]])])

@@ -252,7 +252,7 @@ class TestRunExperiment:
             return pair.model.points.shape[0]
 
         total = sum(block_points(start) for start in range(0, cfg.reps, block))
-        assert round(row["eff_intensity"] * window.area * cfg.reps) == total
+        assert round(row["eff_intensity"] * window.measure * cfg.reps) == total
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = ExperimentConfig("satellites", 2.0, (4, 6, 9, 14), 1000, 11)
@@ -519,6 +519,21 @@ class TestCli:
     def test_bound_cox(self, capsys):
         assert main(["bound", "cox-line", "--c", "1", "--lam", "10"]) == 0
         assert "0.5333" in capsys.readouterr().out
+
+    def test_bound_out_writes_header_into_empty_file(self, tmp_path):
+        # an empty file gets the schema line and header, as a missing one does;
+        # a second run appends its row alone
+        argv = ["bound", "satellites", "--n", "10", "--out"]
+        missing, empty = tmp_path / "missing.csv", tmp_path / "empty.csv"
+        empty.touch()
+        for path in (missing, empty):
+            assert main([*argv, str(path)]) == 0
+        assert empty.read_text() == missing.read_text()
+        lines = empty.read_text().splitlines()
+        assert lines[0].startswith("# schema_version=")
+        assert lines[1] == "model,c,param,window,bound"
+        assert main([*argv, str(empty)]) == 0
+        assert empty.read_text().splitlines() == lines + lines[2:]
 
     def test_bound_cox_rect(self, capsys):
         # closed-form G for the unit square: 0.946402009 / lambda

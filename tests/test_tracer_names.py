@@ -141,7 +141,8 @@ def test_uncoupled_evals_match_reference_draws(ref_factor):
 
 @pytest.mark.parametrize("module, func, argv", [
     ("steinbound", "cox_bound", ["bound", "cox-line", "--lam", "10"]),
-    ("coxmodels", "effective_intensity", None)])
+    ("coxmodels", "effective_intensity", None),
+    ("pointprocess", "region_counts", None)])
 def test_traced_layer_sees_model_calls(monkeypatch, module, func, argv):
     # the tracer replaces a function in every coxsim namespace that holds it,
     # so a caller that kept its own reference (say, a field of a model
